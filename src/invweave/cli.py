@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from .diagnostics import Diagnostic, ParseError, SpecError, WeaveError, errors_only
-from .interp import MiniOORuntimeError, run_program
+from .interp import ExecutionResult, MiniOORuntimeError, run_program
 from .invspec import load_spec, validate_spec
 from .parser import parse_unit
 from .syntax import SourceUnit, merge_units
@@ -28,15 +28,9 @@ EXIT_IO = 2
 EXIT_VIOLATION = 3
 
 
-def _fail(messages: list[str]) -> int:
-    for m in messages:
-        print(m, file=sys.stderr)
-    return EXIT_DIAGNOSTICS
-
-
-def _print_diags(diags: list[Diagnostic], prefix: str = "") -> int:
+def _print_diags(diags: list[Diagnostic]) -> int:
     for d in diags:
-        print(prefix + str(d), file=sys.stderr)
+        print(d, file=sys.stderr)
     return EXIT_DIAGNOSTICS
 
 
@@ -46,7 +40,7 @@ def _read_sources(paths: list[str]) -> Optional[list[tuple[str, str]]]:
         try:
             with open(p, "r", encoding="utf-8") as fh:
                 out.append((p, fh.read()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print("cannot read %s: %s" % (p, exc), file=sys.stderr)
             return None
     return out
@@ -87,7 +81,7 @@ def _load_spec_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("cannot read %s: %s" % (path, exc), file=sys.stderr)
         return None, EXIT_IO
     try:
@@ -137,6 +131,11 @@ def cmd_weave(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_lines(result: ExecutionResult, trace: bool) -> None:
+    for line in result.combined if trace else result.output:
+        print(line)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     sources = _read_sources(args.sources)
     if sources is None:
@@ -153,10 +152,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         result = run_program(unit, check_trace=args.trace)
     except MiniOORuntimeError as exc:
+        if exc.result is not None:  # what the program printed before the fault
+            _print_lines(exc.result, args.trace)
         print("runtime fault: %s" % exc, file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    for line in result.combined if args.trace else result.output:
-        print(line)
+    _print_lines(result, args.trace)
     if result.violation is not None:
         print(str(result.violation))
         return EXIT_VIOLATION
@@ -230,7 +230,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:  # a parse or check nested deeper than the Python stack
+        print("input nested too deeply to process", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
 
 
 if __name__ == "__main__":

@@ -180,6 +180,75 @@ def test_run_runtime_fault_exit_1(tmp_path, capsys):
     assert "runtime fault" in capsys.readouterr().err
 
 
+BOOM = """
+class W {
+    protected int x;
+    public W() { this.x = 1; }
+    public int boom(W o) { return o.x; }
+}
+"""
+
+
+def test_run_runtime_fault_prints_prior_output_first(tmp_path, capsys):
+    src = tmp_path / "boom.moo"
+    src.write_text(BOOM + 'driver { print("before"); W w = new W(); print(w.boom(null)); }\n')
+    assert main(["run", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "before\n"
+    assert captured.err == "runtime fault: null dereference reading 'x'\n"
+
+
+def test_run_trace_runtime_fault_prints_prior_combined_lines(tmp_path, capsys):
+    src = tmp_path / "boom.moo"
+    src.write_text(BOOM)
+    spec = tmp_path / "boom.json"
+    spec.write_text('{"classes": [{"name": "W", "invariant": ["x >= 0"]}]}')
+    out = tmp_path / "out"
+    assert main(["weave", str(src), "--spec", str(spec), "--out", str(out)]) == 0
+    drv = tmp_path / "drv.moo"
+    drv.write_text('driver { W w = new ExposedW(); print("before"); print(w.boom(null)); }\n')
+    capsys.readouterr()
+    woven = [str(p) for p in sorted(out.glob("*.moo"))]
+    assert main(["run", "--trace", str(src), *woven, str(drv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "CHECK 1 W construction <init>",
+        "before",
+        "CHECK 1 W entry boom",
+    ]
+    assert captured.err == "runtime fault: null dereference reading 'x'\n"
+
+
+@pytest.mark.parametrize("bad", ["source", "spec"])
+def test_non_utf8_input_is_an_io_failure(bad, tmp_path, capsys):
+    paths = {"source": str(DLIST / "list.moo"), "spec": str(DLIST / "invariants.json")}
+    paths[bad] = str(tmp_path / "latin1")
+    (tmp_path / "latin1").write_bytes(b"// caf\xe9\n")
+    code = main(["weave", paths["source"], "--spec", paths["spec"], "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot read %s: " % paths[bad])
+
+
+def test_run_deep_minioo_recursion_is_a_one_line_fault(tmp_path, capsys):
+    src = tmp_path / "deep.moo"
+    src.write_text(
+        "class D { public int down(int n) { if (n == 0) { return 0; } return this.down(n - 1); } }\n"
+        'driver { print("before"); D d = new D(); print(d.down(5000)); }\n'
+    )
+    assert main(["run", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "before\n"
+    assert captured.err == "runtime fault: MiniOO calls nested too deeply\n"
+
+
+def test_run_deeply_nested_expression_is_a_one_line_error(tmp_path, capsys):
+    src = tmp_path / "nested.moo"
+    src.write_text("driver { print(%s1%s); }\n" % ("(" * 3000, ")" * 3000))
+    assert main(["run", str(src)]) == 1
+    assert capsys.readouterr().err == "input nested too deeply to process\n"
+
+
 def test_run_no_driver_exit_1(capsys):
     assert main(["run", str(DLIST / "list.moo")]) == 1
 

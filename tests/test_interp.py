@@ -200,7 +200,21 @@ def test_reflect_get_walks_to_grandparent():
     )
     obj = interp.construct("C", [])
     # matches the direct slot lookup
-    assert interp.reflect_get(obj, "x") == obj.fields[("A", "x")] == 5
+    assert interp.reflect_get(obj, "x") == obj.fields["x"] == 5
+
+
+def test_shadowed_field_in_unchecked_unit_aborts():
+    # The typechecker rejects this unit; run unchecked, the interpreter must
+    # not pick one of the two `x` slots silently.
+    unit = parse_unit(
+        """
+        class A { public int x; }
+        class B extends A { public int x; }
+        driver { B b = new B(); print(b.x); }
+        """
+    )
+    with pytest.raises(MiniOORuntimeError, match="'x' of B shadows an inherited field"):
+        run_program(unit)
 
 
 def test_reflect_get_unknown_field_aborts():
@@ -222,9 +236,9 @@ def test_dispatch_call_exposed_wrapper_from_python():
     assert interp.dispatch_call(obj, "remove", ["a"]) is True
     assert interp.dispatch_call(obj, "size", []) == 1
     # Exposure faithfulness: getters agree with the direct field store.
-    assert interp.dispatch_call(obj, "_get_size", []) == obj.fields[("AbstractList", "size")]
-    assert interp.dispatch_call(obj, "_get_head", []) is obj.fields[("DLinkedList", "head")]
-    assert interp.dispatch_call(obj, "_get_tail", []) is obj.fields[("DLinkedList", "tail")]
+    assert interp.dispatch_call(obj, "_get_size", []) == obj.fields["size"]
+    assert interp.dispatch_call(obj, "_get_head", []) is obj.fields["head"]
+    assert interp.dispatch_call(obj, "_get_tail", []) is obj.fields["tail"]
 
 
 # -- the flagship woven/unwoven runs --------------------------------------------
@@ -349,7 +363,7 @@ def test_quantifier_loop_against_hand_checker():
     head = interp.reflect_get(ls, "head")
     first = interp.reflect_get(head, "next")
     second = interp.reflect_get(first, "next")
-    second.fields[("DNode", "prev")] = head
+    second.fields["prev"] = head
     assert hand_checker(ls) is False
     assert interp.dispatch_call(ls, "inv", []) is False
 

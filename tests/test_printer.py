@@ -105,8 +105,9 @@ _names = st.sampled_from(["a", "b", "c", "d", "val", "obj"])
 _type_names = st.sampled_from(["int", "bool", "string", "Thing"])
 
 
-def _types():
-    return _type_names.map(lambda n: NamedType(n))
+# Each recursive strategy is built once, here: rebuilding one on every draw
+# costs Hypothesis far more than generating the examples does.
+_TYPES = _type_names.map(lambda n: NamedType(n))
 
 
 _literals = st.one_of(
@@ -117,54 +118,51 @@ _literals = st.one_of(
 )
 
 
-def _exprs():
-    return st.recursive(
-        st.one_of(_literals, _names.map(VarRead), st.just(ThisExpr())),
-        lambda inner: st.one_of(
-            st.tuples(st.sampled_from(["+", "-", "*", "==", "&&", "||", "<"]), inner, inner).map(
-                lambda t: Binary(t[0], t[1], t[2])
-            ),
-            st.tuples(st.sampled_from(["!", "-"]), inner).map(lambda t: Unary(t[0], t[1])),
-            st.tuples(inner, _names).map(lambda t: FieldAccess(t[0], t[1])),
-            st.tuples(inner, _names, st.lists(inner, max_size=2)).map(
-                lambda t: MethodCall(t[0], t[1], t[2])
-            ),
-            st.tuples(_types(), st.lists(inner, max_size=2)).map(
-                lambda t: NewObject(NamedType("Thing"), t[1])
-            ),
+_EXPRS = st.recursive(
+    st.one_of(_literals, _names.map(VarRead), st.just(ThisExpr())),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "==", "&&", "||", "<"]), inner, inner).map(
+            lambda t: Binary(t[0], t[1], t[2])
         ),
-        max_leaves=10,
-    )
+        st.tuples(st.sampled_from(["!", "-"]), inner).map(lambda t: Unary(t[0], t[1])),
+        st.tuples(inner, _names).map(lambda t: FieldAccess(t[0], t[1])),
+        st.tuples(inner, _names, st.lists(inner, max_size=2)).map(
+            lambda t: MethodCall(t[0], t[1], t[2])
+        ),
+        st.tuples(_TYPES, st.lists(inner, max_size=2)).map(
+            lambda t: NewObject(NamedType("Thing"), t[1])
+        ),
+    ),
+    max_leaves=10,
+)
 
-
-def _stmts():
-    return st.recursive(
-        st.one_of(
-            st.tuples(_types(), _names, _exprs()).map(lambda t: LocalDecl(t[0], t[1], t[2])),
-            st.tuples(_names, _exprs()).map(lambda t: Assign(VarRead(t[0]), t[1])),
-            _exprs().map(PrintStmt),
-            st.tuples(st.one_of(st.none(), _exprs())).map(lambda t: ReturnStmt(t[0])),
-            st.tuples(_exprs(), _names, st.lists(_exprs(), max_size=2)).map(
-                lambda t: ExprStmt(MethodCall(t[0], t[1], t[2]))
-            ),
+_STMTS = st.recursive(
+    st.one_of(
+        st.tuples(_TYPES, _names, _EXPRS).map(lambda t: LocalDecl(t[0], t[1], t[2])),
+        st.tuples(_names, _EXPRS).map(lambda t: Assign(VarRead(t[0]), t[1])),
+        _EXPRS.map(PrintStmt),
+        st.tuples(st.one_of(st.none(), _EXPRS)).map(lambda t: ReturnStmt(t[0])),
+        st.tuples(_EXPRS, _names, st.lists(_EXPRS, max_size=2)).map(
+            lambda t: ExprStmt(MethodCall(t[0], t[1], t[2]))
         ),
-        lambda inner: st.one_of(
-            st.tuples(_exprs(), st.lists(inner, max_size=2), st.one_of(st.none(), st.lists(inner, max_size=2))).map(
-                lambda t: IfStmt(t[0], t[1], t[2])
-            ),
-            st.tuples(_exprs(), st.lists(inner, max_size=2)).map(
-                lambda t: WhileStmt(t[0], t[1])
-            ),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(_EXPRS, st.lists(inner, max_size=2), st.one_of(st.none(), st.lists(inner, max_size=2))).map(
+            lambda t: IfStmt(t[0], t[1], t[2])
         ),
-        max_leaves=8,
-    )
+        st.tuples(_EXPRS, st.lists(inner, max_size=2)).map(
+            lambda t: WhileStmt(t[0], t[1])
+        ),
+    ),
+    max_leaves=8,
+)
 
 
 @st.composite
 def _units(draw):
     n_fields = draw(st.integers(0, 2))
     fields = [
-        FieldDecl("f%d" % i, draw(_types()), draw(st.sampled_from(["public", "protected", "private"])))
+        FieldDecl("f%d" % i, draw(_TYPES), draw(st.sampled_from(["public", "protected", "private"])))
         for i in range(n_fields)
     ]
     n_methods = draw(st.integers(0, 2))
@@ -172,16 +170,16 @@ def _units(draw):
         MethodDecl(
             name="m%d" % i,
             visibility=draw(st.sampled_from(["public", "protected", "private"])),
-            params=[Param("p", draw(_types()))],
-            return_type=draw(st.one_of(st.none(), _types())),
-            body=draw(st.lists(_stmts(), max_size=3)),
+            params=[Param("p", draw(_TYPES))],
+            return_type=draw(st.one_of(st.none(), _TYPES)),
+            body=draw(st.lists(_STMTS, max_size=3)),
         )
         for i in range(n_methods)
     ]
     ctor = draw(
         st.one_of(
             st.none(),
-            st.lists(_stmts(), max_size=2).map(
+            st.lists(_STMTS, max_size=2).map(
                 lambda body: ConstructorDecl("public", [Param("q", NamedType("int"))], body)
             ),
         )
@@ -193,7 +191,7 @@ def _units(draw):
         constructor=ctor,
         methods=methods,
     )
-    driver = draw(st.one_of(st.none(), st.lists(_stmts(), max_size=3).map(DriverBlock)))
+    driver = draw(st.one_of(st.none(), st.lists(_STMTS, max_size=3).map(DriverBlock)))
     return SourceUnit(classes=[cls], driver=driver)
 
 
