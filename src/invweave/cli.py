@@ -16,7 +16,7 @@ from typing import Optional
 
 from .diagnostics import Diagnostic, ParseError, SpecError, WeaveError, errors_only
 from .interp import ExecutionResult, MiniOORuntimeError, run_program
-from .invspec import load_spec, validate_spec
+from .invspec import load_spec
 from .parser import parse_unit
 from .syntax import SourceUnit, merge_units
 from .typecheck import typecheck_program
@@ -92,12 +92,6 @@ def _load_spec_file(path: str):
 
 
 def _weave_checked(unit: SourceUnit, spec):
-    diags = errors_only(typecheck_program(unit))
-    if diags:
-        return None, _print_diags(diags)
-    sdiags = errors_only(validate_spec(spec, unit))
-    if sdiags:
-        return None, _print_diags(sdiags)
     try:
         return weave_program(unit, spec), EXIT_OK
     except WeaveError as exc:

@@ -611,7 +611,9 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _check_cycles(unit: SourceUnit) -> None:
+def check_cycles(unit: SourceUnit) -> None:
+    """Raise ParseError at the first extends/implements edge that closes a
+    cycle."""
     edges: dict[str, list[tuple[str, int, int]]] = {}
     for c in unit.classes:
         targets = []
@@ -662,13 +664,16 @@ def validate_structure(unit: SourceUnit) -> None:
                 )
             )
         seen[d.name] = (d.line, d.col)
-    _check_cycles(unit)
+    check_cycles(unit)
 
 
 def parse_unit(source: str) -> SourceUnit:
     """Parse one MiniOO source unit; raises ParseError with a positioned
     diagnostic on syntax errors, duplicate names, or inheritance cycles."""
     parser = _Parser(tokenize(source))
-    unit = parser.parse_unit()
+    try:
+        unit = parser.parse_unit()
+    except RecursionError:  # nested deeper than the Python stack allows
+        raise parser.error("expression nested too deeply") from None
     validate_structure(unit)
     return unit

@@ -7,6 +7,13 @@ method-level type parameters resolved by structural unification at call
 sites.  Field names may coincide with method names (separate namespaces),
 but a field may not shadow an inherited field: the exposure construction
 names getters after fields, so shadowing would make them ambiguous.
+
+Lookups are resolved once per type: a `ClassTable` builds a class type's map
+of methods, fields and bodied methods (name -> declaring class, member,
+substitution) from its superclass type's map plus its own members, and
+memoises class chains, supertype instances and closures.  A table lives for
+one check or one weave of an unchanging unit.  Expression rules are chosen
+by node type.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, ParseError
+from .parser import check_cycles
 from .subst import TypeSubstitution, substitute
 from .syntax import (
     Assign,
@@ -72,6 +80,20 @@ class FieldHit:
 
 
 @dataclass
+class _Members:
+    """One class type's resolved members, most-derived first: name ->
+    (declaring class, member, the substitution viewing it from that type)."""
+
+    methods: dict[str, tuple[ClassDecl, MethodDecl, TypeSubstitution]]
+    fields: dict[str, tuple[ClassDecl, FieldDecl, TypeSubstitution]]
+    impls: dict[str, tuple[ClassDecl, MethodDecl, TypeSubstitution]]  # methods with a body
+
+
+_NO_MEMBERS = _Members({}, {}, {})
+_NO_SUBST = TypeSubstitution()
+
+
+@dataclass
 class MethodHit:
     declaring: str
     method: MethodDecl
@@ -81,7 +103,11 @@ class MethodHit:
 
 
 class ClassTable:
-    """Declaration index plus the subtyping and member-lookup machinery."""
+    """Declaration index plus the subtyping and member-lookup machinery.
+
+    Each lookup is resolved once per type and memoised in `_memo`, so a table
+    must not outlive a change to its unit, and the unit's inheritance must
+    be acyclic (`typecheck_program` checks that first)."""
 
     def __init__(self, unit: SourceUnit):
         self.unit = unit
@@ -90,6 +116,7 @@ class ClassTable:
             self.decls[c.name] = c
         for i in unit.interfaces:
             self.decls[i.name] = i
+        self._memo: dict = {}
 
     def get(self, name: str) -> Optional[Union[ClassDecl, InterfaceDecl]]:
         return self.decls.get(name)
@@ -104,46 +131,47 @@ class ClassTable:
 
     def class_chain(self, name: str) -> list[ClassDecl]:
         """The class and its ancestors, most-derived first."""
-        chain: list[ClassDecl] = []
-        cur = self.get_class(name)
-        while cur is not None:
-            chain.append(cur)
-            if cur.super_class is None:
-                break
-            cur = self.get_class(cur.super_class.name)
+        chain = self._memo.get(("chain", name))
+        if chain is None:
+            cur = self.get_class(name)
+            chain = [] if cur is None else [cur]
+            if cur is not None and cur.super_class is not None:
+                chain += self.class_chain(cur.super_class.name)
+            self._memo[("chain", name)] = chain
         return chain
 
     def view_subst(self, decl: Union[ClassDecl, InterfaceDecl], t: NamedType) -> TypeSubstitution:
+        if not decl.type_params or not t.args:
+            return _NO_SUBST
         return TypeSubstitution(tuple(zip(decl.type_params, t.args)))
 
     def super_instances(self, t: NamedType) -> list[NamedType]:
-        decl = self.decls.get(t.name)
-        if decl is None:
-            return []
-        sub = self.view_subst(decl, t)
-        out: list[NamedType] = []
-        if isinstance(decl, ClassDecl):
-            if decl.super_class is not None:
-                out.append(substitute(sub, decl.super_class))  # type: ignore[arg-type]
-            for i in decl.interfaces:
-                out.append(substitute(sub, i))  # type: ignore[arg-type]
-        else:
-            for e in decl.extends:
-                out.append(substitute(sub, e))  # type: ignore[arg-type]
+        out = self._memo.get(("supers", t))
+        if out is None:
+            decl = self.decls.get(t.name)
+            if isinstance(decl, ClassDecl):
+                supers = [decl.super_class] if decl.super_class is not None else []
+                supers += decl.interfaces
+            else:
+                supers = [] if decl is None else decl.extends
+            out = [substitute(self.view_subst(decl, t), s) for s in supers]  # type: ignore
+            self._memo[("supers", t)] = out
         return out
 
     def closure(self, t: NamedType) -> list[NamedType]:
         """t plus every (substituted) supertype instance, breadth-first."""
-        out: list[NamedType] = []
-        seen: set[NamedType] = set()
-        work = [t]
-        while work:
-            cur = work.pop(0)
-            if cur in seen:
-                continue
-            seen.add(cur)
-            out.append(cur)
-            work.extend(self.super_instances(cur))
+        out = self._memo.get(("closure", t))
+        if out is None:
+            out = self._memo[("closure", t)] = []
+            seen: set[NamedType] = set()
+            work = [t]
+            while work:
+                cur = work.pop(0)
+                if cur in seen:
+                    continue
+                seen.add(cur)
+                out.append(cur)
+                work.extend(self.super_instances(cur))
         return out
 
     def is_subtype(self, s: TypeExpr, t: TypeExpr) -> bool:
@@ -162,62 +190,69 @@ class ClassTable:
             return False
         if s.name not in self.decls:
             return False
-        return any(u == t for u in self.closure(s))
+        return t in self.closure(s)
+
+    def members(self, t: NamedType) -> _Members:
+        """The resolved members of class type `t`, built once from those of
+        its superclass type; empty when `t` names no class."""
+        out = self._memo.get(t)
+        if out is None:
+            decl = self.get_class(t.name)
+            if decl is None:
+                out = _NO_MEMBERS
+            else:
+                sub = self.view_subst(decl, t)
+                base = _NO_MEMBERS
+                if decl.super_class is not None:
+                    base = self.members(substitute(sub, decl.super_class))  # type: ignore[arg-type]
+                out = _Members(dict(base.methods), dict(base.fields), dict(base.impls))
+                # Own members hide inherited ones; the first of a name wins.
+                for m in reversed(decl.methods):
+                    out.methods[m.name] = (decl, m, sub)
+                    if m.body is not None:
+                        out.impls[m.name] = (decl, m, sub)
+                for f in reversed(decl.fields):
+                    out.fields[f.name] = (decl, f, sub)
+            self._memo[t] = out
+        return out
 
     def find_field(self, t: TypeExpr, name: str) -> Optional[FieldHit]:
         """Visibility-blind field lookup up the class chain of `t`."""
         if not isinstance(t, NamedType):
             return None
-        cur: Optional[NamedType] = t
-        while cur is not None:
-            decl = self.get_class(cur.name)
-            if decl is None:
-                return None
-            sub = self.view_subst(decl, cur)
-            for f in decl.fields:
-                if f.name == name:
-                    return FieldHit(decl.name, f, substitute(sub, f.declared_type))
-            if decl.super_class is None:
-                return None
-            cur = substitute(sub, decl.super_class)  # type: ignore[assignment]
-        return None
+        hit = self.members(t).fields.get(name)
+        if hit is None:
+            return None
+        decl, f, sub = hit
+        return FieldHit(decl.name, f, substitute(sub, f.declared_type))
 
     def find_method(self, t: TypeExpr, name: str) -> Optional[MethodHit]:
         """Most-derived declaration of `name` visible on `t`: the class chain
         first, then the interface closure (signatures)."""
         if not isinstance(t, NamedType):
             return None
-        if self.get_class(t.name) is not None:
-            cur: Optional[NamedType] = t
-            while cur is not None:
-                decl = self.get_class(cur.name)
-                if decl is None:
-                    break
-                sub = self.view_subst(decl, cur)
-                for m in decl.methods:
-                    if m.name == name:
-                        return self._hit(decl.name, m, sub, from_interface=False)
-                cur = (
-                    substitute(sub, decl.super_class)  # type: ignore[assignment]
-                    if decl.super_class is not None
-                    else None
-                )
-            # Fall through to interface signatures (abstract classes may
-            # leave interface methods unimplemented).
+        hit = self.members(t).methods.get(name)
+        if hit is not None:
+            return self._hit(*hit, from_interface=False)
+        # Abstract classes may leave interface methods unimplemented.
         for inst in self.closure(t):
             idecl = self.get_interface(inst.name)
             if idecl is None:
                 continue
-            sub = self.view_subst(idecl, inst)
             for m in idecl.methods:
                 if m.name == name:
-                    return self._hit(idecl.name, m, sub, from_interface=True)
+                    return self._hit(idecl, m, self.view_subst(idecl, inst), from_interface=True)
         return None
 
     @staticmethod
-    def _hit(declaring: str, m: MethodDecl, sub: TypeSubstitution, from_interface: bool) -> MethodHit:
+    def _hit(
+        decl: Union[ClassDecl, InterfaceDecl],
+        m: MethodDecl,
+        sub: TypeSubstitution,
+        from_interface: bool,
+    ) -> MethodHit:
         return MethodHit(
-            declaring=declaring,
+            declaring=decl.name,
             method=m,
             param_types=[substitute(sub, p.type) for p in m.params],
             return_type=None if m.return_type is None else substitute(sub, m.return_type),
@@ -226,21 +261,8 @@ class ClassTable:
 
     def find_impl(self, t: NamedType, name: str) -> Optional[MethodHit]:
         """First method with a body walking the class chain of `t`."""
-        cur: Optional[NamedType] = t
-        while cur is not None:
-            decl = self.get_class(cur.name)
-            if decl is None:
-                return None
-            sub = self.view_subst(decl, cur)
-            for m in decl.methods:
-                if m.name == name and m.body is not None:
-                    return self._hit(decl.name, m, sub, from_interface=False)
-            cur = (
-                substitute(sub, decl.super_class)  # type: ignore[assignment]
-                if decl.super_class is not None
-                else None
-            )
-        return None
+        hit = self.members(t).impls.get(name)
+        return None if hit is None else self._hit(*hit, from_interface=False)
 
     def constructor_params(self, name: str) -> Optional[list[TypeExpr]]:
         """Parameter types of a class's constructor; [] for the implicit
@@ -289,6 +311,7 @@ class _Checker:
         self.diags: list[Diagnostic] = []
         # per-member state
         self.current_class: Optional[ClassDecl] = None
+        self.self_t: Optional[NamedType] = None  # current_class.self_type(), built once
         self.method_type_params: set[str] = set()
         self.return_type: Optional[TypeExpr] = None
         self.in_constructor = False
@@ -301,14 +324,13 @@ class _Checker:
 
     # -- type well-formedness ------------------------------------------------
 
-    def check_type(self, t: TypeExpr, scope_vars: set[str], node, allow_void: bool = False) -> None:
+    def check_type(self, t: TypeExpr, scope_vars: set[str], node) -> None:
         if isinstance(t, TypeVar):
             if t.name not in scope_vars:
                 self.error("unknown-name", "unknown type variable %r" % t.name, node)
             return
         if t.name == "void":
-            if not allow_void:
-                self.error("type-mismatch", "void is not a value type", node)
+            self.error("type-mismatch", "void is not a value type", node)
             return
         if t.name in PRIMITIVES:
             if t.args:
@@ -399,7 +421,7 @@ class _Checker:
 
     def check_class_members(self, cdecl: ClassDecl) -> None:
         self.current_class = cdecl
-        self_t = cdecl.self_type()
+        self.self_t = self_t = cdecl.self_type()
         # Field shadowing up the chain.
         chain = self.table.class_chain(cdecl.name)
         for f in cdecl.fields:
@@ -480,77 +502,58 @@ class _Checker:
             )
 
     def check_interface_satisfaction(self, cdecl: ClassDecl, self_t: NamedType) -> None:
-        required: list[tuple[NamedType, MethodDecl, TypeSubstitution]] = []
+        methods = self.table.members(self_t).methods
         for inst in self.table.closure(self_t):
             idecl = self.table.get_interface(inst.name)
             if idecl is None:
                 continue
             sub = self.table.view_subst(idecl, inst)
             for sig in idecl.methods:
-                required.append((inst, sig, sub))
-        for inst, sig, sub in required:
-            hit = None
-            cur: Optional[NamedType] = self_t
-            while cur is not None:
-                decl = self.table.get_class(cur.name)
-                if decl is None:
-                    break
-                vsub = self.table.view_subst(decl, cur)
-                for m in decl.methods:
-                    if m.name == sig.name:
-                        hit = (m, vsub)
-                        break
-                if hit:
-                    break
-                cur = (
-                    substitute(vsub, decl.super_class)  # type: ignore[assignment]
-                    if decl.super_class is not None
-                    else None
-                )
-            if hit is None:
-                if not cdecl.is_abstract:
+                hit = methods.get(sig.name)
+                if hit is None:
+                    if not cdecl.is_abstract:
+                        self.error(
+                            "type-mismatch",
+                            "class %s does not implement %s.%s"
+                            % (cdecl.name, inst.name, sig.name),
+                            cdecl,
+                        )
+                    continue
+                _, m, vsub = hit
+                if m.visibility != "public":
+                    self.error(
+                        "visibility",
+                        "interface method %r implemented with non-public visibility" % sig.name,
+                        m,
+                    )
+                if len(m.type_params) != len(sig.type_params):
                     self.error(
                         "type-mismatch",
-                        "class %s does not implement %s.%s"
-                        % (cdecl.name, inst.name, sig.name),
-                        cdecl,
+                        "implementation of %s.%s changes type parameters" % (inst.name, sig.name),
+                        m,
                     )
-                continue
-            m, vsub = hit
-            if m.visibility != "public":
-                self.error(
-                    "visibility",
-                    "interface method %r implemented with non-public visibility" % sig.name,
-                    m,
+                    continue
+                rename = TypeSubstitution(
+                    tuple(
+                        (theirs, TypeVar(ours))
+                        for theirs, ours in zip(sig.type_params, m.type_params)
+                    )
                 )
-            if len(m.type_params) != len(sig.type_params):
-                self.error(
-                    "type-mismatch",
-                    "implementation of %s.%s changes type parameters" % (inst.name, sig.name),
-                    m,
+                want_params = [substitute(rename, substitute(sub, p.type)) for p in sig.params]
+                got_params = [substitute(vsub, p.type) for p in m.params]
+                want_ret = (
+                    None
+                    if sig.return_type is None
+                    else substitute(rename, substitute(sub, sig.return_type))
                 )
-                continue
-            rename = TypeSubstitution(
-                tuple(
-                    (theirs, TypeVar(ours))
-                    for theirs, ours in zip(sig.type_params, m.type_params)
-                )
-            )
-            want_params = [substitute(rename, substitute(sub, p.type)) for p in sig.params]
-            got_params = [substitute(vsub, p.type) for p in m.params]
-            want_ret = (
-                None
-                if sig.return_type is None
-                else substitute(rename, substitute(sub, sig.return_type))
-            )
-            got_ret = None if m.return_type is None else substitute(vsub, m.return_type)
-            if want_params != got_params or want_ret != got_ret:
-                self.error(
-                    "type-mismatch",
-                    "implementation of %s.%s does not match the interface signature"
-                    % (inst.name, sig.name),
-                    m,
-                )
+                got_ret = None if m.return_type is None else substitute(vsub, m.return_type)
+                if want_params != got_params or want_ret != got_ret:
+                    self.error(
+                        "type-mismatch",
+                        "implementation of %s.%s does not match the interface signature"
+                        % (inst.name, sig.name),
+                        m,
+                    )
 
     # -- bodies ----------------------------------------------------------------
 
@@ -665,7 +668,7 @@ class _Checker:
                     t = self.type_of(s.value)
                     self.require_assignable(t, self.return_type, s)
         elif isinstance(s, ExprStmt):
-            self.type_of(s.expr, allow_void=True)
+            self.type_of(s.expr)
         elif isinstance(s, PrintStmt):
             t = self.type_of(s.value)
             if t == VOID_TYPE:
@@ -720,7 +723,7 @@ class _Checker:
                 return local
             if self.current_class is not None:
                 hit = self.field_with_visibility(
-                    self.current_class.self_type(), target.name, target
+                    self.self_t, target.name, target
                 )
                 if hit is not None:
                     return hit.type
@@ -830,136 +833,107 @@ class _Checker:
                 for p, a in zip(pattern.args, actual.args)
             )
         # Widen the actual type through its supertype closure.
-        for inst in self.closure_safe(actual):
+        for inst in self.table.closure(actual):
             if inst.name == pattern.name:
                 return self.unify(pattern, inst, bindings, tvars)
         return False
 
-    def closure_safe(self, t: NamedType) -> list[NamedType]:
-        if t.name not in self.table.decls:
-            return [t]
-        return self.table.closure(t)
-
     # -- expressions --------------------------------------------------------------------
 
-    def type_of(self, e: Expr, allow_void: bool = False) -> Optional[TypeExpr]:
-        t = self._type_of(e)
-        if t == VOID_TYPE and not allow_void:
-            # Reported at the use site by require_assignable/print checks;
-            # pass the marker through so callers can decide.
-            pass
-        return t
+    def type_of(self, e: Expr) -> Optional[TypeExpr]:
+        rule = _EXPR_RULES.get(type(e))
+        if rule is None:
+            raise TypeError("unknown expression node %r" % type(e).__name__)
+        return rule(self, e)
 
-    def _type_of(self, e: Expr) -> Optional[TypeExpr]:
-        if isinstance(e, IntLit):
-            return INT
-        if isinstance(e, BoolLit):
+    def type_of_this(self, e: ThisExpr) -> Optional[TypeExpr]:
+        if self.current_class is None:
+            self.error("unknown-name", "this outside a class", e)
+            return None
+        return self.self_t
+
+    def type_of_super(self, e: SuperExpr) -> None:
+        self.error("type-mismatch", "super is only valid in super.method(...)", e)
+
+    def type_of_var(self, e: VarRead) -> Optional[TypeExpr]:
+        local = self.scope.lookup(e.name)
+        if local is not None:
+            return local
+        if self.current_class is not None:
+            hit = self.field_with_visibility(self.self_t, e.name, e)
+            if hit is not None:
+                return hit.type
+        self.error("unknown-name", "unknown variable %r" % e.name, e)
+        return None
+
+    def type_of_field(self, e: FieldAccess) -> Optional[TypeExpr]:
+        obj_t = self.type_of(e.obj)
+        if obj_t is None:
+            return None
+        if obj_t == NULL_TYPE or not isinstance(obj_t, NamedType):
+            self.error("type-mismatch", "%s has no fields" % obj_t, e)
+            return None
+        if self.table.get_class(obj_t.name) is None:
+            self.error("type-mismatch", "%s has no fields" % obj_t, e)
+            return None
+        hit = self.field_with_visibility(obj_t, e.name, e)
+        if hit is None:
+            self.error("unknown-field", "no field %r on %s" % (e.name, obj_t), e)
+            return None
+        return hit.type
+
+    def type_of_new(self, e: NewObject) -> Optional[TypeExpr]:
+        self.check_type(e.type, self.scope_vars(), e)
+        decl = self.table.get_class(e.type.name)
+        if decl is None:
+            if self.table.get_interface(e.type.name) is not None:
+                self.error("type-mismatch", "cannot instantiate interface %s" % e.type.name, e)
+            return None
+        if decl.is_abstract:
+            self.error("type-mismatch", "cannot instantiate abstract class %s" % decl.name, e)
+        ctor_params = self.table.constructor_params(decl.name) or []
+        view = self.table.view_subst(decl, e.type)
+        want = [substitute(view, p) for p in ctor_params]
+        if decl.constructor is not None:
+            self.visible_from_here(decl.constructor.visibility, decl.name, e)
+        self.check_call_args(want, e.args, e, "constructor of %s" % decl.name)
+        return e.type
+
+    def type_of_unary(self, e: Unary) -> TypeExpr:
+        t = self.type_of(e.operand)
+        if e.op == "!":
+            if t is not None and t != BOOL:
+                self.error("type-mismatch", "! expects bool, got %s" % t, e)
             return BOOL
-        if isinstance(e, StringLit):
-            return STRING
-        if isinstance(e, NullLit):
-            return NULL_TYPE
-        if isinstance(e, ThisExpr):
-            if self.current_class is None:
-                self.error("unknown-name", "this outside a class", e)
-                return None
-            return self.current_class.self_type()
-        if isinstance(e, SuperExpr):
-            self.error("type-mismatch", "super is only valid in super.method(...)", e)
+        if t is not None and t != INT:
+            self.error("type-mismatch", "unary - expects int, got %s" % t, e)
+        return INT
+
+    def type_of_reflect(self, e: ReflectGet) -> Optional[TypeExpr]:
+        obj_t = self.type_of(e.obj)
+        if obj_t is None:
             return None
-        if isinstance(e, VarRead):
-            local = self.scope.lookup(e.name)
-            if local is not None:
-                return local
-            if self.current_class is not None:
-                hit = self.field_with_visibility(
-                    self.current_class.self_type(), e.name, e
-                )
-                if hit is not None:
-                    return hit.type
-            self.error("unknown-name", "unknown variable %r" % e.name, e)
+        if not isinstance(obj_t, NamedType) or self.table.get_class(obj_t.name) is None:
+            self.error("type-mismatch", "@field target must be a class instance", e)
             return None
-        if isinstance(e, FieldAccess):
-            obj_t = self.type_of(e.obj)
-            if obj_t is None:
-                return None
-            if obj_t == NULL_TYPE or not isinstance(obj_t, NamedType):
-                self.error("type-mismatch", "%s has no fields" % obj_t, e)
-                return None
-            if self.table.get_class(obj_t.name) is None:
-                self.error("type-mismatch", "%s has no fields" % obj_t, e)
-                return None
-            hit = self.field_with_visibility(obj_t, e.name, e)
-            if hit is None:
-                self.error(
-                    "unknown-field",
-                    "no field %r on %s" % (e.name, obj_t),
-                    e,
-                )
-                return None
-            return hit.type
-        if isinstance(e, MethodCall):
-            return self.type_of_call(e)
-        if isinstance(e, NewObject):
-            self.check_type(e.type, self.scope_vars(), e)
-            decl = self.table.get_class(e.type.name)
-            if decl is None:
-                if self.table.get_interface(e.type.name) is not None:
-                    self.error("type-mismatch", "cannot instantiate interface %s" % e.type.name, e)
-                return None
-            if decl.is_abstract:
-                self.error("type-mismatch", "cannot instantiate abstract class %s" % decl.name, e)
-            ctor_params = self.table.constructor_params(decl.name) or []
-            view = self.table.view_subst(decl, e.type)
-            want = [substitute(view, p) for p in ctor_params]
-            if decl.constructor is not None:
-                self.visible_from_here(decl.constructor.visibility, decl.name, e)
-            self.check_call_args(want, e.args, e, "constructor of %s" % decl.name)
-            return e.type
-        if isinstance(e, Binary):
-            return self.type_of_binary(e)
-        if isinstance(e, Unary):
-            t = self.type_of(e.operand)
-            if e.op == "!":
-                if t is not None and t != BOOL:
-                    self.error("type-mismatch", "! expects bool, got %s" % t, e)
-                return BOOL
-            if t is not None and t != INT:
-                self.error("type-mismatch", "unary - expects int, got %s" % t, e)
-            return INT
-        if isinstance(e, ReflectGet):
-            obj_t = self.type_of(e.obj)
-            if obj_t is None:
-                return None
-            if not isinstance(obj_t, NamedType) or self.table.get_class(obj_t.name) is None:
-                self.error("type-mismatch", "@field target must be a class instance", e)
-                return None
-            hit = self.table.find_field(obj_t, e.field_name)
-            if hit is None:
-                self.error(
-                    "unknown-field",
-                    "no field %r on %s" % (e.field_name, obj_t),
-                    e,
-                )
-                return None
-            return hit.type
-        if isinstance(e, SingletonRef):
-            decl = self.table.get_class(e.class_name)
-            if decl is None:
-                self.error("unknown-name", "unknown class %r" % e.class_name, e)
-                return None
-            if decl.type_params:
-                self.error("type-mismatch", "@singleton requires a non-generic class", e)
-            if decl.is_abstract:
-                self.error("type-mismatch", "@singleton requires a concrete class", e)
-            if decl.constructor is not None and decl.constructor.params:
-                self.error(
-                    "type-mismatch",
-                    "@singleton requires a zero-argument constructor",
-                    e,
-                )
-            return NamedType(decl.name)
-        raise TypeError("unknown expression node %r" % type(e).__name__)
+        hit = self.table.find_field(obj_t, e.field_name)
+        if hit is None:
+            self.error("unknown-field", "no field %r on %s" % (e.field_name, obj_t), e)
+            return None
+        return hit.type
+
+    def type_of_singleton(self, e: SingletonRef) -> Optional[TypeExpr]:
+        decl = self.table.get_class(e.class_name)
+        if decl is None:
+            self.error("unknown-name", "unknown class %r" % e.class_name, e)
+            return None
+        if decl.type_params:
+            self.error("type-mismatch", "@singleton requires a non-generic class", e)
+        if decl.is_abstract:
+            self.error("type-mismatch", "@singleton requires a concrete class", e)
+        if decl.constructor is not None and decl.constructor.params:
+            self.error("type-mismatch", "@singleton requires a zero-argument constructor", e)
+        return NamedType(decl.name)
 
     def type_of_call(self, e: MethodCall) -> Optional[TypeExpr]:
         if isinstance(e.receiver, SuperExpr):
@@ -972,7 +946,7 @@ class _Checker:
             if self.current_class is None:
                 self.error("unknown-name", "call %r outside a class" % e.name, e)
                 return None
-            recv_t = self.current_class.self_type()
+            recv_t = self.self_t
             is_super = False
         else:
             recv_t = self.type_of(e.receiver)
@@ -1081,6 +1055,25 @@ class _Checker:
         return INT
 
 
+# The typing rule of each expression node type, for `_Checker.type_of`.
+_EXPR_RULES = {
+    IntLit: lambda checker, e: INT,
+    BoolLit: lambda checker, e: BOOL,
+    StringLit: lambda checker, e: STRING,
+    NullLit: lambda checker, e: NULL_TYPE,
+    ThisExpr: _Checker.type_of_this,
+    SuperExpr: _Checker.type_of_super,
+    VarRead: _Checker.type_of_var,
+    FieldAccess: _Checker.type_of_field,
+    MethodCall: _Checker.type_of_call,
+    NewObject: _Checker.type_of_new,
+    Binary: _Checker.type_of_binary,
+    Unary: _Checker.type_of_unary,
+    ReflectGet: _Checker.type_of_reflect,
+    SingletonRef: _Checker.type_of_singleton,
+}
+
+
 def None_to_void(ret: Optional[TypeExpr], sub: TypeSubstitution) -> TypeExpr:
     if ret is None:
         return VOID_TYPE
@@ -1088,5 +1081,11 @@ def None_to_void(ret: Optional[TypeExpr], sub: TypeSubstitution) -> TypeExpr:
 
 
 def typecheck_program(unit: SourceUnit) -> list[Diagnostic]:
-    """Type-check a structurally valid unit; empty result means well-typed."""
+    """Type-check a unit; empty result means well-typed.  A unit that did not
+    pass `validate_structure`, such as one built by `merge_units`, may have
+    an inheritance cycle: it gets the parser's diagnostic for it instead."""
+    try:
+        check_cycles(unit)
+    except ParseError as exc:
+        return [exc.diagnostic]
     return _Checker(unit).check_unit()

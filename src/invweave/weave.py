@@ -166,8 +166,8 @@ def _specified_super_name(table: ClassTable, spec: InvariantSpec, c: ClassDecl) 
     return c.super_class.name
 
 
-def choose_names(unit: SourceUnit, spec: InvariantSpec, plan: ExposurePlan) -> WeaveNaming:
-    table = ClassTable(unit)
+def choose_names(table: ClassTable, spec: InvariantSpec, plan: ExposurePlan) -> WeaveNaming:
+    unit = table.unit
     naming = WeaveNaming()
     top_level = {c.name for c in unit.classes} | {i.name for i in unit.interfaces}
     supply = NameSupply(set(top_level))
@@ -606,13 +606,12 @@ def _predicate_stmts(
 
 
 def gen_visitor(
-    unit: SourceUnit,
+    table: ClassTable,
     spec: InvariantSpec,
     plan: ExposurePlan,
     naming: WeaveNaming,
 ) -> ClassDecl:
-    table = ClassTable(unit)
-    specified = _specified_in_unit_order(unit, spec)
+    specified = _specified_in_unit_order(table.unit, spec)
 
     visit_methods: list[MethodDecl] = []
     for c in specified:
@@ -760,7 +759,7 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
         raise WeaveError(vdiags)
 
     table = ClassTable(unit)
-    naming = choose_names(unit, spec, plan)
+    naming = choose_names(table, spec, plan)
     interfaces: list[InterfaceDecl] = []
     exposed: list[ClassDecl] = []
     stats: dict[str, _ClassStats] = {}
@@ -770,7 +769,7 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
         st = _ClassStats()
         exposed.append(gen_exposed_class(c, iface, spec, naming, table, plan, st))
         stats[c.name] = st
-    visitor = gen_visitor(unit, spec, plan, naming)
+    visitor = gen_visitor(table, spec, plan, naming)
 
     artifacts = WovenArtifacts(
         interfaces=interfaces,
@@ -781,7 +780,7 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
         source_unit=unit,
         spec=spec,
     )
-    artifacts.report = _build_report(artifacts, stats)
+    artifacts.report = _build_report(table, artifacts, stats)
 
     merged_diags = errors_only(typecheck_program(artifacts.merged_unit()))
     if merged_diags:
@@ -804,9 +803,10 @@ def specified_chain_depth(table: ClassTable, spec: InvariantSpec, name: str) -> 
     return depth
 
 
-def _build_report(artifacts: WovenArtifacts, stats: dict[str, _ClassStats]) -> GenerationReport:
+def _build_report(
+    table: ClassTable, artifacts: WovenArtifacts, stats: dict[str, _ClassStats]
+) -> GenerationReport:
     unit, spec = artifacts.source_unit, artifacts.spec
-    table = ClassTable(unit)
     specified = _specified_in_unit_order(unit, spec)
     report = GenerationReport()
     iface_by_class = {

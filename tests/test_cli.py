@@ -1,6 +1,7 @@
 """CLI exit codes, output formats, and golden-file determinism."""
 
 import os
+import re
 
 import pytest
 
@@ -56,6 +57,53 @@ def test_weave_unknown_class_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown-class" in capsys.readouterr().err
+
+
+ILL_TYPED_SOURCE = """class A {
+    public int x;
+    public void f() { this.x = true; }
+    public int g() { return "s"; }
+}
+"""
+
+INVALID_SPEC = (
+    '{"classes": [{"name": "Ghost", "invariant": ["x > 0"]}, '
+    '{"name": "DLinkedList", "invariant": ["nope > 0", "size >= 0"]}]}'
+)
+
+
+@pytest.mark.parametrize("command", ["weave", "report"])
+@pytest.mark.parametrize(
+    "bad, want",
+    [
+        (
+            "source",
+            "3:23: error [type-mismatch] cannot assign bool to int\n"
+            "4:22: error [type-mismatch] cannot assign string to int\n",
+        ),
+        (
+            "spec",
+            "-: error [unknown-class] specification names unknown class 'Ghost'\n"
+            "1:1: error [unknown-field] DLinkedList, invariant[0]: no field 'nope' on "
+            "DLinkedList or its ancestors\n",
+        ),
+    ],
+)
+def test_weave_and_report_print_every_static_diagnostic(command, bad, want, tmp_path, capsys):
+    source, spec = DLIST / "list.moo", DLIST / "invariants.json"
+    if bad == "source":
+        source = tmp_path / "bad.moo"
+        source.write_text(ILL_TYPED_SOURCE)
+    else:
+        spec = tmp_path / "bad.json"
+        spec.write_text(INVALID_SPEC)
+    args = [command, str(source), "--spec", str(spec)]
+    if command == "weave":
+        args += ["--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", want)
+    assert not (tmp_path / "o").exists()
 
 
 def test_weave_unwritable_outdir_exit_2(tmp_path, capsys):
@@ -244,9 +292,23 @@ def test_run_deep_minioo_recursion_is_a_one_line_fault(tmp_path, capsys):
 
 def test_run_deeply_nested_expression_is_a_one_line_error(tmp_path, capsys):
     src = tmp_path / "nested.moo"
-    src.write_text("driver { print(%s1%s); }\n" % ("(" * 3000, ")" * 3000))
+    text = "driver { print(%s1%s); }\n" % ("(" * 3000, ")" * 3000)
+    src.write_text(text)
     assert main(["run", str(src)]) == 1
-    assert capsys.readouterr().err == "input nested too deeply to process\n"
+    err = capsys.readouterr().err
+    # The column is where the Python stack gave out, so it depends on the caller's depth.
+    found = re.fullmatch(
+        r"%s:1:(\d+): error \[syntax\] expression nested too deeply\n" % re.escape(str(src)), err
+    )
+    assert found is not None, err
+    assert text[int(found.group(1)) - 1] == "("
+
+
+def test_run_moderately_nested_expression_still_runs(tmp_path, capsys):
+    src = tmp_path / "nested.moo"
+    src.write_text("driver { print(%s1%s); }\n" % ("(" * 80, ")" * 80))
+    assert main(["run", str(src)]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_run_no_driver_exit_1(capsys):

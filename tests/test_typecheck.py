@@ -1,6 +1,7 @@
 import pytest
 
-from invweave.parser import parse_unit
+from invweave.diagnostics import ParseError
+from invweave.parser import parse_unit, validate_structure
 from invweave.syntax import merge_units
 from invweave.typecheck import typecheck_program
 
@@ -18,6 +19,23 @@ def codes(diags):
 def test_dlist_corpus_is_well_typed():
     unit, _ = load_dlist()
     assert typecheck_program(merge_units([unit, dlist_driver(checked=False)])) == []
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        ["class A extends B { }", "class B extends A { }"],
+        ["class A extends B { public int x; }", "class B extends A { }\ndriver { A a = new A(); }"],
+        ["interface I extends J { }", "interface J extends I { }"],
+    ],
+)
+def test_inheritance_cycle_across_merged_units_is_a_diagnostic(sources):
+    # Each unit parses on its own; merge_units does not validate structure.
+    merged = merge_units([parse_unit(s) for s in sources])
+    with pytest.raises(ParseError) as structural:
+        validate_structure(merged)
+    assert typecheck_program(merged) == [structural.value.diagnostic]
+    assert structural.value.diagnostic.code == "inheritance-cycle"
 
 
 def test_bool_to_int_field_mismatch():
