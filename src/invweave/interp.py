@@ -9,7 +9,10 @@ closures over the call frame the first time it runs, with locals resolved to
 frame slots; the driver is compiled one statement at a time, so a run pays
 only for code it reaches and keeps none it has finished with.  Compiled code
 reaches run state through the frame, never holding the Interpreter, so a
-finished run is freed by reference counting.
+finished run is freed by reference counting.  A field read off `this` or a
+local is one closure that goes straight to the object's dict, and objects
+compare by identity through Python's own `==`, so an invariant loop over a
+structure makes few Python calls per node.
 
 Dispatch always selects the most-derived override, so `this`-calls made
 inside original method bodies land on woven wrappers - exactly the mechanism
@@ -37,6 +40,7 @@ from .syntax import (
     SourceUnit,
     SuperCall,
     SuperExpr,
+    ThisExpr,
     TypeExpr,
     VarRead,
 )
@@ -71,7 +75,7 @@ class _Violation(Exception):
         self.record = record
 
 
-@dataclass
+@dataclass(eq=False)  # `==` on objects is identity, as in MiniOO
 class ObjectInstance:
     class_name: str
     obj_id: int
@@ -122,12 +126,6 @@ def _reflect_fault(obj, name: str) -> MiniOORuntimeError:
     return MiniOORuntimeError("no such field %r on %s" % (name, obj.class_name))
 
 
-def _equal(left, right) -> bool:
-    if isinstance(left, ObjectInstance) or isinstance(right, ObjectInstance):
-        return left is right
-    return left == right
-
-
 def _divide(left, right):
     if right == 0:
         raise MiniOORuntimeError("division by zero")
@@ -136,8 +134,8 @@ def _divide(left, right):
 
 
 _BINARY: dict[str, Callable] = {
-    "==": _equal,
-    "!=": lambda left, right: not _equal(left, right),
+    "==": operator.eq,
+    "!=": operator.ne,
     "<": operator.lt,
     "<=": operator.le,
     ">": operator.gt,
@@ -271,13 +269,13 @@ class _Compiler:
 
     def stmt_IfStmt(self, s) -> _Code:
         cond, then = self.expr(s.cond), self.block(s.then_body)
-        orelse = _constant(None) if s.else_body is None else self.block(s.else_body)
+        orelse = None if s.else_body is None else self.block(s.else_body)
         def run(f):
             c = cond(f)
             if c is True:
                 return then(f)
             if c is False:
-                return orelse(f)
+                return None if orelse is None else orelse(f)
             raise MiniOORuntimeError("condition is not a bool")
         return run
 
@@ -372,10 +370,30 @@ class _Compiler:
         return run
 
     def expr_FieldAccess(self, e) -> _Code:
-        return _reader(self.expr(e.obj), e.name, _field_fault)
+        return self.field_read(e.obj, e.name, _field_fault)
 
     def expr_ReflectGet(self, e) -> _Code:
-        return _reader(self.expr(e.obj), e.field_name, _reflect_fault)
+        return self.field_read(e.obj, e.field_name, _reflect_fault)
+
+    def field_read(self, obj, name: str, fault: Callable) -> _Code:
+        """A read of field `name` of `obj`.  Off `this` or a local it is one
+        closure, not two: such reads are most of the work of a check loop."""
+        i = self.slot(obj.name) if isinstance(obj, VarRead) else None
+        if i is not None:
+            def run(f):
+                try:
+                    return f.slots[i].fields[name]
+                except (AttributeError, KeyError):
+                    raise fault(f.slots[i], name) from None
+            return run
+        if isinstance(obj, ThisExpr) and self.owner is not None:
+            def run(f):
+                try:
+                    return f.this.fields[name]
+                except (AttributeError, KeyError):
+                    raise fault(f.this, name) from None
+            return run
+        return _reader(self.expr(obj), name, fault)
 
     def expr_MethodCall(self, e) -> _Code:
         args, name, owner = self.exprs(e.args), e.name, self.owner

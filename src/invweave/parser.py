@@ -627,28 +627,49 @@ def check_cycles(unit: SourceUnit) -> None:
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {name: WHITE for name in edges}
-
-    def visit(name: str, line: int, col: int) -> None:
-        color[name] = GRAY
-        for target, tl, tc in edges.get(name, []):
-            if target not in color:
-                continue  # unknown name; reported by the typechecker
-            if color[target] == GRAY:
-                raise ParseError(
-                    Diagnostic(
-                        "inheritance-cycle",
-                        "inheritance cycle through %r" % target,
-                        tl,
-                        tc,
+    for root in edges:
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [(root, iter(edges[root]))]  # depth-first, each with its edges left
+        while path:
+            name, todo = path[-1]
+            for target, tl, tc in todo:
+                if target not in color:
+                    continue  # unknown name; reported by the typechecker
+                if color[target] == GRAY:
+                    raise ParseError(
+                        Diagnostic(
+                            "inheritance-cycle",
+                            "inheritance cycle through %r" % target,
+                            tl,
+                            tc,
+                        )
                     )
-                )
-            if color[target] == WHITE:
-                visit(target, tl, tc)
-        color[name] = BLACK
+                if color[target] == WHITE:
+                    color[target] = GRAY
+                    path.append((target, iter(edges[target])))
+                    break
+            else:
+                color[name] = BLACK
+                path.pop()
 
-    for name in edges:
-        if color[name] == WHITE:
-            visit(name, 0, 0)
+
+_STATEMENT_CODE = frozenset(
+    m.__code__ for m in (_Parser.parse_block, _Parser.parse_stmt, _Parser.parse_if)
+)
+
+
+def _too_deep(exc: RecursionError) -> str:
+    """What the parser had nested when it ran out of stack: statements when
+    most of its frames were statement-level, otherwise an expression."""
+    frames = statements = 0
+    tb = exc.__traceback__
+    while tb is not None:
+        frames += 1
+        statements += tb.tb_frame.f_code in _STATEMENT_CODE
+        tb = tb.tb_next
+    return "statement" if 2 * statements > frames else "expression"
 
 
 def validate_structure(unit: SourceUnit) -> None:
@@ -673,7 +694,7 @@ def parse_unit(source: str) -> SourceUnit:
     parser = _Parser(tokenize(source))
     try:
         unit = parser.parse_unit()
-    except RecursionError:  # nested deeper than the Python stack allows
-        raise parser.error("expression nested too deeply") from None
+    except RecursionError as exc:  # nested deeper than the Python stack allows
+        raise parser.error("%s nested too deeply" % _too_deep(exc)) from None
     validate_structure(unit)
     return unit

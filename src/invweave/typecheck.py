@@ -106,8 +106,9 @@ class ClassTable:
     """Declaration index plus the subtyping and member-lookup machinery.
 
     Each lookup is resolved once per type and memoised in `_memo`, so a table
-    must not outlive a change to its unit, and the unit's inheritance must
-    be acyclic (`typecheck_program` checks that first)."""
+    must not outlive a change to its unit.  The unit's inheritance should be
+    acyclic (`typecheck_program` checks that first); a walk up the class chain
+    that meets a cycle raises the parser's ParseError for it."""
 
     def __init__(self, unit: SourceUnit):
         self.unit = unit
@@ -132,12 +133,23 @@ class ClassTable:
     def class_chain(self, name: str) -> list[ClassDecl]:
         """The class and its ancestors, most-derived first."""
         chain = self._memo.get(("chain", name))
-        if chain is None:
+        if chain is not None:
+            return chain
+        # Walk up to the first ancestor already memoised, then fill down.
+        pending: list[ClassDecl] = []
+        while chain is None:
+            if len(pending) > len(self.decls):
+                check_cycles(self.unit)  # raises: the walk is going round a cycle
             cur = self.get_class(name)
-            chain = [] if cur is None else [cur]
-            if cur is not None and cur.super_class is not None:
-                chain += self.class_chain(cur.super_class.name)
-            self._memo[("chain", name)] = chain
+            if cur is None or cur.super_class is None:
+                chain = []
+            else:
+                name = cur.super_class.name
+                chain = self._memo.get(("chain", name))
+            if cur is not None:
+                pending.append(cur)
+        for cur in reversed(pending):
+            chain = self._memo[("chain", cur.name)] = [cur] + chain
         return chain
 
     def view_subst(self, decl: Union[ClassDecl, InterfaceDecl], t: NamedType) -> TypeSubstitution:
@@ -196,23 +208,33 @@ class ClassTable:
         """The resolved members of class type `t`, built once from those of
         its superclass type; empty when `t` names no class."""
         out = self._memo.get(t)
-        if out is None:
+        if out is not None:
+            return out
+        # Walk up to the first superclass type already memoised, then fill down.
+        pending: list[tuple[NamedType, ClassDecl, TypeSubstitution]] = []
+        while out is None:
+            if len(pending) > len(self.decls):
+                check_cycles(self.unit)  # raises: the walk is going round a cycle
             decl = self.get_class(t.name)
             if decl is None:
-                out = _NO_MEMBERS
+                out = self._memo[t] = _NO_MEMBERS
             else:
                 sub = self.view_subst(decl, t)
-                base = _NO_MEMBERS
-                if decl.super_class is not None:
-                    base = self.members(substitute(sub, decl.super_class))  # type: ignore[arg-type]
-                out = _Members(dict(base.methods), dict(base.fields), dict(base.impls))
-                # Own members hide inherited ones; the first of a name wins.
-                for m in reversed(decl.methods):
-                    out.methods[m.name] = (decl, m, sub)
-                    if m.body is not None:
-                        out.impls[m.name] = (decl, m, sub)
-                for f in reversed(decl.fields):
-                    out.fields[f.name] = (decl, f, sub)
+                pending.append((t, decl, sub))
+                if decl.super_class is None:
+                    out = _NO_MEMBERS
+                else:
+                    t = substitute(sub, decl.super_class)  # type: ignore[assignment]
+                    out = self._memo.get(t)
+        for t, decl, sub in reversed(pending):
+            out = _Members(dict(out.methods), dict(out.fields), dict(out.impls))
+            # Own members hide inherited ones; the first of a name wins.
+            for m in reversed(decl.methods):
+                out.methods[m.name] = (decl, m, sub)
+                if m.body is not None:
+                    out.impls[m.name] = (decl, m, sub)
+            for f in reversed(decl.fields):
+                out.fields[f.name] = (decl, f, sub)
             self._memo[t] = out
         return out
 

@@ -3,6 +3,7 @@ random call scripts with their expected check-event traces."""
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,6 +90,19 @@ def make_chain_program(
     source = "\n".join(lines)
     spec_doc = '{"classes": [%s]}' % ", ".join(spec_entries)
     return parse_unit(source), load_spec(spec_doc)
+
+
+@functools.cache
+def woven_chain_corpus() -> tuple[tuple[SourceUnit, InvariantSpec, WovenArtifacts], ...]:
+    """The acceptance tests' 500 random chains (seed `0xC0FFEE`, depth <= 8),
+    each with its woven artifacts.  Built once per process and shared, so
+    callers must not mutate what it returns."""
+    rng = random.Random(0xC0FFEE)
+    corpus = []
+    for _ in range(500):
+        unit, spec = make_chain_program(rng, depth=rng.randint(0, 8))
+        corpus.append((unit, spec, weave_program(unit, spec)))
+    return tuple(corpus)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from helpers import (
     expected_trace,
     load_dlist,
     load_program,
-    make_chain_program,
     make_script,
+    woven_chain_corpus,
 )
 
 DLIST = CORPUS / "dlist"
@@ -53,9 +53,9 @@ GENERATED = [
 @pytest.fixture(scope="module")
 def chain_corpus():
     """The randomized hierarchies shared by criteria 4 and 6: 500 chains,
-    depth <= 8, at most 7 members per class, fully specified."""
-    rng = random.Random(0xC0FFEE)
-    return [make_chain_program(rng, depth=rng.randint(0, 8)) for _ in range(500)]
+    depth <= 8, at most 7 members per class, fully specified, each with its
+    woven artifacts."""
+    return woven_chain_corpus()
 
 
 def test_criterion_1_case_study_reproduction(tmp_path, capsys):
@@ -132,7 +132,7 @@ def test_criterion_3_check_gating_property():
 def test_criterion_4_definitions_and_propositions(chain_corpus):
     started = time.perf_counter()
     checked = 0
-    for unit, spec in chain_corpus:
+    for unit, spec, _ in chain_corpus:
         table = ClassTable(unit)
         plan = compute_plan(unit, spec)
         assert [d for d in verify_exposure(plan, unit, spec) if d.severity == "error"] == []
@@ -233,8 +233,7 @@ def test_criterion_5_substitutability():
 
 
 def test_criterion_6_space_bound(chain_corpus):
-    for unit, spec in chain_corpus:
-        artifacts = weave_program(unit, spec)
+    for unit, spec, artifacts in chain_corpus:
         report = artifacts.report
         assert report.measured_redundant() <= report.formula_bound
         table = ClassTable(unit)

@@ -304,6 +304,16 @@ def test_run_deeply_nested_expression_is_a_one_line_error(tmp_path, capsys):
     assert text[int(found.group(1)) - 1] == "("
 
 
+def test_run_deeply_nested_statements_are_a_one_line_error(tmp_path, capsys):
+    src = tmp_path / "nested.moo"
+    src.write_text("driver { %s print(1); %s }\n" % ("if (true) { " * 400, "} " * 400))
+    assert main(["run", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"%s:1:\d+: error \[syntax\] statement nested too deeply\n" % re.escape(str(src)), err
+    ), err
+
+
 def test_run_moderately_nested_expression_still_runs(tmp_path, capsys):
     src = tmp_path / "nested.moo"
     src.write_text("driver { print(%s1%s); }\n" % ("(" * 80, ")" * 80))

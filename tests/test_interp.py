@@ -162,10 +162,57 @@ def test_reference_equality_vs_value_equality():
             print("q" == "q");
             print(1 == 1);
             print(a == null);
+            print(a != b);
+            print(a != c);
+            print(a == a);
+            print(null == a);
+            print(a != null);
+            print(null == null);
         }
         """
     )
-    assert res.output == ["false", "true", "true", "true", "false"]
+    assert res.output == [
+        "false", "true", "true", "true", "false",
+        "true", "false", "true", "false", "true", "true",
+    ]
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        ("N n = null; print(n.x);", "null dereference reading 'x'"),
+        ('N n = null; print(@field(n, "x"));', "null dereference in reflective read of 'x'"),
+        ("int n = 1; print(n.x);", "1 has no fields"),
+        ('int n = 1; print(@field(n, "x"));', "reflective read on a non-object"),
+        ("N n = new N(); print(n.y);", "no such field 'y' on N"),
+        ("N n = new N(); print(n.missing());", "no such field 'y' on N"),
+        ("N n = new N(); print(n.reflectMissing());", "no such field 'y' on N"),
+        ("N n = new N(); print(n.next.x);", "null dereference reading 'x'"),
+    ],
+)
+def test_field_read_faults(read, message):
+    # Unchecked: N declares no `y`, so reads of it off `this` or a local fault.
+    source = """
+        class N {
+            public int x;
+            public N next;
+            public int missing() { return this.y; }
+            public int reflectMissing() { return @field(this, "y"); }
+        }
+        driver { %s }
+    """
+    with pytest.raises(MiniOORuntimeError) as exc:
+        run_src(source % read)
+    assert str(exc.value) == message
+
+
+def test_if_without_else():
+    res = run_src('driver { if (1 > 2) { print("then"); } print("after"); }')
+    assert res.output == ["after"]
+    with pytest.raises(MiniOORuntimeError) as exc:
+        run_src('driver { if (1) { print("then"); } print("after"); }')
+    assert str(exc.value) == "condition is not a bool"
+    assert exc.value.result.output == []
 
 
 # -- reflective field access ---------------------------------------------------

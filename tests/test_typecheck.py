@@ -2,8 +2,8 @@ import pytest
 
 from invweave.diagnostics import ParseError
 from invweave.parser import parse_unit, validate_structure
-from invweave.syntax import merge_units
-from invweave.typecheck import typecheck_program
+from invweave.syntax import NamedType, merge_units
+from invweave.typecheck import ClassTable, typecheck_program
 
 from helpers import dlist_driver, load_dlist
 
@@ -36,6 +36,21 @@ def test_inheritance_cycle_across_merged_units_is_a_diagnostic(sources):
         validate_structure(merged)
     assert typecheck_program(merged) == [structural.value.diagnostic]
     assert structural.value.diagnostic.code == "inheritance-cycle"
+    # The table's walks up a class chain must stop on the cycle, not loop.
+    table = ClassTable(merged)
+    for c in merged.classes:
+        for walk in (table.class_chain, lambda name: table.members(NamedType(name))):
+            with pytest.raises(ParseError) as walked:
+                walk(c.name)
+            assert walked.value.diagnostic == structural.value.diagnostic
+
+
+def test_deep_inheritance_chain_declared_leaf_first_is_accepted():
+    # Deeper than the Python stack: the cycle check and the class-table
+    # walks must not recurse once per ancestor.
+    source = "".join("class C%d extends C%d { }\n" % (i, i - 1) for i in range(1499, 0, -1))
+    unit = parse_unit(source + "class C0 { public int x; }\n")
+    assert typecheck_program(unit) == []
 
 
 def test_bool_to_int_field_mismatch():

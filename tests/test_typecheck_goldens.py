@@ -45,13 +45,12 @@ from helpers import (
     dlist_driver,
     load_dlist,
     load_program,
-    make_chain_program,
     make_script,
+    woven_chain_corpus,
 )
 
 GOLDENS = Path(__file__).resolve().parent / "typecheck_goldens.json"
 
-CHAINS = 500
 SCRIPTS_PER_HIERARCHY = 100
 MUTANTS = 150
 MUTANT_CHAIN_SOURCES = 40  # the first chains, original and woven, also get mutated
@@ -85,11 +84,9 @@ def corpus_cases():
 
 
 def chain_cases():
-    rng = random.Random(0xC0FFEE)
-    for k in range(CHAINS):
-        unit, spec = make_chain_program(rng, depth=rng.randint(0, 8))
+    for k, (unit, _, artifacts) in enumerate(woven_chain_corpus()):
         yield "chain/%03d/original" % k, unit
-        yield "chain/%03d/merged" % k, weave_program(unit, spec).merged_unit()
+        yield "chain/%03d/merged" % k, artifacts.merged_unit()
 
 
 def gating_cases():
