@@ -9,10 +9,10 @@ closures over the call frame the first time it runs, with locals resolved to
 frame slots; the driver is compiled one statement at a time, so a run pays
 only for code it reaches and keeps none it has finished with.  Compiled code
 reaches run state through the frame, never holding the Interpreter, so a
-finished run is freed by reference counting.  A field read off `this` or a
-local is one closure that goes straight to the object's dict, and objects
-compare by identity through Python's own `==`, so an invariant loop over a
-structure makes few Python calls per node.
+finished run is freed by reference counting.  A read path (`n.next.prev`) is
+one closure, which also stores or compares its value; operators read locals
+and fields every `this` has inline; objects compare by identity through
+Python's `==`: a woven invariant loop makes five Python calls per list node.
 
 Dispatch always selects the most-derived override, so `this`-calls made
 inside original method bodies land on woven wrappers - exactly the mechanism
@@ -32,11 +32,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .syntax import (
+    Binary,
     ClassDecl,
     ConstructorDecl,
     FieldAccess,
     MethodDecl,
     NamedType,
+    ReflectGet,
     SourceUnit,
     SuperCall,
     SuperExpr,
@@ -110,20 +112,14 @@ def stringify(value) -> str:
     return str(value)
 
 
-def _field_fault(obj, name: str, verb: str = "reading") -> MiniOORuntimeError:
-    if obj is None:
-        return MiniOORuntimeError("null dereference %s %r" % (verb, name))
-    if not isinstance(obj, ObjectInstance):
-        return MiniOORuntimeError("%r has no fields" % (obj,))
-    return MiniOORuntimeError("no such field %r on %s" % (name, obj.class_name))
-
-
-def _reflect_fault(obj, name: str) -> MiniOORuntimeError:
-    if obj is None:
-        return MiniOORuntimeError("null dereference in reflective read of %r" % name)
-    if not isinstance(obj, ObjectInstance):
-        return MiniOORuntimeError("reflective read on a non-object")
-    return MiniOORuntimeError("no such field %r on %s" % (name, obj.class_name))
+def _field_fault(obj, name: str, verb: Optional[str] = "reading") -> MiniOORuntimeError:
+    if obj is None:  # verb None: a reflective read, `@field`
+        message = "null dereference %s %r" % (verb or "in reflective read of", name)
+    elif not isinstance(obj, ObjectInstance):
+        message = "%r has no fields" % (obj,) if verb else "reflective read on a non-object"
+    else:
+        message = "no such field %r on %s" % (name, obj.class_name)
+    return MiniOORuntimeError(message)
 
 
 def _divide(left, right):
@@ -133,9 +129,7 @@ def _divide(left, right):
     return -q if (left < 0) != (right < 0) else q
 
 
-_BINARY: dict[str, Callable] = {
-    "==": operator.eq,
-    "!=": operator.ne,
+_BINARY: dict[str, Callable] = {  # `==` and `!=` are compared inline
     "<": operator.lt,
     "<=": operator.le,
     ">": operator.gt,
@@ -150,6 +144,7 @@ _BINARY: dict[str, Callable] = {
 # value in the frame; `ret` keeps _NO_VALUE while no `return` has run.
 _RETURN = object()
 _NO_VALUE = object()
+_NO_STEP = (None, None)  # pads a read path's steps to the two a closure unrolls
 
 
 @dataclass(slots=True)
@@ -176,13 +171,30 @@ def _fault_after(parts: tuple, message: str) -> _Code:
     return run
 
 
-def _reader(obj: _Code, name: str, fault: Callable) -> _Code:
+def _path_fault(o, steps: tuple) -> MiniOORuntimeError:
+    for name, verb in steps:  # the first step `o` cannot take
+        if not isinstance(o, ObjectInstance) or name not in o.fields:
+            return _field_fault(o, name, verb)
+        o = o.fields[name]
+
+
+def _path(root, steps: tuple, store: Optional[int] = None, eq=None, other: int = 0) -> _Code:
+    """One closure for a read path: the (name, verb) `steps` taken in order from
+    `root` (a frame slot, None for `this`, or code), faulting as nested reads
+    would.  It returns the value, puts it in slot `store`, or compares it to
+    slot `other` (`==` if `eq` is True, `!=` if False)."""
+    if len(steps) > 2:  # two steps per closure, unrolled
+        root, steps = _path(root, steps[:-2]), steps[-2:]
+    slot, k, ((a, _), (b, _)) = isinstance(root, int), len(steps), (*steps, _NO_STEP, _NO_STEP)[:2]
     def run(f):
-        o = obj(f)
+        o = r = f.slots[root] if slot else f.this if root is None else root(f)
         try:
-            return o.fields[name]
+            o = o.fields[a] if k == 1 else o.fields[a].fields[b] if k else o
         except (AttributeError, KeyError):
-            raise fault(o, name) from None
+            raise _path_fault(r, steps) from None
+        if store is None:
+            return o if eq is None else (o == f.slots[other]) is eq
+        f.slots[store] = o
     return run
 
 
@@ -191,10 +203,10 @@ class _Compiler:
     closures.  Local names are resolved to frame slots here, following the
     language's block scoping, so a local costs one list index at run time.
     `owner` is the lexically enclosing class; None marks the driver block,
-    the one place with no `this`."""
+    the one place with no `this`.  Every `this` of the body has `fields`."""
 
-    def __init__(self, owner: Optional[ClassDecl], params: list):
-        self.owner = owner
+    def __init__(self, owner: Optional[ClassDecl], params: list, fields=()):
+        self.owner, self.fields = owner, fields
         self.scopes: list[dict[str, int]] = [{p.name: i for i, p in enumerate(params)}]
         self.nslots = len(params)
 
@@ -204,12 +216,10 @@ class _Compiler:
                 return scope[name]
         return None
 
-    def block(self, body: list, scoped: bool = True) -> _Code:
-        if scoped:
-            self.scopes.append({})
-        steps = tuple(self.stmt(s) for s in body)
-        if scoped:
-            self.scopes.pop()
+    def block(self, body: list) -> _Code:
+        self.scopes.append({})
+        steps = tuple([self.stmt(s) for s in body])
+        self.scopes.pop()
         if len(steps) == 1:
             return steps[0]
         def run(f):
@@ -219,37 +229,38 @@ class _Compiler:
         return run
 
     def stmt(self, s) -> _Code:
-        compile_stmt = getattr(self, "stmt_" + type(s).__name__, None)
+        compile_stmt = _STMT_RULES.get(type(s).__name__)
         if compile_stmt is None:
             return _fault_after((), "unknown statement %r" % type(s).__name__)
-        return compile_stmt(s)
+        return compile_stmt(self, s)
 
     def expr(self, e) -> _Code:
-        compile_expr = getattr(self, "expr_" + type(e).__name__, None)
+        compile_expr = _EXPR_RULES.get(type(e).__name__)
         if compile_expr is None:
             return _fault_after((), "unknown expression %r" % type(e).__name__)
-        return compile_expr(e)
+        return compile_expr(self, e)
 
     def exprs(self, es: list) -> tuple:
-        return tuple(self.expr(e) for e in es)
+        return tuple([self.expr(e) for e in es])
 
     # -- statements ----------------------------------------------------------
 
+    def store(self, i: int, e, zero=None) -> _Code:
+        """Code that puts `e` (`zero` if None) in slot `i`: one closure for a read path."""
+        root, steps = self.path(e) or (_constant(zero) if e is None else self.expr(e), ())
+        return _path(root, steps, store=i)
+
     def stmt_LocalDecl(self, s) -> _Code:
-        init = _constant(_zero_value(s.decl_type)) if s.init is None else self.expr(s.init)
-        i = self.scopes[-1][s.name] = self.nslots
-        self.nslots += 1
-        def run(f):
-            f.slots[i] = init(f)
+        run = self.store(self.nslots, s.init, _zero_value(s.decl_type))
+        self.scopes[-1][s.name], self.nslots = self.nslots, self.nslots + 1
         return run
 
     def stmt_Assign(self, s) -> _Code:
-        value, target = self.expr(s.value), s.target
-        i = self.slot(target.name) if isinstance(target, VarRead) else None
+        i = self.slot(s.target.name) if isinstance(s.target, VarRead) else None
         if i is not None:
-            def run(f):
-                f.slots[i] = value(f)
-        elif isinstance(target, VarRead):
+            return self.store(i, s.value)
+        value, target = self.expr(s.value), s.target
+        if isinstance(target, VarRead):
             name = target.name
             def run(f):
                 v, this = value(f), f.this
@@ -280,7 +291,11 @@ class _Compiler:
         return run
 
     def stmt_WhileStmt(self, s) -> _Code:
-        cond, body = self.expr(s.cond), self.block(s.body)
+        cond = self.expr(s.cond)
+        self.scopes.append({})  # the loop calls the first statement itself, not via a block
+        a = self.stmt(s.body[0]) if s.body else None
+        b = self.block(s.body[1:]) if len(s.body) > 1 else None
+        self.scopes.pop()
         def run(f):
             while True:
                 c = cond(f)
@@ -288,7 +303,7 @@ class _Compiler:
                     if c is False:
                         return None
                     raise MiniOORuntimeError("condition is not a bool")
-                if body(f) is _RETURN:
+                if a is not None and a(f) is _RETURN or b is not None and b(f) is _RETURN:
                     return _RETURN
         return run
 
@@ -370,30 +385,32 @@ class _Compiler:
         return run
 
     def expr_FieldAccess(self, e) -> _Code:
-        return self.field_read(e.obj, e.name, _field_fault)
+        name, _, code = self.operand(e)  # a field every `this` has needs no check
+        return code or (lambda f: f.this.fields[name])
 
-    def expr_ReflectGet(self, e) -> _Code:
-        return self.field_read(e.obj, e.field_name, _reflect_fault)
+    expr_ReflectGet = expr_FieldAccess
 
-    def field_read(self, obj, name: str, fault: Callable) -> _Code:
-        """A read of field `name` of `obj`.  Off `this` or a local it is one
-        closure, not two: such reads are most of the work of a check loop."""
-        i = self.slot(obj.name) if isinstance(obj, VarRead) else None
-        if i is not None:
-            def run(f):
-                try:
-                    return f.slots[i].fields[name]
-                except (AttributeError, KeyError):
-                    raise fault(f.slots[i], name) from None
-            return run
-        if isinstance(obj, ThisExpr) and self.owner is not None:
-            def run(f):
-                try:
-                    return f.this.fields[name]
-                except (AttributeError, KeyError):
-                    raise fault(f.this, name) from None
-            return run
-        return _reader(self.expr(obj), name, fault)
+    def path(self, e) -> Optional[tuple]:
+        """`e` as a `_path`'s (root, steps) if it is a read path, else None."""
+        steps: tuple = ()
+        while isinstance(e, (FieldAccess, ReflectGet)):
+            is_field = isinstance(e, FieldAccess)
+            steps = ((e.name, "reading") if is_field else (e.field_name, None),) + steps
+            e = e.obj
+        i = self.slot(e.name) if isinstance(e, VarRead) else None
+        if i is not None or (isinstance(e, ThisExpr) and self.owner is not None):
+            return i, steps
+        return (self.expr(e), steps) if steps else None
+
+    def operand(self, e, path=None) -> tuple:
+        """(slot, True, None) or (name, False, None) for a local or a field every `this`
+        has, which operators read inline: it cannot fault or act.  Else (None, False, code)."""
+        root, steps = path or self.path(e) or (e, None)
+        if isinstance(root, int) and not steps:
+            return root, True, None
+        if root is None and len(steps) == 1 and steps[0][0] in self.fields:
+            return steps[0][0], False, None
+        return None, False, self.expr(e) if steps is None else _path(root, steps)
 
     def expr_MethodCall(self, e) -> _Code:
         args, name, owner = self.exprs(e.args), e.name, self.owner
@@ -407,7 +424,7 @@ class _Compiler:
             return lambda f: f.rt.dispatch_call(f.this, name, [a(f) for a in args])
         target = self.expr(e.receiver)
         def run(f):
-            argv = [a(f) for a in args]  # arguments before the receiver
+            argv = [a(f) for a in args] if args else []  # arguments before the receiver
             o = target(f)
             if not isinstance(o, ObjectInstance):
                 if o is None:
@@ -420,18 +437,32 @@ class _Compiler:
         args, class_name = self.exprs(e.args), e.type.name
         return lambda f: f.rt.construct(class_name, [a(f) for a in args])
 
-    def expr_Binary(self, e) -> _Code:
-        left, right, op = self.expr(e.left), self.expr(e.right), e.op
-        if op == "&&":
-            return lambda f: bool(right(f)) if left(f) else False
-        if op == "||":
-            return lambda f: True if left(f) else bool(right(f))
-        fn = _BINARY.get(op)
-        if fn is None:
-            return _fault_after((left, right), "unknown operator %r" % op)
-        return lambda f: fn(left(f), right(f))
+    def expr_Binary(self, e, op: str = "") -> _Code:
+        op, fn = op or e.op, _BINARY.get(op or e.op)
+        if op in ("&&", "||"):
+            (k, s, left), right, short = self.operand(e.left), self.expr(e.right), op == "||"
+            def run(f):
+                if f.slots[k] if s else f.this.fields[k] if left is None else left(f):
+                    return True if short or right(f) else False
+                return True if short and right(f) else False
+            return run
+        eq = {"==": True, "!=": False}.get(op)  # compared inline: a != b is (a == b) is False
+        if fn is None and eq is None:
+            return _fault_after(self.exprs([e.left, e.right]), "unknown operator %r" % op)
+        (rk, rs, right), path = self.operand(e.right), self.path(e.left)
+        if eq is not None and rs and path and path[1]:
+            return _path(*path, eq=eq, other=rk)  # a read path compared to a local: one closure
+        lk, ls, left = self.operand(e.left, path or (e.left, None))
+        def run(f):
+            a = f.slots[lk] if ls else f.this.fields[lk] if left is None else left(f)
+            b = f.slots[rk] if rs else f.this.fields[rk] if right is None else right(f)
+            return fn(a, b) if eq is None else (a == b) is eq
+        return run
 
     def expr_Unary(self, e) -> _Code:
+        if e.op == "!" and isinstance(e.operand, Binary) and e.operand.op in ("==", "!="):
+            # not (a == b) is a != b: every MiniOO value's `!=` negates its `==`
+            return self.expr_Binary(e.operand, "!=" if e.operand.op == "==" else "==")
         operand = self.expr(e.operand)
         if e.op == "!":
             return lambda f: not operand(f)
@@ -440,6 +471,10 @@ class _Compiler:
     def expr_SingletonRef(self, e) -> _Code:
         class_name = e.class_name
         return lambda f: f.rt.singleton(class_name)
+
+
+_STMT_RULES = {n[5:]: rule for n, rule in vars(_Compiler).items() if n.startswith("stmt_")}
+_EXPR_RULES = {n[5:]: rule for n, rule in vars(_Compiler).items() if n.startswith("expr_")}
 
 
 @dataclass(slots=True)
@@ -454,8 +489,8 @@ class _Body:
         """The body's code and a fresh frame for it (the caller runs the code,
         which keeps one Python frame per MiniOO call off the stack)."""
         if self.code is None:
-            compiler = _Compiler(self.owner, self.decl.params)
-            self.code = compiler.block(self.decl.body, scoped=False), compiler.nslots  # type: ignore[arg-type]
+            compiler = _Compiler(self.owner, self.decl.params, rt._classes[self.owner.name].layout)
+            self.code = compiler.block(self.decl.body), compiler.nslots  # type: ignore[arg-type]
         run, nslots = self.code
         return run, _Frame(rt, this, args + [None] * (nslots - len(args)))
 
@@ -488,29 +523,34 @@ class Interpreter:
     # -- object model -------------------------------------------------------
 
     def _class(self, name: str) -> Optional[_Class]:
-        """The runtime tables of a declared class, built on first use."""
-        c = self._classes.get(name)
-        if c is not None or name not in self.decls:
+        """The runtime tables of a declared class, built on first use after its ancestors'."""
+        if (c := self._classes.get(name)) is not None:
             return c
-        decl = self.decls[name]
-        parent_name = None if decl.super_class is None else decl.super_class.name
-        parent = None if parent_name is None else self._class(parent_name)
-        inherited = {} if parent is None else parent.layout
-        layout = dict(inherited)
-        for f in decl.fields:
-            if f.name in inherited:
-                raise MiniOORuntimeError(
-                    "field %r of %s shadows an inherited field (shadowing is not supported)"
-                    % (f.name, name)
-                )
-            layout[f.name] = _zero_value(f.declared_type)
-        vtable = {} if parent is None else dict(parent.vtable)
-        for m in reversed(decl.methods):  # the first of two same-named methods wins
-            if m.body is not None:
-                vtable[m.name] = _Body(decl, m)
-        ctor = None if decl.constructor is None else _Body(decl, decl.constructor)
-        c = self._classes[name] = _Class(parent_name, layout, vtable, ctor)
-        return c
+        chain, up = [], name  # the classes to build, leaf first
+        while up in self.decls and up not in self._classes:
+            chain.append(self.decls[up])
+            if len(chain) > len(self.decls):
+                raise MiniOORuntimeError("inheritance cycle through %r" % up)
+            up = getattr(chain[-1].super_class, "name", None)
+        for decl in reversed(chain):
+            parent_name = None if decl.super_class is None else decl.super_class.name
+            parent = self._classes.get(parent_name)  # type: ignore[arg-type]
+            inherited = {} if parent is None else parent.layout
+            layout = dict(inherited)
+            for f in decl.fields:
+                if f.name in inherited:
+                    raise MiniOORuntimeError(
+                        "field %r of %s shadows an inherited field (shadowing is not supported)"
+                        % (f.name, decl.name)
+                    )
+                layout[f.name] = _zero_value(f.declared_type)
+            vtable = {} if parent is None else dict(parent.vtable)
+            for m in reversed(decl.methods):  # the first of two same-named methods wins
+                if m.body is not None:
+                    vtable[m.name] = _Body(decl, m)
+            ctor = None if decl.constructor is None else _Body(decl, decl.constructor)
+            self._classes[decl.name] = _Class(parent_name, layout, vtable, ctor)
+        return self._classes.get(name)
 
     def construct(self, class_name: str, args: list) -> ObjectInstance:
         self._next_id += 1
@@ -520,23 +560,23 @@ class Interpreter:
         return obj
 
     def _run_constructor(self, obj: ObjectInstance, class_name: str, args: list) -> None:
-        c = self._class(class_name)
-        if c is None:
-            raise MiniOORuntimeError("unknown class %r" % class_name)
-        if c.ctor is None:
-            if c.parent is not None:
-                self._run_constructor(obj, c.parent, [])
-            return
-        ctor = c.ctor.decl
-        if len(args) != len(ctor.params):
-            raise MiniOORuntimeError(
-                "constructor of %s takes %d argument(s)" % (class_name, len(ctor.params))
-            )
-        explicit_super = bool(ctor.body) and isinstance(ctor.body[0], SuperCall)
-        if not explicit_super and c.parent is not None:
-            self._run_constructor(obj, c.parent, [])
-        run, frame = c.ctor.enter(self, obj, args)
-        run(frame)
+        """Checks arities up the implicit `super()` chain, then runs the bodies top-down."""
+        bodies = []
+        while class_name is not None:
+            c = self._class(class_name)
+            if c is None:
+                raise MiniOORuntimeError("unknown class %r" % class_name)
+            if (ctor := c.ctor and c.ctor.decl) is not None:
+                if len(args) != len(ctor.params):
+                    raise MiniOORuntimeError(
+                        "constructor of %s takes %d argument(s)" % (class_name, len(ctor.params))
+                    )
+                bodies.append(c.ctor.enter(self, obj, args))
+                if ctor.body and isinstance(ctor.body[0], SuperCall):
+                    break
+            class_name, args = c.parent, []
+        for run, frame in reversed(bodies):
+            run(frame)
 
     def reflect_get(self, obj: ObjectInstance, name: str):
         """Visibility-blind read of a field by name; the name is unique along
@@ -544,7 +584,7 @@ class Interpreter:
         try:
             return obj.fields[name]
         except (AttributeError, KeyError):
-            raise _reflect_fault(obj, name) from None
+            raise _field_fault(obj, name, None) from None
 
     def singleton(self, class_name: str) -> ObjectInstance:
         if class_name not in self.singletons:

@@ -173,17 +173,31 @@ class ClassTable:
     def closure(self, t: NamedType) -> list[NamedType]:
         """t plus every (substituted) supertype instance, breadth-first."""
         out = self._memo.get(("closure", t))
-        if out is None:
-            out = self._memo[("closure", t)] = []
-            seen: set[NamedType] = set()
-            work = [t]
-            while work:
-                cur = work.pop(0)
-                if cur in seen:
-                    continue
-                seen.add(cur)
-                out.append(cur)
-                work.extend(self.super_instances(cur))
+        # The closure of a type with one supertype instance is that instance's
+        # with the type in front: walk up such types to one memoised or with
+        # more or fewer supertypes, then fill down.
+        pending: list[NamedType] = []
+        while out is None:
+            if len(pending) > len(self.decls):
+                check_cycles(self.unit)  # raises: the walk is going round a cycle
+            supers = self.super_instances(t)
+            if len(supers) == 1:
+                pending.append(t)
+                t = supers[0]
+                out = self._memo.get(("closure", t))
+            else:
+                out = self._memo[("closure", t)] = []
+                seen: set[NamedType] = set()
+                work = [t]
+                while work:
+                    cur = work.pop(0)
+                    if cur in seen:
+                        continue
+                    seen.add(cur)
+                    out.append(cur)
+                    work.extend(self.super_instances(cur))
+        for t in reversed(pending):
+            out = self._memo[("closure", t)] = [t] + out
         return out
 
     def is_subtype(self, s: TypeExpr, t: TypeExpr) -> bool:

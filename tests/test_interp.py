@@ -1,5 +1,7 @@
 """Interpreter semantics: dispatch, reflection, gating, and the woven runs."""
 
+import sys
+
 import pytest
 
 from invweave.interp import (
@@ -188,22 +190,89 @@ def test_reference_equality_vs_value_equality():
         ("N n = new N(); print(n.missing());", "no such field 'y' on N"),
         ("N n = new N(); print(n.reflectMissing());", "no such field 'y' on N"),
         ("N n = new N(); print(n.next.x);", "null dereference reading 'x'"),
+        # two-step read paths: a null or int value at the first and the second step
+        ("N n = null; print(n.next.x);", "null dereference reading 'next'"),
+        ("int n = 1; print(n.next.x);", "1 has no fields"),
+        ("N n = new N(); print(n.x.y);", "0 has no fields"),
+        ("N n = new N(); n.next = new N(); print(n.next.y);", "no such field 'y' on N"),
+        ('N n = null; print(@field(@field(n, "next"), "x"));',
+         "null dereference in reflective read of 'next'"),
+        ('int n = 1; print(@field(@field(n, "next"), "x"));', "reflective read on a non-object"),
+        ('N n = new N(); print(@field(@field(n, "next"), "x"));',
+         "null dereference in reflective read of 'x'"),
+        ('N n = new N(); print(@field(@field(n, "x"), "y"));', "reflective read on a non-object"),
+        # the same paths compared with a local, as the woven invariant loop does
+        ("N n = null; print(n.next.x == n);", "null dereference reading 'next'"),
+        ('N n = new N(); print(!(@field(@field(n, "next"), "prev") == n));',
+         "null dereference in reflective read of 'prev'"),
+        ("N n = new N(); int k = 0; print(n.x.y != k);", "0 has no fields"),
+        ("N n = new N(); print(n.nextXIs(0));", "null dereference reading 'x'"),
+        # a read path assigned to a local, read off the local itself
+        ("N n = null; n = n.next;", "null dereference reading 'next'"),
+        ('N n = null; n = @field(n, "next");', "null dereference in reflective read of 'next'"),
+        ("int n = 1; n = n.next;", "1 has no fields"),
+        ("N n = new N(); n = n.next; n = n.next;", "null dereference reading 'next'"),
+        # `this._ok && ...` where the class has no `_ok` (an unchecked unit)
+        ("N n = new N(); print(n.guarded());", "no such field '_ok' on N"),
+        ("N n = new N(); print(n.reflectGuarded());", "no such field '_ok' on N"),
     ],
 )
 def test_field_read_faults(read, message):
-    # Unchecked: N declares no `y`, so reads of it off `this` or a local fault.
+    # Unchecked: N declares no `y` and no `_ok`, so reads of them fault.
     source = """
         class N {
             public int x;
             public N next;
+            public N prev;
             public int missing() { return this.y; }
             public int reflectMissing() { return @field(this, "y"); }
+            public bool guarded() { return this._ok && this.x == 0; }
+            public bool reflectGuarded() { return @field(this, "_ok") || this.x == 0; }
+            public bool nextXIs(int k) { return this.next.x == k; }
         }
         driver { %s }
     """
     with pytest.raises(MiniOORuntimeError) as exc:
         run_src(source % read)
     assert str(exc.value) == message
+
+
+def test_negated_comparison_on_mixed_operands():
+    # `!(a == b)` runs as `a != b`; unchecked, the operands may differ in type.
+    res = run_src(
+        """
+        class N { public int x; public bool b; public string s; public N next; }
+        driver {
+            N n = new N();
+            int one = 1;
+            bool yes = true;
+            string str = "1";
+            N none = null;
+            n.x = 1;
+            print(!(1 == true));
+            print(!(one == yes));
+            print(!(one != yes));
+            print(!(one == str));
+            print(!(str != one));
+            print(!(none == one));
+            print(!(none == none));
+            print(!(none != n.next));
+            print(!(n.x == yes));
+            print(!(n.x != yes));
+            print(!(n.b == 0));
+            print(!(n.s == ""));
+            print(!(n.s != str));
+            print(!(n.next == none));
+            print(!(n.next != none));
+            print(!(n == n));
+            print(!(n.x == str));
+        }
+        """
+    )
+    assert res.output == [
+        "false", "false", "true", "true", "false", "true", "false", "true",
+        "false", "true", "false", "false", "false", "false", "true", "false", "true",
+    ]
 
 
 def test_if_without_else():
@@ -248,6 +317,74 @@ def test_reflect_get_walks_to_grandparent():
     obj = interp.construct("C", [])
     # matches the direct slot lookup
     assert interp.reflect_get(obj, "x") == obj.fields["x"] == 5
+
+
+def test_deep_implicit_constructor_chain_constructs():
+    # Deeper than the Python stack: the class tables and the implicit
+    # super() constructors are walked up, not recursed.
+    source = "".join("class C%d extends C%d { }\n" % (i, i - 1) for i in range(1499, 0, -1))
+    source += "class C0 { public int x; public C0() { this.x = 7; } }\n"
+    res = run_src(source + "driver { C1499 c = new C1499(); print(c.x); }")
+    assert res.output == ["7"]
+
+
+def test_implicit_constructor_chain_order():
+    # Bodies run top-down, after every arity on the implicit chain is checked.
+    source = """
+        class A { public A() { print("A"); } }
+        class B extends A { }
+        class C extends B { public C() { print("C"); } }
+        class D extends C { public D(int v) { super(); print("D"); } }
+        class P { public P(int v) { print("P"); } }
+        class Q extends P { public Q() { print("Q"); } }
+        driver { D d = new D(1); C c = new C(); print("before"); Q q = new Q(); }
+    """
+    with pytest.raises(MiniOORuntimeError) as exc:
+        run_src(source)
+    assert str(exc.value) == "constructor of P takes 1 argument(s)"
+    assert exc.value.result.output == ["A", "C", "D", "A", "C", "before"]
+
+
+def test_inheritance_cycle_in_merged_unit_is_a_runtime_fault():
+    unit = merge_units([parse_unit("class A extends B { }"), parse_unit("class B extends A { }")])
+    unit = merge_units([unit, parse_unit("driver { print(1); A a = new A(); }")])
+    with pytest.raises(MiniOORuntimeError) as exc:
+        run_program(unit)
+    assert str(exc.value) == "inheritance cycle through 'A'"
+    assert exc.value.result.output == ["1"]
+
+
+def _python_calls(unit) -> int:
+    calls = 0
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+    sys.setprofile(count)
+    try:
+        run_program(unit)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_invariant_loop_call_budget_per_node():
+    # One more size() call checks the list twice, so between lists of 100 and
+    # 200 nodes its cost grows by the visitor's loop over 200 more nodes.
+    unit, spec = load_dlist(fixed=True)
+    decls = weave_program(unit, spec).declarations_unit()
+
+    def cost_of_size(n: int) -> int:
+        driver = (
+            "driver { DLinkedList<int> ls = new ExposedDLinkedList<int>(); int k = 0;"
+            " while (k < %d) { ls.addFirst(k); k = k + 1; } %s }"
+        )
+        with_size, without = (
+            _python_calls(merge_units([unit, decls, parse_unit(driver % (n, tail))]))
+            for tail in ("ls.size();", "")
+        )
+        return with_size - without
+
+    assert (cost_of_size(200) - cost_of_size(100)) / 200 <= 7
 
 
 def test_shadowed_field_in_unchecked_unit_aborts():
