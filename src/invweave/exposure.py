@@ -22,47 +22,21 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
 from .invspec import Forall, InvariantSpec, Predicate
-from .syntax import (
-    Binary,
-    ClassDecl,
-    Expr,
-    FieldAccess,
-    SourceUnit,
-    TypeExpr,
-    Unary,
-    VarRead,
-)
+from .syntax import ClassDecl, SourceUnit, TypeExpr, VarRead, walk
 from .typecheck import ClassTable
-
-
-def _roots(e: Expr, bound: frozenset[str]) -> list[str]:
-    if isinstance(e, VarRead):
-        return [] if e.name in bound else [e.name]
-    if isinstance(e, FieldAccess):
-        return _roots(e.obj, bound)
-    if isinstance(e, Binary):
-        return _roots(e.left, bound) + _roots(e.right, bound)
-    if isinstance(e, Unary):
-        return _roots(e.operand, bound)
-    return []
 
 
 def free_vars_ordered(p: Predicate) -> list[str]:
     """Free variables in first-occurrence order (deterministic codegen)."""
     if isinstance(p, Forall):
-        bound = frozenset({p.var})
-        raw = (
-            _roots(p.init, bound)
-            + _roots(p.cond, bound)
-            + _roots(p.step, bound)
-            + _roots(p.body, bound)
-        )
+        parts, bound = (p.init, p.cond, p.step, p.body), p.var
     else:
-        raw = _roots(p, frozenset())
+        parts, bound = (p,), None
     seen: list[str] = []
-    for name in raw:
-        if name not in seen:
-            seen.append(name)
+    for part in parts:
+        for e in walk(part):
+            if isinstance(e, VarRead) and e.name != bound and e.name not in seen:
+                seen.append(e.name)
     return seen
 
 
@@ -115,12 +89,11 @@ def _inherited(
 
 
 def interface_body(
-    c: ClassDecl, spec: InvariantSpec, unit: SourceUnit
+    c: ClassDecl, spec: InvariantSpec, table: ClassTable
 ) -> list[tuple[str, TypeExpr]]:
     """Getter signatures for BV(c) | FV(rho_c) \\ I(c), each typed with the
     field's declared type as seen from c.  Own fields come first in
     declaration order, then inherited extras in first-use order."""
-    table = ClassTable(unit)
     inherited = _inherited(table, c, spec, {})
     fv = class_free_vars_ordered(c.name, spec)
     names: list[str] = [f.name for f in c.fields]
@@ -155,8 +128,7 @@ class ExposurePlan:
     per_class: dict[str, ClassExposure] = field(default_factory=dict)
 
 
-def compute_plan(unit: SourceUnit, spec: InvariantSpec) -> ExposurePlan:
-    table = ClassTable(unit)
+def compute_plan(table: ClassTable, spec: InvariantSpec) -> ExposurePlan:
     memo: dict[str, set[str]] = {}
     plan = ExposurePlan()
     for name in spec.classes():
@@ -164,7 +136,7 @@ def compute_plan(unit: SourceUnit, spec: InvariantSpec) -> ExposurePlan:
         if c is None:
             raise LookupError("specification names unknown class %r" % name)
         plan.per_class[name] = ClassExposure(
-            own_signatures=interface_body(c, spec, unit),
+            own_signatures=interface_body(c, spec, table),
             inherited_exposed=_inherited(table, c, spec, memo),
             free_vars=class_free_vars(name, spec),
             bound_vars=bound_vars(c),
@@ -196,12 +168,11 @@ def getter_reachable(
 
 
 def verify_exposure(
-    plan: ExposurePlan, unit: SourceUnit, spec: InvariantSpec
+    plan: ExposurePlan, table: ClassTable, spec: InvariantSpec
 ) -> list[Diagnostic]:
     """Errors for exposure gaps (a free variable with no reachable getter);
     notes where the triviality hypothesis fails (predicates reaching past the
     specified fields) or where an unspecified ancestor's field is re-exposed."""
-    table = ClassTable(unit)
     diags: list[Diagnostic] = []
     for name, entry in plan.per_class.items():
         for var in sorted(entry.free_vars):

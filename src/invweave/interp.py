@@ -578,14 +578,6 @@ class Interpreter:
         for run, frame in reversed(bodies):
             run(frame)
 
-    def reflect_get(self, obj: ObjectInstance, name: str):
-        """Visibility-blind read of a field by name; the name is unique along
-        the object's class chain because shadowing is rejected."""
-        try:
-            return obj.fields[name]
-        except (AttributeError, KeyError):
-            raise _field_fault(obj, name, None) from None
-
     def singleton(self, class_name: str) -> ObjectInstance:
         if class_name not in self.singletons:
             self.singletons[class_name] = self.construct(class_name, [])

@@ -42,6 +42,7 @@ from .syntax import (
     TypeExpr,
     Unary,
     VarRead,
+    walk,
 )
 from .typecheck import ClassTable, NULL_TYPE
 
@@ -81,34 +82,16 @@ _ALLOWED = (IntLit, BoolLit, StringLit, NullLit, VarRead, FieldAccess, Binary, U
 
 
 def _check_restricted(e: Expr, where: str) -> None:
-    if not isinstance(e, _ALLOWED):
-        raise ParseError(
-            Diagnostic(
-                "predicate-grammar",
-                "%s is not allowed in a predicate (%s)" % (type(e).__name__, where),
-                getattr(e, "line", 0),
-                getattr(e, "col", 0),
+    for node in walk(e):
+        if not isinstance(node, _ALLOWED):
+            raise ParseError(
+                Diagnostic(
+                    "predicate-grammar",
+                    "%s is not allowed in a predicate (%s)" % (type(node).__name__, where),
+                    getattr(node, "line", 0),
+                    getattr(node, "col", 0),
+                )
             )
-        )
-    if isinstance(e, FieldAccess):
-        _check_restricted(e.obj, where)
-    elif isinstance(e, Binary):
-        _check_restricted(e.left, where)
-        _check_restricted(e.right, where)
-    elif isinstance(e, Unary):
-        _check_restricted(e.operand, where)
-
-
-def _mentions(e: Expr, name: str) -> bool:
-    if isinstance(e, VarRead):
-        return e.name == name
-    if isinstance(e, FieldAccess):
-        return _mentions(e.obj, name)
-    if isinstance(e, Binary):
-        return _mentions(e.left, name) or _mentions(e.right, name)
-    if isinstance(e, Unary):
-        return _mentions(e.operand, name)
-    return False
 
 
 def parse_predicate(text: str) -> Predicate:
@@ -141,7 +124,7 @@ def parse_predicate(text: str) -> Predicate:
         parser.expect("EOF")
         for part, where in ((init, "init"), (cond, "condition"), (step, "step"), (body, "body")):
             _check_restricted(part, where)
-        if not _mentions(step, var_tok.value):
+        if not any(isinstance(e, VarRead) and e.name == var_tok.value for e in walk(step)):
             raise ParseError(
                 Diagnostic(
                     "predicate-grammar",
@@ -401,10 +384,14 @@ def type_predicate(
     return _PredicateTyper(table, cls, where).check(pred)
 
 
-def validate_spec(spec: InvariantSpec, unit: SourceUnit) -> list[Diagnostic]:
+def validate_spec(
+    spec: InvariantSpec, unit: SourceUnit, table: Optional[ClassTable] = None
+) -> list[Diagnostic]:
     """Empty iff every spec class resolves, every free variable resolves to a
-    declared or inherited field, and every predicate types as boolean."""
-    table = ClassTable(unit)
+    declared or inherited field, and every predicate types as boolean.
+    `table`, if given, must be the unit's."""
+    if table is None:
+        table = ClassTable(unit)
     diags: list[Diagnostic] = []
     for name, preds in spec.entries.items():
         cls = table.get_class(name)

@@ -1,10 +1,9 @@
-"""Type-parameter substitution, composition, and alpha-renaming.
+"""Type-parameter substitution and deterministic fresh names.
 
 Substitutions are simultaneous: one application replaces each bound variable
-once and does not rescan its own images.  Chains written outer-to-inner
-(`compose(s1, s2)` meaning "apply s2 first, then s1") reproduce the binding
-arithmetic the hierarchy walk needs when a subclass instantiates its
-superclass's parameters.
+once and does not rescan its own images.  A chain of substitutions, as the
+hierarchy walk meets when a subclass instantiates its superclass's
+parameters, is applied innermost first.
 """
 
 from __future__ import annotations
@@ -25,14 +24,6 @@ class TypeSubstitution:
         if len(names) != len(set(names)):
             raise ValueError("duplicate variable in substitution")
 
-    @staticmethod
-    def of(*pairs: tuple[str, TypeExpr]) -> "TypeSubstitution":
-        return TypeSubstitution(tuple(pairs))
-
-    @staticmethod
-    def identity() -> "TypeSubstitution":
-        return TypeSubstitution(())
-
     def lookup(self, name: str) -> TypeExpr | None:
         for n, t in self.bindings:
             if n == name:
@@ -52,29 +43,6 @@ def substitute(subst: TypeSubstitution, t: TypeExpr) -> TypeExpr:
     return NamedType(t.name, tuple(substitute(subst, a) for a in t.args))
 
 
-def compose(outer: TypeSubstitution, inner: TypeSubstitution) -> TypeSubstitution:
-    """The substitution equivalent to applying `inner` first, then `outer`:
-    substitute(compose(outer, inner), t) == substitute(outer, substitute(inner, t)).
-    """
-    bindings: list[tuple[str, TypeExpr]] = [
-        (n, substitute(outer, img)) for n, img in inner.bindings
-    ]
-    seen = {n for n, _ in bindings}
-    for n, img in outer.bindings:
-        if n not in seen:
-            bindings.append((n, img))
-    return TypeSubstitution(tuple(bindings))
-
-
-def free_type_vars(t: TypeExpr) -> set[str]:
-    if isinstance(t, TypeVar):
-        return {t.name}
-    out: set[str] = set()
-    for a in t.args:
-        out |= free_type_vars(a)
-    return out
-
-
 @dataclass
 class NameSupply:
     """Deterministic fresh names: `base_X1`, `base_X2`, ... skipping taken ones."""
@@ -91,46 +59,3 @@ class NameSupply:
         name = "%s_X%d" % (base, i)
         self.taken.add(name)
         return name
-
-
-class NameCollisionError(Exception):
-    pass
-
-
-def alpha_rename(
-    params: list[str], t: TypeExpr, fresh: NameSupply
-) -> tuple[list[str], TypeExpr]:
-    """Rename `params` consistently inside `t` using `fresh`; the result is
-    alpha-equivalent to the input.  Raises NameCollisionError if the supply
-    produces a name that already occurs free in `t`."""
-    free = free_type_vars(t) - set(params)
-    new_params: list[str] = []
-    pairs: list[tuple[str, TypeExpr]] = []
-    for p in params:
-        np = fresh.fresh(p)
-        if np in free or np in new_params:
-            raise NameCollisionError("fresh name %r collides" % np)
-        new_params.append(np)
-        pairs.append((p, TypeVar(np)))
-    return new_params, substitute(TypeSubstitution(tuple(pairs)), t)
-
-
-def canonical_form(params: list[str], t: TypeExpr) -> TypeExpr:
-    """Normalize bound variables positionally; two parameterized types are
-    alpha-equivalent iff their canonical forms are equal."""
-    mapping = {p: TypeVar("%%%d" % i) for i, p in enumerate(params)}
-
-    def walk(u: TypeExpr) -> TypeExpr:
-        if isinstance(u, TypeVar):
-            return mapping.get(u.name, TypeVar(u.name))
-        return NamedType(u.name, tuple(walk(a) for a in u.args))
-
-    return walk(t)
-
-
-def alpha_equivalent(
-    params_a: list[str], t_a: TypeExpr, params_b: list[str], t_b: TypeExpr
-) -> bool:
-    if len(params_a) != len(params_b):
-        return False
-    return canonical_form(params_a, t_a) == canonical_form(params_b, t_b)

@@ -13,7 +13,7 @@ from equality so that parse/print round-trips compare structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 PUBLIC = "public"
 PROTECTED = "protected"
@@ -65,10 +65,6 @@ BOOL = NamedType("bool")
 STRING = NamedType("string")
 
 PRIMITIVES = ("int", "bool", "string")
-
-
-def is_primitive(t: TypeExpr) -> bool:
-    return isinstance(t, NamedType) and t.name in PRIMITIVES and not t.args
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +307,56 @@ Stmt = Union[
     TraceStmt,
     ViolationStmt,
 ]
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+# The fields of each Expr/Stmt class that hold child nodes, in source order.
+# A field holds a node, a list of nodes, or None.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    IntLit: (),
+    BoolLit: (),
+    StringLit: (),
+    NullLit: (),
+    VarRead: (),
+    ThisExpr: (),
+    FieldAccess: ("obj",),
+    MethodCall: ("receiver", "args"),
+    SuperExpr: (),
+    NewObject: ("args",),
+    Binary: ("left", "right"),
+    Unary: ("operand",),
+    ReflectGet: ("obj",),
+    SingletonRef: (),
+    LocalDecl: ("init",),
+    Assign: ("target", "value"),
+    IfStmt: ("cond", "then_body", "else_body"),
+    WhileStmt: ("cond", "body"),
+    ReturnStmt: ("value",),
+    ExprStmt: ("expr",),
+    PrintStmt: ("value",),
+    SuperCall: ("args",),
+    TraceStmt: ("obj", "check_class", "phase", "method"),
+    ViolationStmt: ("check_class", "index", "phase", "method"),
+}
+
+
+def walk(node: Union[Expr, Stmt]) -> Iterator[Union[Expr, Stmt]]:
+    """Yield `node`, then every expression and statement below it, in
+    pre-order and source order.  Iterative, so nesting depth is not bounded
+    by the Python stack."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        for name in reversed(_CHILD_FIELDS[type(node)]):
+            child = getattr(node, name)
+            if isinstance(child, list):
+                stack.extend(reversed(child))
+            elif child is not None:
+                stack.append(child)
 
 
 # ---------------------------------------------------------------------------

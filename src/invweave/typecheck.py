@@ -341,9 +341,9 @@ class _Scope:
 
 
 class _Checker:
-    def __init__(self, unit: SourceUnit):
+    def __init__(self, unit: SourceUnit, table: ClassTable):
         self.unit = unit
-        self.table = ClassTable(unit)
+        self.table = table
         self.diags: list[Diagnostic] = []
         # per-member state
         self.current_class: Optional[ClassDecl] = None
@@ -1116,12 +1116,13 @@ def None_to_void(ret: Optional[TypeExpr], sub: TypeSubstitution) -> TypeExpr:
     return substitute(sub, ret)
 
 
-def typecheck_program(unit: SourceUnit) -> list[Diagnostic]:
+def typecheck_program(unit: SourceUnit, table: Optional[ClassTable] = None) -> list[Diagnostic]:
     """Type-check a unit; empty result means well-typed.  A unit that did not
     pass `validate_structure`, such as one built by `merge_units`, may have
-    an inheritance cycle: it gets the parser's diagnostic for it instead."""
+    an inheritance cycle: it gets the parser's diagnostic for it instead.
+    `table`, if given, must be the unit's; the check fills its lookups."""
     try:
         check_cycles(unit)
     except ParseError as exc:
         return [exc.diagnostic]
-    return _Checker(unit).check_unit()
+    return _Checker(unit, table if table is not None else ClassTable(unit)).check_unit()

@@ -59,7 +59,6 @@ from .syntax import (
     NewObject,
     NullLit,
     Param,
-    PrintStmt,
     ReflectGet,
     ReturnStmt,
     SingletonRef,
@@ -76,6 +75,7 @@ from .syntax import (
     VarRead,
     ViolationStmt,
     WhileStmt,
+    walk,
 )
 from .typecheck import ClassTable, typecheck_program
 
@@ -746,19 +746,23 @@ def _getter_owner(
 
 def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
     """Weave a typechecked unit with a validated specification.  The merged
-    unit typechecks; original declarations are untouched (new nodes only)."""
-    diags = errors_only(typecheck_program(unit))
+    unit typechecks; original declarations are untouched (new nodes only).
+
+    One ClassTable of `unit` serves every stage on it: the typecheck, spec
+    validation, the exposure plan and its verification, and generation.  The
+    merged unit's self-check builds its own."""
+    table = ClassTable(unit)
+    diags = errors_only(typecheck_program(unit, table))
     if diags:
         raise WeaveError(diags)
-    sdiags = errors_only(validate_spec(spec, unit))
+    sdiags = errors_only(validate_spec(spec, unit, table))
     if sdiags:
         raise WeaveError(sdiags)
-    plan = compute_plan(unit, spec)
-    vdiags = errors_only(verify_exposure(plan, unit, spec))
+    plan = compute_plan(table, spec)
+    vdiags = errors_only(verify_exposure(plan, table, spec))
     if vdiags:
         raise WeaveError(vdiags)
 
-    table = ClassTable(unit)
     naming = choose_names(table, spec, plan)
     interfaces: list[InterfaceDecl] = []
     exposed: list[ClassDecl] = []
@@ -846,65 +850,17 @@ def swap_driver_constructors(unit: SourceUnit, artifacts: WovenArtifacts) -> Sou
 
     if unit.driver is None:
         return unit
-    table = ClassTable(unit)
     swapped = SourceUnit(
         classes=unit.classes, interfaces=unit.interfaces, driver=copy.deepcopy(unit.driver)
     )
-
-    def walk_expr(e: Expr) -> None:
-        if isinstance(e, NewObject):
-            decl = table.get_class(e.type.name)
-            if (
-                decl is not None
-                and not decl.is_abstract
-                and e.type.name in artifacts.naming.exposed_names
-            ):
-                e.type = NamedType(artifacts.naming.exposed_names[e.type.name], e.type.args)
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, (Binary,)):
-            walk_expr(e.left)
-            walk_expr(e.right)
-        elif isinstance(e, Unary):
-            walk_expr(e.operand)
-        elif isinstance(e, FieldAccess):
-            walk_expr(e.obj)
-        elif isinstance(e, MethodCall):
-            if e.receiver is not None:
-                walk_expr(e.receiver)
-            for a in e.args:
-                walk_expr(a)
-        elif isinstance(e, ReflectGet):
-            walk_expr(e.obj)
-
-    def walk_stmt(s: Stmt) -> None:
-        if isinstance(s, LocalDecl) and s.init is not None:
-            walk_expr(s.init)
-        elif isinstance(s, Assign):
-            walk_expr(s.target)
-            walk_expr(s.value)
-        elif isinstance(s, IfStmt):
-            walk_expr(s.cond)
-            for x in s.then_body:
-                walk_stmt(x)
-            for x in s.else_body or []:
-                walk_stmt(x)
-        elif isinstance(s, WhileStmt):
-            walk_expr(s.cond)
-            for x in s.body:
-                walk_stmt(x)
-        elif isinstance(s, ReturnStmt) and s.value is not None:
-            walk_expr(s.value)
-        elif isinstance(s, ExprStmt):
-            walk_expr(s.expr)
-        elif isinstance(s, PrintStmt):
-            walk_expr(s.value)
-        elif isinstance(s, SuperCall):
-            for a in s.args:
-                walk_expr(a)
-
+    exposed = artifacts.naming.exposed_names
+    swap = {
+        c.name: exposed[c.name] for c in unit.classes if not c.is_abstract and c.name in exposed
+    }
     for s in swapped.driver.body:
-        walk_stmt(s)
+        for e in walk(s):
+            if isinstance(e, NewObject) and e.type.name in swap:
+                e.type = NamedType(swap[e.type.name], e.type.args)
     return swapped
 
 

@@ -134,8 +134,8 @@ def test_criterion_4_definitions_and_propositions(chain_corpus):
     checked = 0
     for unit, spec, _ in chain_corpus:
         table = ClassTable(unit)
-        plan = compute_plan(unit, spec)
-        assert [d for d in verify_exposure(plan, unit, spec) if d.severity == "error"] == []
+        plan = compute_plan(table, spec)
+        assert [d for d in verify_exposure(plan, table, spec) if d.severity == "error"] == []
         memo_oracle: dict[str, set[str]] = {}
         for c in unit.classes:
             entry = plan.per_class[c.name]

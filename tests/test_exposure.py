@@ -122,21 +122,22 @@ def test_inherited_exposed_matches_oracle_on_random_chains():
 
 def test_interface_body_dlist():
     unit, spec = load_dlist()
+    table = ClassTable(unit)
     dl = unit.decl("DLinkedList")
-    body = interface_body(dl, spec, unit)
+    body = interface_body(dl, spec, table)
     t = (TypeVar("T"),)
     assert body == [
         ("head", NamedType("DNode", t)),
         ("tail", NamedType("DNode", t)),
     ]
     al = unit.decl("AbstractList")
-    assert interface_body(al, spec, unit) == [("size", NamedType("int"))]
+    assert interface_body(al, spec, table) == [("size", NamedType("int"))]
 
 
 def test_interface_body_fieldless_true_class():
     unit = parse_unit("class A { }")
     spec = load_spec('{"classes":[{"name":"A","invariant":["true"]}]}')
-    assert interface_body(unit.classes[0], spec, unit) == []
+    assert interface_body(unit.classes[0], spec, ClassTable(unit)) == []
 
 
 def test_interface_body_includes_unspecified_ancestor_field():
@@ -150,7 +151,7 @@ def test_interface_body_includes_unspecified_ancestor_field():
     )
     spec = load_spec('{"classes":[{"name":"Cooked","invariant":["x >= 0", "y >= 0"]}]}')
     cooked = unit.decl("Cooked")
-    body = interface_body(cooked, spec, unit)
+    body = interface_body(cooked, spec, ClassTable(unit))
     assert ("x", NamedType("int")) in body
     assert ("y", NamedType("int")) in body
     # own fields first, then the inherited extra
@@ -164,7 +165,7 @@ def test_def2_identity_on_corpus_and_chains():
         cases.append(make_chain_program(rng, depth=rng.randint(0, 6)))
     for unit, spec in cases:
         table = ClassTable(unit)
-        plan = compute_plan(unit, spec)
+        plan = compute_plan(table, spec)
         for name, entry in plan.per_class.items():
             c = table.get_class(name)
             want = (bound_vars(c) | class_free_vars(name, spec)) - entry.inherited_exposed
@@ -173,18 +174,20 @@ def test_def2_identity_on_corpus_and_chains():
 
 def test_verify_exposure_clean_on_dlist():
     unit, spec = load_dlist()
-    plan = compute_plan(unit, spec)
-    diags = verify_exposure(plan, unit, spec)
+    table = ClassTable(unit)
+    plan = compute_plan(table, spec)
+    diags = verify_exposure(plan, table, spec)
     assert [d for d in diags if d.severity == "error"] == []
     assert [d for d in diags if d.severity == "note"] == []
 
 
 def test_verify_exposure_detects_hand_broken_plan():
     unit, spec = load_dlist()
-    plan = compute_plan(unit, spec)
+    table = ClassTable(unit)
+    plan = compute_plan(table, spec)
     entry = plan.per_class["DLinkedList"]
     entry.own_signatures = [s for s in entry.own_signatures if s[0] != "head"]
-    diags = verify_exposure(plan, unit, spec)
+    diags = verify_exposure(plan, table, spec)
     gaps = [d for d in diags if d.code == "exposure-gap"]
     assert len(gaps) >= 1
     assert any("head" in d.message and "DLinkedList" in d.message for d in gaps)
@@ -195,7 +198,7 @@ def test_prop2_lookup_on_random_chains():
     for _ in range(40):
         unit, spec = make_chain_program(rng, depth=rng.randint(0, 8))
         table = ClassTable(unit)
-        plan = compute_plan(unit, spec)
+        plan = compute_plan(table, spec)
         for name, entry in plan.per_class.items():
             for var in entry.free_vars:
                 assert getter_reachable(plan, table, spec, name, var)
@@ -215,8 +218,9 @@ def test_fully_specified_reference_hypothesis_always_holds():
         '{"classes":[{"name":"A","invariant":["a >= 0"]},'
         '{"name":"B","invariant":["b >= 0", "hidden >= 0"]}]}'
     )
-    plan = compute_plan(unit, spec)
-    diags = verify_exposure(plan, unit, spec)
+    table = ClassTable(unit)
+    plan = compute_plan(table, spec)
+    diags = verify_exposure(plan, table, spec)
     assert diags == []
     assert plan.per_class["B"].signature_names() == {"b"}
 
@@ -236,8 +240,9 @@ def test_prop3_note_when_specified_chain_has_a_gap():
         '{"classes":[{"name":"A","invariant":["a >= 0"]},'
         '{"name":"C","invariant":["c >= 0", "a >= 0"]}]}'
     )
-    plan = compute_plan(unit, spec)
-    diags = verify_exposure(plan, unit, spec)
+    table = ClassTable(unit)
+    plan = compute_plan(table, spec)
+    diags = verify_exposure(plan, table, spec)
     assert any(d.code == "prop-note" and d.severity == "note" for d in diags)
     assert any(d.code == "exposure-note" and d.severity == "note" for d in diags)
     assert not [d for d in diags if d.severity == "error"]

@@ -287,36 +287,29 @@ def test_if_without_else():
 # -- reflective field access ---------------------------------------------------
 
 
-def build_interp(source: str) -> Interpreter:
-    return Interpreter(parse_unit(source))
-
-
 def test_reflect_get_private_field():
-    interp = build_interp(
+    res = run_src(
         """
         class A {
             private int x;
             public A() { this.x = 41; }
         }
-        driver { }
+        driver { A a = new A(); print(@field(a, "x")); }
         """
     )
-    obj = interp.construct("A", [])
-    assert interp.reflect_get(obj, "x") == 41
+    assert res.output == ["41"]
 
 
 def test_reflect_get_walks_to_grandparent():
-    interp = build_interp(
+    res = run_src(
         """
         class A { private int x; public A() { this.x = 5; } }
         class B extends A { public B() { super(); } }
         class C extends B { public C() { super(); } }
-        driver { }
+        driver { C c = new C(); print(@field(c, "x")); }
         """
     )
-    obj = interp.construct("C", [])
-    # matches the direct slot lookup
-    assert interp.reflect_get(obj, "x") == obj.fields["x"] == 5
+    assert res.output == ["5"]
 
 
 def test_deep_implicit_constructor_chain_constructs():
@@ -402,10 +395,8 @@ def test_shadowed_field_in_unchecked_unit_aborts():
 
 
 def test_reflect_get_unknown_field_aborts():
-    interp = build_interp("class A { public A() { } }\ndriver { }")
-    obj = interp.construct("A", [])
-    with pytest.raises(MiniOORuntimeError):
-        interp.reflect_get(obj, "nope")
+    with pytest.raises(MiniOORuntimeError, match="no such field 'nope' on A"):
+        run_src('class A { public A() { } }\ndriver { A a = new A(); print(@field(a, "nope")); }')
 
 
 def test_dispatch_call_exposed_wrapper_from_python():
@@ -531,12 +522,12 @@ def test_quantifier_loop_against_hand_checker():
         interp.dispatch_call(ls, "add", [v])
 
     def hand_checker(obj) -> bool:
-        head = interp.reflect_get(obj, "head")
-        tail = interp.reflect_get(obj, "tail")
+        head = obj.fields["head"]
+        tail = obj.fields["tail"]
         n = head
         while n is not tail:
-            nxt = interp.reflect_get(n, "next")
-            if interp.reflect_get(nxt, "prev") is not n:
+            nxt = n.fields["next"]
+            if nxt.fields["prev"] is not n:
                 return False
             n = nxt
         return True
@@ -544,9 +535,9 @@ def test_quantifier_loop_against_hand_checker():
     assert hand_checker(ls) is True
     assert interp.dispatch_call(ls, "inv", []) is True
     # corrupt: second node's prev pointer dangles to the head
-    head = interp.reflect_get(ls, "head")
-    first = interp.reflect_get(head, "next")
-    second = interp.reflect_get(first, "next")
+    head = ls.fields["head"]
+    first = head.fields["next"]
+    second = first.fields["next"]
     second.fields["prev"] = head
     assert hand_checker(ls) is False
     assert interp.dispatch_call(ls, "inv", []) is False

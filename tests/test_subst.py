@@ -1,20 +1,9 @@
-"""Substitution, composition, alpha-renaming, and the naive-inheritance
-binding failure reproduced at the substitution level."""
+"""Substitution, fresh names, and the naive-inheritance binding failure
+reproduced at the substitution level."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from invweave.subst import (
-    NameCollisionError,
-    NameSupply,
-    TypeSubstitution,
-    alpha_equivalent,
-    alpha_rename,
-    canonical_form,
-    compose,
-    substitute,
-)
+from invweave.subst import NameSupply, TypeSubstitution, substitute
 from invweave.syntax import NamedType, TypeVar
 
 
@@ -26,42 +15,42 @@ S = TypeVar
 
 
 def test_substitute_simple():
-    sub = TypeSubstitution.of(("S", T("int")))
+    sub = TypeSubstitution((("S", T("int")),))
     assert substitute(sub, T("List", S("S"))) == T("List", T("int"))
 
 
 def test_substitute_unbound_identity():
-    sub = TypeSubstitution.of(("S", T("Pair", T("int"), T("bool"))))
+    sub = TypeSubstitution((("S", T("Pair", T("int"), T("bool"))),))
     t = T("List", S("U"))
     assert substitute(sub, t) == t
 
 
 def test_substitute_empty_identity():
     t = T("Map", S("K"), T("List", S("V")))
-    assert substitute(TypeSubstitution.identity(), t) == t
+    assert substitute(TypeSubstitution(), t) == t
 
 
 def test_substitution_is_simultaneous_not_iterated():
     # [A -> B, B -> int] applied once must not rewrite the produced B.
-    sub = TypeSubstitution.of(("A", S("B")), ("B", T("int")))
+    sub = TypeSubstitution((("A", S("B")), ("B", T("int"))))
     assert substitute(sub, S("A")) == S("B")
 
 
 def test_duplicate_binding_rejected():
     with pytest.raises(ValueError):
-        TypeSubstitution.of(("S", T("int")), ("S", T("bool")))
+        TypeSubstitution((("S", T("int")), ("S", T("bool"))))
 
 
 def test_chain_binding_evaluates_to_tau():
-    # Outer-to-inner chain [S_B2->string][S_B->S_B2][S_A->S_B] applied to S_A.
-    chain = compose(
-        TypeSubstitution.of(("S_B2", T("string"))),
-        compose(
-            TypeSubstitution.of(("S_B", S("S_B2"))),
-            TypeSubstitution.of(("S_A", S("S_B"))),
+    # The chain [S_B2->string][S_B->S_B2][S_A->S_B] applied to S_A, inner first.
+    t = substitute(
+        TypeSubstitution((("S_B2", T("string")),)),
+        substitute(
+            TypeSubstitution((("S_B", S("S_B2")),)),
+            substitute(TypeSubstitution((("S_A", S("S_B")),)), S("S_A")),
         ),
     )
-    assert substitute(chain, S("S_A")) == T("string")
+    assert t == T("string")
 
 
 def test_naive_scheme_misbinds_renamed_parameter():
@@ -70,106 +59,22 @@ def test_naive_scheme_misbinds_renamed_parameter():
     parameter of A's wrapper is never on that chain: it keeps its naive copy
     binding and disagrees whenever the instantiation is not that variable."""
     tau = T("string")
-    inheritance_chain = compose(
-        TypeSubstitution.of(("S_B2", tau)),
-        compose(
-            TypeSubstitution.of(("S_B", S("S_B2"))),
-            TypeSubstitution.of(("S_A", S("S_B"))),
-        ),
-    )
+    b2_to_tau = TypeSubstitution((("S_B2", tau),))
+    b_to_b2 = TypeSubstitution((("S_B", S("S_B2")),))
+    a_to_b = TypeSubstitution((("S_A", S("S_B")),))
     # What A's own parameter receives through B2<tau>:
-    assert substitute(inheritance_chain, S("S_A")) == tau
+    assert substitute(b2_to_tau, substitute(b_to_b2, substitute(a_to_b, S("S_A")))) == tau
     # The naive copy relation binds A2's parameter to A's extends argument,
     # which the chain above never resolves:
-    naive = substitute(inheritance_chain, S("S_A2"))
+    naive = substitute(b2_to_tau, substitute(b_to_b2, substitute(a_to_b, S("S_A2"))))
     assert naive == S("S_A2")
     assert naive != tau
     # Correct chain, available only when the wrapper extends the wrapper of A:
-    correct_chain = compose(
-        TypeSubstitution.of(("S_B2", tau)),
-        compose(
-            TypeSubstitution.of(("S_A2", S("S_B2"))),
-            TypeSubstitution.of(("S_A", S("S_A2"))),
-        ),
-    )
-    assert substitute(correct_chain, S("S_A")) == tau
+    a2_to_b2 = TypeSubstitution((("S_A2", S("S_B2")),))
+    a_to_a2 = TypeSubstitution((("S_A", S("S_A2")),))
+    assert substitute(b2_to_tau, substitute(a2_to_b2, substitute(a_to_a2, S("S_A")))) == tau
     # Boundary: when tau IS the naive binding's variable the two coincide.
-    assert substitute(inheritance_chain, S("S_B")) == tau
-
-
-_type_names = st.sampled_from(["int", "bool", "List", "Pair"])
-_var_names = st.sampled_from(["S", "U", "V"])
-
-
-def _types():
-    return st.recursive(
-        st.one_of(_var_names.map(TypeVar), _type_names.map(lambda n: NamedType(n))),
-        lambda inner: st.tuples(
-            st.sampled_from(["List", "Pair"]), st.lists(inner, min_size=1, max_size=2)
-        ).map(lambda t: NamedType(t[0], tuple(t[1]))),
-        max_leaves=6,
-    )
-
-
-def _substs():
-    return st.lists(
-        st.tuples(_var_names, _types()), max_size=3, unique_by=lambda p: p[0]
-    ).map(lambda pairs: TypeSubstitution(tuple(pairs)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_substs(), _substs(), _types())
-def test_composition_law(s1, s2, t):
-    assert substitute(compose(s1, s2), t) == substitute(s1, substitute(s2, t))
-
-
-def test_alpha_rename_single_param():
-    params, t = alpha_rename(["S"], S("S"), NameSupply())
-    assert params == ["S_X1"]
-    assert t == S("S_X1")
-
-
-def test_alpha_rename_empty_identity():
-    t = T("List", T("int"))
-    params, renamed = alpha_rename([], t, NameSupply())
-    assert params == [] and renamed == t
-
-
-def test_alpha_rename_two_params_distinct():
-    params, t = alpha_rename(["S", "U"], T("Pair", S("S"), S("U")), NameSupply())
-    assert len(set(params)) == 2
-    assert alpha_equivalent(["S", "U"], T("Pair", S("S"), S("U")), params, t)
-
-
-def test_alpha_rename_collision_detected():
-    supply = NameSupply()
-    # Force the supply to produce a name that is free in t.
-    with pytest.raises(NameCollisionError):
-        alpha_rename(["S"], T("Pair", S("S"), S("S_X1")), supply)
-
-
-def test_alpha_rename_output_normalizes_to_input():
-    params = ["S", "U"]
-    t = T("Map", S("S"), T("List", S("U")))
-    new_params, renamed = alpha_rename(params, t, NameSupply())
-    assert canonical_form(params, t) == canonical_form(new_params, renamed)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_types())
-def test_alpha_equivalence_is_reflexive_and_stable(t):
-    params = ["S", "U", "V"]
-    assert alpha_equivalent(params, t, params, t)
-    new_params, renamed = alpha_rename(params, t, NameSupply())
-    assert alpha_equivalent(params, t, new_params, renamed)
-    again_params, again = alpha_rename(new_params, renamed, NameSupply(set(new_params)))
-    assert alpha_equivalent(params, t, again_params, again)  # transitivity witness
-
-
-def test_alpha_equivalent_respects_structure():
-    assert not alpha_equivalent(["S"], S("S"), ["U"], T("int"))
-    assert alpha_equivalent(["S"], T("List", S("S")), ["U"], T("List", S("U")))
-    assert not alpha_equivalent(["S", "U"], T("Pair", S("S"), S("U")), ["A", "B"], T("Pair", S("B"), S("A")))
+    assert substitute(b2_to_tau, substitute(b_to_b2, substitute(a_to_b, S("S_B")))) == tau
 
 
 def test_name_supply_is_deterministic_and_skips_taken():

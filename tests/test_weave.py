@@ -22,6 +22,7 @@ from invweave.weave import (
     render_artifacts,
     space_report,
     specified_chain_depth,
+    swap_driver_constructors,
     weave_program,
 )
 
@@ -466,3 +467,34 @@ def test_weave_is_deterministic(dlist_artifacts):
     unit, spec, art = dlist_artifacts
     again = weave_program(unit, spec)
     assert render_artifacts(art) == render_artifacts(again)
+
+
+def test_swap_reaches_trace_and_violation_arguments(dlist_artifacts):
+    unit, _, art = dlist_artifacts
+    driver = parse_unit(
+        "driver {\n"
+        '    @trace(new DLinkedList<string>(), "A", "entry", "m");\n'
+        '    @violation("A", 0, new DLinkedList<int>(), "m");\n'
+        "}\n"
+    )
+    swapped = swap_driver_constructors(merge_units([unit, driver]), art)
+    text = render_source(SourceUnit(driver=swapped.driver))
+    assert "new DLinkedList" not in text
+    assert text.count("new ExposedDLinkedList") == 2
+
+
+def test_weave_builds_one_class_table_per_unit(monkeypatch):
+    built = []
+    init = ClassTable.__init__
+
+    def counting_init(self, unit):
+        built.append(unit)
+        init(self, unit)
+
+    monkeypatch.setattr(ClassTable, "__init__", counting_init)
+    unit, spec = load_dlist()
+    art = weave_program(unit, spec)
+    # the input unit, then the merged unit of the self-check
+    assert len(built) == 2
+    assert built[0] is unit
+    assert built[1].classes == art.merged_unit().classes
