@@ -5,9 +5,13 @@ For each specified class A this module computes:
   - BV(A): field names declared directly in A;
   - FV(rho_A): root identifiers of its predicates' field paths, minus
     quantifier-bound variables;
-  - I(A): names already exposed through inheritance - empty when A's
-    superclass is absent from the specification, otherwise the recursive
-    union I(C) | BV(C) | FV(rho_C) over the superclass C;
+  - the specified chain of A: A after its consecutive specified ancestors,
+    root first.  It is the one place the specified-ancestor relation is
+    followed; the weaver reads interface `extends`, getter owners, the first
+    `visit_` call and the space-bound depth off it;
+  - I(A): names already exposed through inheritance - empty when A heads
+    its chain, otherwise I(C) | BV(C) | FV(rho_C) read off the plan entry of
+    the specified parent C, which is planned first;
   - the exposure-interface body: one getter signature per name in
     BV(A) | FV(rho_A) \\ I(A), typed by walking the hierarchy.
 
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
 from .invspec import Forall, InvariantSpec, Predicate
-from .syntax import ClassDecl, SourceUnit, TypeExpr, VarRead, walk
+from .syntax import ClassDecl, TypeExpr, VarRead, walk
 from .typecheck import ClassTable
 
 
@@ -61,43 +65,29 @@ def class_free_vars(name: str, spec: InvariantSpec) -> set[str]:
     return set(class_free_vars_ordered(name, spec))
 
 
-def inherited_exposed(c: ClassDecl, unit: SourceUnit, spec: InvariantSpec) -> set[str]:
-    """The recursive inherited-exposure set; consult the specification, not
-    the program: an unspecified superclass terminates the recursion."""
-    table = ClassTable(unit)
-    return _inherited(table, c, spec, {})
-
-
-def _inherited(
-    table: ClassTable,
-    c: ClassDecl,
-    spec: InvariantSpec,
-    memo: dict[str, set[str]],
-) -> set[str]:
-    if c.name in memo:
-        return memo[c.name]
-    if c.super_class is None:
-        memo[c.name] = set()
-        return memo[c.name]
-    sup = table.get_class(c.super_class.name)
-    if sup is None or not spec.specifies(sup.name):
-        memo[c.name] = set()
-        return memo[c.name]
-    result = _inherited(table, sup, spec, memo) | bound_vars(sup) | class_free_vars(sup.name, spec)
-    memo[c.name] = result
-    return result
+def specified_chain(table: ClassTable, c: ClassDecl, spec: InvariantSpec) -> list[str]:
+    """`c` after its consecutive specified ancestors, root first.  An
+    unspecified or unknown superclass ends the chain."""
+    chain = [c.name]
+    while c.super_class is not None and spec.specifies(c.super_class.name):
+        sup = table.get_class(c.super_class.name)
+        if sup is None:
+            break
+        chain.append(sup.name)
+        c = sup
+    chain.reverse()
+    return chain
 
 
 def interface_body(
-    c: ClassDecl, spec: InvariantSpec, table: ClassTable
+    c: ClassDecl, spec: InvariantSpec, table: ClassTable, inherited: set[str]
 ) -> list[tuple[str, TypeExpr]]:
-    """Getter signatures for BV(c) | FV(rho_c) \\ I(c), each typed with the
-    field's declared type as seen from c.  Own fields come first in
-    declaration order, then inherited extras in first-use order."""
-    inherited = _inherited(table, c, spec, {})
-    fv = class_free_vars_ordered(c.name, spec)
+    """Getter signatures for BV(c) | FV(rho_c) \\ I(c), where `inherited` is
+    I(c), each typed with the field's declared type as seen from c.  Own
+    fields come first in declaration order, then inherited extras in
+    first-use order."""
     names: list[str] = [f.name for f in c.fields]
-    for v in fv:
+    for v in class_free_vars_ordered(c.name, spec):
         if v not in names and v not in inherited:
             names.append(v)
     out: list[tuple[str, TypeExpr]] = []
@@ -118,6 +108,7 @@ class ClassExposure:
     inherited_exposed: set[str]
     free_vars: set[str]
     bound_vars: set[str]
+    chain: list[str]  # specified_chain of the class, root first
 
     def signature_names(self) -> set[str]:
         return {n for n, _ in self.own_signatures}
@@ -127,44 +118,40 @@ class ClassExposure:
 class ExposurePlan:
     per_class: dict[str, ClassExposure] = field(default_factory=dict)
 
+    def getter_owner(self, name: str, var: str) -> str | None:
+        """The class nearest `name` on its chain whose exposure interface
+        declares a getter for `var`, or None when none does."""
+        for owner in reversed(self.per_class[name].chain):
+            if var in self.per_class[owner].signature_names():
+                return owner
+        return None
+
 
 def compute_plan(table: ClassTable, spec: InvariantSpec) -> ExposurePlan:
-    memo: dict[str, set[str]] = {}
-    plan = ExposurePlan()
+    """Plan every specified class, parents first, so that each I(A) is its
+    specified parent's I | BV | FV; `per_class` keeps specification order."""
+    planned: dict[str, ClassExposure] = {}
     for name in spec.classes():
         c = table.get_class(name)
         if c is None:
             raise LookupError("specification names unknown class %r" % name)
-        plan.per_class[name] = ClassExposure(
-            own_signatures=interface_body(c, spec, table),
-            inherited_exposed=_inherited(table, c, spec, memo),
-            free_vars=class_free_vars(name, spec),
-            bound_vars=bound_vars(c),
-        )
-    return plan
-
-
-def _specified_super(table: ClassTable, name: str, spec: InvariantSpec) -> str | None:
-    c = table.get_class(name)
-    if c is None or c.super_class is None:
-        return None
-    if not spec.specifies(c.super_class.name):
-        return None
-    return c.super_class.name
-
-
-def getter_reachable(
-    plan: ExposurePlan, table: ClassTable, spec: InvariantSpec, name: str, var: str
-) -> bool:
-    """Is a getter for `var` declared on class `name`'s exposure interface or
-    one of its super-interfaces?"""
-    cur: str | None = name
-    while cur is not None:
-        entry = plan.per_class.get(cur)
-        if entry is not None and var in entry.signature_names():
-            return True
-        cur = _specified_super(table, cur, spec)
-    return False
+        chain = specified_chain(table, c, spec)
+        for depth, cname in enumerate(chain):
+            if cname in planned:
+                continue
+            inherited: set[str] = set()
+            if depth:
+                parent = planned[chain[depth - 1]]
+                inherited = parent.inherited_exposed | parent.bound_vars | parent.free_vars
+            decl = table.get_class(cname)
+            planned[cname] = ClassExposure(
+                own_signatures=interface_body(decl, spec, table, inherited),
+                inherited_exposed=inherited,
+                free_vars=class_free_vars(cname, spec),
+                bound_vars=bound_vars(decl),
+                chain=chain[: depth + 1],
+            )
+    return ExposurePlan({name: planned[name] for name in spec.classes()})
 
 
 def verify_exposure(
@@ -176,7 +163,7 @@ def verify_exposure(
     diags: list[Diagnostic] = []
     for name, entry in plan.per_class.items():
         for var in sorted(entry.free_vars):
-            if not getter_reachable(plan, table, spec, name, var):
+            if plan.getter_owner(name, var) is None:
                 diags.append(
                     Diagnostic(
                         "exposure-gap",
@@ -184,9 +171,6 @@ def verify_exposure(
                         "interface of %s" % (var, name),
                     )
                 )
-        c = table.get_class(name)
-        if c is None:
-            continue
         chain = table.class_chain(name)[1:]
         # Triviality applies to classes below some specified class; its
         # hypothesis needs the whole ancestor chain specified and predicates

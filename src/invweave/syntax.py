@@ -12,8 +12,8 @@ from equality so that parse/print round-trips compare structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Optional, Union
 
 PUBLIC = "public"
 PROTECTED = "protected"
@@ -314,7 +314,8 @@ Stmt = Union[
 # ---------------------------------------------------------------------------
 
 # The fields of each Expr/Stmt class that hold child nodes, in source order.
-# A field holds a node, a list of nodes, or None.
+# A field holds a node, a list of nodes, or None.  This one table drives both
+# `walk` and `rebuild`.
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     IntLit: (),
     BoolLit: (),
@@ -357,6 +358,28 @@ def walk(node: Union[Expr, Stmt]) -> Iterator[Union[Expr, Stmt]]:
                 stack.extend(reversed(child))
             elif child is not None:
                 stack.append(child)
+
+
+Node = Union[Expr, Stmt]
+
+
+def rebuild(node: Node, fn: Callable[[Node], Node]) -> Node:
+    """A copy of `node` built children-first: each node is copied with
+    `dataclasses.replace` onto its rebuilt children, and `fn` of the copy
+    takes its place.  Source positions are kept; `node` is left unchanged.
+    Iterative, so nesting depth is not bounded by the Python stack."""
+    copies: dict[int, Node] = {}
+    # Reversed pre-order reaches every child before its parent.
+    for n in reversed(list(walk(node))):
+        changes = {}
+        for name in _CHILD_FIELDS[type(n)]:
+            child = getattr(n, name)
+            if isinstance(child, list):
+                changes[name] = [copies[id(c)] for c in child]
+            elif child is not None:
+                changes[name] = copies[id(child)]
+        copies[id(n)] = fn(replace(n, **changes))
+    return copies[id(node)]
 
 
 # ---------------------------------------------------------------------------

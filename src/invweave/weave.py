@@ -27,7 +27,7 @@ phase, method).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, WeaveError, errors_only
 from .exposure import (
@@ -57,7 +57,7 @@ from .syntax import (
     MethodDecl,
     NamedType,
     NewObject,
-    NullLit,
+    Node,
     Param,
     ReflectGet,
     ReturnStmt,
@@ -75,7 +75,7 @@ from .syntax import (
     VarRead,
     ViolationStmt,
     WhileStmt,
-    walk,
+    rebuild,
 )
 from .typecheck import ClassTable, typecheck_program
 
@@ -160,12 +160,6 @@ def _specified_in_unit_order(unit: SourceUnit, spec: InvariantSpec) -> list[Clas
     return [c for c in unit.classes if spec.specifies(c.name)]
 
 
-def _specified_super_name(table: ClassTable, spec: InvariantSpec, c: ClassDecl) -> str | None:
-    if c.super_class is None or not spec.specifies(c.super_class.name):
-        return None
-    return c.super_class.name
-
-
 def choose_names(table: ClassTable, spec: InvariantSpec, plan: ExposurePlan) -> WeaveNaming:
     unit = table.unit
     naming = WeaveNaming()
@@ -196,15 +190,13 @@ def choose_names(table: ClassTable, spec: InvariantSpec, plan: ExposurePlan) -> 
         key=lambda c: len(table.class_chain(c.name)),
     )
     for c in ordered:
-        chain_taken: set[str] = set()
-        anc = _specified_super_name(table, spec, c)
-        while anc is not None:
-            entry = plan.per_class[anc]
-            for fname, _ in entry.own_signatures:
-                chain_taken.add(naming.getter_names[(anc, fname)])
-            anc_decl = table.get_class(anc)
-            anc = _specified_super_name(table, spec, anc_decl) if anc_decl else None
-        for fname, _ in plan.per_class[c.name].own_signatures:
+        entry = plan.per_class[c.name]
+        chain_taken = {
+            naming.getter_names[(anc, fname)]
+            for anc in entry.chain[:-1]
+            for fname, _ in plan.per_class[anc].own_signatures
+        }
+        for fname, _ in entry.own_signatures:
             base = "_get_" + fname
             if base in all_method_names or base in chain_taken:
                 name = getter_supply.fresh(base)
@@ -298,18 +290,13 @@ def _fail_block(visitor_name: str, phase: Expr, method: Expr) -> list[Stmt]:
 
 
 def gen_exposure_interface(
-    c: ClassDecl,
-    plan: ExposurePlan,
-    naming: WeaveNaming,
-    table: ClassTable,
-    spec: InvariantSpec,
+    c: ClassDecl, plan: ExposurePlan, naming: WeaveNaming
 ) -> InterfaceDecl:
     entry = plan.per_class[c.name]
     extends: list[NamedType] = []
-    sup_name = _specified_super_name(table, spec, c)
-    if sup_name is not None:
+    if len(entry.chain) > 1:
         assert c.super_class is not None
-        extends.append(NamedType(naming.interface_names[sup_name], c.super_class.args))
+        extends.append(NamedType(naming.interface_names[entry.chain[-2]], c.super_class.args))
     methods = [
         MethodDecl(
             name=naming.getter(c.name, fname),
@@ -340,20 +327,6 @@ class _ClassStats:
     inherited_members: int = 0
 
 
-def _interface_chain(
-    table: ClassTable, spec: InvariantSpec, c: ClassDecl
-) -> list[str]:
-    """Specified classes whose interfaces ExposedC implements, root first."""
-    chain: list[str] = []
-    cur: ClassDecl | None = c
-    while cur is not None:
-        chain.append(cur.name)
-        sup = _specified_super_name(table, spec, cur)
-        cur = table.get_class(sup) if sup is not None else None
-    chain.reverse()
-    return chain
-
-
 def _public_methods_to_wrap(
     table: ClassTable, c: ClassDecl
 ) -> list[tuple[str, MethodDecl, str]]:
@@ -377,7 +350,6 @@ def _public_methods_to_wrap(
 def gen_exposed_class(
     c: ClassDecl,
     iface: InterfaceDecl,
-    spec: InvariantSpec,
     naming: WeaveNaming,
     table: ClassTable,
     plan: ExposurePlan,
@@ -507,7 +479,7 @@ def gen_exposed_class(
             stats.inherited_members += 1
     # (7) getters for the whole interface chain, root-first.
     getters: list[MethodDecl] = []
-    for owner in _interface_chain(table, spec, c):
+    for owner in plan.per_class[c.name].chain:
         for fname, _ftype in plan.per_class[owner].own_signatures:
             hit = table.find_field(c.self_type(), fname)
             assert hit is not None
@@ -548,15 +520,7 @@ def gen_exposed_class(
 def _compile_predicate_expr(e: Expr) -> Expr:
     """Predicate expression -> checker expression: root identifiers stay as
     local reads (bound from getters), navigation becomes reflective reads."""
-    if isinstance(e, FieldAccess):
-        return ReflectGet(_compile_predicate_expr(e.obj), e.name)
-    if isinstance(e, Binary):
-        return Binary(e.op, _compile_predicate_expr(e.left), _compile_predicate_expr(e.right))
-    if isinstance(e, Unary):
-        return Unary(e.op, _compile_predicate_expr(e.operand))
-    if isinstance(e, (VarRead, IntLit, BoolLit, StringLit, NullLit)):
-        return e
-    raise TypeError("unexpected predicate node %r" % type(e).__name__)
+    return rebuild(e, lambda n: ReflectGet(n.obj, n.name) if isinstance(n, FieldAccess) else n)
 
 
 def _record_call(class_name: str, index: int) -> Stmt:
@@ -615,10 +579,10 @@ def gen_visitor(
 
     visit_methods: list[MethodDecl] = []
     for c in specified:
+        chain = plan.per_class[c.name].chain
         body: list[Stmt] = []
-        sup_name = _specified_super_name(table, spec, c)
-        if sup_name is not None:
-            body.append(ExprStmt(_this_call("visit_" + sup_name, [VarRead("obj")])))
+        if len(chain) > 1:
+            body.append(ExprStmt(_this_call("visit_" + chain[-2], [VarRead("obj")])))
         fv = class_free_vars_ordered(c.name, spec)
         preds = spec.predicates(c.name)
         if preds:
@@ -626,7 +590,7 @@ def gen_visitor(
             for var in fv:
                 hit = table.find_field(c.self_type(), var)
                 assert hit is not None
-                owner = _getter_owner(table, spec, plan, c, var)
+                owner = plan.getter_owner(c.name, var)
                 inner.append(
                     LocalDecl(
                         hit.type,
@@ -722,23 +686,6 @@ def gen_visitor(
     )
 
 
-def _getter_owner(
-    table: ClassTable,
-    spec: InvariantSpec,
-    plan: ExposurePlan,
-    c: ClassDecl,
-    var: str,
-) -> str:
-    cur: ClassDecl | None = c
-    while cur is not None:
-        entry = plan.per_class.get(cur.name)
-        if entry is not None and var in entry.signature_names():
-            return cur.name
-        sup = _specified_super_name(table, spec, cur)
-        cur = table.get_class(sup) if sup is not None else None
-    raise LookupError("no getter owner for %s.%s" % (c.name, var))
-
-
 # ---------------------------------------------------------------------------
 # Whole-program weaving and the space report
 # ---------------------------------------------------------------------------
@@ -768,10 +715,10 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
     exposed: list[ClassDecl] = []
     stats: dict[str, _ClassStats] = {}
     for c in _specified_in_unit_order(unit, spec):
-        iface = gen_exposure_interface(c, plan, naming, table, spec)
+        iface = gen_exposure_interface(c, plan, naming)
         interfaces.append(iface)
         st = _ClassStats()
-        exposed.append(gen_exposed_class(c, iface, spec, naming, table, plan, st))
+        exposed.append(gen_exposed_class(c, iface, naming, table, plan, st))
         stats[c.name] = st
     visitor = gen_visitor(table, spec, plan, naming)
 
@@ -784,7 +731,7 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
         source_unit=unit,
         spec=spec,
     )
-    artifacts.report = _build_report(table, artifacts, stats)
+    artifacts.report = _build_report(plan, artifacts, stats)
 
     merged_diags = errors_only(typecheck_program(artifacts.merged_unit()))
     if merged_diags:
@@ -794,39 +741,20 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
     return artifacts
 
 
-def specified_chain_depth(table: ClassTable, spec: InvariantSpec, name: str) -> int:
-    """Consecutive specified strict ancestors of `name`."""
-    depth = 0
-    cur = table.get_class(name)
-    while cur is not None:
-        sup = _specified_super_name(table, spec, cur)
-        if sup is None:
-            break
-        depth += 1
-        cur = table.get_class(sup)
-    return depth
-
-
 def _build_report(
-    table: ClassTable, artifacts: WovenArtifacts, stats: dict[str, _ClassStats]
+    plan: ExposurePlan, artifacts: WovenArtifacts, stats: dict[str, _ClassStats]
 ) -> GenerationReport:
-    unit, spec = artifacts.source_unit, artifacts.spec
-    specified = _specified_in_unit_order(unit, spec)
+    specified = _specified_in_unit_order(artifacts.source_unit, artifacts.spec)
     report = GenerationReport()
-    iface_by_class = {
-        c.name: i for c, i in zip(specified, artifacts.interfaces)
-    }
     for c in specified:
         st = stats[c.name]
         report.per_class[c.name] = {
             "getters": st.getters,
             "wrappers": st.wrappers,
-            "interface_signatures": len(iface_by_class[c.name].methods),
+            "interface_signatures": len(plan.per_class[c.name].own_signatures),
             "inherited_members": st.inherited_members,
         }
-    report.depth = max(
-        (specified_chain_depth(table, spec, c.name) for c in specified), default=0
-    )
+    report.depth = max((len(plan.per_class[c.name].chain) - 1 for c in specified), default=0)
     report.max_new_members = max(
         (len(c.fields) + len(c.methods) for c in specified), default=0
     )
@@ -846,22 +774,20 @@ def space_report(artifacts: WovenArtifacts) -> GenerationReport:
 def swap_driver_constructors(unit: SourceUnit, artifacts: WovenArtifacts) -> SourceUnit:
     """A copy of `unit` whose driver constructs Exposed variants of specified
     concrete classes; everything else is shared."""
-    import copy
-
     if unit.driver is None:
         return unit
-    swapped = SourceUnit(
-        classes=unit.classes, interfaces=unit.interfaces, driver=copy.deepcopy(unit.driver)
-    )
     exposed = artifacts.naming.exposed_names
     swap = {
         c.name: exposed[c.name] for c in unit.classes if not c.is_abstract and c.name in exposed
     }
-    for s in swapped.driver.body:
-        for e in walk(s):
-            if isinstance(e, NewObject) and e.type.name in swap:
-                e.type = NamedType(swap[e.type.name], e.type.args)
-    return swapped
+
+    def swap_new(e: Node) -> Node:
+        if isinstance(e, NewObject) and e.type.name in swap:
+            return replace(e, type=NamedType(swap[e.type.name], e.type.args))
+        return e
+
+    driver = replace(unit.driver, body=[rebuild(s, swap_new) for s in unit.driver.body])
+    return SourceUnit(classes=unit.classes, interfaces=unit.interfaces, driver=driver)
 
 
 def render_artifacts(artifacts: WovenArtifacts) -> dict[str, str]:

@@ -13,8 +13,6 @@ from invweave.exposure import (
     bound_vars,
     class_free_vars,
     compute_plan,
-    getter_reachable,
-    inherited_exposed,
     verify_exposure,
 )
 from invweave.interp import run_program
@@ -23,7 +21,6 @@ from invweave.syntax import merge_units
 from invweave.typecheck import ClassTable, typecheck_program
 from invweave.weave import (
     render_artifacts,
-    specified_chain_depth,
     swap_driver_constructors,
     weave_program,
 )
@@ -146,7 +143,7 @@ def test_criterion_4_definitions_and_propositions(chain_corpus):
             assert entry.signature_names() == (bv | fv) - inherited, c.name
             # exposure lookup succeeds for every free variable
             for var in fv:
-                assert getter_reachable(plan, table, spec, c.name, var), (c.name, var)
+                assert plan.getter_owner(c.name, var) is not None, (c.name, var)
             # triviality on fully-specified chains: the body is exactly the
             # class's own fields, and FV \ I = BV holds literally (every own
             # field occurs in the class's own predicates by construction)
@@ -154,7 +151,7 @@ def test_criterion_4_definitions_and_propositions(chain_corpus):
                 assert entry.signature_names() == bv, c.name
                 assert fv - inherited == bv, c.name
             # the recursion agrees with a memoized-recursion oracle
-            assert inherited_exposed(c, unit, spec) == _memo_oracle(
+            assert plan.per_class[c.name].inherited_exposed == _memo_oracle(
                 table, spec, c.name, memo_oracle
             ), c.name
             checked += 1
@@ -236,9 +233,9 @@ def test_criterion_6_space_bound(chain_corpus):
     for unit, spec, artifacts in chain_corpus:
         report = artifacts.report
         assert report.measured_redundant() <= report.formula_bound
-        table = ClassTable(unit)
+        plan = compute_plan(ClassTable(unit), spec)
         for name, counts in report.per_class.items():
-            depth = specified_chain_depth(table, spec, name)
+            depth = len(plan.per_class[name].chain) - 1
             assert counts["wrappers"] + counts["getters"] <= report.max_new_members * (
                 depth + 1
             ), name

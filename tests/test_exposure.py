@@ -2,17 +2,15 @@
 
 import random
 
+from invweave import exposure
 from invweave.exposure import (
     bound_vars,
     class_free_vars,
     compute_plan,
     free_vars,
-    getter_reachable,
-    inherited_exposed,
-    interface_body,
     verify_exposure,
 )
-from invweave.invspec import load_spec, parse_predicate
+from invweave.invspec import InvariantSpec, load_spec, parse_predicate
 from invweave.parser import parse_unit
 from invweave.syntax import NamedType, TypeVar
 from invweave.typecheck import ClassTable
@@ -50,16 +48,18 @@ def test_bound_vars_fieldless_class():
     assert bound_vars(unit.classes[0]) == set()
 
 
+def _entry(unit, spec, name):
+    return compute_plan(ClassTable(unit), spec).per_class[name]
+
+
 def test_inherited_exposed_no_specified_superclass():
     unit, spec = load_dlist()
-    al = unit.decl("AbstractList")
-    assert inherited_exposed(al, unit, spec) == set()
+    assert _entry(unit, spec, "AbstractList").inherited_exposed == set()
 
 
 def test_inherited_exposed_dlist():
     unit, spec = load_dlist()
-    dl = unit.decl("DLinkedList")
-    assert inherited_exposed(dl, unit, spec) == {"size"}
+    assert _entry(unit, spec, "DLinkedList").inherited_exposed == {"size"}
 
 
 def test_inherited_exposed_three_level_chain():
@@ -75,8 +75,7 @@ def test_inherited_exposed_three_level_chain():
         '{"name":"B","invariant":["b >= 0"]},'
         '{"name":"C","invariant":["c >= 0"]}]}'
     )
-    c = unit.decl("C")
-    assert inherited_exposed(c, unit, spec) == {"a", "b"}
+    assert _entry(unit, spec, "C").inherited_exposed == {"a", "b"}
 
 
 def test_inherited_exposed_stops_at_unspecified_ancestor():
@@ -91,9 +90,9 @@ def test_inherited_exposed_stops_at_unspecified_ancestor():
         '{"classes":[{"name":"A","invariant":["a >= 0"]},'
         '{"name":"C","invariant":["c >= 0"]}]}'
     )
-    c = unit.decl("C")
-    # B is unspecified, so the recursion bottoms out immediately.
-    assert inherited_exposed(c, unit, spec) == set()
+    # B is unspecified, so C's chain is C alone.
+    assert _entry(unit, spec, "C").inherited_exposed == set()
+    assert _entry(unit, spec, "C").chain == ["C"]
 
 
 def _inherited_oracle(table, cls, spec):
@@ -113,31 +112,67 @@ def test_inherited_exposed_matches_oracle_on_random_chains():
     for trial in range(60):
         unit, spec = make_chain_program(rng, depth=rng.randint(0, 8))
         table = ClassTable(unit)
+        plan = compute_plan(table, spec)
         for c in unit.classes:
-            assert inherited_exposed(c, unit, spec) == _inherited_oracle(table, c, spec), (
-                trial,
-                c.name,
-            )
+            want = _inherited_oracle(table, c, spec)
+            assert plan.per_class[c.name].inherited_exposed == want, (trial, c.name)
+
+
+def _chain_oracle(table, cls, spec):
+    """The class after its consecutive specified ancestors, root first."""
+    chain = [cls.name]
+    while cls.super_class is not None and spec.specifies(cls.super_class.name):
+        cls = table.get_class(cls.super_class.name)
+        chain.insert(0, cls.name)
+    return chain
+
+
+def test_plan_matches_oracles_on_chains_with_gaps(monkeypatch):
+    # Random classes are left out of the specification, so chains stop at
+    # gaps; each I(A) is still computed once, from the specified parent.
+    calls = []
+    counted = exposure.class_free_vars
+
+    def counting_class_free_vars(name, spec):
+        calls.append(name)
+        return counted(name, spec)
+
+    monkeypatch.setattr(exposure, "class_free_vars", counting_class_free_vars)
+    rng = random.Random(0x6A95)
+    gaps = 0
+    for trial in range(60):
+        unit, full = make_chain_program(rng, depth=rng.randint(0, 8))
+        kept = [n for n in full.classes() if rng.random() < 0.6] or [full.classes()[-1]]
+        spec = InvariantSpec({n: full.predicates(n) for n in kept})
+        table = ClassTable(unit)
+        calls.clear()
+        plan = compute_plan(table, spec)
+        assert sorted(calls) == sorted(kept), trial
+        assert list(plan.per_class) == kept
+        for name, entry in plan.per_class.items():
+            c = table.get_class(name)
+            assert entry.chain == _chain_oracle(table, c, spec), (trial, name)
+            assert entry.inherited_exposed == _inherited_oracle(table, c, spec), (trial, name)
+            gaps += len(entry.chain) < len(table.class_chain(name))
+    assert gaps > 0
 
 
 def test_interface_body_dlist():
     unit, spec = load_dlist()
-    table = ClassTable(unit)
-    dl = unit.decl("DLinkedList")
-    body = interface_body(dl, spec, table)
+    plan = compute_plan(ClassTable(unit), spec)
+    body = plan.per_class["DLinkedList"].own_signatures
     t = (TypeVar("T"),)
     assert body == [
         ("head", NamedType("DNode", t)),
         ("tail", NamedType("DNode", t)),
     ]
-    al = unit.decl("AbstractList")
-    assert interface_body(al, spec, table) == [("size", NamedType("int"))]
+    assert plan.per_class["AbstractList"].own_signatures == [("size", NamedType("int"))]
 
 
 def test_interface_body_fieldless_true_class():
     unit = parse_unit("class A { }")
     spec = load_spec('{"classes":[{"name":"A","invariant":["true"]}]}')
-    assert interface_body(unit.classes[0], spec, ClassTable(unit)) == []
+    assert _entry(unit, spec, "A").own_signatures == []
 
 
 def test_interface_body_includes_unspecified_ancestor_field():
@@ -150,8 +185,7 @@ def test_interface_body_includes_unspecified_ancestor_field():
         """
     )
     spec = load_spec('{"classes":[{"name":"Cooked","invariant":["x >= 0", "y >= 0"]}]}')
-    cooked = unit.decl("Cooked")
-    body = interface_body(cooked, spec, ClassTable(unit))
+    body = _entry(unit, spec, "Cooked").own_signatures
     assert ("x", NamedType("int")) in body
     assert ("y", NamedType("int")) in body
     # own fields first, then the inherited extra
@@ -201,7 +235,7 @@ def test_prop2_lookup_on_random_chains():
         plan = compute_plan(table, spec)
         for name, entry in plan.per_class.items():
             for var in entry.free_vars:
-                assert getter_reachable(plan, table, spec, name, var)
+                assert plan.getter_owner(name, var) is not None
 
 
 def test_fully_specified_reference_hypothesis_always_holds():

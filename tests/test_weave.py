@@ -1,5 +1,6 @@
 """Weaver structure, goldens, and whole-program properties."""
 
+import dataclasses
 import random
 
 import pytest
@@ -10,18 +11,19 @@ from invweave.invspec import load_spec
 from invweave.parser import parse_unit
 from invweave.printer import render_source
 from invweave.syntax import (
+    IntLit,
     NamedType,
     ReflectGet,
     ReturnStmt,
     SourceUnit,
     TypeVar,
     merge_units,
+    walk,
 )
 from invweave.typecheck import ClassTable, typecheck_program
 from invweave.weave import (
     render_artifacts,
     space_report,
-    specified_chain_depth,
     swap_driver_constructors,
     weave_program,
 )
@@ -316,9 +318,9 @@ def test_space_bound_on_random_chains():
         assert rep.depth == depth
         assert rep.max_new_members <= 7
         assert rep.measured_redundant() <= rep.formula_bound
-        table = ClassTable(unit)
+        plan = compute_plan(ClassTable(unit), spec)
         for name, counts in rep.per_class.items():
-            d = specified_chain_depth(table, spec, name)
+            d = len(plan.per_class[name].chain) - 1
             assert counts["wrappers"] + counts["getters"] <= rep.max_new_members * (d + 1)
 
 
@@ -481,6 +483,33 @@ def test_swap_reaches_trace_and_violation_arguments(dlist_artifacts):
     text = render_source(SourceUnit(driver=swapped.driver))
     assert "new DLinkedList" not in text
     assert text.count("new ExposedDLinkedList") == 2
+
+
+def _shape(stmts):
+    """Each node under `stmts` in pre-order, with the identity of every field
+    value: equal shapes mean nothing was replaced or mutated in place."""
+    return [
+        (id(n), [id(getattr(n, f.name)) for f in dataclasses.fields(n)])
+        for s in stmts
+        for n in walk(s)
+    ]
+
+
+def test_swap_copies_a_deep_driver_and_leaves_the_input_unchanged(dlist_artifacts):
+    unit, _, art = dlist_artifacts
+    driver = parse_unit(
+        "driver { DLinkedList<int> l = new DLinkedList<int>(); int x = %s; }"
+        % " + ".join(["1"] * 4000)
+    )
+    source = merge_units([unit, driver])
+    before = _shape(source.driver.body)
+    swapped = swap_driver_constructors(source, art)
+    assert _shape(source.driver.body) == before
+    assert source.driver.body[0].init.type.name == "DLinkedList"
+    assert swapped.driver.body[0].init.type.name == "ExposedDLinkedList"
+    copied = [n for s in swapped.driver.body for n in walk(s)]
+    assert sum(isinstance(n, IntLit) for n in copied) == 4000
+    assert not {id(n) for n in copied} & {id(n) for s in source.driver.body for n in walk(s)}
 
 
 def test_weave_builds_one_class_table_per_unit(monkeypatch):
