@@ -5,14 +5,18 @@ Objects hold a flat `name -> value` field dict copied from a per-class
 zero-value layout (shadowing is rejected, so a name is one slot along a class
 chain).  Each class has one vtable (`name -> most-derived implementation`)
 that serves both dispatch and `super.m(...)`.  A body is compiled into
-closures over the call frame the first time it runs, with locals resolved to
-frame slots; the driver is compiled one statement at a time, so a run pays
-only for code it reaches and keeps none it has finished with.  Compiled code
-reaches run state through the frame, never holding the Interpreter, so a
-finished run is freed by reference counting.  A read path (`n.next.prev`) is
-one closure, which also stores or compares its value; operators read locals
-and fields every `this` has inline; objects compare by identity through
-Python's `==`: a woven invariant loop makes five Python calls per list node.
+closures over the call frame the first time any run reaches it, with locals
+resolved to frame slots.  The code is kept for later runs of any unit that
+holds the same declaration object: it depends only on the declaration, the
+names of its class and superclass and the fields of its class's objects,
+and it lives as long as the declaration does (declarations are never
+changed once run, see `syntax`).  The driver is compiled one statement at a
+time and not kept.  Compiled code reaches run state through the frame and
+holds no Interpreter or class declaration, so a finished run is freed by
+reference counting.  A read path (`n.next.prev`) is one closure, which also
+stores or compares its value; operators read locals and fields every `this`
+has inline; objects compare by identity through Python's `==`: a woven
+invariant loop makes five Python calls per list node.
 
 Dispatch always selects the most-derived override, so `this`-calls made
 inside original method bodies land on woven wrappers - exactly the mechanism
@@ -35,6 +39,7 @@ from .syntax import (
     Binary,
     ClassDecl,
     ConstructorDecl,
+    DeclMemo,
     FieldAccess,
     MethodDecl,
     NamedType,
@@ -417,7 +422,10 @@ class _Compiler:
         if isinstance(e.receiver, SuperExpr):
             if owner is None:
                 return _fault_after(args, "super call outside a method")
-            return lambda f: f.rt._super_call(f.this, owner, name, [a(f) for a in args])
+            if owner.super_class is None:
+                return _fault_after(args, "no superclass for %s" % owner.name)
+            parent, below = owner.super_class.name, owner.name  # names, not declarations
+            return lambda f: f.rt._super_call(f.this, parent, below, name, [a(f) for a in args])
         if e.receiver is None:
             if owner is None:
                 return _fault_after(args, "call of %r outside a class" % name)
@@ -477,9 +485,30 @@ _STMT_RULES = {n[5:]: rule for n, rule in vars(_Compiler).items() if n.startswit
 _EXPR_RULES = {n[5:]: rule for n, rule in vars(_Compiler).items() if n.startswith("expr_")}
 
 
+# method or constructor declaration -> {(class name, superclass name, field
+# names of the class's objects): (code, number of frame slots)}
+_COMPILED = DeclMemo()
+
+
+def _compiled(
+    owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict
+) -> tuple[_Code, int]:
+    """The code of `decl`, declared in `owner` whose objects have the fields of
+    `layout`: compiled the first time any run asks for it."""
+    views = _COMPILED.get(decl)
+    if views is None:
+        _COMPILED.put(decl, views := {})
+    view = (owner.name, owner.super_class and owner.super_class.name, tuple(layout))
+    code = views.get(view)
+    if code is None:
+        compiler = _Compiler(owner, decl.params, layout)
+        code = views[view] = compiler.block(decl.body), compiler.nslots  # type: ignore[arg-type]
+    return code
+
+
 @dataclass(slots=True)
 class _Body:
-    """A method or constructor with its declaring class, compiled on first run."""
+    """A method or constructor with its declaring class; its code, once a run needs it."""
 
     owner: ClassDecl
     decl: Union[MethodDecl, ConstructorDecl]
@@ -489,8 +518,7 @@ class _Body:
         """The body's code and a fresh frame for it (the caller runs the code,
         which keeps one Python frame per MiniOO call off the stack)."""
         if self.code is None:
-            compiler = _Compiler(self.owner, self.decl.params, rt._classes[self.owner.name].layout)
-            self.code = compiler.block(self.decl.body), compiler.nslots  # type: ignore[arg-type]
+            self.code = _compiled(self.owner, self.decl, rt._classes[self.owner.name].layout)
         run, nslots = self.code
         return run, _Frame(rt, this, args + [None] * (nslots - len(args)))
 
@@ -595,13 +623,12 @@ class Interpreter:
             )
         return self._invoke(m, receiver, args)
 
-    def _super_call(self, receiver: ObjectInstance, owner: ClassDecl, name: str, args: list):
-        if owner.super_class is None:
-            raise MiniOORuntimeError("no superclass for %s" % owner.name)
-        c = self._class(owner.super_class.name)
+    def _super_call(self, receiver: ObjectInstance, parent: str, below: str, name: str, args: list):
+        """`super.name(args)` in a body of class `below`, whose superclass is `parent`."""
+        c = self._class(parent)
         m = None if c is None else c.vtable.get(name)
         if m is None:
-            raise MiniOORuntimeError("no implementation of %r above %s" % (name, owner.name))
+            raise MiniOORuntimeError("no implementation of %r above %s" % (name, below))
         return self._invoke(m, receiver, args)
 
     def _invoke(self, m: _Body, receiver: ObjectInstance, args: list):

@@ -8,12 +8,18 @@ so everything here round-trips through the canonical printer.
 
 Source positions (`line`, `col`) are carried for diagnostics but excluded
 from equality so that parse/print round-trips compare structurally.
+
+A declaration is not changed once it has been checked or run: code that
+needs a variant builds a new node (`rebuild`, `dataclasses.replace`).  The
+checker and the interpreter rely on this to remember, per declaration
+object (`DeclMemo`), what they have already worked out about it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 PUBLIC = "public"
 PROTECTED = "protected"
@@ -502,3 +508,25 @@ def merge_units(units: list[SourceUnit], driver_from: Optional[int] = None) -> S
     elif len(drivers) > 1:
         raise ValueError("multiple driver blocks; select one explicitly")
     return merged
+
+
+class DeclMemo:
+    """A map from declaration objects, by identity, to what has been worked
+    out about them.  It holds each declaration weakly: an entry goes when
+    its declaration is freed, so a value must not refer to its declaration."""
+
+    def __init__(self) -> None:
+        self._entries: dict[int, tuple[weakref.ref, Any]] = {}
+
+    def get(self, decl: object) -> Any:
+        entry = self._entries.get(id(decl))
+        return None if entry is None or entry[0]() is not decl else entry[1]
+
+    def put(self, decl: object, value: Any) -> None:
+        key, entries = id(decl), self._entries
+
+        def drop(ref: weakref.ref) -> None:
+            if entries.get(key, (None,))[0] is ref:  # not a later object with the same id
+                del entries[key]
+
+        entries[key] = (weakref.ref(decl, drop), value)

@@ -14,10 +14,23 @@ substitution) from its superclass type's map plus its own members, and
 memoises class chains, supertype instances and closures.  A table lives for
 one check or one weave of an unchanging unit.  Expression rules are chosen
 by node type.
+
+Each class or interface is checked once for all the units it goes into.  A
+unit that checks with no diagnostic leaves a clean verdict on each of its
+declarations, recording (weakly) the declarations of that unit.  MiniOO
+resolves names nominally, with no overloading, no field shadowing and no
+open classes, so the verdict holds in any later unit that contains all of
+those declaration objects and declares no name twice: such a unit re-checks
+only its other declarations, its driver and its inheritance cycles, and
+reports the same diagnostics in the same order as a full check.  A
+declaration whose check let an undeclared name stand for a type variable
+(see `check_type`) gets no verdict, since declaring that name would change
+its check.  Declarations are never changed once checked (see `syntax`).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -31,6 +44,7 @@ from .syntax import (
     BOOL,
     ClassDecl,
     ConstructorDecl,
+    DeclMemo,
     Expr,
     ExprStmt,
     FieldAccess,
@@ -341,10 +355,13 @@ class _Scope:
 
 
 class _Checker:
-    def __init__(self, unit: SourceUnit, table: ClassTable):
+    def __init__(self, unit: SourceUnit, table: ClassTable, reused: set[int]):
         self.unit = unit
         self.table = table
         self.diags: list[Diagnostic] = []
+        self.reused = reused  # ids of declarations with a clean verdict that holds here
+        self.decl: object = None  # the declaration under check
+        self.unsure: set[int] = set()  # ids of declarations no verdict may be kept for
         # per-member state
         self.current_class: Optional[ClassDecl] = None
         self.self_t: Optional[NamedType] = None  # current_class.self_type(), built once
@@ -376,6 +393,7 @@ class _Checker:
         if decl is None:
             if t.name in scope_vars:
                 # A weaver-built tree may use NamedType for a variable name.
+                self.unsure.add(id(self.decl))
                 return
             self.error("unknown-name", "unknown type %r" % t.name, node)
             return
@@ -393,19 +411,23 @@ class _Checker:
 
     def check_unit(self) -> list[Diagnostic]:
         for idecl in self.unit.interfaces:
-            self.check_interface(idecl)
+            if id(idecl) not in self.reused:
+                self.check_interface(idecl)
         for cdecl in self.unit.classes:
-            self.check_class_header(cdecl)
+            if id(cdecl) not in self.reused:
+                self.check_class_header(cdecl)
         # Member checks only make sense over a well-formed hierarchy.
         if self.diags:
             return self.diags
         for cdecl in self.unit.classes:
-            self.check_class_members(cdecl)
+            if id(cdecl) not in self.reused:
+                self.check_class_members(cdecl)
         if self.unit.driver is not None:
             self.check_driver()
         return self.diags
 
     def check_interface(self, idecl: InterfaceDecl) -> None:
+        self.decl = idecl
         scope = set(idecl.type_params)
         for e in idecl.extends:
             self.check_type(e, scope, idecl)
@@ -425,6 +447,7 @@ class _Checker:
                 self.check_type(m.return_type, mscope, m)
 
     def check_class_header(self, cdecl: ClassDecl) -> None:
+        self.decl = cdecl
         scope = set(cdecl.type_params)
         if cdecl.super_class is not None:
             self.check_type(cdecl.super_class, scope, cdecl)
@@ -456,7 +479,7 @@ class _Checker:
                 self.check_type(p.type, scope, cdecl.constructor)
 
     def check_class_members(self, cdecl: ClassDecl) -> None:
-        self.current_class = cdecl
+        self.decl = self.current_class = cdecl
         self.self_t = self_t = cdecl.self_type()
         # Field shadowing up the chain.
         chain = self.table.class_chain(cdecl.name)
@@ -648,7 +671,7 @@ class _Checker:
             )
 
     def check_driver(self) -> None:
-        self.current_class = None
+        self.decl = self.current_class = None
         self.method_type_params = set()
         self.return_type = None
         self.in_constructor = False
@@ -1116,13 +1139,45 @@ def None_to_void(ret: Optional[TypeExpr], sub: TypeSubstitution) -> TypeExpr:
     return substitute(sub, ret)
 
 
+# declaration -> weak references to the declarations of a unit it checked clean in
+_CLEAN = DeclMemo()
+
+
+def _reusable(decls: list) -> set[int]:
+    """The ids of those of `decls` whose clean verdict holds in a unit of `decls`."""
+    if len({d.name for d in decls}) < len(decls):
+        return set()
+    ids = {id(d) for d in decls}
+    fits: dict[int, bool] = {}  # id of a verdict's record -> whether `decls` has all of it
+    out = set()
+    for d in decls:
+        record = _CLEAN.get(d)
+        if record is not None:
+            fit = fits.get(id(record))
+            if fit is None:
+                fit = fits[id(record)] = all(id(ref()) in ids for ref in record)
+            if fit:
+                out.add(id(d))
+    return out
+
+
 def typecheck_program(unit: SourceUnit, table: Optional[ClassTable] = None) -> list[Diagnostic]:
     """Type-check a unit; empty result means well-typed.  A unit that did not
     pass `validate_structure`, such as one built by `merge_units`, may have
     an inheritance cycle: it gets the parser's diagnostic for it instead.
-    `table`, if given, must be the unit's; the check fills its lookups."""
+    `table`, if given, must be the unit's; the check fills its lookups.
+    Declarations with a clean verdict that holds in `unit` are not checked
+    again (see the module docstring)."""
     try:
         check_cycles(unit)
     except ParseError as exc:
         return [exc.diagnostic]
-    return _Checker(unit, table if table is not None else ClassTable(unit)).check_unit()
+    decls = [*unit.classes, *unit.interfaces]
+    checker = _Checker(unit, table if table is not None else ClassTable(unit), _reusable(decls))
+    diags = checker.check_unit()
+    fresh = [d for d in decls if id(d) not in checker.reused and id(d) not in checker.unsure]
+    if fresh and not diags:
+        record = tuple(weakref.ref(d) for d in decls)
+        for d in fresh:
+            _CLEAN.put(d, record)
+    return diags

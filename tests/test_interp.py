@@ -1,6 +1,9 @@
 """Interpreter semantics: dispatch, reflection, gating, and the woven runs."""
 
+import gc
+import random
 import sys
+import weakref
 
 import pytest
 
@@ -12,9 +15,10 @@ from invweave.interp import (
 from invweave.invspec import load_spec
 from invweave.parser import parse_unit
 from invweave.syntax import merge_units
+from invweave.typecheck import typecheck_program
 from invweave.weave import weave_program
 
-from helpers import dlist_driver, load_dlist, run_woven
+from helpers import dlist_driver, load_dlist, make_chain_program, run_woven
 
 
 def run_src(source: str, trace: bool = False):
@@ -348,6 +352,9 @@ def test_inheritance_cycle_in_merged_unit_is_a_runtime_fault():
 
 
 def _python_calls(unit) -> int:
+    """Python calls made by a run of `unit` whose bodies are already compiled,
+    so that only running is counted: a first run compiles what it reaches."""
+    run_program(unit)
     calls = 0
     def count(frame, event, arg):
         nonlocal calls
@@ -574,3 +581,40 @@ def test_object_ids_are_allocation_ordered():
         """
     )
     assert res.output == ["A@1", "A@2"]
+
+
+def test_one_declaration_runs_on_code_for_each_layout():
+    # The same B object under three A's: its body reads `this.x` inline where
+    # every B has an `x`, and must check for it where none has.
+    b = parse_unit("class B extends A { public int get() { return this.x + 1; } }")
+    driver = parse_unit("driver { B b = new B(); print(b.get()); }")
+    units = [
+        merge_units([parse_unit(a), b, driver])
+        for a in (
+            "class A { public int x; public A() { x = 1; } }",
+            "class A { public int y; }",
+            "class A { public int y; public int x; public A() { x = 2; } }",
+        )
+    ]
+    assert run_program(units[0]).output == ["2"]
+    with pytest.raises(MiniOORuntimeError, match="no such field 'x' on B"):
+        run_program(units[1])
+    assert run_program(units[2]).output == ["3"]
+    assert run_program(units[0]).output == ["2"]
+
+
+def test_checked_and_run_declarations_are_freed_with_their_units():
+    unit, spec = make_chain_program(random.Random(5), 3)
+    artifacts = weave_program(unit, spec)  # checks the chain, then the woven unit
+    deepest = artifacts.exposed_classes[-1]
+    calls = "".join(" c.%s();" % m.name for m in deepest.methods if m.visibility == "public")
+    driver = parse_unit("driver { %s c = new %s();%s }" % (deepest.name, deepest.name, calls))
+    merged = merge_units([unit, artifacts.declarations_unit(), driver])
+    assert typecheck_program(merged) == []
+    assert run_program(merged, check_trace=True).trace  # the wrappers it ran call super
+    decls = merged.classes + merged.interfaces
+    members = [m for d in decls for m in d.methods] + [c.constructor for c in merged.classes]
+    refs = [weakref.ref(d) for d in decls + [m for m in members if m is not None]]
+    del unit, spec, artifacts, deepest, driver, merged, decls, members
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)

@@ -1,9 +1,12 @@
+import copy
+from dataclasses import replace
+
 import pytest
 
 from invweave.diagnostics import ParseError
 from invweave.parser import parse_unit, validate_structure
-from invweave.syntax import NamedType, merge_units
-from invweave.typecheck import ClassTable, typecheck_program
+from invweave.syntax import NamedType, Param, SourceUnit, merge_units
+from invweave.typecheck import ClassTable, _reusable, typecheck_program
 
 from helpers import dlist_driver, load_dlist
 
@@ -419,3 +422,98 @@ def test_visibility_matrix(visibility, site, ok):
         assert diags == []
     else:
         assert "visibility" in codes(diags)
+
+
+# ---------------------------------------------------------------------------
+# Clean verdicts carried over to merged units
+# ---------------------------------------------------------------------------
+
+
+def reused(unit) -> set[str]:
+    """Names of the declarations whose clean verdict `unit` would reuse."""
+    decls = [*unit.classes, *unit.interfaces]
+    ids = _reusable(decls)
+    return {d.name for d in decls if id(d) in ids}
+
+
+def check_as_full(unit):
+    """Check `unit`, and a deep copy of it, whose new identities have no verdicts."""
+    fresh = copy.deepcopy(unit)
+    assert reused(fresh) == set()
+    diags = typecheck_program(unit)
+    assert diags == typecheck_program(fresh)
+    return diags
+
+
+def test_memo_refuses_a_unit_that_redeclares_a_base_name():
+    base = parse_unit(
+        "class A { public int x; }\nclass B extends A { public int get() { return x; } }"
+    )
+    assert typecheck_program(base) == []
+    merged = merge_units([base, parse_unit("class A { public string y; }")])
+    assert reused(merged) == set()
+    # The later A hides the first, so B's body no longer finds `x`.
+    assert codes(check_as_full(merged)) == ["unknown-name"]
+
+
+def test_memo_checks_a_bad_override_of_a_reused_base():
+    base = parse_unit("class A { public int f() { return 1; } }")
+    assert typecheck_program(base) == []
+    part = parse_unit('class B extends A { public string f() { return "s"; } }')
+    merged = merge_units([base, part])
+    assert reused(merged) == {"A"}
+    diags = check_as_full(merged)
+    assert [d.message for d in diags] == ["override of 'f' does not match the inherited signature"]
+
+
+def test_memo_never_reuses_a_base_that_checked_dirty():
+    base = parse_unit("class A { public int f() { return true; } }\nclass C { }")
+    dirty = typecheck_program(base)
+    assert codes(dirty) == ["type-mismatch"]
+    merged = merge_units([base, parse_unit("class B extends A { }")])
+    assert reused(merged) == set()
+    assert check_as_full(merged) == dirty
+    assert typecheck_program(base) == dirty
+
+
+def test_memo_keeps_no_verdict_that_let_a_name_stand_for_a_type_variable():
+    # A weaver-built tree may spell a type variable as a NamedType; declaring
+    # a class of that name later changes what the name means.
+    box = parse_unit("class Box<T> { public void put(T x) { } }").classes[0]
+    put = box.methods[0]
+    box = replace(box, methods=[replace(put, params=[Param("x", NamedType("T"))])])
+    alone = SourceUnit(classes=[box])
+    assert typecheck_program(alone) == []
+    merged = merge_units([alone, parse_unit("class T<U> { }")])
+    assert reused(merged) == set()
+    assert [str(d) for d in check_as_full(merged)] == [
+        "1:28: error [arity] T expects 1 type argument(s), got 0"
+    ]
+
+
+@pytest.mark.parametrize(
+    "new",
+    [
+        # header errors: the member pass never runs
+        "class X { public Nope n; }\nclass Y extends A { public int f(Missing m) { return 1; } }\n"
+        "interface J { Gone g(); }",
+        # member errors only
+        'class X { public int f() { return "s"; } }\n'
+        "class Y extends A { public bool g() { return h; } }\n"
+        "interface J { int k(); }\nclass Z implements J { }",
+    ],
+)
+def test_memo_reports_in_full_check_order_between_reused_declarations(new):
+    base = parse_unit(
+        "interface I { int get(); }\n"
+        "class A implements I { public int get() { return 1; } }\n"
+        "class B extends A { public int twice() { return get() + get(); } }\n"
+        "class C { public B b; public int f() { return b.twice(); } }"
+    )
+    assert typecheck_program(base) == []
+    part = parse_unit(new)
+    (a, b, c), (i,) = base.classes, base.interfaces
+    x, y, *z = part.classes
+    unit = SourceUnit(classes=[a, x, b, y, c, *z], interfaces=[*part.interfaces, i])
+    assert reused(unit) == {"A", "B", "C", "I"}
+    assert len(check_as_full(unit)) >= 3
