@@ -1,27 +1,24 @@
-"""Resolve-once interpreter for MiniOO.
+"""Compiling interpreter for MiniOO.
 
-What the program text fixes is looked up once per run, not on every visit.
-Objects hold a flat `name -> value` field dict copied from a per-class
-zero-value layout (shadowing is rejected, so a name is one slot along a class
-chain).  Each class has one vtable (`name -> most-derived implementation`)
-that serves both dispatch and `super.m(...)`.  A body is compiled into
-closures over the call frame the first time any run reaches it, with locals
-resolved to frame slots.  The code is kept for later runs of any unit that
-holds the same declaration object: it depends only on the declaration, the
-names of its class and superclass and the fields of its class's objects,
-and it lives as long as the declaration does (declarations are never
-changed once run, see `syntax`).  The driver is compiled one statement at a
-time and not kept.  Compiled code reaches run state through the frame and
-holds no Interpreter or class declaration, so a finished run is freed by
-reference counting.  A read path (`n.next.prev`) is one closure, which also
-stores or compares its value; operators read locals and fields every `this`
-has inline; objects compare by identity through Python's `==`: a woven
-invariant loop makes five Python calls per list node.
+Each method and constructor body becomes the source of one Python function
+`(rt, depth, this, *params)`, compiled the first time a run reaches it and
+kept while its declaration lives (declarations are never changed once run,
+see `syntax`): it depends only on the declaration, the names of its class and
+superclass and the fields of its class's objects.  MiniOO locals are Python
+locals, one per declaration; fields every `this` has are read inline; `==`
+and `!=` are Python's own (objects compare by identity).  An object holds a
+field dict copied from its class's zero-value layout and its class's vtable,
+which maps each method name, and the name with the arity of its most-derived
+implementation (`size/0`), to that implementation.  A call is one helper,
+which looks it up and counts the depth, then the callee.  The driver is
+emitted alike, in chunks of `_CHUNK` top-level statements, kept per driver
+block.  Compiled code holds no run state or declaration.
 
-Dispatch always selects the most-derived override, so `this`-calls made
-inside original method bodies land on woven wrappers - exactly the mechanism
-the per-object depth counter depends on.  Type arguments are erased at
-runtime; the typechecker has already done the parametric work.
+A read path (`n.next.prev`) is plain subscripts.  When one raises, the
+function's handler finds the path from the position of the instruction that
+raised and walks it again from its root value: faults and messages are those
+of reading one step at a time.  Deep expressions are spilled into
+temporaries in evaluation order; the emitter does not recurse per level.
 
 A run produces printed output lines, an optional check-event trace
 (`CHECK <object-id> <class> <entry|exit|construction> <method>`, one line
@@ -31,26 +28,20 @@ check fails, at which point execution stops.
 
 from __future__ import annotations
 
-import operator
+import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .syntax import (
-    Binary,
-    ClassDecl,
-    ConstructorDecl,
-    DeclMemo,
-    FieldAccess,
-    MethodDecl,
-    NamedType,
-    ReflectGet,
-    SourceUnit,
-    SuperCall,
-    SuperExpr,
-    ThisExpr,
-    TypeExpr,
-    VarRead,
+    Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, IntLit, MethodDecl,
+    NamedType, ReflectGet, SourceUnit, StringLit, SuperCall, SuperExpr, ThisExpr, TypeExpr, Unary, VarRead,
 )
+
+# Calls and constructions nested deeper than this are a runtime fault.  A
+# level takes two or three Python frames: this comes before Python's limit.
+MAX_CALL_DEPTH = 256
+_TOO_DEEP = "MiniOO calls nested too deeply"
 
 
 class MiniOORuntimeError(Exception):
@@ -68,12 +59,7 @@ class ViolationRecord:
     method: str  # method name or "<init>"
 
     def __str__(self) -> str:
-        return "VIOLATION %s %d %s %s" % (
-            self.class_name,
-            self.predicate_index,
-            self.phase,
-            self.method,
-        )
+        return "VIOLATION %s %d %s %s" % (self.class_name, self.predicate_index, self.phase, self.method)
 
 
 class _Violation(Exception):
@@ -82,11 +68,12 @@ class _Violation(Exception):
         self.record = record
 
 
-@dataclass(eq=False)  # `==` on objects is identity, as in MiniOO
+@dataclass(eq=False, slots=True)  # `==` on objects is identity, as in MiniOO
 class ObjectInstance:
     class_name: str
     obj_id: int
     fields: dict[str, object] = field(default_factory=dict)
+    vt: dict = field(default_factory=dict, repr=False)  # its class's vtable
 
     def __repr__(self) -> str:
         return "%s@%d" % (self.class_name, self.obj_id)
@@ -112,9 +99,7 @@ def stringify(value) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, ObjectInstance):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, ObjectInstance) else str(value)
 
 
 def _field_fault(obj, name: str, verb: Optional[str] = "reading") -> MiniOORuntimeError:
@@ -127,6 +112,25 @@ def _field_fault(obj, name: str, verb: Optional[str] = "reading") -> MiniOORunti
     return MiniOORuntimeError(message)
 
 
+def _read_fault(exc: Exception, sites: dict) -> Exception:
+    """The fault for an AttributeError or KeyError raised in emitted code.  `sites`
+    maps the position of each read path to a message, or to its root (a name)
+    and its (name, verb) steps, taken again from there to the first that fails."""
+    tb = exc.__traceback__
+    if tb is None or tb.tb_next is not None:  # raised below the emitted function
+        return exc
+    pos = next(itertools.islice(tb.tb_frame.f_code.co_positions(), tb.tb_lasti // 2, None), None)
+    site = sites.get(pos and (pos[0], pos[2]), exc)
+    if not isinstance(site, tuple):
+        return site if site is exc else MiniOORuntimeError(site)
+    o = eval(site[0], {}, tb.tb_frame.f_locals)
+    for name, verb in site[1]:
+        if not isinstance(o, ObjectInstance) or name not in o.fields:
+            return _field_fault(o, name, verb)
+        o = o.fields[name]
+    return exc
+
+
 def _divide(left, right):
     if right == 0:
         raise MiniOORuntimeError("division by zero")
@@ -134,404 +138,441 @@ def _divide(left, right):
     return -q if (left < 0) != (right < 0) else q
 
 
-_BINARY: dict[str, Callable] = {  # `==` and `!=` are compared inline
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _divide,
+def _fail(message: str, *evaluated):  # a fault after the operands before it
+    raise MiniOORuntimeError(message)
+
+
+def _print(rt: "Interpreter", value, lines: Optional[list] = None) -> None:  # to the output, or the trace
+    line = stringify(value)
+    (rt.output if lines is None else lines).append(line)
+    rt.combined.append(line)
+
+
+def _no_method(key: str, o, vt: Optional[dict] = None, where: str = "") -> MiniOORuntimeError:
+    """Why `key` (`name/arity`) is not in `o`'s vtable, or in `vt` (of a superclass)."""
+    name = key.rpartition("/")[0]
+    if vt is None:
+        if not isinstance(o, ObjectInstance):
+            message = "null dereference calling %r" % name if o is None else "%r has no methods" % (o,)
+            return MiniOORuntimeError(message)
+        vt, where = o.vt, "on " + o.class_name
+    if (m := vt.get(name)) is None:
+        return MiniOORuntimeError("no implementation of %r %s" % (name, where))
+    return MiniOORuntimeError("%s.%s takes %d argument(s)" % (m.owner.name, m.decl.name, len(m.decl.params)))
+
+
+# The call helper of emitted code for each arity, made when first needed.
+# The arguments come before the receiver, as MiniOO evaluates them.
+_CALL = """\
+def _call{n}(rt, d, {a}o, key, vt=None, where=""):
+    try:
+        m = (o.vt if vt is None else vt)[key]
+    except (AttributeError, KeyError):
+        raise _no_method(key, o, vt, where) from None
+    if d >= MAX_CALL_DEPTH:
+        raise _err(_TOO_DEEP)
+    return (m.fn or m.load())(rt, d + 1, o, {a})
+"""
+_NS: dict = {  # the globals of emitted code
+    "_err": MiniOORuntimeError, "_Obj": ObjectInstance, "_Violation": _Violation, "_VR": ViolationRecord,
+    "_div": _divide, "_fail": _fail, "_print": _print, "_field_fault": _field_fault,
+    "_read_fault": _read_fault, "_no_method": _no_method, "_TOO_DEEP": _TOO_DEEP, "MAX_CALL_DEPTH": MAX_CALL_DEPTH,
 }
 
-# A statement's code returns _RETURN when a `return` ended it and stored the
-# value in the frame; `ret` keeps _NO_VALUE while no `return` has run.
-_RETURN = object()
-_NO_VALUE = object()
-_NO_STEP = (None, None)  # pads a read path's steps to the two a closure unrolls
+
+# Python precedence of emitted text, lowest first (0: a conditional expression).
+_OR, _AND, _NOT, _CMP, _ADD, _MUL, _NEG, _ATOM = range(1, 9)
+_PREC = {"==": _CMP, "!=": _CMP, "<": _CMP, "<=": _CMP, ">": _CMP, ">=": _CMP, "+": _ADD, "-": _ADD, "*": _MUL}
+_LIMIT = 40  # nesting of emitted text beyond which a value is spilled into a temporary
+_MAX_NEST, _MAX_LOOPS = 94, 19  # nested blocks and loops in one function, as CPython allows
+_CHUNK = 50  # top-level driver statements per emitted function
 
 
-@dataclass(slots=True)
-class _Frame:
-    rt: "Interpreter"
-    this: Optional[ObjectInstance]
-    slots: list
-    ret: object = _NO_VALUE
+def _is_bool(e) -> bool:  # whether `e`'s value is always a bool, so a condition needs no check
+    if isinstance(e, Binary):
+        return e.op in ("&&", "||") or _PREC.get(e.op) == _CMP
+    return isinstance(e, BoolLit) or isinstance(e, Unary) and e.op == "!"
 
 
-_Code = Callable[[_Frame], object]
+class _Emitter:
+    """Emits the Python source of one body, or of one chunk of a driver, as a
+    function.  `owner` is the enclosing class, None in the driver; every
+    `this` has `fields`.  An expression is a fragment `(pre, text, prec,
+    height, stable)`: `pre` lists the (temporary, text, height) spills done
+    before `text`; a stable text is a name nothing else in the statement sets."""
 
-
-def _constant(value) -> _Code:
-    return lambda f: value
-
-
-def _fault_after(parts: tuple, message: str) -> _Code:
-    """Code that evaluates `parts` in order, then faults with `message`."""
-    def run(f):
-        for part in parts:
-            part(f)
-        raise MiniOORuntimeError(message)
-    return run
-
-
-def _path_fault(o, steps: tuple) -> MiniOORuntimeError:
-    for name, verb in steps:  # the first step `o` cannot take
-        if not isinstance(o, ObjectInstance) or name not in o.fields:
-            return _field_fault(o, name, verb)
-        o = o.fields[name]
-
-
-def _path(root, steps: tuple, store: Optional[int] = None, eq=None, other: int = 0) -> _Code:
-    """One closure for a read path: the (name, verb) `steps` taken in order from
-    `root` (a frame slot, None for `this`, or code), faulting as nested reads
-    would.  It returns the value, puts it in slot `store`, or compares it to
-    slot `other` (`==` if `eq` is True, `!=` if False)."""
-    if len(steps) > 2:  # two steps per closure, unrolled
-        root, steps = _path(root, steps[:-2]), steps[-2:]
-    slot, k, ((a, _), (b, _)) = isinstance(root, int), len(steps), (*steps, _NO_STEP, _NO_STEP)[:2]
-    def run(f):
-        o = r = f.slots[root] if slot else f.this if root is None else root(f)
-        try:
-            o = o.fields[a] if k == 1 else o.fields[a].fields[b] if k else o
-        except (AttributeError, KeyError):
-            raise _path_fault(r, steps) from None
-        if store is None:
-            return o if eq is None else (o == f.slots[other]) is eq
-        f.slots[store] = o
-    return run
-
-
-class _Compiler:
-    """Compiles one body into closures that capture only constants and other
-    closures.  Local names are resolved to frame slots here, following the
-    language's block scoping, so a local costs one list index at run time.
-    `owner` is the lexically enclosing class; None marks the driver block,
-    the one place with no `this`.  Every `this` of the body has `fields`."""
-
-    def __init__(self, owner: Optional[ClassDecl], params: list, fields=()):
+    def __init__(self, owner: Optional[ClassDecl], fields=()):
         self.owner, self.fields = owner, fields
-        self.scopes: list[dict[str, int]] = [{p.name: i for i, p in enumerate(params)}]
-        self.nslots = len(params)
+        self.locals: dict[str, str] = {}  # MiniOO name -> Python text, for the names in scope
+        self.nlocals = self.ntemps = self.nest = self.loops = 0
+        self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path or a fault message
+        self.open: dict = {}  # text of a read path -> its root, steps and mark, to read on from it
+        self.out, self.lines = [], []  # the lines of the finished functions, of the one being emitted
 
-    def slot(self, name: str) -> Optional[int]:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
+    def declare(self, name: str) -> str:
+        text = self.locals[name] = "%s_%d" % (name, self.nlocals)
+        self.nlocals += 1
+        return text
 
-    def block(self, body: list) -> _Code:
-        self.scopes.append({})
-        steps = tuple([self.stmt(s) for s in body])
-        self.scopes.pop()
-        if len(steps) == 1:
-            return steps[0]
-        def run(f):
-            for step in steps:
-                if step(f) is _RETURN:
-                    return _RETURN
-        return run
+    def temp(self) -> str:
+        self.ntemps += 1
+        return "_t%d" % self.ntemps
 
-    def stmt(self, s) -> _Code:
-        compile_stmt = _STMT_RULES.get(type(s).__name__)
-        if compile_stmt is None:
-            return _fault_after((), "unknown statement %r" % type(s).__name__)
-        return compile_stmt(self, s)
+    def site(self, payload) -> str:
+        self.sites.append(payload)
+        return "\x01%d\x02" % (len(self.sites) - 1)
 
-    def expr(self, e) -> _Code:
-        compile_expr = _EXPR_RULES.get(type(e).__name__)
-        if compile_expr is None:
-            return _fault_after((), "unknown expression %r" % type(e).__name__)
-        return compile_expr(self, e)
+    def line(self, *texts: str) -> None:
+        self.lines += [" " * (self.nest + 2) + text for text in texts]
 
-    def exprs(self, es: list) -> tuple:
-        return tuple([self.expr(e) for e in es])
+    def finish(self, head: str, prologue: list) -> None:
+        """Close the function; its handler learns the position of each marked site."""
+        marks, lines = [], []
+        for text in ["  " + p for p in prologue] + (self.lines or ["  pass"]):
+            text, *parts = text.split("\x01")
+            for part in parts:
+                k, rest = part.split("\x02", 1)
+                marks.append((len(lines), len(text), self.sites[int(k)]))
+                text += rest
+            lines.append(text)
+        if marks:  # lines[0] comes after the head and `try:`
+            sites = {(len(self.out) + 3 + i, col): site for i, col, site in marks}
+            lines = [" try:", *lines, " except (AttributeError, KeyError) as e:"]
+            lines.append("  raise _read_fault(e, %r) from None" % sites)
+        self.out += [head] + lines
+        self.lines = []
 
-    # -- statements ----------------------------------------------------------
+    def build(self) -> Callable:  # the one function emitted, its globals `_NS`
+        exec(compile("\n".join(self.out), "<minioo>", "exec"), _NS)
+        self.out = []
+        return _NS.pop("_f")
 
-    def store(self, i: int, e, zero=None) -> _Code:
-        """Code that puts `e` (`zero` if None) in slot `i`: one closure for a read path."""
-        root, steps = self.path(e) or (_constant(zero) if e is None else self.expr(e), ())
-        return _path(root, steps, store=i)
+    def block(self, body: list, loop: int = 0) -> None:
+        outer = dict(self.locals)
+        self.nest, self.loops, before = self.nest + 1, self.loops + loop, len(self.lines)
+        if self.nest > _MAX_NEST or self.loops > _MAX_LOOPS:
+            raise MiniOORuntimeError("statements nested too deeply")
+        for s in body:
+            self.stmt(s)
+        if len(self.lines) == before:
+            self.line("pass")
+        self.nest, self.loops = self.nest - 1, self.loops - loop
+        self.locals = outer
 
-    def stmt_LocalDecl(self, s) -> _Code:
-        run = self.store(self.nslots, s.init, _zero_value(s.decl_type))
-        self.scopes[-1][s.name], self.nslots = self.nslots, self.nslots + 1
-        return run
+    def stmt(self, s) -> None:
+        emit = getattr(self, "s_" + type(s).__name__, None)
+        if emit is None:
+            return self.line("raise _err(%s)" % ascii("unknown statement %r" % type(s).__name__))
+        emit(s)
 
-    def stmt_Assign(self, s) -> _Code:
-        i = self.slot(s.target.name) if isinstance(s.target, VarRead) else None
-        if i is not None:
-            return self.store(i, s.value)
-        value, target = self.expr(s.value), s.target
+    def values(self, *es) -> list:  # the texts of `es`, their spills as statements before
+        pre, frags = self.seq([self.expr(e) for e in es])
+        self.line(*("%s = %s" % (t, x) for t, x, _ in pre))
+        return [f[0] for f in frags]
+
+    def s_LocalDecl(self, s) -> None:
+        init = repr(_zero_value(s.decl_type)) if s.init is None else self.values(s.init)[0]
+        self.line("%s = %s" % (self.declare(s.name), init))
+
+    def s_Assign(self, s) -> None:
+        target, message = s.target, None
+        name, obj = getattr(target, "name", None), getattr(target, "obj", ThisExpr())
         if isinstance(target, VarRead):
-            name = target.name
-            def run(f):
-                v, this = value(f), f.this
-                if this is None or name not in this.fields:
-                    raise MiniOORuntimeError("unknown variable %r" % name)
-                this.fields[name] = v
-        elif isinstance(target, FieldAccess):
-            obj, name = self.expr(target.obj), target.name
-            def run(f):
-                v, o = value(f), obj(f)
-                if not isinstance(o, ObjectInstance) or name not in o.fields:
-                    raise _field_fault(o, name, "writing")
-                o.fields[name] = v
-        else:
-            run = _fault_after((value,), "invalid assignment target")
-        return run
+            text = self.locals.get(name) or ("F[%s]" % ascii(name) if self.owner and name in self.fields else None)
+            if text is not None:
+                return self.line("%s = %s" % (text, *self.values(s.value)))
+            message = ascii("unknown variable %r" % name)  # unless a subclass's `this` has the field
+            if self.owner is None:
+                return self.line("_fail(%s, %s)" % (message, *self.values(s.value)))
+        elif not isinstance(target, FieldAccess):
+            return self.line("_fail('invalid assignment target', %s)" % tuple(self.values(s.value)))
+        elif isinstance(obj, ThisExpr) and self.owner is not None and name in self.fields:
+            return self.line("F[%s] = %s" % (ascii(name), *self.values(s.value)))
+        pre, ((v, _, _, stable), (o, *_)) = self.seq([self.expr(s.value), self.expr(obj)])
+        self.line(*("%s = %s" % (t, x) for t, x, _ in pre))
+        if not stable:  # the value is taken before the object
+            self.line("%s = %s" % (t := self.temp(), v))
+            v = t
+        if not self.named(o):
+            self.line("%s = %s" % (t := self.temp(), o))
+            o = t
+        key = ascii(name)
+        fault = "_err(%s)" % message if message else "_field_fault(%s, %s, 'writing')" % (o, key)
+        self.line("if %s.__class__ is _Obj and %s in %s.fields:" % (o, key, o),
+                  " %s.fields[%s] = %s" % (o, key, v), "else:", " raise " + fault)
 
-    def stmt_IfStmt(self, s) -> _Code:
-        cond, then = self.expr(s.cond), self.block(s.then_body)
-        orelse = None if s.else_body is None else self.block(s.else_body)
-        def run(f):
-            c = cond(f)
-            if c is True:
-                return then(f)
-            if c is False:
-                return None if orelse is None else orelse(f)
-            raise MiniOORuntimeError("condition is not a bool")
-        return run
+    def s_IfStmt(self, s) -> None:
+        known, t = _is_bool(s.cond), self.temp()
+        cond = self.values(s.cond)[0]
+        self.line("if %s:" % cond if known else "if (%s := %s) is True:" % (t, cond))
+        self.block(s.then_body)
+        if not known:
+            self.line("elif %s is not False:" % t, " raise _err('condition is not a bool')")
+        if s.else_body is not None:
+            self.line("else:")
+            self.block(s.else_body)
 
-    def stmt_WhileStmt(self, s) -> _Code:
-        cond = self.expr(s.cond)
-        self.scopes.append({})  # the loop calls the first statement itself, not via a block
-        a = self.stmt(s.body[0]) if s.body else None
-        b = self.block(s.body[1:]) if len(s.body) > 1 else None
-        self.scopes.pop()
-        def run(f):
-            while True:
-                c = cond(f)
-                if c is not True:
-                    if c is False:
-                        return None
-                    raise MiniOORuntimeError("condition is not a bool")
-                if a is not None and a(f) is _RETURN or b is not None and b(f) is _RETURN:
-                    return _RETURN
-        return run
+    def s_WhileStmt(self, s) -> None:
+        known, t = _is_bool(s.cond), self.temp()
+        cond = self.inline(self.expr(s.cond))[0]  # evaluated on every iteration
+        self.line("while %s:" % cond if known else "while (%s := %s) is True:" % (t, cond))
+        self.block(s.body, 1)
+        if not known:
+            self.line("if %s is not False:" % t, " raise _err('condition is not a bool')")
 
-    def stmt_ReturnStmt(self, s) -> _Code:
-        value = _constant(None) if s.value is None else self.expr(s.value)
-        def run(f):
-            f.ret = value(f)
-            return _RETURN
-        return run
+    def s_ReturnStmt(self, s) -> None:
+        v = "None" if s.value is None else self.values(s.value)[0]
+        self.line("return " + v if self.owner else "return (%s,)" % v)  # None: the driver went on
 
-    def stmt_ExprStmt(self, s) -> _Code:
-        return self.expr(s.expr)  # no expression evaluates to _RETURN
+    def s_ExprStmt(self, s) -> None:
+        self.line(*self.values(s.expr))
 
-    def stmt_PrintStmt(self, s) -> _Code:
-        e = self.expr(s.value)
-        def run(f):
-            line = stringify(e(f))
-            f.rt.output.append(line)
-            f.rt.combined.append(line)
-        return run
+    def s_PrintStmt(self, s) -> None:
+        self.line("_print(rt, %s)" % tuple(self.values(s.value)))
 
-    def stmt_SuperCall(self, s) -> _Code:
-        args, owner = self.exprs(s.args), self.owner
-        if owner is None:
-            return _fault_after((), "super(...) outside a constructor")
-        if owner.super_class is None:
-            return _fault_after((), "super(...) with no superclass")
-        parent = owner.super_class.name
-        return lambda f: f.rt._run_constructor(f.this, parent, [a(f) for a in args])
+    def s_SuperCall(self, s) -> None:
+        if self.owner is None or self.owner.super_class is None:
+            where = "outside a constructor" if self.owner is None else "with no superclass"
+            return self.line("raise _err('super(...) %s')" % where)
+        args = ", ".join(self.values(*s.args))
+        self.line("rt.init(this, %s, [%s], d)" % (ascii(self.owner.super_class.name), args))
 
-    def stmt_TraceStmt(self, s) -> _Code:
-        obj, cls, phase, method = self.exprs([s.obj, s.check_class, s.phase, s.method])
-        def run(f):
-            rt = f.rt
-            if rt.trace_enabled:  # the operands are evaluated only when tracing
-                o = obj(f)
-                if not isinstance(o, ObjectInstance):
-                    raise MiniOORuntimeError("@trace target is not an object")
-                line = "CHECK %d %s %s %s" % (o.obj_id, cls(f), phase(f), method(f))
-                rt.trace.append(line)
-                rt.combined.append(line)
-        return run
+    def s_TraceStmt(self, s) -> None:
+        self.line("if rt.trace_enabled:")  # the operands are evaluated only when tracing
+        self.nest += 1
+        obj = self.values(s.obj)[0]
+        if not (isinstance(s.obj, ThisExpr) and self.owner is not None):
+            self.line("if not isinstance(%s := %s, _Obj):" % (t := self.temp(), obj))
+            self.line(" raise _err('@trace target is not an object')")
+            obj = t
+        args = ", ".join(self.values(s.check_class, s.phase, s.method))
+        self.line("_print(rt, 'CHECK %%d %%s %%s %%s' %% (%s.obj_id, %s), rt.trace)" % (obj, args))
+        self.nest -= 1
 
-    def stmt_ViolationStmt(self, s) -> _Code:
-        cls, index, phase, method = self.exprs([s.check_class, s.index, s.phase, s.method])
-        def run(f):
-            raise _Violation(
-                ViolationRecord(str(cls(f)), int(index(f)), str(phase(f)), str(method(f)))  # type: ignore[arg-type]
-            )
-        return run
+    def s_ViolationStmt(self, s) -> None:
+        args = self.values(s.check_class, s.index, s.phase, s.method)
+        self.line("raise _Violation(_VR(str(%s), int(%s), str(%s), str(%s)))" % tuple(args))
 
-    # -- expressions -----------------------------------------------------------
+    def expr(self, e) -> tuple:
+        """`e` as a fragment, built children first from a stack, not by recursion."""
+        todo, done = [(e, 0)], []
+        while todo:
+            node, n = todo.pop()
+            if n:
+                args = done[-n:]
+                del done[-n:]
+                done.append(self.node(node, args))
+            elif kids := self.kids(node):
+                todo.append((node, len(kids)))
+                todo += [(k, 0) for k in reversed(kids)]
+            else:
+                done.append(self.node(node, ()))
+        return done[0]
 
-    def expr_IntLit(self, e) -> _Code:
-        return _constant(e.value)
+    def kids(self, e) -> list:  # the operands of `e` that are fragments of their own
+        if isinstance(e, (VarRead, IntLit, StringLit, ThisExpr)):
+            return []
+        if isinstance(e, (FieldAccess, ReflectGet)):
+            return [e.obj]
+        if isinstance(e, Binary):
+            return [e.left, e.right]
+        if isinstance(e, Unary):
+            o = e.operand
+            return [o.left, o.right] if e.op == "!" and isinstance(o, Binary) and o.op in ("==", "!=") else [o]
+        receiver = [r] if (r := getattr(e, "receiver", None)) is not None and not isinstance(r, SuperExpr) else []
+        return getattr(e, "args", []) + receiver
 
-    expr_BoolLit = expr_StringLit = expr_IntLit
+    def node(self, e, args: list) -> tuple:
+        kind = type(e).__name__
+        if kind == "VarRead":
+            return self.var(e.name)
+        if kind == "MethodCall":
+            return self.call(e, args)
+        if kind in ("IntLit", "BoolLit", "StringLit", "NullLit"):
+            text = ascii(v) if isinstance(v := getattr(e, "value", None), str) else repr(v)
+            return [], "(%s)" % text if text[0] == "-" else text, _ATOM, 1, True
+        if kind in ("FieldAccess", "ReflectGet"):
+            return self.read((e.name, "reading") if kind == "FieldAccess" else (e.field_name, None), args[0])
+        if kind == "Binary":
+            return self.binary(e.op, args)
+        if kind == "Unary":
+            o = e.operand
+            if e.op == "!" and isinstance(o, Binary) and o.op in ("==", "!="):
+                return self.binary("!=" if o.op == "==" else "==", args)  # !(a == b) is a != b
+            (pre, text, prec, h, _), = args
+            op, need = ("not ", _NOT) if e.op == "!" else ("-", _NEG)
+            return self.done(list(pre), op + self.wrap(text, prec, need), need, h + 1)
+        if kind == "NewObject":
+            return self.apply("rt.construct(%s, [" % ascii(e.type.name), args, "], d)")
+        if kind == "ThisExpr" and self.owner is not None:
+            return [], "this", _ATOM, 1, True
+        if kind == "SingletonRef":
+            return [], "rt.singleton(%s, d)" % ascii(e.class_name), _ATOM, 1, False
+        messages = {"ThisExpr": "this outside a method", "SuperExpr": "super outside a call"}
+        return self.fail(messages.get(kind, "unknown expression %r" % kind), [])
 
-    def expr_NullLit(self, e) -> _Code:
-        return _constant(None)
+    @staticmethod
+    def wrap(text: str, prec: int, need: int) -> str:
+        return "(%s)" % text if prec < need else text
 
-    def expr_ThisExpr(self, e) -> _Code:
+    @staticmethod
+    def named(text: str) -> bool:  # a local, `this` or a temporary, for a fault handler to read
+        return text.isidentifier() and text not in ("True", "False", "None")
+
+    def done(self, pre: list, text: str, prec: int, h: int, stable: bool = False) -> tuple:
+        if h > _LIMIT:  # too deep for CPython: the value goes to a temporary
+            pre.append((t := self.temp(), text, h))
+            return pre, t, _ATOM, 1, True
+        return pre, text, prec, h, stable
+
+    def seq(self, frags: list) -> tuple:
+        """The spills and (text, prec, height, stable) of `frags` evaluated in order:
+        a text is spilled first where a later fragment's spills could change it."""
+        pre, out = [], []
+        for f in frags:
+            if f[0]:
+                for i, (text, _, h, stable) in enumerate(out):
+                    if not stable:
+                        pre.append((t := self.temp(), text, h))
+                        out[i] = t, _ATOM, 1, True
+                pre += f[0]
+            out.append(f[1:])
+        return pre, out
+
+    def inline(self, frag: tuple) -> tuple:
+        """(text, prec, height) of `frag` as one expression, its spills included."""
+        pre, text, prec, h = frag[:4]
+        if not pre:
+            return text, prec, h
+        spills = "".join("%s := %s, " % (t, x) for t, x, _ in pre)
+        return "(%s%s)[-1]" % (spills, text), _ATOM, max([p[2] for p in pre] + [h]) + 2
+
+    def apply(self, head: str, args: list, tail: str = ")") -> tuple:
+        """`head`, the texts of `args` evaluated in order, then `tail`."""
+        pre, frags = self.seq(args)
+        text = head + ", ".join(f[0] for f in frags) + tail
+        return self.done(pre, text, _ATOM, max([f[2] for f in frags] + [0]) + 2)
+
+    def fail(self, message: str, args: list) -> tuple:
+        return self.apply("_fail(%s%s" % (ascii(message), ", " * bool(args)), args)
+
+    def var(self, name: str) -> tuple:
+        if (text := self.locals.get(name)) is not None:
+            return [], text, _ATOM, 1, True
         if self.owner is None:
-            return _fault_after((), "this outside a method")
-        return lambda f: f.this
+            return self.fail("unknown variable %r" % name, [])
+        if name in self.fields:  # as `this.name`
+            return self.read((name, "reading"), ([], "this", _ATOM, 1, True))
+        return [], self.site("unknown variable %r" % name) + "this.fields[%s]" % ascii(name), _ATOM, 3, False
 
-    def expr_SuperExpr(self, e) -> _Code:
-        return _fault_after((), "super outside a call")
+    def read(self, step: tuple, obj: tuple) -> tuple:
+        """A read of the (name, verb) `step` from `obj`, one subscript.  The
+        steps of a path that may fault share one mark, and its root a name."""
+        pre, text, _, h, stable = obj
+        if text == "this" and step[0] in self.fields:  # every `this` has it
+            self.open[text := "F[%s]" % ascii(step[0])] = "this", (step,), None
+            return pre, text, _ATOM, 2, False
+        pre, (root, steps, k) = list(pre), self.open.get(text) or (stable and self.named(text) and text, (), None)
+        if not root:
+            root = self.temp()
+            text, h = "(%s := %s)" % (root, text), h + 1
+        if k is None:
+            text, k = self.site(None) + text, len(self.sites) - 1
+        self.sites[k] = root, steps + (step,)
+        self.open[text := text + ".fields[%s]" % ascii(step[0])] = self.sites[k] + (k,)
+        return self.done(pre, text, _ATOM, h + 2)
 
-    def expr_VarRead(self, e) -> _Code:
-        i, name = self.slot(e.name), e.name
-        if i is not None:
-            return lambda f: f.slots[i]
-        def run(f):
-            this = f.this
-            if this is not None and name in this.fields:
-                return this.fields[name]
-            raise MiniOORuntimeError("unknown variable %r" % name)
-        return run
+    def call(self, e, args: list) -> tuple:
+        n, owner, receiver = len(e.args), self.owner, e.receiver
+        if "_call%d" % n not in _NS:
+            exec(_CALL.format(n=n, a="".join("a%d, " % i for i in range(n))), _NS)
+        key = ascii("%s/%d" % (e.name, n))
+        if isinstance(receiver, SuperExpr):
+            if owner is None or owner.super_class is None:
+                where = "no superclass for %s" % owner.name if owner else "super call outside a method"
+                return self.fail(where, args)
+            parent = "getattr(rt._classes.get(%s), 'vt', {})" % ascii(owner.super_class.name)
+            tail = "this, %s, %s, 'above %s')" % (key, parent, owner.name)
+            return self.apply("_call%d(rt, d, " % n, args, ", " * bool(n) + tail)
+        if receiver is None and owner is None:
+            return self.fail("call of %r outside a class" % e.name, args)
+        this = "" if receiver else ", this" if n else "this"
+        return self.apply("_call%d(rt, d, " % n, args, "%s, %s)" % (this, key))
 
-    def expr_FieldAccess(self, e) -> _Code:
-        name, _, code = self.operand(e)  # a field every `this` has needs no check
-        return code or (lambda f: f.this.fields[name])
-
-    expr_ReflectGet = expr_FieldAccess
-
-    def path(self, e) -> Optional[tuple]:
-        """`e` as a `_path`'s (root, steps) if it is a read path, else None."""
-        steps: tuple = ()
-        while isinstance(e, (FieldAccess, ReflectGet)):
-            is_field = isinstance(e, FieldAccess)
-            steps = ((e.name, "reading") if is_field else (e.field_name, None),) + steps
-            e = e.obj
-        i = self.slot(e.name) if isinstance(e, VarRead) else None
-        if i is not None or (isinstance(e, ThisExpr) and self.owner is not None):
-            return i, steps
-        return (self.expr(e), steps) if steps else None
-
-    def operand(self, e, path=None) -> tuple:
-        """(slot, True, None) or (name, False, None) for a local or a field every `this`
-        has, which operators read inline: it cannot fault or act.  Else (None, False, code)."""
-        root, steps = path or self.path(e) or (e, None)
-        if isinstance(root, int) and not steps:
-            return root, True, None
-        if root is None and len(steps) == 1 and steps[0][0] in self.fields:
-            return steps[0][0], False, None
-        return None, False, self.expr(e) if steps is None else _path(root, steps)
-
-    def expr_MethodCall(self, e) -> _Code:
-        args, name, owner = self.exprs(e.args), e.name, self.owner
-        if isinstance(e.receiver, SuperExpr):
-            if owner is None:
-                return _fault_after(args, "super call outside a method")
-            if owner.super_class is None:
-                return _fault_after(args, "no superclass for %s" % owner.name)
-            parent, below = owner.super_class.name, owner.name  # names, not declarations
-            return lambda f: f.rt._super_call(f.this, parent, below, name, [a(f) for a in args])
-        if e.receiver is None:
-            if owner is None:
-                return _fault_after(args, "call of %r outside a class" % name)
-            return lambda f: f.rt.dispatch_call(f.this, name, [a(f) for a in args])
-        target = self.expr(e.receiver)
-        def run(f):
-            argv = [a(f) for a in args] if args else []  # arguments before the receiver
-            o = target(f)
-            if not isinstance(o, ObjectInstance):
-                if o is None:
-                    raise MiniOORuntimeError("null dereference calling %r" % name)
-                raise MiniOORuntimeError("%r has no methods" % (o,))
-            return f.rt.dispatch_call(o, name, argv)
-        return run
-
-    def expr_NewObject(self, e) -> _Code:
-        args, class_name = self.exprs(e.args), e.type.name
-        return lambda f: f.rt.construct(class_name, [a(f) for a in args])
-
-    def expr_Binary(self, e, op: str = "") -> _Code:
-        op, fn = op or e.op, _BINARY.get(op or e.op)
-        if op in ("&&", "||"):
-            (k, s, left), right, short = self.operand(e.left), self.expr(e.right), op == "||"
-            def run(f):
-                if f.slots[k] if s else f.this.fields[k] if left is None else left(f):
-                    return True if short or right(f) else False
-                return True if short and right(f) else False
-            return run
-        eq = {"==": True, "!=": False}.get(op)  # compared inline: a != b is (a == b) is False
-        if fn is None and eq is None:
-            return _fault_after(self.exprs([e.left, e.right]), "unknown operator %r" % op)
-        (rk, rs, right), path = self.operand(e.right), self.path(e.left)
-        if eq is not None and rs and path and path[1]:
-            return _path(*path, eq=eq, other=rk)  # a read path compared to a local: one closure
-        lk, ls, left = self.operand(e.left, path or (e.left, None))
-        def run(f):
-            a = f.slots[lk] if ls else f.this.fields[lk] if left is None else left(f)
-            b = f.slots[rk] if rs else f.this.fields[rk] if right is None else right(f)
-            return fn(a, b) if eq is None else (a == b) is eq
-        return run
-
-    def expr_Unary(self, e) -> _Code:
-        if e.op == "!" and isinstance(e.operand, Binary) and e.operand.op in ("==", "!="):
-            # not (a == b) is a != b: every MiniOO value's `!=` negates its `==`
-            return self.expr_Binary(e.operand, "!=" if e.operand.op == "==" else "==")
-        operand = self.expr(e.operand)
-        if e.op == "!":
-            return lambda f: not operand(f)
-        return lambda f: -operand(f)
-
-    def expr_SingletonRef(self, e) -> _Code:
-        class_name = e.class_name
-        return lambda f: f.rt.singleton(class_name)
+    def binary(self, op: str, args: list) -> tuple:
+        if op in ("&&", "||"):  # a bool; as a condition CPython compiles this to jumps alone
+            (pre, a, ap, ah, _), b = args
+            word, p = ("and", _AND) if op == "&&" else ("or", _OR)
+            b, bp, bh = self.inline(b)  # evaluated only as the left operand says
+            text = "True if %s %s %s else False" % (self.wrap(a, ap, p), word, self.wrap(b, bp, p))
+            return self.done(list(pre), text, 0, max(ah, bh) + 2)
+        if op == "/":
+            return self.apply("_div(", args)
+        p = _PREC.get(op)
+        if p is None:
+            return self.fail("unknown operator %r" % op, args)
+        pre, ((a, ap, ah, _), (b, bp, bh, _)) = self.seq(args)
+        text = "%s %s %s" % (self.wrap(a, ap, p + (p == _CMP)), op, self.wrap(b, bp, p + 1))
+        return self.done(pre, text, p, max(ah, bh) + 2)  # comparisons above must not chain
 
 
-_STMT_RULES = {n[5:]: rule for n, rule in vars(_Compiler).items() if n.startswith("stmt_")}
-_EXPR_RULES = {n[5:]: rule for n, rule in vars(_Compiler).items() if n.startswith("expr_")}
-
-
-# method or constructor declaration -> {(class name, superclass name, field
-# names of the class's objects): (code, number of frame slots)}
+# declaration -> its code: for a body, {(class name, superclass name, field names
+# of the class's objects): function}; for a driver block, its chunks' functions
 _COMPILED = DeclMemo()
 
 
-def _compiled(
-    owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict
-) -> tuple[_Code, int]:
-    """The code of `decl`, declared in `owner` whose objects have the fields of
-    `layout`: compiled the first time any run asks for it."""
-    views = _COMPILED.get(decl)
-    if views is None:
-        _COMPILED.put(decl, views := {})
-    view = (owner.name, owner.super_class and owner.super_class.name, tuple(layout))
-    code = views.get(view)
-    if code is None:
-        compiler = _Compiler(owner, decl.params, layout)
-        code = views[view] = compiler.block(decl.body), compiler.nslots  # type: ignore[arg-type]
-    return code
+def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict) -> Callable:
+    em = _Emitter(owner, layout)
+    params = [em.declare(p.name) for p in decl.params]
+    for s in decl.body:
+        em.stmt(s)
+    if isinstance(decl, MethodDecl) and decl.return_type is not None:
+        em.line("raise _err(%s)" % ascii("%s.%s finished without returning a value" % (owner.name, decl.name)))
+    em.finish("def _f(%s):" % ", ".join(["rt", "d", "this"] + params), ["F = this.fields"])
+    return em.build()
 
 
-@dataclass(slots=True)
+def _driver_code(driver: DriverBlock) -> list:
+    """The functions that run `driver`, in order: a long driver is cut into chunks,
+    which CPython compiles in far less memory than one function.  Each chunk
+    passes the driver's locals on to the next in the list `L`."""
+    if (chunks := _COMPILED.get(driver)) is not None:
+        return chunks
+    body, em, chunks = driver.body, _Emitter(None), []
+    for i in range(0, len(body), _CHUNK):
+        carried = ", ".join(em.locals.values())
+        for s in body[i:i + _CHUNK]:
+            em.stmt(s)
+        if em.locals and i + _CHUNK < len(body):
+            em.line("L[:] = %s," % ", ".join(em.locals.values()))
+        em.finish("def _f(rt, d, L):", ["%s, = L" % carried] if carried else [])
+        chunks.append(em.build())
+    _COMPILED.put(driver, chunks)
+    return chunks
+
+
 class _Body:
-    """A method or constructor with its declaring class; its code, once a run needs it."""
+    """A method or constructor, its class and the layout of its class's objects;
+    `fn(rt, depth, this, *args)` runs it once loaded."""
 
-    owner: ClassDecl
-    decl: Union[MethodDecl, ConstructorDecl]
-    code: Optional[tuple[_Code, int]] = None
+    __slots__ = ("owner", "decl", "layout", "fn")
 
-    def enter(self, rt: "Interpreter", this: ObjectInstance, args: list) -> tuple[_Code, _Frame]:
-        """The body's code and a fresh frame for it (the caller runs the code,
-        which keeps one Python frame per MiniOO call off the stack)."""
-        if self.code is None:
-            self.code = _compiled(self.owner, self.decl, rt._classes[self.owner.name].layout)
-        run, nslots = self.code
-        return run, _Frame(rt, this, args + [None] * (nslots - len(args)))
+    def __init__(self, owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict):
+        self.owner, self.decl, self.layout, self.fn = owner, decl, layout, None
+
+    def load(self) -> Callable:  # compiled the first time any run asks for it
+        owner, decl, layout = self.owner, self.decl, self.layout
+        if (views := _COMPILED.get(decl)) is None:
+            _COMPILED.put(decl, views := {})
+        view = (owner.name, owner.super_class and owner.super_class.name, tuple(layout))
+        if (fn := views.get(view)) is None:
+            fn = views[view] = _compile_body(owner, decl, layout)
+        self.fn = fn
+        return fn
 
 
-@dataclass(slots=True)
-class _Class:
-    """A class's runtime tables: its superclass name, the zero-value field
-    layout of its objects, its vtable and its constructor."""
-
-    parent: Optional[str]
-    layout: dict
-    vtable: dict[str, _Body]
-    ctor: Optional[_Body]
+# a class's runtime tables: superclass name, zero-value layout, vtable, constructor
+_Class = namedtuple("_Class", "parent layout vt ctor")
 
 
 class Interpreter:
@@ -541,14 +582,10 @@ class Interpreter:
         self.unit = unit
         self.decls = {c.name: c for c in unit.classes}
         self.trace_enabled = trace
-        self.output: list[str] = []
-        self.trace: list[str] = []
-        self.combined: list[str] = []
+        self.output, self.trace, self.combined = [], [], []  # output and trace lines, and both interleaved
         self.singletons: dict[str, ObjectInstance] = {}
         self._classes: dict[str, _Class] = {}
         self._next_id = 0
-
-    # -- object model -------------------------------------------------------
 
     def _class(self, name: str) -> Optional[_Class]:
         """The runtime tables of a declared class, built on first use after its ancestors'."""
@@ -561,34 +598,36 @@ class Interpreter:
                 raise MiniOORuntimeError("inheritance cycle through %r" % up)
             up = getattr(chain[-1].super_class, "name", None)
         for decl in reversed(chain):
-            parent_name = None if decl.super_class is None else decl.super_class.name
+            parent_name = getattr(decl.super_class, "name", None)
             parent = self._classes.get(parent_name)  # type: ignore[arg-type]
-            inherited = {} if parent is None else parent.layout
-            layout = dict(inherited)
+            layout = dict(inherited := getattr(parent, "layout", {}))
             for f in decl.fields:
                 if f.name in inherited:
-                    raise MiniOORuntimeError(
-                        "field %r of %s shadows an inherited field (shadowing is not supported)"
-                        % (f.name, decl.name)
-                    )
+                    message = "field %r of %s shadows an inherited field (shadowing is not supported)"
+                    raise MiniOORuntimeError(message % (f.name, decl.name))
                 layout[f.name] = _zero_value(f.declared_type)
-            vtable = {} if parent is None else dict(parent.vtable)
+            vt = dict(getattr(parent, "vt", {}))
             for m in reversed(decl.methods):  # the first of two same-named methods wins
                 if m.body is not None:
-                    vtable[m.name] = _Body(decl, m)
-            ctor = None if decl.constructor is None else _Body(decl, decl.constructor)
-            self._classes[decl.name] = _Class(parent_name, layout, vtable, ctor)
+                    if (old := vt.get(m.name)) is not None:
+                        del vt["%s/%d" % (m.name, len(old.decl.params))]
+                    vt[m.name] = vt["%s/%d" % (m.name, len(m.params))] = _Body(decl, m, layout)
+            ctor = None if decl.constructor is None else _Body(decl, decl.constructor, layout)
+            self._classes[decl.name] = _Class(parent_name, layout, vt, ctor)
         return self._classes.get(name)
 
-    def construct(self, class_name: str, args: list) -> ObjectInstance:
+    def construct(self, class_name: str, args: list, d: int = 0) -> ObjectInstance:
         self._next_id += 1
         c = self._class(class_name)
-        obj = ObjectInstance(class_name, self._next_id, {} if c is None else dict(c.layout))
-        self._run_constructor(obj, class_name, args)
+        obj = ObjectInstance(class_name, self._next_id, dict(getattr(c, "layout", {})), getattr(c, "vt", {}))
+        self.init(obj, class_name, args, d)
         return obj
 
-    def _run_constructor(self, obj: ObjectInstance, class_name: str, args: list) -> None:
-        """Checks arities up the implicit `super()` chain, then runs the bodies top-down."""
+    def init(self, obj: ObjectInstance, class_name: Optional[str], args: list, d: int) -> None:
+        """Run the constructors of a new `class_name`, or those of `super(args)`:
+        the depth and the arities up the implicit `super()` chain are checked first."""
+        if d >= MAX_CALL_DEPTH:
+            raise MiniOORuntimeError(_TOO_DEEP)
         bodies = []
         while class_name is not None:
             c = self._class(class_name)
@@ -596,79 +635,39 @@ class Interpreter:
                 raise MiniOORuntimeError("unknown class %r" % class_name)
             if (ctor := c.ctor and c.ctor.decl) is not None:
                 if len(args) != len(ctor.params):
-                    raise MiniOORuntimeError(
-                        "constructor of %s takes %d argument(s)" % (class_name, len(ctor.params))
-                    )
-                bodies.append(c.ctor.enter(self, obj, args))
+                    message = "constructor of %s takes %d argument(s)"
+                    raise MiniOORuntimeError(message % (class_name, len(ctor.params)))
+                bodies.append((c.ctor, args))
                 if ctor.body and isinstance(ctor.body[0], SuperCall):
                     break
             class_name, args = c.parent, []
-        for run, frame in reversed(bodies):
-            run(frame)
+        for m, argv in reversed(bodies):
+            (m.fn or m.load())(self, d + 1, obj, *argv)
 
-    def singleton(self, class_name: str) -> ObjectInstance:
-        if class_name not in self.singletons:
-            self.singletons[class_name] = self.construct(class_name, [])
-        return self.singletons[class_name]
-
-    # -- dispatch -----------------------------------------------------------
+    def singleton(self, class_name: str, d: int = 0) -> ObjectInstance:
+        one = self.singletons
+        return one.get(class_name) or one.setdefault(class_name, self.construct(class_name, [], d))
 
     def dispatch_call(self, receiver: ObjectInstance, name: str, args: list):
         """Execute the most-derived override of `name` on the receiver."""
-        c = self._class(receiver.class_name)
-        m = None if c is None else c.vtable.get(name)
-        if m is None:
-            raise MiniOORuntimeError(
-                "no implementation of %r on %s" % (name, receiver.class_name)
-            )
-        return self._invoke(m, receiver, args)
-
-    def _super_call(self, receiver: ObjectInstance, parent: str, below: str, name: str, args: list):
-        """`super.name(args)` in a body of class `below`, whose superclass is `parent`."""
-        c = self._class(parent)
-        m = None if c is None else c.vtable.get(name)
-        if m is None:
-            raise MiniOORuntimeError("no implementation of %r above %s" % (name, below))
-        return self._invoke(m, receiver, args)
-
-    def _invoke(self, m: _Body, receiver: ObjectInstance, args: list):
-        decl = m.decl
-        if len(args) != len(decl.params):
-            raise MiniOORuntimeError(
-                "%s.%s takes %d argument(s)" % (m.owner.name, decl.name, len(decl.params))
-            )
-        run, frame = m.enter(self, receiver, args)
-        run(frame)
-        if frame.ret is not _NO_VALUE:
-            return frame.ret
-        if decl.return_type is not None:
-            raise MiniOORuntimeError(
-                "%s.%s finished without returning a value" % (m.owner.name, decl.name)
-            )
-        return None
-
-    # -- entry point ------------------------------------------------------------
+        key = "%s/%d" % (name, len(args))
+        if (m := getattr(self._class(receiver.class_name), "vt", {}).get(key)) is None:
+            raise _no_method(key, receiver)
+        return (m.fn or m.load())(self, 0, receiver, *args)
 
     def run(self) -> ExecutionResult:
         if self.unit.driver is None:
             raise MiniOORuntimeError("no driver block to execute")
-        compiler = _Compiler(None, [])
-        frame = _Frame(self, None, [])
         violation = None
         try:
-            # One statement at a time: a long driver runs each of its
-            # statements once, so keeping their code would only cost memory.
-            for s in self.unit.driver.body:
-                step = compiler.stmt(s)
-                frame.slots.extend([None] * (compiler.nslots - len(frame.slots)))
-                if step(frame) is _RETURN:
+            carried: list = []
+            for chunk in _driver_code(self.unit.driver):
+                if chunk(self, 0, carried) is not None:  # a `return` ended the driver
                     break
         except _Violation as v:
             violation = v.record
         except (MiniOORuntimeError, RecursionError) as exc:
-            fault = exc if isinstance(exc, MiniOORuntimeError) else MiniOORuntimeError(
-                "MiniOO calls nested too deeply"
-            )
+            fault = exc if isinstance(exc, MiniOORuntimeError) else MiniOORuntimeError(_TOO_DEEP)
             fault.result = ExecutionResult(self.output, self.trace, None, self.combined)
             raise fault
         return ExecutionResult(self.output, self.trace, violation, self.combined)

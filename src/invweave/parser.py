@@ -69,12 +69,15 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------------
 
+    # `i` never passes the EOF token: `advance` stops there and backtracking
+    # only returns to an earlier mark.  So only a lookahead past `i` is clamped.
     def peek(self, k: int = 0) -> Token:
-        j = min(self.i + k, len(self.toks) - 1)
-        return self.toks[j]
+        if k == 0:
+            return self.toks[self.i]
+        return self.toks[min(self.i + k, len(self.toks) - 1)]
 
     def at(self, kind: str, value: Optional[str] = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.kind == kind and (value is None or t.value == value)
 
     def at_kw(self, word: str) -> bool:

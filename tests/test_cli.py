@@ -6,6 +6,7 @@ import re
 import pytest
 
 from invweave.cli import main
+from invweave.interp import MAX_CALL_DEPTH
 
 from helpers import CORPUS
 
@@ -288,6 +289,28 @@ def test_run_deep_minioo_recursion_is_a_one_line_fault(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "before\n"
     assert captured.err == "runtime fault: MiniOO calls nested too deeply\n"
+
+
+@pytest.mark.parametrize("n, code", [(MAX_CALL_DEPTH - 1, 0), (MAX_CALL_DEPTH, 1)])
+def test_run_recursion_up_to_the_call_depth_limit(n, code, tmp_path, capsys):
+    # down(n) nests n + 1 calls under the driver: the limit itself runs, one more faults.
+    src = tmp_path / "deep.moo"
+    src.write_text(
+        "class D { public int down(int n) { if (n == 0) { return 0; } return this.down(n - 1); } }\n"
+        'driver { print("before"); D d = new D(); print(d.down(%d)); }\n' % n
+    )
+    assert main(["run", str(src)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ("before\n0\n" if code == 0 else "before\n")
+    assert captured.err == ("" if code == 0 else "runtime fault: MiniOO calls nested too deeply\n")
+
+
+@pytest.mark.parametrize("expr, printed", [(" + ".join(["1"] * 400), "400"), (" / ".join(["8"] + ["1"] * 400), "8")])
+def test_run_long_operator_chain(expr, printed, tmp_path, capsys):
+    src = tmp_path / "long.moo"
+    src.write_text("driver { int x = %s; print(x); }\n" % expr)
+    assert main(["run", str(src)]) == 0
+    assert capsys.readouterr().out == printed + "\n"
 
 
 def test_run_deeply_nested_expression_is_a_one_line_error(tmp_path, capsys):
