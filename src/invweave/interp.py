@@ -3,16 +3,17 @@
 Each method and constructor body becomes the source of one Python function
 `(rt, depth, this, *params)`, compiled the first time a run reaches it and
 kept while its declaration lives (declarations are never changed once run,
-see `syntax`): it depends only on the declaration, the names of its class and
+see `syntax`); it depends only on the declaration, the names of its class and
 superclass and the fields of its class's objects.  MiniOO locals are Python
 locals, one per declaration; fields every `this` has are read inline; `==`
 and `!=` are Python's own (objects compare by identity).  An object holds a
 field dict copied from its class's zero-value layout and its class's vtable,
 which maps each method name, and the name with the arity of its most-derived
-implementation (`size/0`), to that implementation.  A call is one helper,
-which looks it up and counts the depth, then the callee.  The driver is
-emitted alike, in chunks of `_CHUNK` top-level statements, kept per driver
-block.  Compiled code holds no run state or declaration.
+implementation (`size/0`), to that implementation: `this`-calls in original
+bodies land on woven wrappers.  A call is one helper, which looks it up and
+counts the depth, then the callee.  The driver is emitted alike, in chunks
+of `_CHUNK` top-level statements, kept per driver block.  Compiled code holds
+no run state or declaration.  Type arguments are erased.
 
 A read path (`n.next.prev`) is plain subscripts.  When one raises, the
 function's handler finds the path from the position of the instruction that
@@ -73,7 +74,7 @@ class ObjectInstance:
     class_name: str
     obj_id: int
     fields: dict[str, object] = field(default_factory=dict)
-    vt: dict = field(default_factory=dict, repr=False)  # its class's vtable
+    vt: dict = field(default_factory=dict)  # its class's vtable
 
     def __repr__(self) -> str:
         return "%s@%d" % (self.class_name, self.obj_id)
@@ -552,8 +553,7 @@ def _driver_code(driver: DriverBlock) -> list:
 
 
 class _Body:
-    """A method or constructor, its class and the layout of its class's objects;
-    `fn(rt, depth, this, *args)` runs it once loaded."""
+    """A method or constructor, its class and its objects' layout; `fn(rt, depth, this, *args)` runs it."""
 
     __slots__ = ("owner", "decl", "layout", "fn")
 
