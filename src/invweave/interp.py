@@ -5,21 +5,19 @@ Each method and constructor body becomes the source of one Python function
 kept while its declaration lives (declarations are never changed once run,
 see `syntax`); it depends only on the declaration, the names of its class and
 superclass and the fields of its class's objects.  MiniOO locals are Python
-locals, one per declaration; fields every `this` has are read inline; `==`
-and `!=` are Python's own (objects compare by identity).  An object holds a
-field dict copied from its class's zero-value layout and its class's vtable,
-which maps each method name, and the name with the arity of its most-derived
-implementation (`size/0`), to that implementation: `this`-calls in original
-bodies land on woven wrappers.  A call is one helper, which looks it up and
-counts the depth, then the callee.  The driver is emitted alike, in chunks
-of `_CHUNK` top-level statements, kept per driver block.  Compiled code holds
-no run state or declaration.  Type arguments are erased.
+locals; fields every `this` has are read inline; `==` and `!=` are Python's
+own (objects compare by identity).  An object holds a field dict copied from
+its class's layout and its class's vtable, which maps each method name, and
+the name with the arity of its most-derived implementation (`size/0`), to
+that implementation, so `this`-calls in original bodies land on woven
+wrappers.  A call is one helper, which looks it up and counts the depth.
+The driver is emitted alike, in chunks of `_CHUNK` top-level statements.
 
 A read path (`n.next.prev`) is plain subscripts.  When one raises, the
 function's handler finds the path from the position of the instruction that
 raised and walks it again from its root value: faults and messages are those
 of reading one step at a time.  Deep expressions are spilled into
-temporaries in evaluation order; the emitter does not recurse per level.
+temporaries in evaluation order, and deeply nested statements into closures.
 
 A run produces printed output lines, an optional check-event trace
 (`CHECK <object-id> <class> <entry|exit|construction> <method>`, one line
@@ -35,12 +33,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .syntax import (
-    Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, IntLit, MethodDecl,
-    NamedType, ReflectGet, SourceUnit, StringLit, SuperCall, SuperExpr, ThisExpr, TypeExpr, Unary, VarRead,
+    Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, IfStmt, MethodDecl,
+    NamedType, ReflectGet, SourceUnit, SuperCall, SuperExpr, ThisExpr, TypeExpr, Unary, VarRead, WhileStmt,
 )
 
-# Calls and constructions nested deeper than this are a runtime fault.  A
-# level takes two or three Python frames: this comes before Python's limit.
+# Calls and constructions nested deeper are a runtime fault, well before Python's frame limit.
 MAX_CALL_DEPTH = 256
 _TOO_DEEP = "MiniOO calls nested too deeply"
 
@@ -114,12 +111,12 @@ def _field_fault(obj, name: str, verb: Optional[str] = "reading") -> MiniOORunti
 
 
 def _read_fault(exc: Exception, sites: dict) -> Exception:
-    """The fault for an AttributeError or KeyError raised in emitted code.  `sites`
-    maps the position of each read path to a message, or to its root (a name)
-    and its (name, verb) steps, taken again from there to the first that fails."""
+    """The fault for an AttributeError or KeyError raised in emitted code: `sites` maps the position
+    of each read path to a message, or to its root's name and its (name, verb) steps."""
     tb = exc.__traceback__
-    if tb is None or tb.tb_next is not None:  # raised below the emitted function
-        return exc
+    while tb.tb_next is not None:  # into the closures that hold deeply nested statements
+        if not (tb := tb.tb_next).tb_frame.f_code.co_name.startswith("_t"):
+            return exc  # raised below the emitted code
     pos = next(itertools.islice(tb.tb_frame.f_code.co_positions(), tb.tb_lasti // 2, None), None)
     site = sites.get(pos and (pos[0], pos[2]), exc)
     if not isinstance(site, tuple):
@@ -185,7 +182,7 @@ _NS: dict = {  # the globals of emitted code
 _OR, _AND, _NOT, _CMP, _ADD, _MUL, _NEG, _ATOM = range(1, 9)
 _PREC = {"==": _CMP, "!=": _CMP, "<": _CMP, "<=": _CMP, ">": _CMP, ">=": _CMP, "+": _ADD, "-": _ADD, "*": _MUL}
 _LIMIT = 40  # nesting of emitted text beyond which a value is spilled into a temporary
-_MAX_NEST, _MAX_LOOPS = 94, 19  # nested blocks and loops in one function, as CPython allows
+_MAX_NEST, _MAX_LOOPS = 64, 18  # nested blocks and loops per function; CPython allows 99 and 19
 _CHUNK = 50  # top-level driver statements per emitted function
 
 
@@ -205,14 +202,14 @@ class _Emitter:
     def __init__(self, owner: Optional[ClassDecl], fields=()):
         self.owner, self.fields = owner, fields
         self.locals: dict[str, str] = {}  # MiniOO name -> Python text, for the names in scope
-        self.nlocals = self.ntemps = self.nest = self.loops = 0
+        self.ntemps = self.nest = self.loops = 0
         self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path or a fault message
         self.open: dict = {}  # text of a read path -> its root, steps and mark, to read on from it
         self.out, self.lines = [], []  # the lines of the finished functions, of the one being emitted
+        self.defs, self.boxed = [], owner is None  # its closures; whether it returns `(value,)`
 
-    def declare(self, name: str) -> str:
-        text = self.locals[name] = "%s_%d" % (name, self.nlocals)
-        self.nlocals += 1
+    def declare(self, name: str) -> str:  # a shadowed name is in `locals`, so its new number is higher
+        text = self.locals[name] = "%s_%d" % (name, len(self.locals))
         return text
 
     def temp(self) -> str:
@@ -229,7 +226,7 @@ class _Emitter:
     def finish(self, head: str, prologue: list) -> None:
         """Close the function; its handler learns the position of each marked site."""
         marks, lines = [], []
-        for text in ["  " + p for p in prologue] + (self.lines or ["  pass"]):
+        for text in ["  " + p for p in prologue] + self.defs + (self.lines or ["  pass"]):
             text, *parts = text.split("\x01")
             for part in parts:
                 k, rest = part.split("\x02", 1)
@@ -241,7 +238,7 @@ class _Emitter:
             lines = [" try:", *lines, " except (AttributeError, KeyError) as e:"]
             lines.append("  raise _read_fault(e, %r) from None" % sites)
         self.out += [head] + lines
-        self.lines = []
+        self.lines, self.defs = [], []
 
     def build(self) -> Callable:  # the one function emitted, its globals `_NS`
         exec(compile("\n".join(self.out), "<minioo>", "exec"), _NS)
@@ -250,21 +247,31 @@ class _Emitter:
 
     def block(self, body: list, loop: int = 0) -> None:
         outer = dict(self.locals)
-        self.nest, self.loops, before = self.nest + 1, self.loops + loop, len(self.lines)
-        if self.nest > _MAX_NEST or self.loops > _MAX_LOOPS:
-            raise MiniOORuntimeError("statements nested too deeply")
+        self.nest, self.loops = self.nest + 1, self.loops + loop
         for s in body:
             self.stmt(s)
-        if len(self.lines) == before:
-            self.line("pass")
+        self.line("pass")  # for an empty block
         self.nest, self.loops = self.nest - 1, self.loops - loop
         self.locals = outer
 
     def stmt(self, s) -> None:
+        if isinstance(s, (IfStmt, WhileStmt)) and (self.nest >= _MAX_NEST or self.loops >= _MAX_LOOPS):
+            return self.split(s)
         emit = getattr(self, "s_" + type(s).__name__, None)
         if emit is None:
             return self.line("raise _err(%s)" % ascii("unknown statement %r" % type(s).__name__))
         emit(s)
+
+    def split(self, s) -> None:
+        """Emit `s` as a closure, defined at the top of the function being emitted,
+        that shares its locals: CPython nests blocks and loops in one function only so deep."""
+        outer = self.lines, self.defs, self.nest, self.loops, self.boxed
+        self.lines, self.defs, self.nest, self.loops, self.boxed = [], [], 0, 0, True
+        self.stmt(s)
+        body = ["  nonlocal " + ", ".join(self.locals.values())] * bool(self.locals) + self.defs + self.lines
+        self.lines, self.defs, self.nest, self.loops, self.boxed = outer
+        self.defs += ["  def %s():" % (f := self.temp())] + [" " + text for text in body]
+        self.line("if (%s := %s()) is not None:" % (r := self.temp(), f), " return " + r + "[0]" * (not self.boxed))
 
     def values(self, *es) -> list:  # the texts of `es`, their spills as statements before
         pre, frags = self.seq([self.expr(e) for e in es])
@@ -323,7 +330,7 @@ class _Emitter:
 
     def s_ReturnStmt(self, s) -> None:
         v = "None" if s.value is None else self.values(s.value)[0]
-        self.line("return " + v if self.owner else "return (%s,)" % v)  # None: the driver went on
+        self.line("return (%s,)" % v if self.boxed else "return " + v)
 
     def s_ExprStmt(self, s) -> None:
         self.line(*self.values(s.expr))
@@ -371,8 +378,6 @@ class _Emitter:
         return done[0]
 
     def kids(self, e) -> list:  # the operands of `e` that are fragments of their own
-        if isinstance(e, (VarRead, IntLit, StringLit, ThisExpr)):
-            return []
         if isinstance(e, (FieldAccess, ReflectGet)):
             return [e.obj]
         if isinstance(e, Binary):
@@ -565,14 +570,11 @@ class _Body:
         if (views := _COMPILED.get(decl)) is None:
             _COMPILED.put(decl, views := {})
         view = (owner.name, owner.super_class and owner.super_class.name, tuple(layout))
-        if (fn := views.get(view)) is None:
-            fn = views[view] = _compile_body(owner, decl, layout)
-        self.fn = fn
-        return fn
+        self.fn = views.get(view) or views.setdefault(view, _compile_body(owner, decl, layout))
+        return self.fn
 
 
-# a class's runtime tables: superclass name, zero-value layout, vtable, constructor
-_Class = namedtuple("_Class", "parent layout vt ctor")
+_Class = namedtuple("_Class", "parent layout vt ctor")  # a class's runtime tables
 
 
 class Interpreter:
@@ -583,8 +585,7 @@ class Interpreter:
         self.decls = {c.name: c for c in unit.classes}
         self.trace_enabled = trace
         self.output, self.trace, self.combined = [], [], []  # output and trace lines, and both interleaved
-        self.singletons: dict[str, ObjectInstance] = {}
-        self._classes: dict[str, _Class] = {}
+        self.singletons, self._classes = {}, {}  # class name -> its one instance, its runtime tables
         self._next_id = 0
 
     def _class(self, name: str) -> Optional[_Class]:

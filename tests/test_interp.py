@@ -750,15 +750,28 @@ def test_deep_expressions_run(terms):
     assert run_src(negations).output == ["false", "1"]
 
 
-def test_nesting_beyond_one_compiled_function_is_a_fault():
-    loops = "int k = 0; %s k = k + 1; %s print(k);"
-    deepest = loops % ("while (k < 1) { " * _MAX_LOOPS, "} " * _MAX_LOOPS)
-    assert run_src("driver { %s }" % deepest).output == ["1"]
-    deeper = loops % ("while (k < 1) { " * (_MAX_LOOPS + 1), "} " * (_MAX_LOOPS + 1))
-    assert run_fault("driver { %s }" % deeper)[0] == "statements nested too deeply"
-    ifs = "%s print(1); %s" % ("if (true) { " * _MAX_NEST, "} " * _MAX_NEST)
-    assert run_src("driver { %s }" % ifs).output == ["1"]
-    ifs = "%s print(1); %s" % ("if (true) { " * (_MAX_NEST + 1), "} " * (_MAX_NEST + 1))
-    assert run_fault("class A { public void f() { %s } } driver { A a = new A(); a.f(); }" % ifs)[0] == (
-        "statements nested too deeply"
-    )
+def test_a_shadowing_local_leaves_the_outer_one_alone():
+    source = """
+        class A { public int f(int x) { if (true) { int x = x + 10; print(x); } print(x); return x; } }
+        driver { int x = 1; if (true) { int x = 2; print(x); } print(x); A a = new A(); print(a.f(5)); }
+    """
+    assert run_src(source).output == ["2", "1", "15", "5", "5"]
+
+
+def test_statements_nested_deeper_than_one_compiled_function_run():
+    # Past the block and loop nesting one Python function allows, a statement
+    # goes to a closure that shares the locals; a `return` or a fault inside it
+    # is the body's.
+    deep = 3 * max(_MAX_NEST, _MAX_LOOPS)
+    ifs = "%s print(1); %s" % ("if (true) { " * deep, "} " * deep)
+    loops = "int k = 0; %s k = k + 1; %s print(k);" % ("while (k < 1) { " * deep, "} " * deep)
+    assert run_src("driver { %s %s }" % (ifs, loops)).output == ["1", "1"]
+    source = """
+        class A {
+            public int x;
+            public int f(int p) { int q = p + 1; %s q = q + x; x = q; if (q > 100) { return q; } %s return -1; }
+            public int g(A a) { int s = 0; %s s = a.x; %s return s; }
+        }
+        driver { A a = new A(); a.x = 200; print(a.f(3)); print(a.x); A b = new A(); b.x = 5; print(a.g(b)); print(a.g(null)); }
+    """ % ("if (true) { " * deep, "} " * deep, "while (s < 1) { " * deep, "} " * deep)
+    assert run_fault(source) == ("null dereference reading 'x'", ["204", "204", "5"])
