@@ -12,15 +12,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .diagnostics import Diagnostic, ParseError, SpecError, WeaveError, errors_only
-from .interp import ExecutionResult, MiniOORuntimeError, run_program
-from .invspec import load_spec
 from .parser import parse_unit
 from .syntax import SourceUnit, merge_units
 from .typecheck import typecheck_program
-from .weave import render_artifacts, weave_program
+
+if TYPE_CHECKING:
+    from .interp import ExecutionResult
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -78,6 +78,8 @@ def _parse_all(
 
 
 def _load_spec_file(path: str):
+    from .invspec import load_spec
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -92,6 +94,8 @@ def _load_spec_file(path: str):
 
 
 def _weave_checked(unit: SourceUnit, spec):
+    from .weave import weave_program
+
     try:
         return weave_program(unit, spec), EXIT_OK
     except WeaveError as exc:
@@ -99,6 +103,8 @@ def _weave_checked(unit: SourceUnit, spec):
 
 
 def cmd_weave(args: argparse.Namespace) -> int:
+    from .weave import render_artifacts
+
     sources = _read_sources(args.sources)
     if sources is None:
         return EXIT_IO
@@ -131,6 +137,8 @@ def _print_lines(result: ExecutionResult, trace: bool) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .interp import MiniOORuntimeError, run_program
+
     sources = _read_sources(args.sources)
     if sources is None:
         return EXIT_IO
@@ -225,10 +233,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except RecursionError:  # a parse or check nested deeper than the Python stack
         print("input nested too deeply to process", file=sys.stderr)
         return EXIT_DIAGNOSTICS
+    except BrokenPipeError as exc:  # whoever read stdout has closed it
+        # What stays buffered for stdout now goes nowhere, so that the
+        # interpreter's last flush prints no "Exception ignored" line.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("cannot write to stdout: %s" % exc, file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ check fails, at which point execution stops.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -97,7 +98,11 @@ def stringify(value) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    return repr(value) if isinstance(value, ObjectInstance) else str(value)
+    try:
+        return repr(value) if isinstance(value, ObjectInstance) else str(value)
+    except ValueError:  # an int past Python's limit on digits converted to text
+        limit = sys.get_int_max_str_digits()
+        raise MiniOORuntimeError("integer of more than %d digits cannot be printed" % limit) from None
 
 
 def _field_fault(obj, name: str, verb: Optional[str] = "reading") -> MiniOORuntimeError:

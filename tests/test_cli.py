@@ -2,13 +2,15 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 from invweave.cli import main
 from invweave.interp import MAX_CALL_DEPTH
 
-from helpers import CORPUS
+from helpers import CORPUS, REPO
 
 DLIST = CORPUS / "dlist"
 
@@ -291,6 +293,19 @@ def test_run_deep_minioo_recursion_is_a_one_line_fault(tmp_path, capsys):
     assert captured.err == "runtime fault: MiniOO calls nested too deeply\n"
 
 
+def test_run_printing_an_integer_past_the_digit_limit_is_a_one_line_fault(tmp_path, capsys):
+    src = tmp_path / "big.moo"
+    src.write_text(
+        'driver { print("before"); int x = 1; int i = 0;\n'
+        "    while (i < 5000) { x = x * 10; i = i + 1; }\n    print(x); }\n"
+    )
+    assert main(["run", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "before\n"
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == "runtime fault: integer of more than %d digits cannot be printed\n" % limit
+
+
 @pytest.mark.parametrize("n, code", [(MAX_CALL_DEPTH - 1, 0), (MAX_CALL_DEPTH, 1)])
 def test_run_recursion_up_to_the_call_depth_limit(n, code, tmp_path, capsys):
     # down(n) nests n + 1 calls under the driver: the limit itself runs, one more faults.
@@ -433,3 +448,72 @@ def test_exit_codes_stay_in_contract(command, tmp_path, capsys):
     if command == "weave":
         args += ["--out", str(tmp_path / "o")]
     assert main(args) == 2
+
+
+def _cli_process(argv, stdout=subprocess.PIPE, **env):
+    """`python -m invweave.cli ARGV` in a child process, which writes the
+    `invweave.*` modules it loaded to the last line of its stderr as it exits."""
+    script = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('invweave.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    sys.stderr.write('\\n' + ' '.join(m for m in sys.modules if m.startswith('invweave.')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run(
+        [sys.executable, "-c", script] + argv, cwd=REPO, env=env, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+
+
+def _loaded(stderr: str) -> set[str]:
+    return {m.split(".", 1)[1] for m in stderr.rsplit("\n", 1)[-1].split()}
+
+
+@pytest.mark.parametrize(
+    "command, unused",
+    [
+        ("--help", {"interp", "weave", "exposure", "invspec", "printer"}),  # importing the CLI alone
+        ("report", {"interp"}),
+        ("run", {"weave", "exposure", "invspec", "printer"}),
+        ("weave", {"interp"}),
+    ],
+)
+def test_each_subcommand_imports_only_the_layers_it_runs(command, unused, tmp_path):
+    argv = {
+        "--help": ["--help"],
+        "report": ["report", str(DLIST / "list.moo"), "--spec", str(DLIST / "invariants.json")],
+        "run": ["run", str(DLIST / "list.moo"), str(DLIST / "driver_plain.moo")],
+        "weave": weave_args(tmp_path / "out"),
+    }[command]
+    proc = _cli_process(argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = _loaded(proc.stderr)
+    assert "parser" in loaded and not loaded & unused
+
+
+def test_every_package_export_is_its_home_modules_object():
+    import invweave
+
+    for name in invweave.__all__:
+        obj = getattr(invweave, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    with pytest.raises(AttributeError):
+        invweave.no_such_name
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_an_io_failure_without_a_traceback(unbuffered, tmp_path):
+    # The reader is gone before the CLI writes, whether stdout is flushed
+    # at each line or only when the CLI returns.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(weave_args(tmp_path / "out"), stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.rpartition("\n")[0].splitlines() == ["cannot write to stdout: [Errno 32] Broken pipe"]
+    assert "Exception ignored" not in proc.stderr
