@@ -32,19 +32,16 @@ from .syntax import (
     ClassDecl,
     Expr,
     FieldAccess,
-    INT,
     IntLit,
-    NamedType,
     NullLit,
     SourceUnit,
-    STRING,
     StringLit,
     TypeExpr,
     Unary,
     VarRead,
     walk,
 )
-from .typecheck import ClassTable, NULL_TYPE
+from .typecheck import ClassTable, NULL_TYPE, _Checker
 
 
 @dataclass
@@ -239,149 +236,75 @@ class PredicateTyping:
     quantifier_types: dict[str, TypeExpr]
 
 
-class _PredicateTyper:
-    """Types a predicate in a class context: bare identifiers resolve to the
-    class's own or inherited fields, visibility-blind (the woven getters read
-    private state reflectively, so visibility does not restrict predicates)."""
+class _PredicateChecker(_Checker):
+    """Types the predicates of one class by MiniOO's own expression rules.
+    A bare name is a quantifier variable or else one of the class's own or
+    inherited fields.  Visibility does not restrict predicates: the woven
+    getters read private state reflectively."""
 
-    def __init__(self, table: ClassTable, cls: ClassDecl, where: str):
-        self.table = table
-        self.cls = cls
-        self.where = where
-        self.diags: list[Diagnostic] = []
-        self.qvars: dict[str, TypeExpr] = {}
+    def __init__(self, table: ClassTable, cls: ClassDecl):
+        super().__init__(table.unit, table, set())
+        self.current_class = cls
+        self.self_t = cls.self_type()
+        self.where = "predicate"
+
+    def visible_from_here(self, visibility: str, declaring: str, node) -> None:
+        pass
 
     def error(self, code: str, message: str, node) -> None:
-        self.diags.append(
-            Diagnostic(
-                code,
-                "%s: %s" % (self.where, message),
-                getattr(node, "line", 0),
-                getattr(node, "col", 0),
+        # The general rules' errors, in a specification's codes.
+        if isinstance(node, VarRead):
+            code = "unknown-field"
+            message = "no field %r on %s or its ancestors" % (node.name, self.current_class.name)
+        else:
+            code = "unknown-field" if isinstance(node, FieldAccess) else "non-boolean-predicate"
+        self.report(code, message, node)
+
+    def report(self, code: str, message: str, node) -> None:
+        super().error(code, "%s: %s" % (self.where, message), node)
+
+    def check(self, p: Predicate, where: str) -> PredicateTyping:
+        self.where = where
+        self.diags = []
+        parts = (p.init, p.cond, p.step, p.body) if isinstance(p, Forall) else (p,)
+        for part in parts:
+            for node in walk(part):
+                if not isinstance(node, _ALLOWED):  # only a spec built in code gets here
+                    self.report("predicate-grammar", "%s not allowed" % type(node).__name__, node)
+                    return PredicateTyping(self.diags, {})
+        if not isinstance(p, Forall):
+            t = self.type_of(p)
+            if t is not None and t != BOOL:
+                self.report("non-boolean-predicate", "predicate has type %s, expected bool" % t, p)
+            return PredicateTyping(self.diags, {})
+        init_t = self.type_of(p.init)
+        if init_t is None or init_t == NULL_TYPE:
+            if init_t == NULL_TYPE:
+                self.report("non-boolean-predicate", "cannot bind quantifier to null", p.init)
+            return PredicateTyping(self.diags, {})
+        if self.table.find_field(self.self_t, p.var) is not None:
+            self.report("predicate-grammar", "quantifier variable %r shadows a field" % p.var, p.init)
+        self.scope.push()
+        self.scope.declare(p.var, init_t)
+        cond_t = self.type_of(p.cond)
+        if cond_t is not None and cond_t != BOOL:
+            self.report("non-boolean-predicate", "quantifier condition must be bool", p.cond)
+        step_t = self.type_of(p.step)
+        if step_t is not None and not self.table.is_subtype(step_t, init_t):
+            self.report(
+                "non-boolean-predicate", "step type %s does not match %s" % (step_t, init_t), p.step
             )
-        )
-
-    def type_of(self, e: Expr) -> Optional[TypeExpr]:
-        if isinstance(e, IntLit):
-            return INT
-        if isinstance(e, BoolLit):
-            return BOOL
-        if isinstance(e, StringLit):
-            return STRING
-        if isinstance(e, NullLit):
-            return NULL_TYPE
-        if isinstance(e, VarRead):
-            if e.name in self.qvars:
-                return self.qvars[e.name]
-            hit = self.table.find_field(self.cls.self_type(), e.name)
-            if hit is None:
-                self.error(
-                    "unknown-field",
-                    "no field %r on %s or its ancestors" % (e.name, self.cls.name),
-                    e,
-                )
-                return None
-            return hit.type
-        if isinstance(e, FieldAccess):
-            base = self.type_of(e.obj)
-            if base is None:
-                return None
-            if not isinstance(base, NamedType) or self.table.get_class(base.name) is None:
-                self.error("unknown-field", "%s has no fields" % base, e)
-                return None
-            hit = self.table.find_field(base, e.name)
-            if hit is None:
-                self.error("unknown-field", "no field %r on %s" % (e.name, base), e)
-                return None
-            return hit.type
-        if isinstance(e, Binary):
-            return self.type_of_binary(e)
-        if isinstance(e, Unary):
-            t = self.type_of(e.operand)
-            if e.op == "!":
-                if t is not None and t != BOOL:
-                    self.error("non-boolean-predicate", "! expects bool", e)
-                return BOOL
-            if t is not None and t != INT:
-                self.error("non-boolean-predicate", "unary - expects int", e)
-            return INT
-        self.error("predicate-grammar", "%s not allowed" % type(e).__name__, e)
-        return None
-
-    def type_of_binary(self, e: Binary) -> Optional[TypeExpr]:
-        lt = self.type_of(e.left)
-        rt = self.type_of(e.right)
-        op = e.op
-        if op in ("&&", "||"):
-            for t in (lt, rt):
-                if t is not None and t != BOOL:
-                    self.error("non-boolean-predicate", "%s expects bool operands" % op, e)
-            return BOOL
-        if op in ("<", "<=", ">", ">="):
-            for t in (lt, rt):
-                if t is not None and t != INT:
-                    self.error("non-boolean-predicate", "%s expects int operands" % op, e)
-            return BOOL
-        if op in ("==", "!="):
-            if lt is None or rt is None:
-                return BOOL
-            ok = (
-                lt == rt
-                or lt == NULL_TYPE
-                or rt == NULL_TYPE
-                or self.table.is_subtype(lt, rt)
-                or self.table.is_subtype(rt, lt)
-            )
-            if not ok:
-                self.error(
-                    "non-boolean-predicate", "cannot compare %s with %s" % (lt, rt), e
-                )
-            return BOOL
-        if op == "+":
-            if lt == STRING or rt == STRING:
-                return STRING
-            return INT
-        return INT
-
-    def check(self, p: Predicate) -> PredicateTyping:
-        if isinstance(p, Forall):
-            init_t = self.type_of(p.init)
-            if init_t is None or init_t == NULL_TYPE:
-                if init_t == NULL_TYPE:
-                    self.error("non-boolean-predicate", "cannot bind quantifier to null", p.init)
-                return PredicateTyping(self.diags, {})
-            hit = self.table.find_field(self.cls.self_type(), p.var)
-            if hit is not None:
-                self.error(
-                    "predicate-grammar",
-                    "quantifier variable %r shadows a field" % p.var,
-                    p.init,
-                )
-            self.qvars[p.var] = init_t
-            cond_t = self.type_of(p.cond)
-            if cond_t is not None and cond_t != BOOL:
-                self.error("non-boolean-predicate", "quantifier condition must be bool", p.cond)
-            step_t = self.type_of(p.step)
-            if step_t is not None and not self.table.is_subtype(step_t, init_t):
-                self.error(
-                    "non-boolean-predicate",
-                    "step type %s does not match %s" % (step_t, init_t),
-                    p.step,
-                )
-            body_t = self.type_of(p.body)
-            if body_t is not None and body_t != BOOL:
-                self.error("non-boolean-predicate", "quantifier body must be bool", p.body)
-            return PredicateTyping(self.diags, dict(self.qvars))
-        t = self.type_of(p)
-        if t is not None and t != BOOL:
-            self.error("non-boolean-predicate", "predicate has type %s, expected bool" % t, p)
-        return PredicateTyping(self.diags, {})
+        body_t = self.type_of(p.body)
+        if body_t is not None and body_t != BOOL:
+            self.report("non-boolean-predicate", "quantifier body must be bool", p.body)
+        self.scope.pop()
+        return PredicateTyping(self.diags, {p.var: init_t})
 
 
 def type_predicate(
     table: ClassTable, cls: ClassDecl, pred: Predicate, where: str = "predicate"
 ) -> PredicateTyping:
-    return _PredicateTyper(table, cls, where).check(pred)
+    return _PredicateChecker(table, cls).check(pred, where)
 
 
 def validate_spec(
@@ -400,7 +323,7 @@ def validate_spec(
                 Diagnostic("unknown-class", "specification names unknown class %r" % name)
             )
             continue
+        checker = _PredicateChecker(table, cls)
         for j, p in enumerate(preds):
-            where = "%s, invariant[%d]" % (name, j)
-            diags.extend(type_predicate(table, cls, p, where).diagnostics)
+            diags.extend(checker.check(p, "%s, invariant[%d]" % (name, j)).diagnostics)
     return diags

@@ -69,7 +69,6 @@ from .syntax import (
     SuperExpr,
     ThisExpr,
     TraceStmt,
-    TypeExpr,
     TypeVar,
     Unary,
     VarRead,
@@ -531,14 +530,10 @@ def _ok_read() -> Expr:
     return FieldAccess(ThisExpr(), "_ok")
 
 
-def _predicate_stmts(
-    class_name: str,
-    index: int,
-    pred: Predicate,
-    qtypes: dict[str, TypeExpr],
-) -> list[Stmt]:
+def _predicate_stmts(table: ClassTable, cls: ClassDecl, index: int, pred: Predicate) -> list[Stmt]:
+    class_name = cls.name
     if isinstance(pred, Forall):
-        var_t = qtypes[pred.var]
+        var_t = type_predicate(table, cls, pred).quantifier_types[pred.var]
         loop = WhileStmt(
             Binary("&&", _ok_read(), _compile_predicate_expr(pred.cond)),
             [
@@ -599,8 +594,7 @@ def gen_visitor(
                     )
                 )
             for i, p in enumerate(preds):
-                qtypes = type_predicate(table, c, p).quantifier_types
-                inner.extend(_predicate_stmts(c.name, i, p, qtypes))
+                inner.extend(_predicate_stmts(table, c, i, p))
             body.append(IfStmt(_ok_read(), inner, None))
         visit_methods.append(
             MethodDecl(

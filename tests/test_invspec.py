@@ -4,13 +4,14 @@ from invweave.diagnostics import SpecError
 from invweave.exposure import free_vars
 from invweave.invspec import (
     Forall,
+    InvariantSpec,
     load_spec,
     parse_predicate,
     render_predicate,
     serialize_spec,
     validate_spec,
 )
-from invweave.syntax import Binary, IntLit, VarRead
+from invweave.syntax import Binary, FieldAccess, IntLit, MethodCall, NamedType, NewObject, NullLit, ThisExpr, VarRead
 
 from helpers import load_dlist
 
@@ -158,3 +159,43 @@ def test_validate_is_monotone_in_predicates():
     assert as_set(d1) <= as_set(d2) | as_set(d1)
     assert as_set(d1) <= as_set(d3)
     assert len(d3) == len(d1) + 1
+
+
+def test_validate_rejects_calls_allocation_and_this_in_a_spec_built_in_code():
+    # parse_predicate never builds these nodes, so only a hand-built spec has them.
+    unit, _ = load_dlist()
+    spec = InvariantSpec(
+        {
+            "AbstractList": [
+                Binary(">=", MethodCall(ThisExpr(), "size", []), IntLit(0)),
+                Binary("!=", NewObject(NamedType("DNode", (NamedType("int"),)), [IntLit(1)]), NullLit()),
+                Binary(">=", FieldAccess(ThisExpr(), "size"), IntLit(0)),
+                Binary(">=", VarRead("size"), IntLit(0)),
+            ]
+        }
+    )
+    diags = validate_spec(spec, unit)
+    assert [(d.code, d.message) for d in diags] == [
+        ("predicate-grammar", "AbstractList, invariant[0]: MethodCall not allowed"),
+        ("predicate-grammar", "AbstractList, invariant[1]: NewObject not allowed"),
+        ("predicate-grammar", "AbstractList, invariant[2]: ThisExpr not allowed"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "pred, message",
+    [
+        ("size == null", "cannot compare int with null"),
+        ("size + true > 0", "+ expects int or string operands"),
+        ("head * 2 > 0", "* expects int operands"),
+        ("!size", "! expects bool, got int"),
+    ],
+)
+def test_validate_types_predicates_by_the_minioo_rules(pred, message):
+    unit, _ = load_dlist()
+    spec = load_spec('{"classes":[{"name":"DLinkedList","invariant":["%s"]}]}' % pred)
+    diags = validate_spec(spec, unit)
+    assert (diags[0].code, diags[0].message) == (
+        "non-boolean-predicate",
+        "DLinkedList, invariant[0]: " + message,
+    )

@@ -227,6 +227,13 @@ def test_goldens_cover_the_predicate_forms():
     assert all(not e["spec"] and e["weave"] == "ok" for c, e in goldens.items() if c.startswith("corpus/"))
 
 
+def test_every_clean_spec_weaves():
+    # Validation accepts exactly the predicates whose woven checks typecheck.
+    for case_id, entry in recorded().items():
+        if not entry["spec"]:
+            assert entry["weave"] == "ok", case_id
+
+
 if __name__ == "__main__":
     GOLDENS.write_text(json.dumps(recorded(), indent=0, sort_keys=True) + "\n")
     print("recorded %d cases in %s" % (len(recorded()), GOLDENS))
