@@ -14,6 +14,7 @@ Grammar notes:
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 from .diagnostics import Diagnostic, ParseError
@@ -420,22 +421,22 @@ class _Parser:
             if name == "trace":
                 return TraceStmt(args[0], args[1], args[2], args[3], line=t.line, col=t.col)
             return ViolationStmt(args[0], args[1], args[2], args[3], line=t.line, col=t.col)
-        # Local declaration vs expression statement: attempt `Type name [=|;]`.
+        # Local declaration vs expression statement: `Type name [=|;]` starts a
+        # declaration, whose errors are then its own.
         if self.at("IDENT"):
             mark = self.i
             try:
                 decl_type = self.parse_type()
-                if self.at("IDENT") and self.peek(1).value in ("=", ";"):
-                    name_tok = self.advance()
-                    init = None
-                    if self.accept("OP", "="):
-                        init = self.parse_expr()
-                    self.expect("OP", ";")
-                    return LocalDecl(
-                        decl_type, name_tok.value, init, line=t.line, col=t.col
-                    )
+                is_decl = self.at("IDENT") and self.peek(1).value in ("=", ";")
             except ParseError:
-                pass
+                is_decl = False
+            if is_decl:
+                name_tok = self.advance()
+                init = None
+                if self.accept("OP", "="):
+                    init = self.parse_expr()
+                self.expect("OP", ";")
+                return LocalDecl(decl_type, name_tok.value, init, line=t.line, col=t.col)
             self.i = mark
         return self.parse_expr_or_assign()
 
@@ -551,7 +552,12 @@ class _Parser:
         t = self.peek()
         if self.at("INT"):
             self.advance()
-            return IntLit(int(t.value), line=t.line, col=t.col)
+            try:
+                value = int(t.value)
+            except ValueError:  # more digits than Python converts from text
+                limit = sys.get_int_max_str_digits()
+                raise self.error("integer literal of more than %d digits" % limit, t) from None
+            return IntLit(value, line=t.line, col=t.col)
         if self.at("STRING"):
             self.advance()
             return StringLit(t.value, line=t.line, col=t.col)

@@ -306,6 +306,29 @@ def test_run_printing_an_integer_past_the_digit_limit_is_a_one_line_fault(tmp_pa
     assert captured.err == "runtime fault: integer of more than %d digits cannot be printed\n" % limit
 
 
+def test_run_integer_literal_past_the_digit_limit_is_a_positioned_error(tmp_path, capsys):
+    src = tmp_path / "big.moo"
+    src.write_text("driver {\n    int x = %s;\n}\n" % ("9" * 5000))
+    assert main(["run", str(src)]) == 1
+    captured = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert captured.out == ""
+    assert captured.err == "%s:2:13: error [syntax] integer literal of more than %d digits\n" % (src, limit)
+
+
+def test_report_spec_integer_literal_past_the_digit_limit_is_a_positioned_error(tmp_path, capsys):
+    spec = tmp_path / "big.json"
+    spec.write_text('{"classes":[{"name":"AbstractList","invariant":["size >= %s"]}]}' % ("9" * 5000))
+    assert main(["report", str(DLIST / "list.moo"), "--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert captured.out == ""
+    assert captured.err == (
+        "%s: 1:9: error [syntax] AbstractList, invariant[0]: integer literal of more than %d digits\n"
+        % (spec, limit)
+    )
+
+
 @pytest.mark.parametrize("n, code", [(MAX_CALL_DEPTH - 1, 0), (MAX_CALL_DEPTH, 1)])
 def test_run_recursion_up_to_the_call_depth_limit(n, code, tmp_path, capsys):
     # down(n) nests n + 1 calls under the driver: the limit itself runs, one more faults.

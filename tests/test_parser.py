@@ -42,6 +42,13 @@ def test_mutual_inheritance_cycle():
     assert exc.value.diagnostic.code == "inheritance-cycle"
 
 
+def test_bad_local_initializer_is_reported_where_it_is():
+    with pytest.raises(ParseError) as exc:
+        parse_unit("driver {\n    int x = 1 + ;\n}\n")
+    d = exc.value.diagnostic
+    assert (d.code, d.message, d.line, d.col) == ("syntax", "expected expression", 2, 17)
+
+
 def test_duplicate_declaration():
     with pytest.raises(ParseError) as exc:
         parse_unit("class A { }\nclass A { }")
