@@ -12,7 +12,13 @@ quantifier form
 
 Predicates are side-effect-free by construction: the grammar admits only
 field paths, quantifier variables, literals, and operators - no calls, no
-allocation, no assignment.
+allocation, no assignment.  They are typed by MiniOO's own expression rules,
+those of `typecheck`, in the context of their class and regardless of
+visibility: a bare name is a quantifier variable or else a field of the class
+or of an ancestor, `+ - * /` need int operands (or strings for `+`), an int
+is never compared with `null`, and a predicate, a quantifier's condition and
+its body are bool.  So a predicate that validates clean gives a visitor that
+typechecks.
 """
 
 from __future__ import annotations
@@ -263,15 +269,15 @@ class _PredicateChecker(_Checker):
     def report(self, code: str, message: str, node) -> None:
         super().error(code, "%s: %s" % (self.where, message), node)
 
+    def type_of(self, e: Expr) -> Optional[TypeExpr]:
+        if not isinstance(e, _ALLOWED):  # only a spec built in code has such a node
+            self.report("predicate-grammar", "%s not allowed" % type(e).__name__, e)
+            return None
+        return super().type_of(e)
+
     def check(self, p: Predicate, where: str) -> PredicateTyping:
         self.where = where
         self.diags = []
-        parts = (p.init, p.cond, p.step, p.body) if isinstance(p, Forall) else (p,)
-        for part in parts:
-            for node in walk(part):
-                if not isinstance(node, _ALLOWED):  # only a spec built in code gets here
-                    self.report("predicate-grammar", "%s not allowed" % type(node).__name__, node)
-                    return PredicateTyping(self.diags, {})
         if not isinstance(p, Forall):
             t = self.type_of(p)
             if t is not None and t != BOOL:
@@ -311,7 +317,8 @@ def validate_spec(
     spec: InvariantSpec, unit: SourceUnit, table: Optional[ClassTable] = None
 ) -> list[Diagnostic]:
     """Empty iff every spec class resolves, every free variable resolves to a
-    declared or inherited field, and every predicate types as boolean.
+    declared or inherited field, and every predicate types as boolean by
+    MiniOO's rules.
     `table`, if given, must be the unit's."""
     if table is None:
         table = ClassTable(unit)
