@@ -12,13 +12,9 @@ quantifier form
 
 Predicates are side-effect-free by construction: the grammar admits only
 field paths, quantifier variables, literals, and operators - no calls, no
-allocation, no assignment.  They are typed by MiniOO's own expression rules,
-those of `typecheck`, in the context of their class and regardless of
-visibility: a bare name is a quantifier variable or else a field of the class
-or of an ancestor, `+ - * /` need int operands (or strings for `+`), an int
-is never compared with `null`, and a predicate, a quantifier's condition and
-its body are bool.  So a predicate that validates clean gives a visitor that
-typechecks.
+allocation, no assignment.  They are typed by `typecheck`'s expression rules
+in the context of their class, regardless of visibility, so a specification
+that validates clean weaves into code that typechecks.
 """
 
 from __future__ import annotations
@@ -252,7 +248,6 @@ class _PredicateChecker(_Checker):
         super().__init__(table.unit, table, set())
         self.current_class = cls
         self.self_t = cls.self_type()
-        self.where = "predicate"
 
     def visible_from_here(self, visibility: str, declaring: str, node) -> None:
         pass
@@ -260,10 +255,8 @@ class _PredicateChecker(_Checker):
     def error(self, code: str, message: str, node) -> None:
         # The general rules' errors, in a specification's codes.
         if isinstance(node, VarRead):
-            code = "unknown-field"
             message = "no field %r on %s or its ancestors" % (node.name, self.current_class.name)
-        else:
-            code = "unknown-field" if isinstance(node, FieldAccess) else "non-boolean-predicate"
+        code = "unknown-field" if isinstance(node, (VarRead, FieldAccess)) else "non-boolean-predicate"
         self.report(code, message, node)
 
     def report(self, code: str, message: str, node) -> None:

@@ -531,7 +531,6 @@ def _ok_read() -> Expr:
 
 
 def _predicate_stmts(table: ClassTable, cls: ClassDecl, index: int, pred: Predicate) -> list[Stmt]:
-    class_name = cls.name
     if isinstance(pred, Forall):
         var_t = type_predicate(table, cls, pred).quantifier_types[pred.var]
         loop = WhileStmt(
@@ -539,7 +538,7 @@ def _predicate_stmts(table: ClassTable, cls: ClassDecl, index: int, pred: Predic
             [
                 IfStmt(
                     Unary("!", _compile_predicate_expr(pred.body)),
-                    [_record_call(class_name, index)],
+                    [_record_call(cls.name, index)],
                     None,
                 ),
                 Assign(VarRead(pred.var), _compile_predicate_expr(pred.step)),
@@ -558,7 +557,7 @@ def _predicate_stmts(table: ClassTable, cls: ClassDecl, index: int, pred: Predic
     return [
         IfStmt(
             Binary("&&", _ok_read(), Unary("!", _compile_predicate_expr(pred))),
-            [_record_call(class_name, index)],
+            [_record_call(cls.name, index)],
             None,
         )
     ]
