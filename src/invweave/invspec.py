@@ -80,17 +80,16 @@ class InvariantSpec:
 _ALLOWED = (IntLit, BoolLit, StringLit, NullLit, VarRead, FieldAccess, Binary, Unary)
 
 
-def _check_restricted(e: Expr, where: str) -> None:
+def _not_allowed(node: Expr) -> Diagnostic:
+    """The diagnostic for a node outside the predicate grammar (`_ALLOWED`)."""
+    message = "%s is not allowed in a predicate" % type(node).__name__
+    return Diagnostic("predicate-grammar", message, node.line, node.col)
+
+
+def _check_restricted(e: Expr) -> None:
     for node in walk(e):
         if not isinstance(node, _ALLOWED):
-            raise ParseError(
-                Diagnostic(
-                    "predicate-grammar",
-                    "%s is not allowed in a predicate (%s)" % (type(node).__name__, where),
-                    getattr(node, "line", 0),
-                    getattr(node, "col", 0),
-                )
-            )
+            raise ParseError(_not_allowed(node))
 
 
 def parse_predicate(text: str) -> Predicate:
@@ -121,8 +120,8 @@ def parse_predicate(text: str) -> Predicate:
         parser.expect("OP", ":")
         body = parser.parse_expr()
         parser.expect("EOF")
-        for part, where in ((init, "init"), (cond, "condition"), (step, "step"), (body, "body")):
-            _check_restricted(part, where)
+        for part in (init, cond, step, body):
+            _check_restricted(part)
         if not any(isinstance(e, VarRead) and e.name == var_tok.value for e in walk(step)):
             raise ParseError(
                 Diagnostic(
@@ -135,7 +134,7 @@ def parse_predicate(text: str) -> Predicate:
         return Forall(var_tok.value, init, cond, step, body)
     e = parser.parse_expr()
     parser.expect("EOF")
-    _check_restricted(e, "predicate")
+    _check_restricted(e)
     return e
 
 
@@ -264,7 +263,8 @@ class _PredicateChecker(_Checker):
 
     def type_of(self, e: Expr) -> Optional[TypeExpr]:
         if not isinstance(e, _ALLOWED):  # only a spec built in code has such a node
-            self.report("predicate-grammar", "%s not allowed" % type(e).__name__, e)
+            d = _not_allowed(e)
+            self.report(d.code, d.message, e)
             return None
         return super().type_of(e)
 

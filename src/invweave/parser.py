@@ -5,6 +5,8 @@ Grammar notes:
     at most one `driver { ... }` block;
   - generics use `<`/`>` with single-character tokens, so nested argument
     lists need no special lexing;
+  - binary operators are parsed by precedence climbing over
+    `syntax.BINARY_PRECEDENCE`, the table the printer parenthesizes by;
   - at statement heads, `Type name = ...;` wins over expression statements
     via bounded backtracking (the same rule Java applies through name
     resolution);
@@ -21,6 +23,7 @@ from .diagnostics import Diagnostic, ParseError
 from .lexer import Token, tokenize
 from .syntax import (
     Assign,
+    BINARY_PRECEDENCE,
     Binary,
     BoolLit,
     ClassDecl,
@@ -478,56 +481,18 @@ class _Parser:
         self.expect("OP", ")")
         return args
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at("OP", "||"):
-            t = self.advance()
-            right = self.parse_and()
-            left = Binary("||", left, right, line=t.line, col=t.col)
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_equality()
-        while self.at("OP", "&&"):
-            t = self.advance()
-            right = self.parse_equality()
-            left = Binary("&&", left, right, line=t.line, col=t.col)
-        return left
-
-    def parse_equality(self) -> Expr:
-        left = self.parse_relational()
-        while self.at("OP", "==") or self.at("OP", "!="):
-            t = self.advance()
-            right = self.parse_relational()
-            left = Binary(t.value, left, right, line=t.line, col=t.col)
-        return left
-
-    def parse_relational(self) -> Expr:
-        left = self.parse_additive()
-        while self.peek().kind == "OP" and self.peek().value in ("<", "<=", ">", ">="):
-            t = self.advance()
-            right = self.parse_additive()
-            left = Binary(t.value, left, right, line=t.line, col=t.col)
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.peek().kind == "OP" and self.peek().value in ("+", "-"):
-            t = self.advance()
-            right = self.parse_multiplicative()
-            left = Binary(t.value, left, right, line=t.line, col=t.col)
-        return left
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_expr(self, above: int = 0) -> Expr:
+        """An expression whose binary operators all bind tighter than level
+        `above` of `BINARY_PRECEDENCE`; operators of one level group left."""
         left = self.parse_unary()
-        while self.peek().kind == "OP" and self.peek().value in ("*", "/"):
-            t = self.advance()
-            right = self.parse_unary()
+        while True:
+            t = self.toks[self.i]
+            level = BINARY_PRECEDENCE.get(t.value, 0) if t.kind == "OP" else 0
+            if level <= above:
+                return left
+            self.advance()
+            right = self.parse_expr(level)
             left = Binary(t.value, left, right, line=t.line, col=t.col)
-        return left
 
     def parse_unary(self) -> Expr:
         if self.at("OP", "!") or self.at("OP", "-"):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .syntax import (
     Assign,
+    BINARY_PRECEDENCE,
     Binary,
     BoolLit,
     ClassDecl,
@@ -43,22 +44,8 @@ from .syntax import (
 
 _INDENT = "    "
 
-_BIN_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-}
-_UNARY_PREC = 7
-_ATOM_PREC = 8
+_UNARY_PREC = max(BINARY_PRECEDENCE.values()) + 1
+_ATOM_PREC = _UNARY_PREC + 1
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
@@ -77,7 +64,7 @@ def render_type(t: TypeExpr) -> str:
 
 def _prec(e: Expr) -> int:
     if isinstance(e, Binary):
-        return _BIN_PREC[e.op]
+        return BINARY_PRECEDENCE[e.op]
     if isinstance(e, Unary):
         return _UNARY_PREC
     return _ATOM_PREC
@@ -109,7 +96,7 @@ def render_expr(e: Expr) -> str:
         args = ", ".join(render_expr(a) for a in e.args)
         return "new %s(%s)" % (render_type(e.type), args)
     if isinstance(e, Binary):
-        p = _BIN_PREC[e.op]
+        p = BINARY_PRECEDENCE[e.op]
         left = render_expr(e.left)
         if _prec(e.left) < p:
             left = "(%s)" % left

@@ -154,6 +154,24 @@ class NewObject:
     col: int = _pos_field()
 
 
+# The level of each binary operator: a higher level binds tighter, and
+# operators of one level group left.
+BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3,
+    "!=": 3,
+    "<": 4,
+    "<=": 4,
+    ">": 4,
+    ">=": 4,
+    "+": 5,
+    "-": 5,
+    "*": 6,
+    "/": 6,
+}
+
+
 @dataclass
 class Binary:
     op: str
@@ -477,15 +495,6 @@ class SourceUnit:
     classes: list[ClassDecl] = field(default_factory=list)
     interfaces: list[InterfaceDecl] = field(default_factory=list)
     driver: Optional[DriverBlock] = None
-
-    def decl(self, name: str) -> Optional[Union[ClassDecl, InterfaceDecl]]:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        for i in self.interfaces:
-            if i.name == name:
-                return i
-        return None
 
 
 def merge_units(units: list[SourceUnit], driver_from: Optional[int] = None) -> SourceUnit:

@@ -10,10 +10,12 @@ names getters after fields, so shadowing would make them ambiguous.
 
 Lookups are resolved once per type: a `ClassTable` builds a class type's map
 of methods, fields and bodied methods (name -> declaring class, member,
-substitution) from its superclass type's map plus its own members, and
-memoises class chains, supertype instances and closures.  A table lives for
-one check or one weave of an unchanging unit.  Expression rules are chosen
-by node type.
+substitution) from its superclass type's map plus its own members.  Class
+chains, member maps and supertype closures are each made from their parent's
+(the superclass, or a type's sole supertype) by one loop, `_walk_up`, which
+walks up to the first memoised ancestor and fills the memo back down, so a
+deep hierarchy costs no Python stack.  A table lives for one check or one
+weave of an unchanging unit.  Expression rules are chosen by node type.
 
 Each class or interface is checked once for all the units it goes into.  A
 unit that checks with no diagnostic leaves a clean verdict on each of its
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .diagnostics import Diagnostic, ParseError
 from .parser import check_cycles
@@ -59,6 +61,7 @@ from .syntax import (
     NamedType,
     NewObject,
     NullLit,
+    Param,
     PRIMITIVES,
     PrintStmt,
     ReflectGet,
@@ -107,13 +110,37 @@ _NO_MEMBERS = _Members({}, {}, {})
 _NO_SUBST = TypeSubstitution()
 
 
+def _signature(m: MethodDecl, *subs: TypeSubstitution) -> tuple:
+    """`m`'s parameter and return types (None for void), each substituted by
+    `subs` in turn."""
+
+    def view(t: TypeExpr) -> TypeExpr:
+        for sub in subs:
+            t = substitute(sub, t)
+        return t
+
+    return [view(p.type) for p in m.params], None if m.return_type is None else view(m.return_type)
+
+
+def _extend(inherited: _Members, decl: ClassDecl, sub: TypeSubstitution) -> _Members:
+    """`inherited` with `decl`'s own members in front; they hide inherited
+    ones, and the first of a name wins."""
+    out = _Members(dict(inherited.methods), dict(inherited.fields), dict(inherited.impls))
+    for m in reversed(decl.methods):
+        out.methods[m.name] = (decl, m, sub)
+        if m.body is not None:
+            out.impls[m.name] = (decl, m, sub)
+    for f in reversed(decl.fields):
+        out.fields[f.name] = (decl, f, sub)
+    return out
+
+
 @dataclass
 class MethodHit:
     declaring: str
     method: MethodDecl
     param_types: list[TypeExpr]  # substituted to the receiver's view
     return_type: Optional[TypeExpr]
-    from_interface: bool
 
 
 class ClassTable:
@@ -144,27 +171,38 @@ class ClassTable:
         d = self.decls.get(name)
         return d if isinstance(d, InterfaceDecl) else None
 
-    def class_chain(self, name: str) -> list[ClassDecl]:
-        """The class and its ancestors, most-derived first."""
-        chain = self._memo.get(("chain", name))
-        if chain is not None:
-            return chain
-        # Walk up to the first ancestor already memoised, then fill down.
-        pending: list[ClassDecl] = []
-        while chain is None:
+    def _walk_up(self, kind: str, key, up, root):
+        """The memoised `kind` of `key`.  `up(key)` gives the key whose value
+        this one's is made from (None for `root`) and the function making it.
+        Walks up to the first key already memoised, then fills down, so a
+        long hierarchy costs no Python stack."""
+        out = self._memo.get((kind, key))
+        pending = []
+        while out is None:
             if len(pending) > len(self.decls):
                 check_cycles(self.unit)  # raises: the walk is going round a cycle
+            parent, make = up(key)
+            pending.append((key, make))
+            if parent is None:
+                out = root
+                break
+            key = parent
+            out = self._memo.get((kind, key))
+        for key, make in reversed(pending):
+            out = self._memo[(kind, key)] = make(out)
+        return out
+
+    def class_chain(self, name: str) -> list[ClassDecl]:
+        """The class and its ancestors, most-derived first."""
+
+        def up(name):
             cur = self.get_class(name)
-            if cur is None or cur.super_class is None:
-                chain = []
-            else:
-                name = cur.super_class.name
-                chain = self._memo.get(("chain", name))
-            if cur is not None:
-                pending.append(cur)
-        for cur in reversed(pending):
-            chain = self._memo[("chain", cur.name)] = [cur] + chain
-        return chain
+            if cur is None:
+                return None, lambda chain: chain
+            parent = None if cur.super_class is None else cur.super_class.name
+            return parent, lambda chain: [cur] + chain
+
+        return self._walk_up("chain", name, up, [])
 
     def view_subst(self, decl: Union[ClassDecl, InterfaceDecl], t: NamedType) -> TypeSubstitution:
         if not decl.type_params or not t.args:
@@ -186,32 +224,26 @@ class ClassTable:
 
     def closure(self, t: NamedType) -> list[NamedType]:
         """t plus every (substituted) supertype instance, breadth-first."""
-        out = self._memo.get(("closure", t))
-        # The closure of a type with one supertype instance is that instance's
-        # with the type in front: walk up such types to one memoised or with
-        # more or fewer supertypes, then fill down.
-        pending: list[NamedType] = []
-        while out is None:
-            if len(pending) > len(self.decls):
-                check_cycles(self.unit)  # raises: the walk is going round a cycle
+
+        def up(t):
             supers = self.super_instances(t)
-            if len(supers) == 1:
-                pending.append(t)
-                t = supers[0]
-                out = self._memo.get(("closure", t))
-            else:
-                out = self._memo[("closure", t)] = []
-                seen: set[NamedType] = set()
-                work = [t]
-                while work:
-                    cur = work.pop(0)
-                    if cur in seen:
-                        continue
-                    seen.add(cur)
-                    out.append(cur)
-                    work.extend(self.super_instances(cur))
-        for t in reversed(pending):
-            out = self._memo[("closure", t)] = [t] + out
+            if len(supers) == 1:  # that instance's closure with `t` in front
+                return supers[0], lambda out: [t] + out
+            return None, lambda _: self._breadth_first(t)
+
+        return self._walk_up("closure", t, up, None)
+
+    def _breadth_first(self, t: NamedType) -> list[NamedType]:
+        out: list[NamedType] = []
+        seen: set[NamedType] = set()
+        work = [t]
+        while work:
+            cur = work.pop(0)
+            if cur in seen:
+                continue
+            seen.add(cur)
+            out.append(cur)
+            work.extend(self.super_instances(cur))
         return out
 
     def is_subtype(self, s: TypeExpr, t: TypeExpr) -> bool:
@@ -235,36 +267,16 @@ class ClassTable:
     def members(self, t: NamedType) -> _Members:
         """The resolved members of class type `t`, built once from those of
         its superclass type; empty when `t` names no class."""
-        out = self._memo.get(t)
-        if out is not None:
-            return out
-        # Walk up to the first superclass type already memoised, then fill down.
-        pending: list[tuple[NamedType, ClassDecl, TypeSubstitution]] = []
-        while out is None:
-            if len(pending) > len(self.decls):
-                check_cycles(self.unit)  # raises: the walk is going round a cycle
+
+        def up(t):
             decl = self.get_class(t.name)
             if decl is None:
-                out = self._memo[t] = _NO_MEMBERS
-            else:
-                sub = self.view_subst(decl, t)
-                pending.append((t, decl, sub))
-                if decl.super_class is None:
-                    out = _NO_MEMBERS
-                else:
-                    t = substitute(sub, decl.super_class)  # type: ignore[assignment]
-                    out = self._memo.get(t)
-        for t, decl, sub in reversed(pending):
-            out = _Members(dict(out.methods), dict(out.fields), dict(out.impls))
-            # Own members hide inherited ones; the first of a name wins.
-            for m in reversed(decl.methods):
-                out.methods[m.name] = (decl, m, sub)
-                if m.body is not None:
-                    out.impls[m.name] = (decl, m, sub)
-            for f in reversed(decl.fields):
-                out.fields[f.name] = (decl, f, sub)
-            self._memo[t] = out
-        return out
+                return None, lambda _: _NO_MEMBERS
+            sub = self.view_subst(decl, t)
+            parent = None if decl.super_class is None else substitute(sub, decl.super_class)
+            return parent, lambda inherited: _extend(inherited, decl, sub)
+
+        return self._walk_up("members", t, up, _NO_MEMBERS)
 
     def find_field(self, t: TypeExpr, name: str) -> Optional[FieldHit]:
         """Visibility-blind field lookup up the class chain of `t`."""
@@ -283,7 +295,7 @@ class ClassTable:
             return None
         hit = self.members(t).methods.get(name)
         if hit is not None:
-            return self._hit(*hit, from_interface=False)
+            return self._hit(*hit)
         # Abstract classes may leave interface methods unimplemented.
         for inst in self.closure(t):
             idecl = self.get_interface(inst.name)
@@ -291,28 +303,22 @@ class ClassTable:
                 continue
             for m in idecl.methods:
                 if m.name == name:
-                    return self._hit(idecl, m, self.view_subst(idecl, inst), from_interface=True)
+                    return self._hit(idecl, m, self.view_subst(idecl, inst))
         return None
 
     @staticmethod
-    def _hit(
-        decl: Union[ClassDecl, InterfaceDecl],
-        m: MethodDecl,
-        sub: TypeSubstitution,
-        from_interface: bool,
-    ) -> MethodHit:
+    def _hit(decl: Union[ClassDecl, InterfaceDecl], m: MethodDecl, sub: TypeSubstitution) -> MethodHit:
         return MethodHit(
             declaring=decl.name,
             method=m,
             param_types=[substitute(sub, p.type) for p in m.params],
             return_type=None if m.return_type is None else substitute(sub, m.return_type),
-            from_interface=from_interface,
         )
 
     def find_impl(self, t: NamedType, name: str) -> Optional[MethodHit]:
         """First method with a body walking the class chain of `t`."""
         hit = self.members(t).impls.get(name)
-        return None if hit is None else self._hit(*hit, from_interface=False)
+        return None if hit is None else self._hit(*hit)
 
     def constructor_params(self, name: str) -> Optional[list[TypeExpr]]:
         """Parameter types of a class's constructor; [] for the implicit
@@ -434,17 +440,7 @@ class _Checker:
             if self.table.get_interface(e.name) is None:
                 self.error("type-mismatch", "%r is not an interface" % e.name, idecl)
         for m in idecl.methods:
-            mscope = scope | set(m.type_params)
-            if set(m.type_params) & scope:
-                self.error(
-                    "duplicate-name",
-                    "method type parameter shadows interface parameter",
-                    m,
-                )
-            for p in m.params:
-                self.check_type(p.type, mscope, m)
-            if m.return_type is not None:
-                self.check_type(m.return_type, mscope, m)
+            self.check_method_header(m, scope, "interface")
 
     def check_class_header(self, cdecl: ClassDecl) -> None:
         self.decl = cdecl
@@ -465,18 +461,19 @@ class _Checker:
         for f in cdecl.fields:
             self.check_type(f.declared_type, scope, f)
         for m in cdecl.methods:
-            if set(m.type_params) & scope:
-                self.error(
-                    "duplicate-name", "method type parameter shadows class parameter", m
-                )
-            mscope = scope | set(m.type_params)
-            for p in m.params:
-                self.check_type(p.type, mscope, m)
-            if m.return_type is not None:
-                self.check_type(m.return_type, mscope, m)
+            self.check_method_header(m, scope, "class")
         if cdecl.constructor is not None:
             for p in cdecl.constructor.params:
                 self.check_type(p.type, scope, cdecl.constructor)
+
+    def check_method_header(self, m: MethodDecl, scope: set[str], owner: str) -> None:
+        if set(m.type_params) & scope:
+            self.error("duplicate-name", "method type parameter shadows %s parameter" % owner, m)
+        mscope = scope | set(m.type_params)
+        for p in m.params:
+            self.check_type(p.type, mscope, m)
+        if m.return_type is not None:
+            self.check_type(m.return_type, mscope, m)
 
     def check_class_members(self, cdecl: ClassDecl) -> None:
         self.decl = self.current_class = cdecl
@@ -494,14 +491,12 @@ class _Checker:
                     )
         # Override compatibility.
         if cdecl.super_class is not None:
+            super_t = substitute(self.table.view_subst(cdecl, self_t), cdecl.super_class)
+            inherited = self.table.members(super_t).methods  # type: ignore[arg-type]
             for m in cdecl.methods:
-                inherited = self.table.find_method(
-                    substitute(self.table.view_subst(cdecl, self_t), cdecl.super_class),  # type: ignore[arg-type]
-                    m.name,
-                )
-                if inherited is None or inherited.from_interface:
-                    continue
-                self.check_override(cdecl, m, inherited)
+                if m.name in inherited:
+                    _, theirs, sub = inherited[m.name]
+                    self.check_override(m, theirs, sub)
         # Interface satisfaction.
         self.check_interface_satisfaction(cdecl, self_t)
         # Bodies.
@@ -515,15 +510,15 @@ class _Checker:
                         m,
                     )
                 continue
-            self.check_method_body(cdecl, m)
+            self.check_method_body(m)
         if cdecl.constructor is not None:
             self.check_constructor_body(cdecl, cdecl.constructor)
         else:
             self.check_implicit_constructor(cdecl)
         self.current_class = None
 
-    def check_override(self, cdecl: ClassDecl, m: MethodDecl, inherited: MethodHit) -> None:
-        if m.visibility == "private" or inherited.method.visibility == "private":
+    def check_override(self, m: MethodDecl, theirs: MethodDecl, sub: TypeSubstitution) -> None:
+        if m.visibility == "private" or theirs.visibility == "private":
             self.error(
                 "duplicate-name",
                 "method %r collides with an inherited method and cannot override it"
@@ -531,34 +526,15 @@ class _Checker:
                 m,
             )
             return
-        if _VIS_RANK[m.visibility] < _VIS_RANK[inherited.method.visibility]:
+        if _VIS_RANK[m.visibility] < _VIS_RANK[theirs.visibility]:
             self.error(
                 "visibility",
                 "override of %r narrows visibility" % m.name,
                 m,
             )
-        if len(m.type_params) != len(inherited.method.type_params):
-            self.error("type-mismatch", "override of %r changes type parameters" % m.name, m)
-            return
-        rename = TypeSubstitution(
-            tuple(
-                (theirs, TypeVar(ours))
-                for theirs, ours in zip(inherited.method.type_params, m.type_params)
-            )
+        self.check_conforms(
+            m, _NO_SUBST, theirs, sub, "override of %r" % m.name, "the inherited signature"
         )
-        want_params = [substitute(rename, p) for p in inherited.param_types]
-        got_params = [p.type for p in m.params]
-        want_ret = (
-            None
-            if inherited.return_type is None
-            else substitute(rename, inherited.return_type)
-        )
-        if want_params != got_params or want_ret != m.return_type:
-            self.error(
-                "type-mismatch",
-                "override of %r does not match the inherited signature" % m.name,
-                m,
-            )
 
     def check_interface_satisfaction(self, cdecl: ClassDecl, self_t: NamedType) -> None:
         methods = self.table.members(self_t).methods
@@ -585,34 +561,35 @@ class _Checker:
                         "interface method %r implemented with non-public visibility" % sig.name,
                         m,
                     )
-                if len(m.type_params) != len(sig.type_params):
-                    self.error(
-                        "type-mismatch",
-                        "implementation of %s.%s changes type parameters" % (inst.name, sig.name),
-                        m,
-                    )
-                    continue
-                rename = TypeSubstitution(
-                    tuple(
-                        (theirs, TypeVar(ours))
-                        for theirs, ours in zip(sig.type_params, m.type_params)
-                    )
+                self.check_conforms(
+                    m,
+                    vsub,
+                    sig,
+                    sub,
+                    "implementation of %s.%s" % (inst.name, sig.name),
+                    "the interface signature",
                 )
-                want_params = [substitute(rename, substitute(sub, p.type)) for p in sig.params]
-                got_params = [substitute(vsub, p.type) for p in m.params]
-                want_ret = (
-                    None
-                    if sig.return_type is None
-                    else substitute(rename, substitute(sub, sig.return_type))
-                )
-                got_ret = None if m.return_type is None else substitute(vsub, m.return_type)
-                if want_params != got_params or want_ret != got_ret:
-                    self.error(
-                        "type-mismatch",
-                        "implementation of %s.%s does not match the interface signature"
-                        % (inst.name, sig.name),
-                        m,
-                    )
+
+    def check_conforms(
+        self,
+        m: MethodDecl,
+        msub: TypeSubstitution,
+        theirs: MethodDecl,
+        tsub: TypeSubstitution,
+        what: str,
+        signature: str,
+    ) -> None:
+        """`m`, viewed through `msub`, must take and return the types of
+        `theirs` viewed through `tsub`, once `theirs`' method type parameters
+        are renamed to `m`'s."""
+        if len(m.type_params) != len(theirs.type_params):
+            self.error("type-mismatch", "%s changes type parameters" % what, m)
+            return
+        rename = TypeSubstitution(
+            tuple((a, TypeVar(b)) for a, b in zip(theirs.type_params, m.type_params))
+        )
+        if _signature(m, msub) != _signature(theirs, tsub, rename):
+            self.error("type-mismatch", "%s does not match %s" % (what, signature), m)
 
     # -- bodies ----------------------------------------------------------------
 
@@ -622,26 +599,29 @@ class _Checker:
             out |= set(self.current_class.type_params)
         return out
 
-    def check_method_body(self, cdecl: ClassDecl, m: MethodDecl) -> None:
-        self.method_type_params = set(m.type_params)
-        self.return_type = m.return_type
-        self.in_constructor = False
+    def enter_body(
+        self,
+        params: Sequence[Param],
+        return_type: Optional[TypeExpr] = None,
+        type_params: Sequence[str] = (),
+        in_constructor: bool = False,
+    ) -> None:
+        """Start a body: a fresh scope holding `params`."""
+        self.method_type_params = set(type_params)
+        self.return_type = return_type
+        self.in_constructor = in_constructor
         self.scope = _Scope()
         self.scope.push()
-        for p in m.params:
+        for p in params:
             self.scope.declare(p.name, p.type)
+
+    def check_method_body(self, m: MethodDecl) -> None:
+        self.enter_body(m.params, m.return_type, m.type_params)
         for s in m.body or []:
             self.check_stmt(s)
-        self.method_type_params = set()
 
     def check_constructor_body(self, cdecl: ClassDecl, ctor: ConstructorDecl) -> None:
-        self.method_type_params = set()
-        self.return_type = None
-        self.in_constructor = True
-        self.scope = _Scope()
-        self.scope.push()
-        for p in ctor.params:
-            self.scope.declare(p.name, p.type)
+        self.enter_body(ctor.params, in_constructor=True)
         for idx, s in enumerate(ctor.body):
             if isinstance(s, SuperCall) and idx != 0:
                 self.error("type-mismatch", "super(...) must be the first statement", s)
@@ -656,7 +636,6 @@ class _Checker:
                     % cdecl.super_class.name,
                     ctor,
                 )
-        self.in_constructor = False
 
     def check_implicit_constructor(self, cdecl: ClassDecl) -> None:
         if cdecl.super_class is None:
@@ -672,11 +651,7 @@ class _Checker:
 
     def check_driver(self) -> None:
         self.decl = self.current_class = None
-        self.method_type_params = set()
-        self.return_type = None
-        self.in_constructor = False
-        self.scope = _Scope()
-        self.scope.push()
+        self.enter_body(())
         assert self.unit.driver is not None
         for s in self.unit.driver.body:
             self.check_stmt(s)
@@ -698,21 +673,12 @@ class _Checker:
                 self.require_assignable(value_t, target_t, s)
         elif isinstance(s, IfStmt):
             self.require_bool(self.type_of(s.cond), s)
-            self.scope.push()
-            for inner in s.then_body:
-                self.check_stmt(inner)
-            self.scope.pop()
+            self.check_block(s.then_body)
             if s.else_body is not None:
-                self.scope.push()
-                for inner in s.else_body:
-                    self.check_stmt(inner)
-                self.scope.pop()
+                self.check_block(s.else_body)
         elif isinstance(s, WhileStmt):
             self.require_bool(self.type_of(s.cond), s)
-            self.scope.push()
-            for inner in s.body:
-                self.check_stmt(inner)
-            self.scope.pop()
+            self.check_block(s.body)
         elif isinstance(s, ReturnStmt):
             if self.in_constructor:
                 if s.value is not None:
@@ -775,20 +741,14 @@ class _Checker:
         else:
             raise TypeError("unknown statement node %r" % type(s).__name__)
 
+    def check_block(self, body: list[Stmt]) -> None:
+        self.scope.push()
+        for s in body:
+            self.check_stmt(s)
+        self.scope.pop()
+
     def type_of_assign_target(self, target: Expr) -> Optional[TypeExpr]:
-        if isinstance(target, VarRead):
-            local = self.scope.lookup(target.name)
-            if local is not None:
-                return local
-            if self.current_class is not None:
-                hit = self.field_with_visibility(
-                    self.self_t, target.name, target
-                )
-                if hit is not None:
-                    return hit.type
-            self.error("unknown-name", "unknown variable %r" % target.name, target)
-            return None
-        if isinstance(target, FieldAccess):
+        if isinstance(target, (VarRead, FieldAccess)):
             return self.type_of(target)
         self.error("type-mismatch", "invalid assignment target", target)
         return None
@@ -851,16 +811,15 @@ class _Checker:
         node,
         what: str,
     ) -> None:
-        if len(want) != len(args):
-            self.error(
-                "arity",
-                "%s expects %d argument(s), got %d" % (what, len(want), len(args)),
-                node,
-            )
-            return
-        for a, w in zip(args, want):
-            t = self.type_of(a)
-            self.require_assignable(t, w, node)
+        if self.check_arity(len(want), args, node, what):
+            for a, w in zip(args, want):
+                self.require_assignable(self.type_of(a), w, node)
+
+    def check_arity(self, want: int, args: list, node, what: str) -> bool:
+        if want == len(args):
+            return True
+        self.error("arity", "%s expects %d argument(s), got %d" % (what, want, len(args)), node)
+        return False
 
     # -- unification for method-level type parameters --------------------------------
 
@@ -1033,12 +992,7 @@ class _Checker:
         ret = hit.return_type
         if hit.method.type_params:
             arg_types = [self.type_of(a) for a in e.args]
-            if len(arg_types) != len(want):
-                self.error(
-                    "arity",
-                    "%s expects %d argument(s), got %d" % (e.name, len(want), len(e.args)),
-                    e,
-                )
+            if not self.check_arity(len(want), arg_types, e, e.name):
                 return None
             tvars = set(hit.method.type_params)
             bindings: dict[str, TypeExpr] = {}
@@ -1064,7 +1018,7 @@ class _Checker:
                 )
                 return None
             inst = TypeSubstitution(tuple(bindings.items()))
-            return None_to_void(ret, inst)
+            return VOID_TYPE if ret is None else substitute(inst, ret)
         self.check_call_args(want, e.args, e, e.name)
         return VOID_TYPE if ret is None else ret
 
@@ -1072,16 +1026,6 @@ class _Checker:
         lt = self.type_of(e.left)
         rt = self.type_of(e.right)
         op = e.op
-        if op in ("&&", "||"):
-            for t in (lt, rt):
-                if t is not None and t != BOOL:
-                    self.error("type-mismatch", "%s expects bool operands" % op, e)
-            return BOOL
-        if op in ("<", "<=", ">", ">="):
-            for t in (lt, rt):
-                if t is not None and t != INT:
-                    self.error("type-mismatch", "%s expects int operands" % op, e)
-            return BOOL
         if op in ("==", "!="):
             if lt is None or rt is None:
                 return BOOL
@@ -1097,21 +1041,21 @@ class _Checker:
                 return BOOL
             self.error("type-mismatch", "cannot compare %s with %s" % (lt, rt), e)
             return BOOL
-        if op == "+":
-            if lt == STRING or rt == STRING:
-                for t in (lt, rt):
-                    if t is not None and t != STRING:
-                        self.error("type-mismatch", "+ expects matching operands", e)
-                return STRING
-            for t in (lt, rt):
-                if t is not None and t != INT:
-                    self.error("type-mismatch", "+ expects int or string operands", e)
-            return INT
-        # - * /
+        # The type both operands must have, the result's, and the error if not.
+        if op in ("&&", "||"):
+            want, result, message = BOOL, BOOL, "%s expects bool operands" % op
+        elif op in ("<", "<=", ">", ">="):
+            want, result, message = INT, BOOL, "%s expects int operands" % op
+        elif op == "+" and STRING in (lt, rt):
+            want, result, message = STRING, STRING, "+ expects matching operands"
+        elif op == "+":
+            want, result, message = INT, INT, "+ expects int or string operands"
+        else:  # - * /
+            want, result, message = INT, INT, "%s expects int operands" % op
         for t in (lt, rt):
-            if t is not None and t != INT:
-                self.error("type-mismatch", "%s expects int operands" % op, e)
-        return INT
+            if t is not None and t != want:
+                self.error("type-mismatch", message, e)
+        return result
 
 
 # The typing rule of each expression node type, for `_Checker.type_of`.
@@ -1131,12 +1075,6 @@ _EXPR_RULES = {
     ReflectGet: _Checker.type_of_reflect,
     SingletonRef: _Checker.type_of_singleton,
 }
-
-
-def None_to_void(ret: Optional[TypeExpr], sub: TypeSubstitution) -> TypeExpr:
-    if ret is None:
-        return VOID_TYPE
-    return substitute(sub, ret)
 
 
 # declaration -> weak references to the declarations of a unit it checked clean in

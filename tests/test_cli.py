@@ -375,9 +375,10 @@ def test_run_deeply_nested_statements_are_a_one_line_error(tmp_path, capsys):
     ), err
 
 
-def test_run_moderately_nested_expression_still_runs(tmp_path, capsys):
+@pytest.mark.parametrize("depth", [80, 150])
+def test_run_moderately_nested_expression_still_runs(depth, tmp_path, capsys):
     src = tmp_path / "nested.moo"
-    src.write_text("driver { print(%s1%s); }\n" % ("(" * 80, ")" * 80))
+    src.write_text("driver { print(%s1%s); }\n" % ("(" * depth, ")" * depth))
     assert main(["run", str(src)]) == 0
     assert capsys.readouterr().out == "1\n"
 

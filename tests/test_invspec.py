@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from invweave.diagnostics import SpecError
@@ -175,11 +177,18 @@ def test_validate_rejects_calls_allocation_and_this_in_a_spec_built_in_code():
         }
     )
     diags = validate_spec(spec, unit)
-    assert [(d.code, d.message) for d in diags] == [
-        ("predicate-grammar", "AbstractList, invariant[0]: MethodCall not allowed"),
-        ("predicate-grammar", "AbstractList, invariant[1]: NewObject not allowed"),
-        ("predicate-grammar", "AbstractList, invariant[2]: ThisExpr not allowed"),
+    expected = [
+        ("predicate-grammar", "AbstractList, invariant[0]: MethodCall is not allowed in a predicate"),
+        ("predicate-grammar", "AbstractList, invariant[1]: NewObject is not allowed in a predicate"),
+        ("predicate-grammar", "AbstractList, invariant[2]: ThisExpr is not allowed in a predicate"),
     ]
+    assert [(d.code, d.message) for d in diags] == expected
+    # Written as text, the same predicates are refused at load time in the same words.
+    for j, text in enumerate(["size() >= 0", "new DNode<int>(1) != null", "this.size >= 0"]):
+        doc = {"classes": [{"name": "AbstractList", "invariant": ["size >= 0"] * j + [text]}]}
+        with pytest.raises(SpecError) as exc:
+            load_spec(json.dumps(doc))
+        assert (exc.value.diagnostic.code, exc.value.diagnostic.message) == expected[j]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from invweave.syntax import (
     MethodCall,
     NamedType,
     TypeVar,
+    VarRead,
 )
 
 from helpers import load_dlist
@@ -122,6 +123,23 @@ def test_precedence_and_associativity():
     assert isinstance(e, Binary) and e.op == "-"
     assert isinstance(e.left, Binary) and e.left.op == "+"
     assert isinstance(e.left.right, Binary) and e.left.right.op == "*"
+
+
+# MiniOO's binary operators by level, loosest first (Java's order).
+_LEVELS = [("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="), ("+", "-"), ("*", "/")]
+
+
+def test_every_operator_pair_groups_by_level():
+    level = {op: n for n, ops in enumerate(_LEVELS) for op in ops}
+    a, b, c = VarRead("a"), VarRead("b"), VarRead("c")
+    for o1 in level:
+        for o2 in level:
+            unit = parse_unit("driver { print(a %s b %s c); }" % (o1, o2))
+            if level[o1] >= level[o2]:  # the same level groups left
+                want = Binary(o2, Binary(o1, a, b), c)
+            else:
+                want = Binary(o1, a, Binary(o2, b, c))
+            assert unit.driver.body[0].value == want, (o1, o2)
 
 
 def test_postfix_chain():
