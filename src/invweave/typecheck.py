@@ -146,7 +146,7 @@ class MethodHit:
 class ClassTable:
     """Declaration index plus the subtyping and member-lookup machinery.
 
-    Each lookup is resolved once per type and memoised in `_memo`, so a table
+    Each lookup is resolved once per type and memoised, so a table
     must not outlive a change to its unit.  The unit's inheritance should be
     acyclic (`typecheck_program` checks that first); a walk up the class chain
     that meets a cycle raises the parser's ParseError for it."""
@@ -158,7 +158,10 @@ class ClassTable:
             self.decls[c.name] = c
         for i in unit.interfaces:
             self.decls[i.name] = i
-        self._memo: dict = {}
+        self._chains: dict[str, list[ClassDecl]] = {}
+        self._closures: dict[NamedType, list[NamedType]] = {}
+        self._members: dict[NamedType, _Members] = {}
+        self._supers: dict[NamedType, list[NamedType]] = {}
 
     def get(self, name: str) -> Optional[Union[ClassDecl, InterfaceDecl]]:
         return self.decls.get(name)
@@ -171,12 +174,12 @@ class ClassTable:
         d = self.decls.get(name)
         return d if isinstance(d, InterfaceDecl) else None
 
-    def _walk_up(self, kind: str, key, up, root):
-        """The memoised `kind` of `key`.  `up(key)` gives the key whose value
-        this one's is made from (None for `root`) and the function making it.
-        Walks up to the first key already memoised, then fills down, so a
-        long hierarchy costs no Python stack."""
-        out = self._memo.get((kind, key))
+    def _walk_up(self, memo: dict, key, up, root):
+        """Fill `memo[key]`, which is missing.  `up(key)` gives the key whose
+        value this one's is made from (None for `root`) and the function
+        making it.  Walks up to the first key already in `memo`, then fills
+        down, so a long hierarchy costs no Python stack."""
+        out = None
         pending = []
         while out is None:
             if len(pending) > len(self.decls):
@@ -187,13 +190,16 @@ class ClassTable:
                 out = root
                 break
             key = parent
-            out = self._memo.get((kind, key))
+            out = memo.get(key)
         for key, make in reversed(pending):
-            out = self._memo[(kind, key)] = make(out)
+            out = memo[key] = make(out)
         return out
 
     def class_chain(self, name: str) -> list[ClassDecl]:
         """The class and its ancestors, most-derived first."""
+        chain = self._chains.get(name)
+        if chain is not None:
+            return chain
 
         def up(name):
             cur = self.get_class(name)
@@ -202,7 +208,7 @@ class ClassTable:
             parent = None if cur.super_class is None else cur.super_class.name
             return parent, lambda chain: [cur] + chain
 
-        return self._walk_up("chain", name, up, [])
+        return self._walk_up(self._chains, name, up, [])
 
     def view_subst(self, decl: Union[ClassDecl, InterfaceDecl], t: NamedType) -> TypeSubstitution:
         if not decl.type_params or not t.args:
@@ -210,7 +216,7 @@ class ClassTable:
         return TypeSubstitution(tuple(zip(decl.type_params, t.args)))
 
     def super_instances(self, t: NamedType) -> list[NamedType]:
-        out = self._memo.get(("supers", t))
+        out = self._supers.get(t)
         if out is None:
             decl = self.decls.get(t.name)
             if isinstance(decl, ClassDecl):
@@ -219,11 +225,14 @@ class ClassTable:
             else:
                 supers = [] if decl is None else decl.extends
             out = [substitute(self.view_subst(decl, t), s) for s in supers]  # type: ignore
-            self._memo[("supers", t)] = out
+            self._supers[t] = out
         return out
 
     def closure(self, t: NamedType) -> list[NamedType]:
         """t plus every (substituted) supertype instance, breadth-first."""
+        out = self._closures.get(t)
+        if out is not None:
+            return out
 
         def up(t):
             supers = self.super_instances(t)
@@ -231,7 +240,7 @@ class ClassTable:
                 return supers[0], lambda out: [t] + out
             return None, lambda _: self._breadth_first(t)
 
-        return self._walk_up("closure", t, up, None)
+        return self._walk_up(self._closures, t, up, None)
 
     def _breadth_first(self, t: NamedType) -> list[NamedType]:
         out: list[NamedType] = []
@@ -267,6 +276,9 @@ class ClassTable:
     def members(self, t: NamedType) -> _Members:
         """The resolved members of class type `t`, built once from those of
         its superclass type; empty when `t` names no class."""
+        out = self._members.get(t)
+        if out is not None:
+            return out
 
         def up(t):
             decl = self.get_class(t.name)
@@ -276,7 +288,7 @@ class ClassTable:
             parent = None if decl.super_class is None else substitute(sub, decl.super_class)
             return parent, lambda inherited: _extend(inherited, decl, sub)
 
-        return self._walk_up("members", t, up, _NO_MEMBERS)
+        return self._walk_up(self._members, t, up, _NO_MEMBERS)
 
     def find_field(self, t: TypeExpr, name: str) -> Optional[FieldHit]:
         """Visibility-blind field lookup up the class chain of `t`."""
@@ -888,10 +900,7 @@ class _Checker:
         obj_t = self.type_of(e.obj)
         if obj_t is None:
             return None
-        if obj_t == NULL_TYPE or not isinstance(obj_t, NamedType):
-            self.error("type-mismatch", "%s has no fields" % obj_t, e)
-            return None
-        if self.table.get_class(obj_t.name) is None:
+        if not isinstance(obj_t, NamedType) or self.table.get_class(obj_t.name) is None:
             self.error("type-mismatch", "%s has no fields" % obj_t, e)
             return None
         hit = self.field_with_visibility(obj_t, e.name, e)
@@ -971,10 +980,11 @@ class _Checker:
             is_super = False
         if recv_t is None:
             return None
-        if recv_t == NULL_TYPE or not isinstance(recv_t, NamedType) or recv_t.name in PRIMITIVES:
-            self.error("type-mismatch", "%s has no methods" % recv_t, e)
-            return None
-        if self.table.get(recv_t.name) is None:
+        if (
+            not isinstance(recv_t, NamedType)
+            or recv_t.name in PRIMITIVES
+            or self.table.get(recv_t.name) is None
+        ):
             self.error("type-mismatch", "%s has no methods" % recv_t, e)
             return None
         hit = self.table.find_method(recv_t, e.name)
