@@ -110,16 +110,13 @@ _NO_MEMBERS = _Members({}, {}, {})
 _NO_SUBST = TypeSubstitution()
 
 
-def _signature(m: MethodDecl, *subs: TypeSubstitution) -> tuple:
-    """`m`'s parameter and return types (None for void), each substituted by
-    `subs` in turn."""
-
-    def view(t: TypeExpr) -> TypeExpr:
-        for sub in subs:
-            t = substitute(sub, t)
-        return t
-
-    return [view(p.type) for p in m.params], None if m.return_type is None else view(m.return_type)
+def _signature(m: MethodDecl, *subs: TypeSubstitution) -> list[Optional[TypeExpr]]:
+    """`m`'s parameter types, then its return type (None for void), each
+    substituted by `subs` in turn."""
+    types = [p.type for p in m.params] + [m.return_type]
+    for sub in subs:
+        types = [None if t is None else substitute(sub, t) for t in types]
+    return types
 
 
 def _extend(inherited: _Members, decl: ClassDecl, sub: TypeSubstitution) -> _Members:
@@ -243,6 +240,7 @@ class ClassTable:
         return self._walk_up(self._closures, t, up, None)
 
     def _breadth_first(self, t: NamedType) -> list[NamedType]:
+        """`t` and each supertype instance above it, once, breadth-first."""
         out: list[NamedType] = []
         seen: set[NamedType] = set()
         work = [t]
