@@ -22,11 +22,9 @@ the generated check via reflective reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagnostics import Diagnostic
 from .invspec import Forall, InvariantSpec, Predicate
-from .syntax import ClassDecl, TypeExpr, VarRead, walk
+from .syntax import ClassDecl, Record, TypeExpr, VarRead, walk
 from .typecheck import ClassTable
 
 
@@ -102,21 +100,24 @@ def interface_body(
     return out
 
 
-@dataclass
-class ClassExposure:
-    own_signatures: list[tuple[str, TypeExpr]]
-    inherited_exposed: set[str]
-    free_vars: set[str]
-    bound_vars: set[str]
-    chain: list[str]  # specified_chain of the class, root first
+class ClassExposure(Record):
+    __slots__ = ("own_signatures", "inherited_exposed", "free_vars", "bound_vars", "chain")
+    def __init__(
+        self, own_signatures: list[tuple[str, TypeExpr]], inherited_exposed: set[str], free_vars: set[str],
+        bound_vars: set[str], chain: list[str],
+    ):
+        self.own_signatures, self.inherited_exposed = own_signatures, inherited_exposed
+        self.free_vars, self.bound_vars = free_vars, bound_vars
+        self.chain = chain  # specified_chain of the class, root first
 
     def signature_names(self) -> set[str]:
         return {n for n, _ in self.own_signatures}
 
 
-@dataclass
-class ExposurePlan:
-    per_class: dict[str, ClassExposure] = field(default_factory=dict)
+class ExposurePlan(Record):
+    __slots__ = ("per_class",)
+    def __init__(self, per_class: dict[str, ClassExposure] | None = None):
+        self.per_class = {} if per_class is None else per_class
 
     def getter_owner(self, name: str, var: str) -> str | None:
         """The class nearest `name` on its chain whose exposure interface

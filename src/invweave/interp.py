@@ -30,12 +30,12 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .syntax import (
-    Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, IfStmt, MethodDecl,
-    NamedType, ReflectGet, SourceUnit, SuperCall, SuperExpr, ThisExpr, TypeExpr, Unary, VarRead, WhileStmt,
+    Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, Frozen, IfStmt, MethodDecl,
+    NamedType, Record, ReflectGet, SourceUnit, SuperCall, SuperExpr, ThisExpr, TypeExpr, Unary, VarRead,
+    WhileStmt, set_field,
 )
 
 # Calls and constructions nested deeper are a runtime fault, well before Python's frame limit.
@@ -50,12 +50,13 @@ class MiniOORuntimeError(Exception):
     result: Optional["ExecutionResult"] = None
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
-    class_name: str
-    predicate_index: int
-    phase: str  # entry | exit | construction
-    method: str  # method name or "<init>"
+class ViolationRecord(Frozen):
+    __slots__ = ("class_name", "predicate_index", "phase", "method", "_hash")
+    def __init__(self, class_name: str, predicate_index: int, phase: str, method: str):
+        set_field(self, "class_name", class_name)
+        set_field(self, "predicate_index", predicate_index)
+        set_field(self, "phase", phase)  # entry | exit | construction
+        set_field(self, "method", method)  # method name or "<init>"
 
     def __str__(self) -> str:
         return "VIOLATION %s %d %s %s" % (self.class_name, self.predicate_index, self.phase, self.method)
@@ -67,23 +68,20 @@ class _Violation(Exception):
         self.record = record
 
 
-@dataclass(eq=False, slots=True)  # `==` on objects is identity, as in MiniOO
-class ObjectInstance:
-    class_name: str
-    obj_id: int
-    fields: dict[str, object] = field(default_factory=dict)
-    vt: dict = field(default_factory=dict)  # its class's vtable
+class ObjectInstance:  # not a Record: `==` on objects is identity, as in MiniOO
+    __slots__ = ("class_name", "obj_id", "fields", "vt")  # `vt` is its class's vtable
+    def __init__(self, class_name: str, obj_id: int, fields: dict[str, object], vt: dict):
+        self.class_name, self.obj_id, self.fields, self.vt = class_name, obj_id, fields, vt
 
     def __repr__(self) -> str:
         return "%s@%d" % (self.class_name, self.obj_id)
 
 
-@dataclass
-class ExecutionResult:
-    output: list[str]
-    trace: list[str]
-    violation: Optional[ViolationRecord]
-    combined: list[str] = field(default_factory=list)  # output and trace, interleaved
+class ExecutionResult(Record):
+    __slots__ = ("output", "trace", "violation", "combined")
+    def __init__(self, output: list, trace: list, violation: ViolationRecord | None, combined: list | None = None):
+        self.output, self.trace, self.violation = output, trace, violation
+        self.combined = [] if combined is None else combined  # output and trace, interleaved
 
 
 _ZERO = {"int": 0, "bool": False, "string": ""}

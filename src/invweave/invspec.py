@@ -20,7 +20,6 @@ that validates clean weaves into code that typechecks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .diagnostics import Diagnostic, ParseError, SpecError
@@ -36,6 +35,7 @@ from .syntax import (
     FieldAccess,
     IntLit,
     NullLit,
+    Record,
     SourceUnit,
     StringLit,
     TypeExpr,
@@ -46,26 +46,25 @@ from .syntax import (
 from .typecheck import ClassTable, NULL_TYPE, _Checker
 
 
-@dataclass
-class Forall:
+class Forall(Record):
     """Bounded quantifier: holds iff `body` is true at every state reached by
-    `x = init; while (cond) { ...; x = step }`."""
+    `x = init; while (cond) { ...; x = step }`; `step` is the right-hand
+    side of `var = step`."""
 
-    var: str
-    init: Expr
-    cond: Expr
-    step: Expr  # right-hand side of `var = step`
-    body: Expr
+    __slots__ = ("var", "init", "cond", "step", "body")
+    def __init__(self, var: str, init: Expr, cond: Expr, step: Expr, body: Expr):
+        self.var, self.init, self.cond, self.step, self.body = var, init, cond, step, body
 
 
 Predicate = Union[Expr, Forall]
 
 
-@dataclass
-class InvariantSpec:
+class InvariantSpec(Record):
     """Per-class predicate conjunctions, in declaration order."""
 
-    entries: dict[str, list[Predicate]] = field(default_factory=dict)
+    __slots__ = ("entries",)
+    def __init__(self, entries: Optional[dict[str, list[Predicate]]] = None):
+        self.entries = {} if entries is None else entries
 
     def classes(self) -> list[str]:
         return list(self.entries.keys())
@@ -231,10 +230,10 @@ def serialize_spec(spec: InvariantSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PredicateTyping:
-    diagnostics: list[Diagnostic]
-    quantifier_types: dict[str, TypeExpr]
+class PredicateTyping(Record):
+    __slots__ = ("diagnostics", "quantifier_types")
+    def __init__(self, diagnostics: list[Diagnostic], quantifier_types: dict[str, TypeExpr]):
+        self.diagnostics, self.quantifier_types = diagnostics, quantifier_types
 
 
 class _PredicateChecker(_Checker):

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, ParseError
+from .syntax import Frozen, set_field
 
 KEYWORDS = frozenset(
     {
@@ -52,15 +52,15 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # KEYWORD, IDENT, INT, STRING, OP, AT, EOF
-    value: str
-    line: int
-    col: int
+class Token(Frozen):
+    """`kind` is KEYWORD, IDENT, INT, STRING, OP, AT or EOF."""
 
-    def __repr__(self) -> str:
-        return "Token(%s, %r, %d:%d)" % (self.kind, self.value, self.line, self.col)
+    __slots__ = ("kind", "value", "line", "col", "_hash")
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
 def _unescape(raw: str, line: int, col: int) -> str:

@@ -144,7 +144,7 @@ class _Parser:
                 if unit.driver is not None:
                     raise self.error("duplicate driver block", t)
                 body = self.parse_block()
-                unit.driver = DriverBlock(body, line=t.line, col=t.col)
+                unit.driver = DriverBlock(body, t.line, t.col)
             else:
                 raise self.error(
                     "expected class, interface, or driver declaration"
@@ -167,7 +167,7 @@ class _Parser:
     def parse_type(self) -> TypeExpr:
         t = self.expect("IDENT", what="type name")
         if self.in_type_scope(t.value):
-            return TypeVar(t.value, line=t.line, col=t.col)
+            return TypeVar(t.value, t.line, t.col)
         args: tuple[TypeExpr, ...] = ()
         if self.at("OP", "<"):
             self.advance()
@@ -176,7 +176,7 @@ class _Parser:
                 collected.append(self.parse_type())
             self.expect("OP", ">")
             args = tuple(collected)
-        return NamedType(t.value, args, line=t.line, col=t.col)
+        return NamedType(t.value, args, t.line, t.col)
 
     def parse_named_type(self) -> NamedType:
         t = self.parse_type()
@@ -200,13 +200,8 @@ class _Parser:
                 while self.accept("OP", ","):
                     interfaces.append(self.parse_named_type())
             decl = ClassDecl(
-                name=name_tok.value,
-                type_params=type_params,
-                super_class=super_class,
-                interfaces=interfaces,
-                is_abstract=is_abstract,
-                line=name_tok.line,
-                col=name_tok.col,
+                name_tok.value, type_params, super_class, interfaces, is_abstract,
+                line=name_tok.line, col=name_tok.col,
             )
             self.expect("OP", "{")
             while not self.accept("OP", "}"):
@@ -227,13 +222,7 @@ class _Parser:
                 extends.append(self.parse_named_type())
                 while self.accept("OP", ","):
                     extends.append(self.parse_named_type())
-            decl = InterfaceDecl(
-                name=name_tok.value,
-                type_params=type_params,
-                extends=extends,
-                line=name_tok.line,
-                col=name_tok.col,
-            )
+            decl = InterfaceDecl(name_tok.value, type_params, extends, line=name_tok.line, col=name_tok.col)
             self.expect("OP", "{")
             while not self.accept("OP", "}"):
                 sig = self.parse_signature()
@@ -258,16 +247,7 @@ class _Parser:
         finally:
             self.pop_type_vars()
         self.expect("OP", ";")
-        return MethodDecl(
-            name=name_tok.value,
-            visibility="public",
-            type_params=type_params,
-            params=params,
-            return_type=ret,
-            body=None,
-            line=name_tok.line,
-            col=name_tok.col,
-        )
+        return MethodDecl(name_tok.value, "public", type_params, params, ret, None, name_tok.line, name_tok.col)
 
     def parse_visibility(self) -> Optional[str]:
         for v in VISIBILITIES:
@@ -300,10 +280,7 @@ class _Parser:
             body = self.parse_block()
             if decl.constructor is not None:
                 raise self.error("duplicate constructor (at most one)", name_tok)
-            decl.constructor = ConstructorDecl(
-                visibility=vis, params=params, body=body,
-                line=name_tok.line, col=name_tok.col,
-            )
+            decl.constructor = ConstructorDecl(vis, params, body, name_tok.line, name_tok.col)
             return
         type_params = self.parse_type_params()
         if type_params:
@@ -335,16 +312,7 @@ class _Parser:
                         name_tok,
                     )
                 decl.methods.append(
-                    MethodDecl(
-                        name=name_tok.value,
-                        visibility=vis,
-                        type_params=type_params,
-                        params=params,
-                        return_type=ret,
-                        body=body,
-                        line=name_tok.line,
-                        col=name_tok.col,
-                    )
+                    MethodDecl(name_tok.value, vis, type_params, params, ret, body, name_tok.line, name_tok.col)
                 )
                 return
         finally:
@@ -362,15 +330,7 @@ class _Parser:
         for nt in names:
             if any(f.name == nt.value for f in decl.fields):
                 raise self.error("duplicate field %r" % nt.value, nt)
-            decl.fields.append(
-                FieldDecl(
-                    name=nt.value,
-                    declared_type=ret,  # type: ignore[arg-type]
-                    visibility=vis,
-                    line=nt.line,
-                    col=nt.col,
-                )
-            )
+            decl.fields.append(FieldDecl(nt.value, ret, vis, nt.line, nt.col))  # type: ignore[arg-type]
 
     # -- statements ---------------------------------------------------------
 
@@ -391,26 +351,26 @@ class _Parser:
             cond = self.parse_expr()
             self.expect("OP", ")")
             body = self.parse_block()
-            return WhileStmt(cond, body, line=t.line, col=t.col)
+            return WhileStmt(cond, body, t.line, t.col)
         if self.at_kw("return"):
             self.advance()
             value = None
             if not self.at("OP", ";"):
                 value = self.parse_expr()
             self.expect("OP", ";")
-            return ReturnStmt(value, line=t.line, col=t.col)
+            return ReturnStmt(value, t.line, t.col)
         if self.at_kw("print"):
             self.advance()
             self.expect("OP", "(")
             value = self.parse_expr()
             self.expect("OP", ")")
             self.expect("OP", ";")
-            return PrintStmt(value, line=t.line, col=t.col)
+            return PrintStmt(value, t.line, t.col)
         if self.at_kw("super") and self.peek(1).value == "(":
             self.advance()
             args = self.parse_args()
             self.expect("OP", ";")
-            return SuperCall(args, line=t.line, col=t.col)
+            return SuperCall(args, t.line, t.col)
         if self.at("AT", "trace") or self.at("AT", "violation"):
             name = self.advance().value
             self.expect("OP", "(")
@@ -422,8 +382,8 @@ class _Parser:
             if len(args) != 4:
                 raise self.error("@%s takes exactly 4 arguments" % name, t)
             if name == "trace":
-                return TraceStmt(args[0], args[1], args[2], args[3], line=t.line, col=t.col)
-            return ViolationStmt(args[0], args[1], args[2], args[3], line=t.line, col=t.col)
+                return TraceStmt(args[0], args[1], args[2], args[3], t.line, t.col)
+            return ViolationStmt(args[0], args[1], args[2], args[3], t.line, t.col)
         # Local declaration vs expression statement: `Type name [=|;]` starts a
         # declaration, whose errors are then its own.
         if self.at("IDENT"):
@@ -439,7 +399,7 @@ class _Parser:
                 if self.accept("OP", "="):
                     init = self.parse_expr()
                 self.expect("OP", ";")
-                return LocalDecl(decl_type, name_tok.value, init, line=t.line, col=t.col)
+                return LocalDecl(decl_type, name_tok.value, init, t.line, t.col)
             self.i = mark
         return self.parse_expr_or_assign()
 
@@ -455,7 +415,7 @@ class _Parser:
                 else_body = [self.parse_if()]
             else:
                 else_body = self.parse_block()
-        return IfStmt(cond, then_body, else_body, line=t.line, col=t.col)
+        return IfStmt(cond, then_body, else_body, t.line, t.col)
 
     def parse_expr_or_assign(self) -> Stmt:
         t = self.peek()
@@ -465,9 +425,9 @@ class _Parser:
                 raise self.error("cannot assign to this expression", t)
             value = self.parse_expr()
             self.expect("OP", ";")
-            return Assign(e, value, line=t.line, col=t.col)
+            return Assign(e, value, t.line, t.col)
         self.expect("OP", ";")
-        return ExprStmt(e, line=t.line, col=t.col)
+        return ExprStmt(e, t.line, t.col)
 
     # -- expressions --------------------------------------------------------
 
@@ -492,13 +452,13 @@ class _Parser:
                 return left
             self.advance()
             right = self.parse_expr(level)
-            left = Binary(t.value, left, right, line=t.line, col=t.col)
+            left = Binary(t.value, left, right, t.line, t.col)
 
     def parse_unary(self) -> Expr:
         if self.at("OP", "!") or self.at("OP", "-"):
             t = self.advance()
             operand = self.parse_unary()
-            return Unary(t.value, operand, line=t.line, col=t.col)
+            return Unary(t.value, operand, t.line, t.col)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
@@ -508,9 +468,9 @@ class _Parser:
             name_tok = self.expect("IDENT", what="member name")
             if self.at("OP", "("):
                 args = self.parse_args()
-                e = MethodCall(e, name_tok.value, args, line=name_tok.line, col=name_tok.col)
+                e = MethodCall(e, name_tok.value, args, name_tok.line, name_tok.col)
             else:
-                e = FieldAccess(e, name_tok.value, line=name_tok.line, col=name_tok.col)
+                e = FieldAccess(e, name_tok.value, name_tok.line, name_tok.col)
         return e
 
     def parse_primary(self) -> Expr:
@@ -522,36 +482,30 @@ class _Parser:
             except ValueError:  # more digits than Python converts from text
                 limit = sys.get_int_max_str_digits()
                 raise self.error("integer literal of more than %d digits" % limit, t) from None
-            return IntLit(value, line=t.line, col=t.col)
+            return IntLit(value, t.line, t.col)
         if self.at("STRING"):
             self.advance()
-            return StringLit(t.value, line=t.line, col=t.col)
+            return StringLit(t.value, t.line, t.col)
         if self.at_kw("true") or self.at_kw("false"):
             self.advance()
-            return BoolLit(t.value == "true", line=t.line, col=t.col)
+            return BoolLit(t.value == "true", t.line, t.col)
         if self.at_kw("null"):
             self.advance()
-            return NullLit(line=t.line, col=t.col)
+            return NullLit(t.line, t.col)
         if self.at_kw("this"):
             self.advance()
-            return ThisExpr(line=t.line, col=t.col)
+            return ThisExpr(t.line, t.col)
         if self.at_kw("super"):
             self.advance()
             self.expect("OP", ".")
             name_tok = self.expect("IDENT", what="method name")
             args = self.parse_args()
-            return MethodCall(
-                SuperExpr(line=t.line, col=t.col),
-                name_tok.value,
-                args,
-                line=name_tok.line,
-                col=name_tok.col,
-            )
+            return MethodCall(SuperExpr(t.line, t.col), name_tok.value, args, name_tok.line, name_tok.col)
         if self.at_kw("new"):
             self.advance()
             ntype = self.parse_named_type()
             args = self.parse_args()
-            return NewObject(ntype, args, line=t.line, col=t.col)
+            return NewObject(ntype, args, t.line, t.col)
         if self.at("AT", "field"):
             self.advance()
             self.expect("OP", "(")
@@ -559,13 +513,13 @@ class _Parser:
             self.expect("OP", ",")
             name_tok = self.expect("STRING", what="field name string")
             self.expect("OP", ")")
-            return ReflectGet(obj, name_tok.value, line=t.line, col=t.col)
+            return ReflectGet(obj, name_tok.value, t.line, t.col)
         if self.at("AT", "singleton"):
             self.advance()
             self.expect("OP", "(")
             name_tok = self.expect("IDENT", what="class name")
             self.expect("OP", ")")
-            return SingletonRef(name_tok.value, line=t.line, col=t.col)
+            return SingletonRef(name_tok.value, t.line, t.col)
         if self.at("OP", "("):
             self.advance()
             e = self.parse_expr()
@@ -575,8 +529,8 @@ class _Parser:
             self.advance()
             if self.at("OP", "("):
                 args = self.parse_args()
-                return MethodCall(None, t.value, args, line=t.line, col=t.col)
-            return VarRead(t.value, line=t.line, col=t.col)
+                return MethodCall(None, t.value, args, t.line, t.col)
+            return VarRead(t.value, t.line, t.col)
         raise self.error("expected expression")
 
 

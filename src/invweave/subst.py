@@ -8,21 +8,17 @@ parameters, is applied innermost first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .syntax import NamedType, TypeExpr, TypeVar
+from .syntax import Frozen, NamedType, Record, TypeExpr, TypeVar, set_field
 
 
-@dataclass(frozen=True)
-class TypeSubstitution:
+class TypeSubstitution(Frozen):
     """An ordered, duplicate-free map from type-variable names to types."""
 
-    bindings: tuple[tuple[str, TypeExpr], ...] = ()
-
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.bindings]
-        if len(names) != len(set(names)):
+    __slots__ = ("bindings", "_hash")
+    def __init__(self, bindings: tuple[tuple[str, TypeExpr], ...] = ()):
+        if len({n for n, _ in bindings}) != len(bindings):
             raise ValueError("duplicate variable in substitution")
+        set_field(self, "bindings", bindings)
 
     def lookup(self, name: str) -> TypeExpr | None:
         for n, t in self.bindings:
@@ -43,11 +39,12 @@ def substitute(subst: TypeSubstitution, t: TypeExpr) -> TypeExpr:
     return NamedType(t.name, tuple(substitute(subst, a) for a in t.args))
 
 
-@dataclass
-class NameSupply:
+class NameSupply(Record):
     """Deterministic fresh names: `base_X1`, `base_X2`, ... skipping taken ones."""
 
-    taken: set[str] = field(default_factory=set)
+    __slots__ = ("taken",)
+    def __init__(self, taken: set[str] | None = None):
+        self.taken = set() if taken is None else taken
 
     def reserve(self, name: str) -> None:
         self.taken.add(name)

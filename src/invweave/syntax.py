@@ -6,19 +6,20 @@ int/bool/string primitives, and a `driver { ... }` entry block instead of a
 main method.  The same node types serve as the output format of the weaver,
 so everything here round-trips through the canonical printer.
 
-Source positions (`line`, `col`) are carried for diagnostics but excluded
-from equality so that parse/print round-trips compare structurally.
+Every node is a `Record`.  Source positions (`line`, `col`) are carried for
+diagnostics but excluded from equality so that parse/print round-trips
+compare structurally.
 
 A declaration is not changed once it has been checked or run: code that
-needs a variant builds a new node (`rebuild`, `dataclasses.replace`).  The
-checker and the interpreter rely on this to remember, per declaration
-object (`DeclMemo`), what they have already worked out about it.
+needs a variant builds a new node (`rebuild`, `replace`).  The checker and
+the interpreter rely on this to remember, per declaration object
+(`DeclMemo`), what they have already worked out about it.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Optional, Union
 
 PUBLIC = "public"
@@ -30,8 +31,77 @@ VISIBILITIES = (PUBLIC, PROTECTED, PRIVATE)
 RESERVED_TYPE_NAMES = frozenset({"int", "bool", "string", "void"})
 
 
-def _pos_field() -> int:
-    return field(default=0, compare=False, repr=False)  # type: ignore[return-value]
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+set_field = object.__setattr__  # how a Frozen record's `__init__` sets its fields
+
+
+class Record:
+    """Base of the package's records: plain `__slots__` classes whose
+    `__init__` takes every field, in order.  The fields are the public names
+    of a class's own `__slots__`, then `_unkeyed` (a base class's fields,
+    left out of `==` and `repr`).  Records of one class are `==` when their
+    other fields are.  A record is unhashable unless it is `Frozen`."""
+
+    __slots__ = ()
+    _unkeyed: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        own = cls.__dict__.get("__slots__", ())
+        keyed = tuple(n for n in own if n[0] != "_" and n not in cls._unkeyed)
+        cls._keyed = keyed
+        cls._key = attrgetter(*keyed or ("__class__",))
+        # The benchmark's node counter finds AST nodes by this name.
+        cls._fields = cls.__dataclass_fields__ = keyed + cls._unkeyed
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __repr__(self) -> str:
+        shown = ", ".join("%s=%r" % (n, getattr(self, n)) for n in self._keyed)
+        return "%s(%s)" % (type(self).__qualname__, shown)
+
+    def __reduce__(self) -> tuple:  # `copy` and `pickle` build a record through its `__init__`
+        return self.__class__, tuple(getattr(self, n) for n in self._fields)
+
+
+class Frozen(Record):
+    """A record whose fields `__init__` sets once, through `set_field`.
+    Equal records hash equal; each computes its hash on first use, into the
+    `_hash` slot that every frozen class declares."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key(self))
+            set_field(self, "_hash", h)
+            return h
+
+
+class Positioned(Record):
+    """A record with a source position: 0:0 when built in code."""
+
+    __slots__ = _unkeyed = ("line", "col")
+
+    def __init__(self, line: int = 0, col: int = 0):
+        self.line, self.col = line, col
+
+
+def replace(record: Record, **changes: Any) -> Any:
+    """A copy of `record`, built by its `__init__`, with `changes` to some of its fields."""
+    return record.__class__(*[changes.get(n, getattr(record, n)) for n in record._fields])
 
 
 # ---------------------------------------------------------------------------
@@ -39,24 +109,38 @@ def _pos_field() -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeVar:
-    name: str
-    line: int = _pos_field()
-    col: int = _pos_field()
+class TypeVar(Positioned, Frozen):
+    __slots__ = ("name", "_hash")
+    def __init__(self, name: str, line: int = 0, col: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
+
+    def __eq__(self, other: object) -> bool:  # spelled out, as types are compared all the time
+        return self.name == other.name if other.__class__ is TypeVar else NotImplemented  # type: ignore
+
+    __hash__ = Frozen.__hash__  # which defining `__eq__` would unset
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class NamedType:
+class NamedType(Positioned, Frozen):
     """An applied named type: class, interface, or nullary primitive."""
 
-    name: str
-    args: tuple["TypeExpr", ...] = ()
-    line: int = _pos_field()
-    col: int = _pos_field()
+    __slots__ = ("name", "args", "_hash")
+    def __init__(self, name: str, args: tuple[TypeExpr, ...] = (), line: int = 0, col: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "args", args)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
+
+    def __eq__(self, other: object) -> bool:  # spelled out, as types are compared all the time
+        if other.__class__ is not NamedType:
+            return NotImplemented
+        return self.name == other.name and self.args == other.args  # type: ignore
+
+    __hash__ = Frozen.__hash__  # which defining `__eq__` would unset
 
     def __str__(self) -> str:
         if not self.args:
@@ -78,80 +162,68 @@ PRIMITIVES = ("int", "bool", "string")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IntLit:
-    value: int
-    line: int = _pos_field()
-    col: int = _pos_field()
+class IntLit(Positioned):
+    __slots__ = ("value",)
+    def __init__(self, value: int, line: int = 0, col: int = 0):
+        self.value, self.line, self.col = value, line, col
 
 
-@dataclass
-class BoolLit:
-    value: bool
-    line: int = _pos_field()
-    col: int = _pos_field()
+class BoolLit(Positioned):
+    __slots__ = ("value",)
+    def __init__(self, value: bool, line: int = 0, col: int = 0):
+        self.value, self.line, self.col = value, line, col
 
 
-@dataclass
-class StringLit:
-    value: str
-    line: int = _pos_field()
-    col: int = _pos_field()
+class StringLit(Positioned):
+    __slots__ = ("value",)
+    def __init__(self, value: str, line: int = 0, col: int = 0):
+        self.value, self.line, self.col = value, line, col
 
 
-@dataclass
-class NullLit:
-    line: int = _pos_field()
-    col: int = _pos_field()
+class NullLit(Positioned):
+    __slots__ = ()
 
 
-@dataclass
-class VarRead:
+class VarRead(Positioned):
     """A bare identifier: a local, a parameter, or an implicit-this field."""
 
-    name: str
-    line: int = _pos_field()
-    col: int = _pos_field()
+    __slots__ = ("name",)
+    def __init__(self, name: str, line: int = 0, col: int = 0):
+        self.name, self.line, self.col = name, line, col
 
 
-@dataclass
-class ThisExpr:
-    line: int = _pos_field()
-    col: int = _pos_field()
+class ThisExpr(Positioned):
+    __slots__ = ()
 
 
-@dataclass
-class FieldAccess:
-    obj: "Expr"
-    name: str
-    line: int = _pos_field()
-    col: int = _pos_field()
+class FieldAccess(Positioned):
+    __slots__ = ("obj", "name")
+    def __init__(self, obj: Expr, name: str, line: int = 0, col: int = 0):
+        self.obj, self.name, self.line, self.col = obj, name, line, col
 
 
-@dataclass
-class MethodCall:
+class MethodCall(Positioned):
     """receiver None means an implicit-this call; SuperExpr targets the
     lexically enclosing class's superclass implementation."""
 
-    receiver: Optional["Expr"]
-    name: str
-    args: list["Expr"] = field(default_factory=list)
-    line: int = _pos_field()
-    col: int = _pos_field()
+    __slots__ = ("receiver", "name", "args")
+    def __init__(
+        self, receiver: Optional[Expr], name: str, args: Optional[list[Expr]] = None, line: int = 0,
+        col: int = 0,
+    ):
+        self.receiver, self.name, self.line, self.col = receiver, name, line, col
+        self.args = [] if args is None else args
 
 
-@dataclass
-class SuperExpr:
-    line: int = _pos_field()
-    col: int = _pos_field()
+class SuperExpr(Positioned):
+    __slots__ = ()
 
 
-@dataclass
-class NewObject:
-    type: NamedType
-    args: list["Expr"] = field(default_factory=list)
-    line: int = _pos_field()
-    col: int = _pos_field()
+class NewObject(Positioned):
+    __slots__ = ("type", "args")
+    def __init__(self, type: NamedType, args: Optional[list[Expr]] = None, line: int = 0, col: int = 0):
+        self.type, self.line, self.col = type, line, col
+        self.args = [] if args is None else args
 
 
 # The level of each binary operator: a higher level binds tighter, and
@@ -172,57 +244,37 @@ BINARY_PRECEDENCE = {
 }
 
 
-@dataclass
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
-    line: int = _pos_field()
-    col: int = _pos_field()
+class Binary(Positioned):
+    __slots__ = ("op", "left", "right")
+    def __init__(self, op: str, left: Expr, right: Expr, line: int = 0, col: int = 0):
+        self.op, self.left, self.right, self.line, self.col = op, left, right, line, col
 
 
-@dataclass
-class Unary:
-    op: str
-    operand: "Expr"
-    line: int = _pos_field()
-    col: int = _pos_field()
+class Unary(Positioned):
+    __slots__ = ("op", "operand")
+    def __init__(self, op: str, operand: Expr, line: int = 0, col: int = 0):
+        self.op, self.operand, self.line, self.col = op, operand, line, col
 
 
-@dataclass
-class ReflectGet:
+class ReflectGet(Positioned):
     """`@field(obj, "name")` - visibility-blind field read primitive."""
 
-    obj: "Expr"
-    field_name: str
-    line: int = _pos_field()
-    col: int = _pos_field()
+    __slots__ = ("obj", "field_name")
+    def __init__(self, obj: Expr, field_name: str, line: int = 0, col: int = 0):
+        self.obj, self.field_name, self.line, self.col = obj, field_name, line, col
 
 
-@dataclass
-class SingletonRef:
+class SingletonRef(Positioned):
     """`@singleton(Name)` - the one shared instance of a class."""
 
-    class_name: str
-    line: int = _pos_field()
-    col: int = _pos_field()
+    __slots__ = ("class_name",)
+    def __init__(self, class_name: str, line: int = 0, col: int = 0):
+        self.class_name, self.line, self.col = class_name, line, col
 
 
 Expr = Union[
-    IntLit,
-    BoolLit,
-    StringLit,
-    NullLit,
-    VarRead,
-    ThisExpr,
-    FieldAccess,
-    MethodCall,
-    SuperExpr,
-    NewObject,
-    Binary,
-    Unary,
-    ReflectGet,
-    SingletonRef,
+    IntLit, BoolLit, StringLit, NullLit, VarRead, ThisExpr, FieldAccess, MethodCall, SuperExpr, NewObject,
+    Binary, Unary, ReflectGet, SingletonRef,
 ]
 
 
@@ -231,105 +283,82 @@ Expr = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LocalDecl:
-    decl_type: TypeExpr
-    name: str
-    init: Optional[Expr]
-    line: int = _pos_field()
-    col: int = _pos_field()
+class LocalDecl(Positioned):
+    __slots__ = ("decl_type", "name", "init")
+    def __init__(self, decl_type: TypeExpr, name: str, init: Optional[Expr], line: int = 0, col: int = 0):
+        self.decl_type, self.name, self.init, self.line, self.col = decl_type, name, init, line, col
 
 
-@dataclass
-class Assign:
-    target: Expr  # VarRead or FieldAccess
-    value: Expr
-    line: int = _pos_field()
-    col: int = _pos_field()
+class Assign(Positioned):
+    """`target` is a VarRead or a FieldAccess."""
+
+    __slots__ = ("target", "value")
+    def __init__(self, target: Expr, value: Expr, line: int = 0, col: int = 0):
+        self.target, self.value, self.line, self.col = target, value, line, col
 
 
-@dataclass
-class IfStmt:
-    cond: Expr
-    then_body: list["Stmt"]
-    else_body: Optional[list["Stmt"]]
-    line: int = _pos_field()
-    col: int = _pos_field()
+class IfStmt(Positioned):
+    __slots__ = ("cond", "then_body", "else_body")
+    def __init__(
+        self, cond: Expr, then_body: list[Stmt], else_body: Optional[list[Stmt]], line: int = 0, col: int = 0
+    ):
+        self.cond, self.then_body, self.else_body, self.line, self.col = cond, then_body, else_body, line, col
 
 
-@dataclass
-class WhileStmt:
-    cond: Expr
-    body: list["Stmt"]
-    line: int = _pos_field()
-    col: int = _pos_field()
+class WhileStmt(Positioned):
+    __slots__ = ("cond", "body")
+    def __init__(self, cond: Expr, body: list[Stmt], line: int = 0, col: int = 0):
+        self.cond, self.body, self.line, self.col = cond, body, line, col
 
 
-@dataclass
-class ReturnStmt:
-    value: Optional[Expr]
-    line: int = _pos_field()
-    col: int = _pos_field()
+class ReturnStmt(Positioned):
+    __slots__ = ("value",)
+    def __init__(self, value: Optional[Expr], line: int = 0, col: int = 0):
+        self.value, self.line, self.col = value, line, col
 
 
-@dataclass
-class ExprStmt:
-    expr: Expr
-    line: int = _pos_field()
-    col: int = _pos_field()
+class ExprStmt(Positioned):
+    __slots__ = ("expr",)
+    def __init__(self, expr: Expr, line: int = 0, col: int = 0):
+        self.expr, self.line, self.col = expr, line, col
 
 
-@dataclass
-class PrintStmt:
-    value: Expr
-    line: int = _pos_field()
-    col: int = _pos_field()
+class PrintStmt(Positioned):
+    __slots__ = ("value",)
+    def __init__(self, value: Expr, line: int = 0, col: int = 0):
+        self.value, self.line, self.col = value, line, col
 
 
-@dataclass
-class SuperCall:
+class SuperCall(Positioned):
     """`super(args);` - only legal as the first statement of a constructor."""
 
-    args: list[Expr] = field(default_factory=list)
-    line: int = _pos_field()
-    col: int = _pos_field()
+    __slots__ = ("args",)
+    def __init__(self, args: Optional[list[Expr]] = None, line: int = 0, col: int = 0):
+        self.args, self.line, self.col = [] if args is None else args, line, col
 
 
-@dataclass
-class TraceStmt:
+class TraceStmt(Positioned):
     """`@trace(obj, class, phase, method);` - check-event trace hook."""
 
-    obj: Expr
-    check_class: Expr
-    phase: Expr
-    method: Expr
-    line: int = _pos_field()
-    col: int = _pos_field()
+    __slots__ = ("obj", "check_class", "phase", "method")
+    def __init__(self, obj: Expr, check_class: Expr, phase: Expr, method: Expr, line: int = 0, col: int = 0):
+        self.obj, self.check_class, self.phase, self.method = obj, check_class, phase, method
+        self.line, self.col = line, col
 
 
-@dataclass
-class ViolationStmt:
+class ViolationStmt(Positioned):
     """`@violation(class, index, phase, method);` - abort with a record."""
 
-    check_class: Expr
-    index: Expr
-    phase: Expr
-    method: Expr
-    line: int = _pos_field()
-    col: int = _pos_field()
+    __slots__ = ("check_class", "index", "phase", "method")
+    def __init__(
+        self, check_class: Expr, index: Expr, phase: Expr, method: Expr, line: int = 0, col: int = 0
+    ):
+        self.check_class, self.index, self.phase, self.method = check_class, index, phase, method
+        self.line, self.col = line, col
 
 
 Stmt = Union[
-    LocalDecl,
-    Assign,
-    IfStmt,
-    WhileStmt,
-    ReturnStmt,
-    ExprStmt,
-    PrintStmt,
-    SuperCall,
-    TraceStmt,
-    ViolationStmt,
+    LocalDecl, Assign, IfStmt, WhileStmt, ReturnStmt, ExprStmt, PrintStmt, SuperCall, TraceStmt, ViolationStmt
 ]
 
 
@@ -388,22 +417,26 @@ Node = Union[Expr, Stmt]
 
 
 def rebuild(node: Node, fn: Callable[[Node], Node]) -> Node:
-    """A copy of `node` built children-first: each node is copied with
-    `dataclasses.replace` onto its rebuilt children, and `fn` of the copy
-    takes its place.  Source positions are kept; `node` is left unchanged.
-    Iterative, so nesting depth is not bounded by the Python stack."""
-    copies: dict[int, Node] = {}
+    """A copy of `node` built children-first: each node's class builds the
+    copy from its fields, with the rebuilt children in place of its own, and
+    `fn` of the copy takes its place.  Source positions are kept; `node` is
+    left unchanged.  Iterative, so nesting depth is not bounded by the
+    Python stack."""
+    done: list[Node] = []  # copies not yet taken by their parent, the first child on top
     # Reversed pre-order reaches every child before its parent.
     for n in reversed(list(walk(node))):
-        changes = {}
-        for name in _CHILD_FIELDS[type(n)]:
-            child = getattr(n, name)
-            if isinstance(child, list):
-                changes[name] = [copies[id(c)] for c in child]
-            elif child is not None:
-                changes[name] = copies[id(child)]
-        copies[id(n)] = fn(replace(n, **changes))
-    return copies[id(node)]
+        children = _CHILD_FIELDS[type(n)]
+        values = []
+        for name in n._fields:
+            value = getattr(n, name)
+            if name in children:
+                if isinstance(value, list):
+                    value = [done.pop() for _ in value]
+                elif value is not None:
+                    value = done.pop()
+            values.append(value)
+        done.append(fn(type(n)(*values)))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,90 +444,105 @@ def rebuild(node: Node, fn: Callable[[Node], Node]) -> Node:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Param:
-    name: str
-    type: TypeExpr
+class Param(Record):
+    __slots__ = ("name", "type")
+    def __init__(self, name: str, type: TypeExpr):
+        self.name, self.type = name, type
 
 
-@dataclass
-class FieldDecl:
-    name: str
-    declared_type: TypeExpr
-    visibility: str = PUBLIC
-    line: int = _pos_field()
-    col: int = _pos_field()
+class FieldDecl(Positioned):
+    __slots__ = ("name", "declared_type", "visibility")
+    def __init__(
+        self, name: str, declared_type: TypeExpr, visibility: str = PUBLIC, line: int = 0, col: int = 0
+    ):
+        self.name, self.declared_type, self.visibility = name, declared_type, visibility
+        self.line, self.col = line, col
 
 
-@dataclass
-class MethodDecl:
+class MethodDecl(Positioned):
     """A method; `body is None` means abstract (or an interface signature).
 
     `type_params` are method-level type variables, inferred at call sites.
     `return_type is None` means void.
     """
 
-    name: str
-    visibility: str = PUBLIC
-    type_params: list[str] = field(default_factory=list)
-    params: list[Param] = field(default_factory=list)
-    return_type: Optional[TypeExpr] = None
-    body: Optional[list[Stmt]] = None
-    line: int = _pos_field()
-    col: int = _pos_field()
+    __slots__ = ("name", "visibility", "type_params", "params", "return_type", "body", "__weakref__")
+    def __init__(
+        self, name: str, visibility: str = PUBLIC, type_params: Optional[list[str]] = None,
+        params: Optional[list[Param]] = None, return_type: Optional[TypeExpr] = None,
+        body: Optional[list[Stmt]] = None, line: int = 0, col: int = 0,
+    ):
+        self.name, self.visibility, self.return_type, self.body = name, visibility, return_type, body
+        self.type_params = [] if type_params is None else type_params
+        self.params = [] if params is None else params
+        self.line, self.col = line, col
 
 
-@dataclass
-class ConstructorDecl:
-    visibility: str = PUBLIC
-    params: list[Param] = field(default_factory=list)
-    body: list[Stmt] = field(default_factory=list)
-    line: int = _pos_field()
-    col: int = _pos_field()
+class ConstructorDecl(Positioned):
+    __slots__ = ("visibility", "params", "body", "__weakref__")
+    def __init__(
+        self, visibility: str = PUBLIC, params: Optional[list[Param]] = None,
+        body: Optional[list[Stmt]] = None, line: int = 0, col: int = 0,
+    ):
+        self.visibility, self.line, self.col = visibility, line, col
+        self.params = [] if params is None else params
+        self.body = [] if body is None else body
 
 
-@dataclass
-class ClassDecl:
-    name: str
-    type_params: list[str] = field(default_factory=list)
-    super_class: Optional[NamedType] = None
-    interfaces: list[NamedType] = field(default_factory=list)
-    is_abstract: bool = False
-    fields: list[FieldDecl] = field(default_factory=list)
-    constructor: Optional[ConstructorDecl] = None
-    methods: list[MethodDecl] = field(default_factory=list)
-    line: int = _pos_field()
-    col: int = _pos_field()
-
-    def self_type(self) -> NamedType:
-        return NamedType(self.name, tuple(TypeVar(p) for p in self.type_params))
-
-
-@dataclass
-class InterfaceDecl:
-    name: str
-    type_params: list[str] = field(default_factory=list)
-    extends: list[NamedType] = field(default_factory=list)
-    methods: list[MethodDecl] = field(default_factory=list)  # bodies are None
-    line: int = _pos_field()
-    col: int = _pos_field()
+class ClassDecl(Positioned):
+    __slots__ = (
+        "name", "type_params", "super_class", "interfaces", "is_abstract", "fields", "constructor", "methods",
+        "__weakref__",
+    )
+    def __init__(
+        self, name: str, type_params: Optional[list[str]] = None, super_class: Optional[NamedType] = None,
+        interfaces: Optional[list[NamedType]] = None, is_abstract: bool = False,
+        fields: Optional[list[FieldDecl]] = None, constructor: Optional[ConstructorDecl] = None,
+        methods: Optional[list[MethodDecl]] = None, line: int = 0, col: int = 0,
+    ):
+        self.name, self.super_class, self.is_abstract = name, super_class, is_abstract
+        self.constructor, self.line, self.col = constructor, line, col
+        self.type_params = [] if type_params is None else type_params
+        self.interfaces = [] if interfaces is None else interfaces
+        self.fields = [] if fields is None else fields
+        self.methods = [] if methods is None else methods
 
     def self_type(self) -> NamedType:
         return NamedType(self.name, tuple(TypeVar(p) for p in self.type_params))
 
 
-@dataclass
-class DriverBlock:
-    body: list[Stmt] = field(default_factory=list)
-    line: int = _pos_field()
-    col: int = _pos_field()
+class InterfaceDecl(Positioned):
+    """`methods` have no bodies."""
+
+    __slots__ = ("name", "type_params", "extends", "methods", "__weakref__")
+    def __init__(
+        self, name: str, type_params: Optional[list[str]] = None, extends: Optional[list[NamedType]] = None,
+        methods: Optional[list[MethodDecl]] = None, line: int = 0, col: int = 0,
+    ):
+        self.name, self.line, self.col = name, line, col
+        self.type_params = [] if type_params is None else type_params
+        self.extends = [] if extends is None else extends
+        self.methods = [] if methods is None else methods
+
+    def self_type(self) -> NamedType:
+        return NamedType(self.name, tuple(TypeVar(p) for p in self.type_params))
 
 
-@dataclass
-class SourceUnit:
-    classes: list[ClassDecl] = field(default_factory=list)
-    interfaces: list[InterfaceDecl] = field(default_factory=list)
-    driver: Optional[DriverBlock] = None
+class DriverBlock(Positioned):
+    __slots__ = ("body", "__weakref__")
+    def __init__(self, body: Optional[list[Stmt]] = None, line: int = 0, col: int = 0):
+        self.body, self.line, self.col = [] if body is None else body, line, col
+
+
+class SourceUnit(Record):
+    __slots__ = ("classes", "interfaces", "driver")
+    def __init__(
+        self, classes: Optional[list[ClassDecl]] = None, interfaces: Optional[list[InterfaceDecl]] = None,
+        driver: Optional[DriverBlock] = None,
+    ):
+        self.classes = [] if classes is None else classes
+        self.interfaces = [] if interfaces is None else interfaces
+        self.driver = driver
 
 
 def merge_units(units: list[SourceUnit], driver_from: Optional[int] = None) -> SourceUnit:

@@ -33,7 +33,6 @@ its check.  Declarations are never changed once checked (see `syntax`).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .diagnostics import Diagnostic, ParseError
@@ -64,6 +63,7 @@ from .syntax import (
     Param,
     PRIMITIVES,
     PrintStmt,
+    Record,
     ReflectGet,
     ReturnStmt,
     SingletonRef,
@@ -89,21 +89,20 @@ VOID_TYPE = NamedType("void")
 _VIS_RANK = {"private": 0, "protected": 1, "public": 2}
 
 
-@dataclass
-class FieldHit:
-    declaring: str
-    field: FieldDecl
-    type: TypeExpr  # substituted to the receiver's view
+class FieldHit(Record):
+    __slots__ = ("declaring", "field", "type")
+    def __init__(self, declaring: str, field: FieldDecl, type: TypeExpr):  # `type` as the receiver sees it
+        self.declaring, self.field, self.type = declaring, field, type
 
 
-@dataclass
-class _Members:
+class _Members(Record):
     """One class type's resolved members, most-derived first: name ->
-    (declaring class, member, the substitution viewing it from that type)."""
+    (declaring class, member, the substitution viewing it from that type).
+    `impls` holds the methods with a body."""
 
-    methods: dict[str, tuple[ClassDecl, MethodDecl, TypeSubstitution]]
-    fields: dict[str, tuple[ClassDecl, FieldDecl, TypeSubstitution]]
-    impls: dict[str, tuple[ClassDecl, MethodDecl, TypeSubstitution]]  # methods with a body
+    __slots__ = ("methods", "fields", "impls")
+    def __init__(self, methods: dict, fields: dict, impls: dict):
+        self.methods, self.fields, self.impls = methods, fields, impls
 
 
 _NO_MEMBERS = _Members({}, {}, {})
@@ -132,12 +131,13 @@ def _extend(inherited: _Members, decl: ClassDecl, sub: TypeSubstitution) -> _Mem
     return out
 
 
-@dataclass
-class MethodHit:
-    declaring: str
-    method: MethodDecl
-    param_types: list[TypeExpr]  # substituted to the receiver's view
-    return_type: Optional[TypeExpr]
+class MethodHit(Record):
+    __slots__ = ("declaring", "method", "param_types", "return_type")
+    def __init__(
+        self, declaring: str, method: MethodDecl, param_types: list[TypeExpr], return_type: Optional[TypeExpr]
+    ):
+        self.declaring, self.method = declaring, method
+        self.param_types, self.return_type = param_types, return_type  # as the receiver sees them
 
 
 class ClassTable:
@@ -384,6 +384,7 @@ class _Checker:
         self.method_type_params: set[str] = set()
         self.return_type: Optional[TypeExpr] = None
         self.in_constructor = False
+        self.lead_super: Optional[SuperCall] = None  # a constructor's leading super(...), if any
         self.scope = _Scope()
 
     def error(self, code: str, message: str, node) -> None:
@@ -632,12 +633,11 @@ class _Checker:
 
     def check_constructor_body(self, cdecl: ClassDecl, ctor: ConstructorDecl) -> None:
         self.enter_body(ctor.params, in_constructor=True)
-        for idx, s in enumerate(ctor.body):
-            if isinstance(s, SuperCall) and idx != 0:
-                self.error("type-mismatch", "super(...) must be the first statement", s)
+        lead = ctor.body[0] if ctor.body else None
+        self.lead_super = lead if isinstance(lead, SuperCall) else None
+        for s in ctor.body:
             self.check_stmt(s)
-        has_explicit_super = bool(ctor.body) and isinstance(ctor.body[0], SuperCall)
-        if not has_explicit_super and cdecl.super_class is not None:
+        if self.lead_super is None and cdecl.super_class is not None:
             sup_params = self.table.constructor_params(cdecl.super_class.name)
             if sup_params:
                 self.error(
@@ -712,6 +712,8 @@ class _Checker:
             if not self.in_constructor or self.current_class is None:
                 self.error("type-mismatch", "super(...) outside a constructor", s)
                 return
+            if s is not self.lead_super:  # a later statement, or nested in an `if` or `while`
+                self.error("type-mismatch", "super(...) must be the first statement", s)
             if self.current_class.super_class is None:
                 self.error("type-mismatch", "class has no superclass", s)
                 return

@@ -27,7 +27,6 @@ phase, method).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, WeaveError, errors_only
 from .exposure import (
@@ -59,6 +58,7 @@ from .syntax import (
     NewObject,
     Node,
     Param,
+    Record,
     ReflectGet,
     ReturnStmt,
     SingletonRef,
@@ -75,6 +75,7 @@ from .syntax import (
     ViolationStmt,
     WhileStmt,
     rebuild,
+    replace,
 )
 from .typecheck import ClassTable, typecheck_program
 
@@ -90,23 +91,25 @@ _INT_T = NamedType("int")
 _BOOL_T = NamedType("bool")
 
 
-@dataclass
-class WeaveNaming:
-    interface_names: dict[str, str] = field(default_factory=dict)
-    exposed_names: dict[str, str] = field(default_factory=dict)
-    getter_names: dict[tuple[str, str], str] = field(default_factory=dict)
-    visitor_name: str = VISITOR_BASE_NAME
+class WeaveNaming(Record):
+    __slots__ = ("interface_names", "exposed_names", "getter_names", "visitor_name")
+    def __init__(
+        self, interface_names=None, exposed_names=None, getter_names=None, visitor_name=VISITOR_BASE_NAME
+    ):
+        self.interface_names: dict[str, str] = {} if interface_names is None else interface_names
+        self.exposed_names: dict[str, str] = {} if exposed_names is None else exposed_names
+        self.getter_names: dict[tuple[str, str], str] = {} if getter_names is None else getter_names
+        self.visitor_name = visitor_name
 
     def getter(self, introducing_class: str, field_name: str) -> str:
         return self.getter_names[(introducing_class, field_name)]
 
 
-@dataclass
-class GenerationReport:
-    per_class: dict[str, dict[str, int]] = field(default_factory=dict)
-    depth: int = 0
-    max_new_members: int = 0
-    formula_bound: int = 0
+class GenerationReport(Record):
+    __slots__ = ("per_class", "depth", "max_new_members", "formula_bound")
+    def __init__(self, per_class: dict | None = None, depth=0, max_new_members=0, formula_bound=0):
+        self.per_class: dict[str, dict[str, int]] = {} if per_class is None else per_class
+        self.depth, self.max_new_members, self.formula_bound = depth, max_new_members, formula_bound
 
     def measured_redundant(self) -> int:
         return sum(v["inherited_members"] for v in self.per_class.values())
@@ -124,15 +127,14 @@ class GenerationReport:
         return json.dumps(data, indent=2) + "\n"
 
 
-@dataclass
-class WovenArtifacts:
-    interfaces: list[InterfaceDecl]
-    exposed_classes: list[ClassDecl]
-    visitor: ClassDecl
-    report: GenerationReport
-    naming: WeaveNaming
-    source_unit: SourceUnit
-    spec: InvariantSpec
+class WovenArtifacts(Record):
+    __slots__ = ("interfaces", "exposed_classes", "visitor", "report", "naming", "source_unit", "spec")
+    def __init__(
+        self, interfaces: list[InterfaceDecl], exposed_classes: list[ClassDecl], visitor: ClassDecl,
+        report: GenerationReport, naming: WeaveNaming, source_unit: SourceUnit, spec: InvariantSpec,
+    ):
+        self.interfaces, self.exposed_classes, self.visitor = interfaces, exposed_classes, visitor
+        self.report, self.naming, self.source_unit, self.spec = report, naming, source_unit, spec
 
     def declarations_unit(self) -> SourceUnit:
         return SourceUnit(
@@ -220,12 +222,10 @@ def _member_names(table: ClassTable, c: ClassDecl) -> tuple[set[str], set[str]]:
     return fields, methods
 
 
-@dataclass
-class _HookNames:
-    depth: str
-    check_entry: str
-    check_exit: str
-    inv: str
+class _HookNames(Record):
+    __slots__ = ("depth", "check_entry", "check_exit", "inv")
+    def __init__(self, depth: str, check_entry: str, check_exit: str, inv: str):
+        self.depth, self.check_entry, self.check_exit, self.inv = depth, check_entry, check_exit, inv
 
 
 def _hook_names(table: ClassTable, c: ClassDecl, getter_names: set[str]) -> _HookNames:
@@ -319,11 +319,10 @@ def gen_exposure_interface(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ClassStats:
-    getters: int = 0
-    wrappers: int = 0
-    inherited_members: int = 0
+class _ClassStats(Record):
+    __slots__ = ("getters", "wrappers", "inherited_members")
+    def __init__(self, getters: int = 0, wrappers: int = 0, inherited_members: int = 0):
+        self.getters, self.wrappers, self.inherited_members = getters, wrappers, inherited_members
 
 
 def _public_methods_to_wrap(

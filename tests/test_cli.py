@@ -216,6 +216,23 @@ def test_run_type_error_exit_1(tmp_path, capsys):
     assert "type-mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "block, col", [("if (true) { super(2); }", 56), ("while (this.x < 2) { super(2); }", 65)]
+)
+def test_run_super_call_nested_in_a_constructor_is_a_one_line_error(block, col, tmp_path, capsys):
+    # Only the first top-level statement of a constructor may call super(...).
+    src = tmp_path / "twice.moo"
+    src.write_text(
+        "class A { public int x; public A(int v) { this.x = v; } }\n"
+        "class B extends A { public B() { super(1); %s } }\n"
+        "driver { B b = new B(); print(b.x); }\n" % block
+    )
+    assert main(["run", str(src)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["2:%d: error [type-mismatch] super(...) must be the first statement" % col]
+
+
 def test_run_parse_error_exit_1(tmp_path, capsys):
     src = tmp_path / "bad.moo"
     src.write_text("class A {")
@@ -516,6 +533,18 @@ def test_each_subcommand_imports_only_the_layers_it_runs(command, unused, tmp_pa
     assert proc.returncode == 0, proc.stderr
     loaded = _loaded(proc.stderr)
     assert "parser" in loaded and not loaded & unused
+
+
+def test_no_subcommand_imports_dataclasses_or_inspect():
+    # Both cost a CLI process about a fifth of its start-up.
+    script = (
+        "import sys\n"
+        "import invweave.cli, invweave.interp, invweave.invspec, invweave.exposure, invweave.weave, invweave.printer\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_every_package_export_is_its_home_modules_object():

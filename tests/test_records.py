@@ -1,0 +1,214 @@
+"""The contract of the package's records (`syntax.Record`): plain `__slots__`
+classes whose `__init__` takes every field in order, compared field by field
+without their source position, frozen where a value is shared."""
+
+import copy
+import inspect
+import sys
+import weakref
+
+import pytest
+
+import invweave.cli  # noqa: F401  (with the modules below: every module that declares a record)
+import invweave.weave  # noqa: F401
+from invweave.diagnostics import Diagnostic
+from invweave.interp import ExecutionResult, ObjectInstance, ViolationRecord
+from invweave.lexer import Token
+from invweave.parser import parse_unit
+from invweave.subst import TypeSubstitution
+from invweave.syntax import (
+    Binary,
+    ClassDecl,
+    ConstructorDecl,
+    DeclMemo,
+    DriverBlock,
+    FieldAccess,
+    Frozen,
+    InterfaceDecl,
+    IntLit,
+    MethodCall,
+    MethodDecl,
+    NamedType,
+    NewObject,
+    NullLit,
+    Positioned,
+    Record,
+    SourceUnit,
+    SuperCall,
+    TypeVar,
+    VarRead,
+    replace,
+    walk,
+)
+
+from helpers import CORPUS, REPO
+
+
+def _records(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+RECORDS = sorted(set(_records()), key=lambda c: (c.__module__, c.__name__))
+CONCRETE = [c for c in RECORDS if c not in (Frozen, Positioned)]
+
+
+def test_every_record_takes_its_fields_in_order():
+    assert len(CONCRETE) == 53  # ObjectInstance is not a record: its `==` is identity
+    for cls in CONCRETE:
+        params = list(inspect.signature(cls.__init__).parameters)[1:]
+        assert tuple(params) == cls._fields == cls.__dataclass_fields__, cls.__name__
+
+
+def test_equality_is_structural_and_ignores_positions():
+    a = Binary("+", VarRead("x", 1, 2), IntLit(1, 1, 6), 1, 4)
+    b = Binary("+", VarRead("x", 7, 7), IntLit(1), 9, 9)
+    assert a == b and a is not b
+    assert a != Binary("-", VarRead("x"), IntLit(1))
+    assert NamedType("List", (TypeVar("T", 3, 4),), 3, 1) == NamedType("List", (TypeVar("T"),))
+    assert TypeVar("T") != NamedType("T")  # records of two classes are never equal
+    assert VarRead("x") != "x"
+
+
+def test_repr_shows_the_fields_but_not_the_position():
+    assert repr(FieldAccess(VarRead("a", 5, 6), "b", 5, 7)) == "FieldAccess(obj=VarRead(name='a'), name='b')"
+    assert repr(NamedType("int", (), 2, 3)) == "NamedType(name='int', args=())"
+    assert repr(NullLit(4, 5)) == "NullLit()"
+
+
+def test_every_list_default_is_a_fresh_list():
+    made = [
+        (MethodCall(None, "f"), ["args"]),
+        (NewObject(NamedType("A")), ["args"]),
+        (SuperCall(), ["args"]),
+        (MethodDecl("m"), ["type_params", "params"]),
+        (ConstructorDecl(), ["params", "body"]),
+        (ClassDecl("C"), ["type_params", "interfaces", "fields", "methods"]),
+        (InterfaceDecl("I"), ["type_params", "extends", "methods"]),
+        (DriverBlock(), ["body"]),
+        (SourceUnit(), ["classes", "interfaces"]),
+        (ExecutionResult([], [], None), ["combined"]),
+    ]
+    for record, names in made:
+        again = type(record)(**{n: getattr(record, n) for n in record._fields if n not in names})
+        for name in names:
+            assert getattr(record, name) == [] and getattr(record, name) is not getattr(again, name)
+
+
+FROZEN = [
+    TypeVar("T", 1, 2),
+    NamedType("Map", (NamedType("int"), TypeVar("V"))),
+    Token("IDENT", "x", 1, 1),
+    Diagnostic("syntax", "bad", 1, 1),
+    TypeSubstitution((("T", NamedType("int")),)),
+    ViolationRecord("A", 0, "entry", "m"),
+]
+
+
+def test_exactly_these_records_are_frozen():
+    assert sorted(c.__name__ for c in RECORDS if issubclass(c, Frozen) and c is not Frozen) == sorted(
+        type(r).__name__ for r in FROZEN
+    )
+
+
+@pytest.mark.parametrize("record", FROZEN, ids=lambda r: type(r).__name__)
+def test_frozen_records_refuse_assignment_and_hash_by_value(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    twin = copy.deepcopy(record)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    assert {record: 1}[twin] == 1
+
+
+def test_hash_ignores_positions_and_is_computed_once():
+    t = NamedType("List", (NamedType("int"),), 4, 5)
+    assert hash(t) == hash(NamedType("List", (NamedType("int"),)))
+    assert t._hash == hash(t)  # kept after the first use
+    with pytest.raises(AttributeError):
+        NamedType("int")._hash  # nothing is computed before it
+
+
+def test_mutable_records_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(VarRead("x"))
+
+
+def test_substitution_refuses_a_duplicate_variable():
+    with pytest.raises(ValueError, match="duplicate variable"):
+        TypeSubstitution((("T", NamedType("int")), ("T", NamedType("bool"))))
+
+
+def test_objects_compare_by_identity():
+    a = ObjectInstance("A", 1, {}, {})
+    b = ObjectInstance("A", 1, {}, {})
+    assert a == a and a != b and len({a, b}) == 2
+
+
+def test_every_memoised_declaration_takes_a_weak_reference():
+    unit = parse_unit(
+        "interface I { int f(); }\n"
+        "class A implements I { public A() { } public int f() { return 1; } }\n"
+        "driver { }\n"
+    )
+    cls = unit.classes[0]
+    memo = DeclMemo()
+    for decl in (cls, unit.interfaces[0], cls.methods[0], cls.constructor, unit.driver):
+        assert weakref.ref(decl)() is decl
+        memo.put(decl, type(decl).__name__)
+        assert memo.get(decl) == type(decl).__name__
+
+
+def test_replace_copies_through_init_and_leaves_the_record_unchanged():
+    call = MethodCall(VarRead("a"), "f", [IntLit(1)], 3, 4)
+    moved = replace(call, name="g")
+    assert (moved.name, moved.receiver, moved.args, moved.line, moved.col) == ("g", call.receiver, call.args, 3, 4)
+    assert call.name == "f"
+    with pytest.raises(ValueError, match="duplicate variable"):
+        replace(TypeSubstitution(), bindings=(("T", NamedType("int")),) * 2)
+
+
+def _types(t) -> int:
+    return 1 + sum(_types(a) for a in getattr(t, "args", ()))
+
+
+def _body(stmts) -> int:
+    n = 0
+    for s in stmts:
+        for node in walk(s):
+            n += 1 + sum(_types(getattr(node, f)) for f in ("decl_type", "type") if hasattr(node, f))
+    return n
+
+
+def _method(m) -> int:
+    n = 1 + sum(1 + _types(p.type) for p in m.params) + _body(m.body or [])
+    return n + (_types(m.return_type) if getattr(m, "return_type", None) is not None else 0)
+
+
+def _count(unit) -> int:
+    """The nodes of a unit, counted by its declarations, types and `walk`."""
+    n = 1
+    for c in unit.classes:
+        n += 1 + sum(_types(t) for t in ([c.super_class] if c.super_class else []) + c.interfaces)
+        n += sum(1 + _types(f.declared_type) for f in c.fields)
+        n += sum(_method(m) for m in c.methods + ([c.constructor] if c.constructor else []))
+    for i in unit.interfaces:
+        n += 1 + sum(_types(t) for t in i.extends) + sum(_method(m) for m in i.methods)
+    if unit.driver is not None:
+        n += 1 + _body(unit.driver.body)
+    return n
+
+
+def test_benchmark_node_counter_counts_every_node():
+    sys.path.insert(0, str(REPO / "bench"))
+    try:
+        from tracer import count_nodes
+    finally:
+        sys.path.remove(str(REPO / "bench"))
+    assert count_nodes(parse_unit("class A { }")) == 2
+    for path in sorted(CORPUS.rglob("*.moo")):
+        unit = parse_unit(path.read_text())
+        assert count_nodes(unit) == _count(unit) > 2, path.name

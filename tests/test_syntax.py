@@ -1,7 +1,6 @@
 """The generic AST traversals `walk` and `rebuild` and the child-field table
 behind both."""
 
-import dataclasses
 import re
 import typing
 
@@ -18,11 +17,13 @@ def test_every_node_class_is_handled():
 
 
 def test_every_child_field_is_listed():
-    # A field is a child field iff its annotation mentions Expr or Stmt, so a
-    # node added later cannot be skipped by `walk` unnoticed.
+    # A field is a child field iff the annotation of its `__init__` parameter
+    # mentions Expr or Stmt, so a node added later cannot be skipped by `walk`
+    # unnoticed.
     mentions_node = re.compile(r"\b(Expr|Stmt)\b")
     for cls in NODE_CLASSES:
-        want = [f.name for f in dataclasses.fields(cls) if mentions_node.search(str(f.type))]
+        annotations = cls.__init__.__annotations__
+        want = [n for n in cls._fields if mentions_node.search(annotations[n])]
         assert list(_CHILD_FIELDS[cls]) == want, cls.__name__
 
 

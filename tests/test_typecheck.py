@@ -1,11 +1,10 @@
 import copy
-from dataclasses import replace
 
 import pytest
 
 from invweave.diagnostics import ParseError
 from invweave.parser import parse_unit, validate_structure
-from invweave.syntax import NamedType, Param, SourceUnit, merge_units
+from invweave.syntax import NamedType, Param, SourceUnit, merge_units, replace
 from invweave.typecheck import ClassTable, _reusable, typecheck_program
 
 from helpers import dlist_driver, load_dlist

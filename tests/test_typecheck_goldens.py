@@ -31,6 +31,7 @@ from invweave.syntax import (
     IntLit,
     MethodCall,
     NewObject,
+    Record,
     StringLit,
     SuperCall,
     merge_units,
@@ -111,9 +112,9 @@ def _nodes(root) -> list:
         node = todo.pop()
         if isinstance(node, (list, tuple)):
             todo.extend(reversed(node))
-        elif hasattr(node, "__dataclass_fields__"):
+        elif isinstance(node, Record):
             out.append(node)
-            todo.extend(reversed([getattr(node, f) for f in node.__dataclass_fields__]))
+            todo.extend(reversed([getattr(node, f) for f in node._fields]))
     return out
 
 
@@ -278,6 +279,15 @@ def test_recorded_diagnostics_replay_identically():
         seen.append(case_id)
         assert record(unit) == goldens[case_id], case_id
     assert sorted(seen) == sorted(goldens)
+
+
+def test_mutants_are_drawn_from_every_node():
+    # The mutations pick their sites from `_nodes`; a walk that missed nodes
+    # would mutate fewer places, so the totals are pinned.
+    assert sum(len(_nodes(unit)) for _, unit in corpus_cases()) == 15323
+    goldens = json.loads(GOLDENS.read_text())
+    mutants = [d for c, d in goldens.items() if c.startswith("mutant/")]
+    assert (len(mutants), sum(1 for d in mutants if d)) == (MUTANTS, 135) == (150, 135)
 
 
 def test_goldens_cover_every_mutation_with_errors():

@@ -1,6 +1,5 @@
 """Weaver structure, goldens, and whole-program properties."""
 
-import dataclasses
 import random
 
 import pytest
@@ -489,7 +488,7 @@ def _shape(stmts):
     """Each node under `stmts` in pre-order, with the identity of every field
     value: equal shapes mean nothing was replaced or mutated in place."""
     return [
-        (id(n), [id(getattr(n, f.name)) for f in dataclasses.fields(n)])
+        (id(n), [id(getattr(n, f)) for f in n._fields])
         for s in stmts
         for n in walk(s)
     ]
