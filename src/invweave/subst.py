@@ -49,6 +49,13 @@ class NameSupply(Record):
     def reserve(self, name: str) -> None:
         self.taken.add(name)
 
+    def take(self, base: str) -> str:
+        """`base` if it is free, else a fresh name; either way now taken."""
+        if base in self.taken:
+            return self.fresh(base)
+        self.taken.add(base)
+        return base
+
     def fresh(self, base: str) -> str:
         i = 1
         while "%s_X%d" % (base, i) in self.taken:

@@ -28,6 +28,12 @@ reports the same diagnostics in the same order as a full check.  A
 declaration whose check let an undeclared name stand for a type variable
 (see `check_type`) gets no verdict, since declaring that name would change
 its check.  Declarations are never changed once checked (see `syntax`).
+
+A check runs in phases: inheritance cycles, the headers of every
+declaration, then per class its structure (field shadowing, overrides,
+interface satisfaction, bodiless methods) and its bodies, then the driver.
+`check_structure` stops short of bodies and the driver, and keeps no
+verdict, since a verdict says the bodies were typed.
 """
 
 from __future__ import annotations
@@ -114,7 +120,8 @@ def _signature(m: MethodDecl, *subs: TypeSubstitution) -> list[Optional[TypeExpr
     substituted by `subs` in turn."""
     types = [p.type for p in m.params] + [m.return_type]
     for sub in subs:
-        types = [None if t is None else substitute(sub, t) for t in types]
+        if sub.bindings:
+            types = [None if t is None else substitute(sub, t) for t in types]
     return types
 
 
@@ -427,21 +434,27 @@ class _Checker:
     # -- declarations ----------------------------------------------------------
 
     def check_unit(self) -> list[Diagnostic]:
-        for idecl in self.unit.interfaces:
-            if id(idecl) not in self.reused:
-                self.check_interface(idecl)
-        for cdecl in self.unit.classes:
-            if id(cdecl) not in self.reused:
-                self.check_class_header(cdecl)
-        # Member checks only make sense over a well-formed hierarchy.
+        classes = self.check_headers()
         if self.diags:
             return self.diags
-        for cdecl in self.unit.classes:
-            if id(cdecl) not in self.reused:
-                self.check_class_members(cdecl)
+        for cdecl in classes:
+            self.check_class_structure(cdecl)
+            self.check_class_bodies(cdecl)
         if self.unit.driver is not None:
             self.check_driver()
         return self.diags
+
+    def check_headers(self) -> list[ClassDecl]:
+        """Check the headers of the declarations not reused, and return the
+        classes among them; none if a header is faulty, since member checks
+        only make sense over a well-formed hierarchy."""
+        for idecl in self.unit.interfaces:
+            if id(idecl) not in self.reused:
+                self.check_interface(idecl)
+        classes = [c for c in self.unit.classes if id(c) not in self.reused]
+        for cdecl in classes:
+            self.check_class_header(cdecl)
+        return [] if self.diags else classes
 
     def check_interface(self, idecl: InterfaceDecl) -> None:
         self.decl = idecl
@@ -486,10 +499,11 @@ class _Checker:
         if m.return_type is not None:
             self.check_type(m.return_type, mscope, m)
 
-    def check_class_members(self, cdecl: ClassDecl) -> None:
-        self.decl = self.current_class = cdecl
-        self.self_t = self_t = cdecl.self_type()
-        # Field shadowing up the chain.
+    def check_class_structure(self, cdecl: ClassDecl) -> None:
+        """Field shadowing, overrides, interface satisfaction and bodiless
+        methods: what a class's members must satisfy short of their bodies."""
+        self.decl = cdecl
+        self_t = cdecl.self_type()
         chain = self.table.class_chain(cdecl.name)
         for f in cdecl.fields:
             for anc in chain[1:]:
@@ -500,7 +514,6 @@ class _Checker:
                         % (f.name, anc.name),
                         f,
                     )
-        # Override compatibility.
         if cdecl.super_class is not None:
             super_t = substitute(self.table.view_subst(cdecl, self_t), cdecl.super_class)
             inherited = self.table.members(super_t).methods  # type: ignore[arg-type]
@@ -508,20 +521,22 @@ class _Checker:
                 if m.name in inherited:
                     _, theirs, sub = inherited[m.name]
                     self.check_override(m, theirs, sub)
-        # Interface satisfaction.
         self.check_interface_satisfaction(cdecl, self_t)
-        # Bodies.
-        for m in cdecl.methods:
-            if m.body is None:
-                if not cdecl.is_abstract:
+        if not cdecl.is_abstract:
+            for m in cdecl.methods:
+                if m.body is None:
                     self.error(
                         "type-mismatch",
-                        "non-abstract class %s has bodiless method %r"
-                        % (cdecl.name, m.name),
+                        "non-abstract class %s has bodiless method %r" % (cdecl.name, m.name),
                         m,
                     )
-                continue
-            self.check_method_body(m)
+
+    def check_class_bodies(self, cdecl: ClassDecl) -> None:
+        self.decl = self.current_class = cdecl
+        self.self_t = cdecl.self_type()
+        for m in cdecl.methods:
+            if m.body is not None:
+                self.check_method_body(m)
         if cdecl.constructor is not None:
             self.check_constructor_body(cdecl, cdecl.constructor)
         else:
@@ -596,9 +611,9 @@ class _Checker:
         if len(m.type_params) != len(theirs.type_params):
             self.error("type-mismatch", "%s changes type parameters" % what, m)
             return
-        rename = TypeSubstitution(
-            tuple((a, TypeVar(b)) for a, b in zip(theirs.type_params, m.type_params))
-        )
+        rename = _NO_SUBST
+        if m.type_params:
+            rename = TypeSubstitution(tuple((a, TypeVar(b)) for a, b in zip(theirs.type_params, m.type_params)))
         if _signature(m, msub) != _signature(theirs, tsub, rename):
             self.error("type-mismatch", "%s does not match %s" % (what, signature), m)
 
@@ -1109,6 +1124,14 @@ def _reusable(decls: list) -> set[int]:
     return out
 
 
+def _checker(unit: SourceUnit, table: Optional[ClassTable]) -> _Checker:
+    """A checker of `unit` that skips the declarations whose clean verdict
+    holds there; raises the parser's ParseError for an inheritance cycle."""
+    check_cycles(unit)
+    reused = _reusable([*unit.classes, *unit.interfaces])
+    return _Checker(unit, table if table is not None else ClassTable(unit), reused)
+
+
 def typecheck_program(unit: SourceUnit, table: Optional[ClassTable] = None) -> list[Diagnostic]:
     """Type-check a unit; empty result means well-typed.  A unit that did not
     pass `validate_structure`, such as one built by `merge_units`, may have
@@ -1117,15 +1140,28 @@ def typecheck_program(unit: SourceUnit, table: Optional[ClassTable] = None) -> l
     Declarations with a clean verdict that holds in `unit` are not checked
     again (see the module docstring)."""
     try:
-        check_cycles(unit)
+        checker = _checker(unit, table)
     except ParseError as exc:
         return [exc.diagnostic]
-    decls = [*unit.classes, *unit.interfaces]
-    checker = _Checker(unit, table if table is not None else ClassTable(unit), _reusable(decls))
     diags = checker.check_unit()
+    decls = [*unit.classes, *unit.interfaces]
     fresh = [d for d in decls if id(d) not in checker.reused and id(d) not in checker.unsure]
     if fresh and not diags:
         record = tuple(weakref.ref(d) for d in decls)
         for d in fresh:
             _CLEAN.put(d, record)
     return diags
+
+
+def check_structure(unit: SourceUnit) -> list[Diagnostic]:
+    """The part of `typecheck_program` that types no statement: inheritance
+    cycles, headers, field shadowing, overrides, interface satisfaction and
+    bodiless methods of concrete classes.  It keeps no verdict, so a later
+    `typecheck_program` of `unit` still types every body."""
+    try:
+        checker = _checker(unit, None)
+    except ParseError as exc:
+        return [exc.diagnostic]
+    for cdecl in checker.check_headers():
+        checker.check_class_structure(cdecl)
+    return checker.diags

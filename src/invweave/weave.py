@@ -16,12 +16,21 @@ For every class A with a specification entry the weaver emits:
   - one `class InvV`: per specified class a `visit_<A>` method that first
     delegates to the superclass's visit through the super-interface, then
     binds each free variable via its getter and evaluates the predicates in
-    order, recording the first failure.
+    order, recording the first failure.  Its parameter is `obj` unless a
+    predicate of A uses that name.
 
 Checks fire only when the depth counter is zero, which makes them coincide
 with publicly-visible calls; nested self-calls are suppressed.  Invariant
 failures abort the run with a violation record (class, predicate index,
 phase, method).
+
+Every type in the generated declarations is copied from the original
+hierarchy or from the typings `validate_spec` accepted, so their bodies are
+typed by construction.  `weave_program` therefore checks the merged unit
+only structurally (`typecheck.check_structure`).  The full typecheck of
+merged units, bodies included, is the test suite's: the typecheck goldens'
+`chain/*/merged` and `corpus/*/woven` cases, the spec goldens' clean cases
+and `test_acceptance`.
 """
 
 from __future__ import annotations
@@ -69,7 +78,6 @@ from .syntax import (
     SuperExpr,
     ThisExpr,
     TraceStmt,
-    TypeVar,
     Unary,
     VarRead,
     ViolationStmt,
@@ -77,7 +85,7 @@ from .syntax import (
     rebuild,
     replace,
 )
-from .typecheck import ClassTable, typecheck_program
+from .typecheck import ClassTable, MethodHit, check_structure, typecheck_program
 
 PHASE_ENTRY = "entry"
 PHASE_EXIT = "exit"
@@ -167,20 +175,9 @@ def choose_names(table: ClassTable, spec: InvariantSpec, plan: ExposurePlan) -> 
     top_level = {c.name for c in unit.classes} | {i.name for i in unit.interfaces}
     supply = NameSupply(set(top_level))
     for c in _specified_in_unit_order(unit, spec):
-        iface = "IExposed" + c.name
-        naming.interface_names[c.name] = iface if iface not in supply.taken else supply.fresh(iface)
-        supply.reserve(naming.interface_names[c.name])
-        exposed = "Exposed" + c.name
-        naming.exposed_names[c.name] = (
-            exposed if exposed not in supply.taken else supply.fresh(exposed)
-        )
-        supply.reserve(naming.exposed_names[c.name])
-    naming.visitor_name = (
-        VISITOR_BASE_NAME
-        if VISITOR_BASE_NAME not in supply.taken
-        else supply.fresh(VISITOR_BASE_NAME)
-    )
-    supply.reserve(naming.visitor_name)
+        naming.interface_names[c.name] = supply.take("IExposed" + c.name)
+        naming.exposed_names[c.name] = supply.take("Exposed" + c.name)
+    naming.visitor_name = supply.take(VISITOR_BASE_NAME)
 
     all_method_names = {m.name for c in unit.classes for m in c.methods}
     all_method_names |= {m.name for i in unit.interfaces for m in i.methods}
@@ -297,21 +294,10 @@ def gen_exposure_interface(
         assert c.super_class is not None
         extends.append(NamedType(naming.interface_names[entry.chain[-2]], c.super_class.args))
     methods = [
-        MethodDecl(
-            name=naming.getter(c.name, fname),
-            visibility="public",
-            params=[],
-            return_type=ftype,
-            body=None,
-        )
+        MethodDecl(naming.getter(c.name, fname), "public", [], [], ftype)
         for fname, ftype in entry.own_signatures
     ]
-    return InterfaceDecl(
-        name=naming.interface_names[c.name],
-        type_params=list(c.type_params),
-        extends=extends,
-        methods=methods,
-    )
+    return InterfaceDecl(naming.interface_names[c.name], list(c.type_params), extends, methods)
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +312,21 @@ class _ClassStats(Record):
 
 
 def _public_methods_to_wrap(
-    table: ClassTable, c: ClassDecl
-) -> list[tuple[str, MethodDecl, str]]:
-    """(name, most-derived declaration, declaring class) for every public
-    method with an implementation anywhere on c's chain, in chain order."""
-    out: list[tuple[str, MethodDecl, str]] = []
+    table: ClassTable, c: ClassDecl, self_t: NamedType
+) -> list[tuple[MethodHit, str]]:
+    """(most-derived declaration as `self_t` sees it, declaring class) for
+    every public method with an implementation anywhere on c's chain, in
+    chain order."""
+    out: list[tuple[MethodHit, str]] = []
     seen: set[str] = set()
+    impls = table.members(self_t).impls
     for anc in table.class_chain(c.name):
         for m in anc.methods:
             if m.name in seen:
                 continue
             seen.add(m.name)
-            if m.visibility != "public":
-                continue
-            if table.find_impl(c.self_type(), m.name) is None:
-                continue
-            out.append((m.name, m, anc.name))
+            if m.visibility == "public" and m.name in impls:
+                out.append((table.find_method(self_t, m.name), anc.name))
     return out
 
 
@@ -357,19 +342,19 @@ def gen_exposed_class(
         table, c, {naming.getter(cn, fn) for (cn, fn) in naming.getter_names}
     )
     stats = stats if stats is not None else _ClassStats()
-    self_params = list(c.type_params)
-    self_args = tuple(TypeVar(p) for p in self_params)
+    self_t = c.self_type()
     exposed_name = naming.exposed_names[c.name]
     visitor = naming.visitor_name
     cls_lit = StringLit(c.name)
 
     # (2) entry gate: check when the depth counter is zero, then increment.
     check_entry = MethodDecl(
-        name=hooks.check_entry,
-        visibility="private",
-        params=[Param("m", _STRING_T)],
-        return_type=None,
-        body=[
+        hooks.check_entry,
+        "private",
+        [],
+        [Param("m", _STRING_T)],
+        None,
+        [
             IfStmt(
                 _depth_is_zero(hooks.depth),
                 [
@@ -387,11 +372,12 @@ def gen_exposed_class(
     )
     # (3) exit gate: decrement, then check when the counter returns to zero.
     check_exit = MethodDecl(
-        name=hooks.check_exit,
-        visibility="private",
-        params=[Param("phase", _STRING_T), Param("m", _STRING_T)],
-        return_type=None,
-        body=[
+        hooks.check_exit,
+        "private",
+        [],
+        [Param("phase", _STRING_T), Param("m", _STRING_T)],
+        None,
+        [
             _bump_depth(hooks.depth, -1),
             IfStmt(
                 _depth_is_zero(hooks.depth),
@@ -409,11 +395,12 @@ def gen_exposed_class(
     )
     # (4) the accept hook: delegate to the shared visitor and read the verdict.
     inv = MethodDecl(
-        name=hooks.inv,
-        visibility="protected",
-        params=[],
-        return_type=_BOOL_T,
-        body=[
+        hooks.inv,
+        "protected",
+        [],
+        [],
+        _BOOL_T,
+        [
             LocalDecl(NamedType(visitor), "v", SingletonRef(visitor)),
             ExprStmt(MethodCall(VarRead("v"), "reset", [])),
             ExprStmt(MethodCall(VarRead("v"), "visit_" + c.name, [ThisExpr()])),
@@ -424,9 +411,9 @@ def gen_exposed_class(
     # check in the construction phase.
     ctor_params = list(c.constructor.params) if c.constructor is not None else []
     constructor = ConstructorDecl(
-        visibility="public",
-        params=[Param(p.name, p.type) for p in ctor_params],
-        body=[
+        "public",
+        [Param(p.name, p.type) for p in ctor_params],
+        [
             SuperCall([VarRead(p.name) for p in ctor_params]),
             _bump_depth(hooks.depth, +1),
             ExprStmt(
@@ -439,9 +426,8 @@ def gen_exposed_class(
     )
     # (6) wrappers for every public method on the chain.
     wrappers: list[MethodDecl] = []
-    for name, _decl, declaring in _public_methods_to_wrap(table, c):
-        hit = table.find_method(c.self_type(), name)
-        assert hit is not None
+    for hit, declaring in _public_methods_to_wrap(table, c, self_t):
+        name = hit.method.name
         result_name = "_result"
         while any(p.name == result_name for p in hit.method.params):
             result_name = "_" + result_name
@@ -462,15 +448,9 @@ def gen_exposed_class(
                 )
             )
             body.append(ReturnStmt(VarRead(result_name)))
+        params = [Param(p.name, t) for p, t in zip(hit.method.params, hit.param_types)]
         wrappers.append(
-            MethodDecl(
-                name=name,
-                visibility="public",
-                type_params=list(hit.method.type_params),
-                params=[Param(p.name, t) for p, t in zip(hit.method.params, hit.param_types)],
-                return_type=hit.return_type,
-                body=body,
-            )
+            MethodDecl(name, "public", list(hit.method.type_params), params, hit.return_type, body)
         )
         stats.wrappers += 1
         if declaring != c.name:
@@ -479,34 +459,28 @@ def gen_exposed_class(
     getters: list[MethodDecl] = []
     for owner in plan.per_class[c.name].chain:
         for fname, _ftype in plan.per_class[owner].own_signatures:
-            hit = table.find_field(c.self_type(), fname)
+            hit = table.find_field(self_t, fname)
             assert hit is not None
             if hit.field.visibility == "private":
                 read: Expr = ReflectGet(ThisExpr(), fname)
             else:
                 read = _this_field(fname)
             getters.append(
-                MethodDecl(
-                    name=naming.getter(owner, fname),
-                    visibility="public",
-                    params=[],
-                    return_type=hit.type,
-                    body=[ReturnStmt(read)],
-                )
+                MethodDecl(naming.getter(owner, fname), "public", [], [], hit.type, [ReturnStmt(read)])
             )
             stats.getters += 1
             if owner != c.name:
                 stats.inherited_members += 1
 
     return ClassDecl(
-        name=exposed_name,
-        type_params=self_params,
-        super_class=NamedType(c.name, self_args),
-        interfaces=[NamedType(iface.name, self_args)],
-        is_abstract=c.is_abstract,
-        fields=[FieldDecl(hooks.depth, _INT_T, "private")],
-        constructor=constructor,
-        methods=[check_entry, check_exit, inv] + wrappers + getters,
+        exposed_name,
+        list(c.type_params),
+        self_t,
+        [NamedType(iface.name, self_t.args)],
+        c.is_abstract,
+        [FieldDecl(hooks.depth, _INT_T, "private")],
+        constructor,
+        [check_entry, check_exit, inv] + wrappers + getters,
     )
 
 
@@ -573,44 +547,27 @@ def gen_visitor(
     visit_methods: list[MethodDecl] = []
     for c in specified:
         chain = plan.per_class[c.name].chain
-        body: list[Stmt] = []
-        if len(chain) > 1:
-            body.append(ExprStmt(_this_call("visit_" + chain[-2], [VarRead("obj")])))
+        self_t = c.self_type()
         fv = class_free_vars_ordered(c.name, spec)
         preds = spec.predicates(c.name)
+        # The visited object's name must not be a local of the body.
+        obj = NameSupply(set(fv) | {p.var for p in preds if isinstance(p, Forall)}).take("obj")
+        body: list[Stmt] = []
+        if len(chain) > 1:
+            body.append(ExprStmt(_this_call("visit_" + chain[-2], [VarRead(obj)])))
         if preds:
             inner: list[Stmt] = []
             for var in fv:
-                hit = table.find_field(c.self_type(), var)
+                hit = table.find_field(self_t, var)
                 assert hit is not None
-                owner = plan.getter_owner(c.name, var)
-                inner.append(
-                    LocalDecl(
-                        hit.type,
-                        var,
-                        MethodCall(VarRead("obj"), naming.getter(owner, var), []),
-                    )
-                )
+                getter = naming.getter(plan.getter_owner(c.name, var), var)
+                inner.append(LocalDecl(hit.type, var, MethodCall(VarRead(obj), getter, [])))
             for i, p in enumerate(preds):
                 inner.extend(_predicate_stmts(table, c, i, p))
             body.append(IfStmt(_ok_read(), inner, None))
+        iface_t = NamedType(naming.interface_names[c.name], self_t.args)
         visit_methods.append(
-            MethodDecl(
-                name="visit_" + c.name,
-                visibility="public",
-                type_params=list(c.type_params),
-                params=[
-                    Param(
-                        "obj",
-                        NamedType(
-                            naming.interface_names[c.name],
-                            tuple(TypeVar(p) for p in c.type_params),
-                        ),
-                    )
-                ],
-                return_type=None,
-                body=body,
-            )
+            MethodDecl("visit_" + c.name, "public", list(c.type_params), [Param(obj, iface_t)], None, body)
         )
 
     fields = [
@@ -619,39 +576,31 @@ def gen_visitor(
         FieldDecl("_fail_index", _INT_T, "private"),
     ]
     reset = MethodDecl(
-        name="reset",
-        visibility="public",
-        return_type=None,
-        body=[
+        "reset",
+        "public",
+        [],
+        [],
+        None,
+        [
             Assign(_this_field("_ok"), BoolLit(True)),
             Assign(_this_field("_fail_class"), StringLit("")),
             Assign(_this_field("_fail_index"), Unary("-", IntLit(1))),
         ],
     )
-    valid = MethodDecl(
-        name="valid",
-        visibility="public",
-        return_type=_BOOL_T,
-        body=[ReturnStmt(_this_field("_ok"))],
-    )
+    valid = MethodDecl("valid", "public", [], [], _BOOL_T, [ReturnStmt(_this_field("_ok"))])
     failed_class = MethodDecl(
-        name="failed_class",
-        visibility="public",
-        return_type=_STRING_T,
-        body=[ReturnStmt(_this_field("_fail_class"))],
+        "failed_class", "public", [], [], _STRING_T, [ReturnStmt(_this_field("_fail_class"))]
     )
     failed_index = MethodDecl(
-        name="failed_index",
-        visibility="public",
-        return_type=_INT_T,
-        body=[ReturnStmt(_this_field("_fail_index"))],
+        "failed_index", "public", [], [], _INT_T, [ReturnStmt(_this_field("_fail_index"))]
     )
     record = MethodDecl(
-        name="_record",
-        visibility="private",
-        params=[Param("c", _STRING_T), Param("i", _INT_T)],
-        return_type=None,
-        body=[
+        "_record",
+        "private",
+        [],
+        [Param("c", _STRING_T), Param("i", _INT_T)],
+        None,
+        [
             Assign(_this_field("_ok"), BoolLit(False)),
             Assign(_this_field("_fail_class"), VarRead("c")),
             Assign(_this_field("_fail_index"), VarRead("i")),
@@ -661,21 +610,8 @@ def gen_visitor(
     if visit_methods:
         methods.append(record)
     methods.extend(visit_methods)
-    constructor = ConstructorDecl(
-        visibility="public",
-        params=[],
-        body=[ExprStmt(_this_call("reset", []))],
-    )
-    return ClassDecl(
-        name=naming.visitor_name,
-        type_params=[],
-        super_class=None,
-        interfaces=[],
-        is_abstract=False,
-        fields=fields,
-        constructor=constructor,
-        methods=methods,
-    )
+    constructor = ConstructorDecl("public", [], [ExprStmt(_this_call("reset", []))])
+    return ClassDecl(naming.visitor_name, [], None, [], False, fields, constructor, methods)
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +620,20 @@ def gen_visitor(
 
 
 def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
-    """Weave a typechecked unit with a validated specification.  The merged
-    unit typechecks; original declarations are untouched (new nodes only).
+    """Weave a unit with a specification; original declarations are
+    untouched (new nodes only).
+
+    `unit` is typechecked and `spec` validated and planned first; their
+    diagnostics are raised as they are.  The merged unit then gets the
+    structural check: inheritance cycles, headers, field shadowing,
+    overrides, interface satisfaction and bodiless methods of concrete
+    classes.  A fault there is a bug of the weaver, raised as
+    `weave-internal`.  The generated bodies are not typed here (see the
+    module docstring), and no typecheck verdict is kept for them.
 
     One ClassTable of `unit` serves every stage on it: the typecheck, spec
     validation, the exposure plan and its verification, and generation.  The
-    merged unit's self-check builds its own."""
+    structural check builds one of the merged unit."""
     table = ClassTable(unit)
     diags = errors_only(typecheck_program(unit, table))
     if diags:
@@ -725,7 +669,7 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
     )
     artifacts.report = _build_report(plan, artifacts, stats)
 
-    merged_diags = errors_only(typecheck_program(artifacts.merged_unit()))
+    merged_diags = errors_only(check_structure(artifacts.merged_unit()))
     if merged_diags:
         raise WeaveError(
             [Diagnostic("weave-internal", "woven unit does not typecheck")] + merged_diags

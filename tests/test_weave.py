@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from invweave import weave as weave_mod
 from invweave.diagnostics import WeaveError
 from invweave.exposure import compute_plan
+from invweave.interp import ViolationRecord, run_program
 from invweave.invspec import load_spec
 from invweave.parser import parse_unit
 from invweave.printer import render_source
@@ -14,12 +16,14 @@ from invweave.syntax import (
     NamedType,
     ReflectGet,
     ReturnStmt,
+    STRING,
     SourceUnit,
     TypeVar,
     merge_units,
+    replace,
     walk,
 )
-from invweave.typecheck import ClassTable, typecheck_program
+from invweave.typecheck import _CLEAN, ClassTable, typecheck_program
 from invweave.weave import (
     render_artifacts,
     space_report,
@@ -522,7 +526,77 @@ def test_weave_builds_one_class_table_per_unit(monkeypatch):
     monkeypatch.setattr(ClassTable, "__init__", counting_init)
     unit, spec = load_dlist()
     art = weave_program(unit, spec)
-    # the input unit, then the merged unit of the self-check
+    # the input unit, then the merged unit of the structural check
     assert len(built) == 2
     assert built[0] is unit
     assert built[1].classes == art.merged_unit().classes
+
+
+
+def _run_woven_with(unit, art, driver: str):
+    source = merge_units([unit, parse_unit(driver)])
+    return run_program(merge_units([swap_driver_constructors(source, art), art.declarations_unit()]))
+
+
+def _visit_params(art, class_name: str) -> list[str]:
+    visit = [m for m in art.visitor.methods if m.name == "visit_" + class_name][0]
+    return [p.name for p in visit.params]
+
+
+def test_visitor_parameter_avoids_a_field_named_obj():
+    unit = parse_unit(
+        """
+        class Box {
+            private int obj;
+            public Box(int v) { this.obj = v; }
+            public void set(int v) { this.obj = v; }
+        }
+        """
+    )
+    art = weave_program(unit, load_spec('{"classes":[{"name":"Box","invariant":["obj >= 0"]}]}'))
+    assert _visit_params(art, "Box") == ["obj_X1"]
+    assert typecheck_program(art.merged_unit()) == []
+    result = _run_woven_with(unit, art, "driver { Box b = new Box(1); b.set(-1); }")
+    assert result.violation == ViolationRecord("Box", 0, "exit", "set")
+
+
+def test_visitor_parameter_avoids_a_quantifier_variable_named_obj():
+    unit = parse_unit("class Count { private int n; public Count(int n) { this.n = n; } }")
+    spec = load_spec(
+        '{"classes":[{"name":"Count","invariant":'
+        '["forall (obj = 0; obj < n; obj = obj + 1) : obj < 2"]}]}'
+    )
+    art = weave_program(unit, spec)
+    assert _visit_params(art, "Count") == ["obj_X1"]
+    assert typecheck_program(art.merged_unit()) == []
+    assert _run_woven_with(unit, art, "driver { Count c = new Count(2); }").violation is None
+    result = _run_woven_with(unit, art, "driver { Count c = new Count(3); }")
+    assert result.violation == ViolationRecord("Count", 0, "construction", "<init>")
+
+
+def test_weave_leaves_no_verdict_on_generated_declarations(dlist_artifacts):
+    # weave_program checks only the structure of what it generates, so the
+    # first full typecheck of the merged unit types every generated body.
+    unit, spec, _ = dlist_artifacts
+    art = weave_program(unit, spec)
+    generated = [*art.interfaces, *art.exposed_classes, art.visitor]
+    assert all(_CLEAN.get(d) is None for d in generated)
+    assert typecheck_program(art.merged_unit()) == []
+    assert all(_CLEAN.get(d) is not None for d in generated)
+
+
+def test_generated_header_fault_is_weave_internal(monkeypatch):
+    gen = weave_mod.gen_exposed_class
+
+    def string_returning_size(*args):
+        cls = gen(*args)
+        cls.methods = [replace(m, return_type=STRING) if m.name == "size" else m for m in cls.methods]
+        return cls
+
+    monkeypatch.setattr(weave_mod, "gen_exposed_class", string_returning_size)
+    unit, spec = load_dlist()
+    with pytest.raises(WeaveError) as exc:
+        weave_program(unit, spec)
+    diags = exc.value.diagnostics
+    assert diags[0].code == "weave-internal"
+    assert "override of 'size' does not match the inherited signature" in [d.message for d in diags]
