@@ -7,7 +7,7 @@ import pytest
 from invweave import weave as weave_mod
 from invweave.diagnostics import WeaveError
 from invweave.exposure import compute_plan
-from invweave.interp import ViolationRecord, run_program
+from invweave.interp import ViolationRecord
 from invweave.invspec import load_spec
 from invweave.parser import parse_unit
 from invweave.printer import render_source
@@ -31,7 +31,7 @@ from invweave.weave import (
     weave_program,
 )
 
-from helpers import CORPUS, load_dlist, load_program, make_chain_program
+from helpers import CORPUS, load_dlist, load_program, make_chain_program, run_woven
 
 
 @pytest.fixture(scope="module")
@@ -532,12 +532,6 @@ def test_weave_builds_one_class_table_per_unit(monkeypatch):
     assert built[1].classes == art.merged_unit().classes
 
 
-
-def _run_woven_with(unit, art, driver: str):
-    source = merge_units([unit, parse_unit(driver)])
-    return run_program(merge_units([swap_driver_constructors(source, art), art.declarations_unit()]))
-
-
 def _visit_params(art, class_name: str) -> list[str]:
     visit = [m for m in art.visitor.methods if m.name == "visit_" + class_name][0]
     return [p.name for p in visit.params]
@@ -551,26 +545,26 @@ def test_visitor_parameter_avoids_a_field_named_obj():
             public Box(int v) { this.obj = v; }
             public void set(int v) { this.obj = v; }
         }
+        driver { Box b = new Box(1); b.set(-1); }
         """
     )
-    art = weave_program(unit, load_spec('{"classes":[{"name":"Box","invariant":["obj >= 0"]}]}'))
+    result, art = run_woven(unit, load_spec('{"classes":[{"name":"Box","invariant":["obj >= 0"]}]}'))
     assert _visit_params(art, "Box") == ["obj_X1"]
     assert typecheck_program(art.merged_unit()) == []
-    result = _run_woven_with(unit, art, "driver { Box b = new Box(1); b.set(-1); }")
     assert result.violation == ViolationRecord("Box", 0, "exit", "set")
 
 
 def test_visitor_parameter_avoids_a_quantifier_variable_named_obj():
-    unit = parse_unit("class Count { private int n; public Count(int n) { this.n = n; } }")
     spec = load_spec(
         '{"classes":[{"name":"Count","invariant":'
         '["forall (obj = 0; obj < n; obj = obj + 1) : obj < 2"]}]}'
     )
-    art = weave_program(unit, spec)
+    source = "class Count { private int n; public Count(int n) { this.n = n; } } driver { Count c = new Count(%d); }"
+    result, art = run_woven(parse_unit(source % 2), spec)
     assert _visit_params(art, "Count") == ["obj_X1"]
     assert typecheck_program(art.merged_unit()) == []
-    assert _run_woven_with(unit, art, "driver { Count c = new Count(2); }").violation is None
-    result = _run_woven_with(unit, art, "driver { Count c = new Count(3); }")
+    assert result.violation is None
+    result, _ = run_woven(parse_unit(source % 3), spec)
     assert result.violation == ViolationRecord("Count", 0, "construction", "<init>")
 
 
