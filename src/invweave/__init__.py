@@ -32,7 +32,6 @@ _HOME = {
     "typecheck_program": "typecheck",
     "WovenArtifacts": "weave",
     "render_artifacts": "weave",
-    "space_report": "weave",
     "swap_driver_constructors": "weave",
     "weave_program": "weave",
 }

@@ -42,10 +42,6 @@ def free_vars_ordered(p: Predicate) -> list[str]:
     return seen
 
 
-def free_vars(p: Predicate) -> set[str]:
-    return set(free_vars_ordered(p))
-
-
 def bound_vars(c: ClassDecl) -> set[str]:
     return {f.name for f in c.fields}
 

@@ -34,8 +34,6 @@ from .syntax import (
     SuperExpr,
     ThisExpr,
     TraceStmt,
-    TypeExpr,
-    TypeVar,
     Unary,
     VarRead,
     ViolationStmt,
@@ -52,14 +50,6 @@ _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 def _escape(s: str) -> str:
     return "".join(_ESCAPES.get(ch, ch) for ch in s)
-
-
-def render_type(t: TypeExpr) -> str:
-    if isinstance(t, TypeVar):
-        return t.name
-    if not t.args:
-        return t.name
-    return "%s<%s>" % (t.name, ", ".join(render_type(a) for a in t.args))
 
 
 def _prec(e: Expr) -> int:
@@ -94,7 +84,7 @@ def render_expr(e: Expr) -> str:
         return "%s.%s(%s)" % (_atom(e.receiver), e.name, args)
     if isinstance(e, NewObject):
         args = ", ".join(render_expr(a) for a in e.args)
-        return "new %s(%s)" % (render_type(e.type), args)
+        return "new %s(%s)" % (e.type, args)
     if isinstance(e, Binary):
         p = BINARY_PRECEDENCE[e.op]
         left = render_expr(e.left)
@@ -128,11 +118,11 @@ def _render_stmt(s: Stmt, depth: int, out: list[str]) -> None:
     pad = _INDENT * depth
     if isinstance(s, LocalDecl):
         if s.init is None:
-            out.append("%s%s %s;" % (pad, render_type(s.decl_type), s.name))
+            out.append("%s%s %s;" % (pad, s.decl_type, s.name))
         else:
             out.append(
                 "%s%s %s = %s;"
-                % (pad, render_type(s.decl_type), s.name, render_expr(s.init))
+                % (pad, s.decl_type, s.name, render_expr(s.init))
             )
     elif isinstance(s, Assign):
         out.append("%s%s = %s;" % (pad, render_expr(s.target), render_expr(s.value)))
@@ -190,7 +180,7 @@ def _render_stmt(s: Stmt, depth: int, out: list[str]) -> None:
 
 
 def _render_params(params) -> str:
-    return ", ".join("%s %s" % (render_type(p.type), p.name) for p in params)
+    return ", ".join("%s %s" % (p.type, p.name) for p in params)
 
 
 def _render_method(m: MethodDecl, depth: int, out: list[str], in_interface: bool) -> None:
@@ -198,7 +188,7 @@ def _render_method(m: MethodDecl, depth: int, out: list[str], in_interface: bool
     head = "" if in_interface else m.visibility + " "
     if m.type_params:
         head += "<%s> " % ", ".join(m.type_params)
-    ret = "void" if m.return_type is None else render_type(m.return_type)
+    ret = "void" if m.return_type is None else str(m.return_type)
     sig = "%s%s%s %s(%s)" % (pad, head, ret, m.name, _render_params(m.params))
     if m.body is None:
         out.append(sig + ";")
@@ -215,13 +205,13 @@ def _render_class(c: ClassDecl, out: list[str]) -> None:
     if c.type_params:
         head += "<%s>" % ", ".join(c.type_params)
     if c.super_class is not None:
-        head += " extends " + render_type(c.super_class)
+        head += " extends " + str(c.super_class)
     if c.interfaces:
-        head += " implements " + ", ".join(render_type(i) for i in c.interfaces)
+        head += " implements " + ", ".join(str(i) for i in c.interfaces)
     out.append(head + " {")
     for f in c.fields:
         out.append(
-            "%s%s %s %s;" % (_INDENT, f.visibility, render_type(f.declared_type), f.name)
+            "%s%s %s %s;" % (_INDENT, f.visibility, f.declared_type, f.name)
         )
     if c.constructor is not None:
         ctor = c.constructor
@@ -241,7 +231,7 @@ def _render_interface(i: InterfaceDecl, out: list[str]) -> None:
     if i.type_params:
         head += "<%s>" % ", ".join(i.type_params)
     if i.extends:
-        head += " extends " + ", ".join(render_type(e) for e in i.extends)
+        head += " extends " + ", ".join(str(e) for e in i.extends)
     out.append(head + " {")
     for m in i.methods:
         _render_method(m, 1, out, in_interface=True)

@@ -15,7 +15,9 @@ chains, member maps and supertype closures are each made from their parent's
 (the superclass, or a type's sole supertype) by one loop, `_walk_up`, which
 walks up to the first memoised ancestor and fills the memo back down, so a
 deep hierarchy costs no Python stack.  A table lives for one check or one
-weave of an unchanging unit.  Expression rules are chosen by node type.
+weave of an unchanging unit.  Expression rules are chosen by node type; a
+binary expression's left spine is typed in a loop, so a long flat sum such
+as `1 + 1 + ... + 1` costs no Python stack.
 
 Each class or interface is checked once for all the units it goes into.  A
 unit that checks with no diagnostic leaves a clean verdict on each of its
@@ -24,10 +26,8 @@ resolves names nominally, with no overloading, no field shadowing and no
 open classes, so the verdict holds in any later unit that contains all of
 those declaration objects and declares no name twice: such a unit re-checks
 only its other declarations, its driver and its inheritance cycles, and
-reports the same diagnostics in the same order as a full check.  A
-declaration whose check let an undeclared name stand for a type variable
-(see `check_type`) gets no verdict, since declaring that name would change
-its check.  Declarations are never changed once checked (see `syntax`).
+reports the same diagnostics in the same order as a full check.
+Declarations are never changed once checked (see `syntax`).
 
 A check runs in phases: inheritance cycles, the headers of every
 declaration, then per class its structure (field shadowing, overrides,
@@ -383,8 +383,6 @@ class _Checker:
         self.table = table
         self.diags: list[Diagnostic] = []
         self.reused = reused  # ids of declarations with a clean verdict that holds here
-        self.decl: object = None  # the declaration under check
-        self.unsure: set[int] = set()  # ids of declarations no verdict may be kept for
         # per-member state
         self.current_class: Optional[ClassDecl] = None
         self.self_t: Optional[NamedType] = None  # current_class.self_type(), built once
@@ -415,10 +413,6 @@ class _Checker:
             return
         decl = self.table.get(t.name)
         if decl is None:
-            if t.name in scope_vars:
-                # A weaver-built tree may use NamedType for a variable name.
-                self.unsure.add(id(self.decl))
-                return
             self.error("unknown-name", "unknown type %r" % t.name, node)
             return
         if len(t.args) != len(decl.type_params):
@@ -457,7 +451,6 @@ class _Checker:
         return [] if self.diags else classes
 
     def check_interface(self, idecl: InterfaceDecl) -> None:
-        self.decl = idecl
         scope = set(idecl.type_params)
         for e in idecl.extends:
             self.check_type(e, scope, idecl)
@@ -467,7 +460,6 @@ class _Checker:
             self.check_method_header(m, scope, "interface")
 
     def check_class_header(self, cdecl: ClassDecl) -> None:
-        self.decl = cdecl
         scope = set(cdecl.type_params)
         if cdecl.super_class is not None:
             self.check_type(cdecl.super_class, scope, cdecl)
@@ -491,9 +483,10 @@ class _Checker:
                 self.check_type(p.type, scope, cdecl.constructor)
 
     def check_method_header(self, m: MethodDecl, scope: set[str], owner: str) -> None:
-        if set(m.type_params) & scope:
+        tparams = set(m.type_params)
+        if tparams & scope:
             self.error("duplicate-name", "method type parameter shadows %s parameter" % owner, m)
-        mscope = scope | set(m.type_params)
+        mscope = scope | tparams
         for p in m.params:
             self.check_type(p.type, mscope, m)
         if m.return_type is not None:
@@ -502,7 +495,6 @@ class _Checker:
     def check_class_structure(self, cdecl: ClassDecl) -> None:
         """Field shadowing, overrides, interface satisfaction and bodiless
         methods: what a class's members must satisfy short of their bodies."""
-        self.decl = cdecl
         self_t = cdecl.self_type()
         chain = self.table.class_chain(cdecl.name)
         for f in cdecl.fields:
@@ -532,7 +524,7 @@ class _Checker:
                     )
 
     def check_class_bodies(self, cdecl: ClassDecl) -> None:
-        self.decl = self.current_class = cdecl
+        self.current_class = cdecl
         self.self_t = cdecl.self_type()
         for m in cdecl.methods:
             if m.body is not None:
@@ -675,7 +667,7 @@ class _Checker:
             )
 
     def check_driver(self) -> None:
-        self.decl = self.current_class = None
+        self.current_class = None
         self.enter_body(())
         assert self.unit.driver is not None
         for s in self.unit.driver.body:
@@ -1048,8 +1040,18 @@ class _Checker:
         return VOID_TYPE if ret is None else ret
 
     def type_of_binary(self, e: Binary) -> Optional[TypeExpr]:
-        lt = self.type_of(e.left)
-        rt = self.type_of(e.right)
+        # The left spine (`1 + 1 + ... + 1`) is typed bottom-up in a loop, so
+        # a long flat sum costs no Python stack.
+        spine = [e]
+        while isinstance(spine[-1].left, Binary):
+            spine.append(spine[-1].left)
+        lt = self.type_of(spine[-1].left)
+        for node in reversed(spine):
+            lt = self.binary_result(node, lt, self.type_of(node.right))
+        return lt
+
+    def binary_result(self, e: Binary, lt: Optional[TypeExpr], rt: Optional[TypeExpr]) -> Optional[TypeExpr]:
+        """The type of `e` given its operands' types, reporting a mismatch."""
         op = e.op
         if op in ("==", "!="):
             if lt is None or rt is None:
@@ -1145,7 +1147,7 @@ def typecheck_program(unit: SourceUnit, table: Optional[ClassTable] = None) -> l
         return [exc.diagnostic]
     diags = checker.check_unit()
     decls = [*unit.classes, *unit.interfaces]
-    fresh = [d for d in decls if id(d) not in checker.reused and id(d) not in checker.unsure]
+    fresh = [d for d in decls if id(d) not in checker.reused]
     if fresh and not diags:
         record = tuple(weakref.ref(d) for d in decls)
         for d in fresh:

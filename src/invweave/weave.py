@@ -19,6 +19,11 @@ For every class A with a specification entry the weaver emits:
     order, recording the first failure.  Its parameter is `obj` unless a
     predicate of A uses that name.
 
+`weave_program` works out each specified class's facts once: its plan
+entry (specified chain, I(A), own getter signatures) and the public
+methods its exposed class wraps.  The generators read them, and the space
+report is counted from them alone, not from the generated declarations.
+
 Checks fire only when the depth counter is zero, which makes them coincide
 with publicly-visible calls; nested self-calls are suppressed.  Invariant
 failures abort the run with a violation record (class, predicate index,
@@ -165,16 +170,14 @@ class WovenArtifacts(Record):
 # ---------------------------------------------------------------------------
 
 
-def _specified_in_unit_order(unit: SourceUnit, spec: InvariantSpec) -> list[ClassDecl]:
-    return [c for c in unit.classes if spec.specifies(c.name)]
-
-
-def choose_names(table: ClassTable, spec: InvariantSpec, plan: ExposurePlan) -> WeaveNaming:
+def choose_names(table: ClassTable, specified: list[ClassDecl], plan: ExposurePlan) -> WeaveNaming:
+    """Names for the declarations and getters woven for `specified`, the
+    specified classes in unit order."""
     unit = table.unit
     naming = WeaveNaming()
     top_level = {c.name for c in unit.classes} | {i.name for i in unit.interfaces}
     supply = NameSupply(set(top_level))
-    for c in _specified_in_unit_order(unit, spec):
+    for c in specified:
         naming.interface_names[c.name] = supply.take("IExposed" + c.name)
         naming.exposed_names[c.name] = supply.take("Exposed" + c.name)
     naming.visitor_name = supply.take(VISITOR_BASE_NAME)
@@ -183,10 +186,7 @@ def choose_names(table: ClassTable, spec: InvariantSpec, plan: ExposurePlan) -> 
     all_method_names |= {m.name for i in unit.interfaces for m in i.methods}
     getter_supply = NameSupply(set(all_method_names))
     # Parents first so chain-uniqueness can consult ancestors' getter names.
-    ordered = sorted(
-        _specified_in_unit_order(unit, spec),
-        key=lambda c: len(table.class_chain(c.name)),
-    )
+    ordered = sorted(specified, key=lambda c: len(table.class_chain(c.name)))
     for c in ordered:
         entry = plan.per_class[c.name]
         chain_taken = {
@@ -205,29 +205,24 @@ def choose_names(table: ClassTable, spec: InvariantSpec, plan: ExposurePlan) -> 
     return naming
 
 
-def _member_names(table: ClassTable, c: ClassDecl) -> tuple[set[str], set[str]]:
-    """(field names, method names) over the whole chain of c."""
-    fields: set[str] = set()
-    methods: set[str] = set()
-    for anc in table.class_chain(c.name):
-        fields |= {f.name for f in anc.fields}
-        methods |= {m.name for m in anc.methods}
-    for inst in table.closure(c.self_type()):
-        idecl = table.get_interface(inst.name)
-        if idecl is not None:
-            methods |= {m.name for m in idecl.methods}
-    return fields, methods
-
-
 class _HookNames(Record):
     __slots__ = ("depth", "check_entry", "check_exit", "inv")
     def __init__(self, depth: str, check_entry: str, check_exit: str, inv: str):
         self.depth, self.check_entry, self.check_exit, self.inv = depth, check_entry, check_exit, inv
 
 
-def _hook_names(table: ClassTable, c: ClassDecl, getter_names: set[str]) -> _HookNames:
-    fields, methods = _member_names(table, c)
-    supply = NameSupply(set(fields | methods | getter_names))
+def _hook_names(table: ClassTable, self_t: NamedType, getter_names: set[str]) -> _HookNames:
+    """The depth field and hook names of the exposed class of `self_t`: clear
+    of every field and method on its chain and its interfaces, and of every
+    getter."""
+    members = table.members(self_t)
+    fields = set(members.fields)
+    methods = set(members.methods)
+    for inst in table.closure(self_t):
+        idecl = table.get_interface(inst.name)
+        if idecl is not None:
+            methods |= {m.name for m in idecl.methods}
+    supply = NameSupply(fields | methods | getter_names)
     depth = "_depth" if "_depth" not in fields else supply.fresh("_depth")
 
     def pick(base: str) -> str:
@@ -257,27 +252,11 @@ def _this_call(name: str, args: list[Expr]) -> MethodCall:
     return MethodCall(ThisExpr(), name, args)
 
 
-def _depth_is_zero(depth: str) -> Binary:
-    return Binary("==", _this_field(depth), IntLit(0))
-
-
 def _bump_depth(depth: str, delta: int) -> Assign:
     op = "+" if delta > 0 else "-"
     return Assign(
         _this_field(depth), Binary(op, _this_field(depth), IntLit(abs(delta)))
     )
-
-
-def _fail_block(visitor_name: str, phase: Expr, method: Expr) -> list[Stmt]:
-    return [
-        LocalDecl(NamedType(visitor_name), "v", SingletonRef(visitor_name)),
-        ViolationStmt(
-            MethodCall(VarRead("v"), "failed_class", []),
-            MethodCall(VarRead("v"), "failed_index", []),
-            phase,
-            method,
-        ),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +284,6 @@ def gen_exposure_interface(
 # ---------------------------------------------------------------------------
 
 
-class _ClassStats(Record):
-    __slots__ = ("getters", "wrappers", "inherited_members")
-    def __init__(self, getters: int = 0, wrappers: int = 0, inherited_members: int = 0):
-        self.getters, self.wrappers, self.inherited_members = getters, wrappers, inherited_members
-
-
 def _public_methods_to_wrap(
     table: ClassTable, c: ClassDecl, self_t: NamedType
 ) -> list[tuple[MethodHit, str]]:
@@ -332,20 +305,36 @@ def _public_methods_to_wrap(
 
 def gen_exposed_class(
     c: ClassDecl,
-    iface: InterfaceDecl,
     naming: WeaveNaming,
     table: ClassTable,
     plan: ExposurePlan,
-    stats: _ClassStats | None = None,
+    wraps: list[tuple[MethodHit, str]],
 ) -> ClassDecl:
-    hooks = _hook_names(
-        table, c, {naming.getter(cn, fn) for (cn, fn) in naming.getter_names}
-    )
-    stats = stats if stats is not None else _ClassStats()
+    """The exposed class of `c`; `wraps` is `_public_methods_to_wrap` of it."""
     self_t = c.self_type()
-    exposed_name = naming.exposed_names[c.name]
+    hooks = _hook_names(table, self_t, set(naming.getter_names.values()))
     visitor = naming.visitor_name
-    cls_lit = StringLit(c.name)
+
+    def gate(phase) -> IfStmt:
+        """At depth zero: trace, and record a violation if `inv()` fails.
+        `phase()` makes the phase node, fresh for each use."""
+        fail = [
+            LocalDecl(NamedType(visitor), "v", SingletonRef(visitor)),
+            ViolationStmt(
+                MethodCall(VarRead("v"), "failed_class", []),
+                MethodCall(VarRead("v"), "failed_index", []),
+                phase(),
+                VarRead("m"),
+            ),
+        ]
+        return IfStmt(
+            Binary("==", _this_field(hooks.depth), IntLit(0)),
+            [
+                TraceStmt(ThisExpr(), StringLit(c.name), phase(), VarRead("m")),
+                IfStmt(Unary("!", _this_call(hooks.inv, [])), fail, None),
+            ],
+            None,
+        )
 
     # (2) entry gate: check when the depth counter is zero, then increment.
     check_entry = MethodDecl(
@@ -354,21 +343,7 @@ def gen_exposed_class(
         [],
         [Param("m", _STRING_T)],
         None,
-        [
-            IfStmt(
-                _depth_is_zero(hooks.depth),
-                [
-                    TraceStmt(ThisExpr(), cls_lit, StringLit(PHASE_ENTRY), VarRead("m")),
-                    IfStmt(
-                        Unary("!", _this_call(hooks.inv, [])),
-                        _fail_block(visitor, StringLit(PHASE_ENTRY), VarRead("m")),
-                        None,
-                    ),
-                ],
-                None,
-            ),
-            _bump_depth(hooks.depth, +1),
-        ],
+        [gate(lambda: StringLit(PHASE_ENTRY)), _bump_depth(hooks.depth, +1)],
     )
     # (3) exit gate: decrement, then check when the counter returns to zero.
     check_exit = MethodDecl(
@@ -377,21 +352,7 @@ def gen_exposed_class(
         [],
         [Param("phase", _STRING_T), Param("m", _STRING_T)],
         None,
-        [
-            _bump_depth(hooks.depth, -1),
-            IfStmt(
-                _depth_is_zero(hooks.depth),
-                [
-                    TraceStmt(ThisExpr(), cls_lit, VarRead("phase"), VarRead("m")),
-                    IfStmt(
-                        Unary("!", _this_call(hooks.inv, [])),
-                        _fail_block(visitor, VarRead("phase"), VarRead("m")),
-                        None,
-                    ),
-                ],
-                None,
-            ),
-        ],
+        [_bump_depth(hooks.depth, -1), gate(lambda: VarRead("phase"))],
     )
     # (4) the accept hook: delegate to the shared visitor and read the verdict.
     inv = MethodDecl(
@@ -426,35 +387,23 @@ def gen_exposed_class(
     )
     # (6) wrappers for every public method on the chain.
     wrappers: list[MethodDecl] = []
-    for hit, declaring in _public_methods_to_wrap(table, c, self_t):
+    for hit, _ in wraps:
         name = hit.method.name
-        result_name = "_result"
-        while any(p.name == result_name for p in hit.method.params):
-            result_name = "_" + result_name
         call = MethodCall(SuperExpr(), name, [VarRead(p.name) for p in hit.method.params])
-        body: list[Stmt] = [ExprStmt(_this_call(hooks.check_entry, [StringLit(name)]))]
+        enter = ExprStmt(_this_call(hooks.check_entry, [StringLit(name)]))
+        leave = ExprStmt(_this_call(hooks.check_exit, [StringLit(PHASE_EXIT), StringLit(name)]))
         if hit.return_type is None:
-            body.append(ExprStmt(call))
-            body.append(
-                ExprStmt(
-                    _this_call(hooks.check_exit, [StringLit(PHASE_EXIT), StringLit(name)])
-                )
-            )
+            body: list[Stmt] = [enter, ExprStmt(call), leave]
         else:
-            body.append(LocalDecl(hit.return_type, result_name, call))
-            body.append(
-                ExprStmt(
-                    _this_call(hooks.check_exit, [StringLit(PHASE_EXIT), StringLit(name)])
-                )
-            )
-            body.append(ReturnStmt(VarRead(result_name)))
+            result_name = "_result"
+            while any(p.name == result_name for p in hit.method.params):
+                result_name = "_" + result_name
+            result = LocalDecl(hit.return_type, result_name, call)
+            body = [enter, result, leave, ReturnStmt(VarRead(result_name))]
         params = [Param(p.name, t) for p, t in zip(hit.method.params, hit.param_types)]
         wrappers.append(
             MethodDecl(name, "public", list(hit.method.type_params), params, hit.return_type, body)
         )
-        stats.wrappers += 1
-        if declaring != c.name:
-            stats.inherited_members += 1
     # (7) getters for the whole interface chain, root-first.
     getters: list[MethodDecl] = []
     for owner in plan.per_class[c.name].chain:
@@ -468,15 +417,12 @@ def gen_exposed_class(
             getters.append(
                 MethodDecl(naming.getter(owner, fname), "public", [], [], hit.type, [ReturnStmt(read)])
             )
-            stats.getters += 1
-            if owner != c.name:
-                stats.inherited_members += 1
 
     return ClassDecl(
-        exposed_name,
+        naming.exposed_names[c.name],
         list(c.type_params),
         self_t,
-        [NamedType(iface.name, self_t.args)],
+        [NamedType(naming.interface_names[c.name], self_t.args)],
         c.is_abstract,
         [FieldDecl(hooks.depth, _INT_T, "private")],
         constructor,
@@ -539,11 +485,10 @@ def _predicate_stmts(table: ClassTable, cls: ClassDecl, index: int, pred: Predic
 def gen_visitor(
     table: ClassTable,
     spec: InvariantSpec,
+    specified: list[ClassDecl],
     plan: ExposurePlan,
     naming: WeaveNaming,
 ) -> ClassDecl:
-    specified = _specified_in_unit_order(table.unit, spec)
-
     visit_methods: list[MethodDecl] = []
     for c in specified:
         chain = plan.per_class[c.name].chain
@@ -646,29 +591,24 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
     if vdiags:
         raise WeaveError(vdiags)
 
-    naming = choose_names(table, spec, plan)
+    specified = [c for c in unit.classes if spec.specifies(c.name)]
+    naming = choose_names(table, specified, plan)
     interfaces: list[InterfaceDecl] = []
     exposed: list[ClassDecl] = []
-    stats: dict[str, _ClassStats] = {}
-    for c in _specified_in_unit_order(unit, spec):
-        iface = gen_exposure_interface(c, plan, naming)
-        interfaces.append(iface)
-        st = _ClassStats()
-        exposed.append(gen_exposed_class(c, iface, naming, table, plan, st))
-        stats[c.name] = st
-    visitor = gen_visitor(table, spec, plan, naming)
+    wraps = {c.name: _public_methods_to_wrap(table, c, c.self_type()) for c in specified}
+    for c in specified:
+        interfaces.append(gen_exposure_interface(c, plan, naming))
+        exposed.append(gen_exposed_class(c, naming, table, plan, wraps[c.name]))
 
     artifacts = WovenArtifacts(
         interfaces=interfaces,
         exposed_classes=exposed,
-        visitor=visitor,
-        report=GenerationReport(),
+        visitor=gen_visitor(table, spec, specified, plan, naming),
+        report=_build_report(plan, specified, wraps),
         naming=naming,
         source_unit=unit,
         spec=spec,
     )
-    artifacts.report = _build_report(plan, artifacts, stats)
-
     merged_diags = errors_only(check_structure(artifacts.merged_unit()))
     if merged_diags:
         raise WeaveError(
@@ -678,28 +618,26 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
 
 
 def _build_report(
-    plan: ExposurePlan, artifacts: WovenArtifacts, stats: dict[str, _ClassStats]
+    plan: ExposurePlan, specified: list[ClassDecl], wraps: dict[str, list[tuple[MethodHit, str]]]
 ) -> GenerationReport:
-    specified = _specified_in_unit_order(artifacts.source_unit, artifacts.spec)
-    report = GenerationReport()
+    """The space report, counted off the plan and each class's wrap list: a
+    getter per signature on the class's specified chain and a wrapper per
+    wrapped method.  Those declared for an ancestor are inherited members."""
+    per_class: dict[str, dict[str, int]] = {}
     for c in specified:
-        st = stats[c.name]
-        report.per_class[c.name] = {
-            "getters": st.getters,
-            "wrappers": st.wrappers,
-            "interface_signatures": len(plan.per_class[c.name].own_signatures),
-            "inherited_members": st.inherited_members,
+        entry = plan.per_class[c.name]
+        own = len(entry.own_signatures)
+        getters = sum(len(plan.per_class[owner].own_signatures) for owner in entry.chain)
+        inherited_wrappers = sum(declaring != c.name for _, declaring in wraps[c.name])
+        per_class[c.name] = {
+            "getters": getters,
+            "wrappers": len(wraps[c.name]),
+            "interface_signatures": own,
+            "inherited_members": getters - own + inherited_wrappers,
         }
-    report.depth = max((len(plan.per_class[c.name].chain) - 1 for c in specified), default=0)
-    report.max_new_members = max(
-        (len(c.fields) + len(c.methods) for c in specified), default=0
-    )
-    report.formula_bound = report.depth * (report.depth + 1) // 2 * report.max_new_members
-    return report
-
-
-def space_report(artifacts: WovenArtifacts) -> GenerationReport:
-    return artifacts.report
+    depth = max((len(plan.per_class[c.name].chain) - 1 for c in specified), default=0)
+    max_new_members = max((len(c.fields) + len(c.methods) for c in specified), default=0)
+    return GenerationReport(per_class, depth, max_new_members, depth * (depth + 1) // 2 * max_new_members)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ random call scripts with their expected check-event traces."""
 from __future__ import annotations
 
 import functools
+import gc
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,12 +97,20 @@ def make_chain_program(
 def woven_chain_corpus() -> tuple[tuple[SourceUnit, InvariantSpec, WovenArtifacts], ...]:
     """The acceptance tests' 500 random chains (seed `0xC0FFEE`, depth <= 8),
     each with its woven artifacts.  Built once per process and shared, so
-    callers must not mutate what it returns."""
+    callers must not mutate what it returns.  Cyclic garbage collection is
+    paused while it is built: the corpus is kept, and the collections would
+    only traverse it again and again."""
     rng = random.Random(0xC0FFEE)
     corpus = []
-    for _ in range(500):
-        unit, spec = make_chain_program(rng, depth=rng.randint(0, 8))
-        corpus.append((unit, spec, weave_program(unit, spec)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(500):
+            unit, spec = make_chain_program(rng, depth=rng.randint(0, 8))
+            corpus.append((unit, spec, weave_program(unit, spec)))
+    finally:
+        if was_enabled:
+            gc.enable()
     return tuple(corpus)
 
 

@@ -1,5 +1,6 @@
 """CLI exit codes, output formats, and golden-file determinism."""
 
+import json
 import os
 import re
 import subprocess
@@ -360,12 +361,29 @@ def test_run_recursion_up_to_the_call_depth_limit(n, code, tmp_path, capsys):
     assert captured.err == ("" if code == 0 else "runtime fault: MiniOO calls nested too deeply\n")
 
 
-@pytest.mark.parametrize("expr, printed", [(" + ".join(["1"] * 400), "400"), (" / ".join(["8"] + ["1"] * 400), "8")])
+@pytest.mark.parametrize(
+    "expr, printed",
+    [
+        (" + ".join(["1"] * 400), "400"),
+        (" / ".join(["8"] + ["1"] * 400), "8"),
+        (" + ".join(["1"] * 4000), "4000"),  # each term nests one more Binary on the left
+    ],
+)
 def test_run_long_operator_chain(expr, printed, tmp_path, capsys):
     src = tmp_path / "long.moo"
     src.write_text("driver { int x = %s; print(x); }\n" % expr)
     assert main(["run", str(src)]) == 0
     assert capsys.readouterr().out == printed + "\n"
+
+
+def test_report_long_flat_sum_predicate(tmp_path, capsys):
+    data = json.loads((DLIST / "invariants.json").read_text())
+    assert data["classes"][0]["name"] == "AbstractList"
+    data["classes"][0]["invariant"] = [" + ".join(["size"] * 600) + " >= 0"]
+    spec = tmp_path / "flat.json"
+    spec.write_text(json.dumps(data))
+    assert main(["report", str(DLIST / "list.moo"), "--spec", str(spec)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "SPACE PASS (3 <= 14)"
 
 
 def test_run_deeply_nested_expression_is_a_one_line_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ from invweave.exposure import (
     bound_vars,
     class_free_vars,
     compute_plan,
-    free_vars,
+    free_vars_ordered,
     verify_exposure,
 )
 from invweave.invspec import InvariantSpec, load_spec, parse_predicate
@@ -19,20 +19,20 @@ from helpers import load_dlist, make_chain_program
 
 
 def test_free_vars_single_identifier():
-    assert free_vars(parse_predicate("size >= 0")) == {"size"}
+    assert set(free_vars_ordered(parse_predicate("size >= 0"))) == {"size"}
 
 
 def test_free_vars_quantifier_excludes_bound():
     p = parse_predicate("forall (n = head.next; n != tail; n = n.next) : n.next.prev == n")
-    assert free_vars(p) == {"head", "tail"}
+    assert set(free_vars_ordered(p)) == {"head", "tail"}
 
 
 def test_free_vars_boolean_literal_empty():
-    assert free_vars(parse_predicate("true")) == set()
+    assert set(free_vars_ordered(parse_predicate("true"))) == set()
 
 
 def test_free_vars_chained_path_contributes_root():
-    assert free_vars(parse_predicate("head.next.prev == tail")) == {"head", "tail"}
+    assert set(free_vars_ordered(parse_predicate("head.next.prev == tail"))) == {"head", "tail"}
 
 
 def test_bound_vars_dlist_corpus():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from invweave.diagnostics import SpecError
-from invweave.exposure import free_vars
+from invweave.exposure import free_vars_ordered
 from invweave.invspec import (
     Forall,
     InvariantSpec,
@@ -40,7 +40,7 @@ def test_quantified_entry_free_vars():
     )
     p = spec.predicates("DLinkedList")[0]
     assert isinstance(p, Forall)
-    assert free_vars(p) == {"head", "tail"}
+    assert set(free_vars_ordered(p)) == {"head", "tail"}
 
 
 def test_unknown_top_level_key_rejected():

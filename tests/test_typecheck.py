@@ -475,18 +475,15 @@ def test_memo_never_reuses_a_base_that_checked_dirty():
     assert typecheck_program(base) == dirty
 
 
-def test_memo_keeps_no_verdict_that_let_a_name_stand_for_a_type_variable():
-    # A weaver-built tree may spell a type variable as a NamedType; declaring
-    # a class of that name later changes what the name means.
+def test_a_named_type_spelling_a_type_variable_is_an_unknown_type():
+    # The parser and the weaver spell type variables as TypeVar; a NamedType
+    # is looked up as a class or interface, even where a type variable of
+    # that name is in scope.
     box = parse_unit("class Box<T> { public void put(T x) { } }").classes[0]
     put = box.methods[0]
     box = replace(box, methods=[replace(put, params=[Param("x", NamedType("T"))])])
-    alone = SourceUnit(classes=[box])
-    assert typecheck_program(alone) == []
-    merged = merge_units([alone, parse_unit("class T<U> { }")])
-    assert reused(merged) == set()
-    assert [str(d) for d in check_as_full(merged)] == [
-        "1:28: error [arity] T expects 1 type argument(s), got 0"
+    assert [str(d) for d in typecheck_program(SourceUnit(classes=[box]))] == [
+        "1:28: error [unknown-name] unknown type 'T'"
     ]
 
 

@@ -26,7 +26,6 @@ from invweave.syntax import (
 from invweave.typecheck import _CLEAN, ClassTable, typecheck_program
 from invweave.weave import (
     render_artifacts,
-    space_report,
     swap_driver_constructors,
     weave_program,
 )
@@ -292,7 +291,7 @@ def test_top_level_name_collision_freshened():
 
 def test_space_report_arithmetic(dlist_artifacts):
     _, _, art = dlist_artifacts
-    rep = space_report(art)
+    rep = art.report
     assert rep.depth == 1
     assert rep.formula_bound == rep.max_new_members  # h(h+1)/2 == 1
     assert rep.measured_redundant() <= rep.formula_bound
