@@ -137,7 +137,7 @@ def _print_lines(result: ExecutionResult, trace: bool) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .interp import MiniOORuntimeError, run_program
+    from .interp import MAX_STEPS, MiniOORuntimeError, run_program
 
     sources = _read_sources(args.sources)
     if sources is None:
@@ -152,7 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("no driver block among the sources", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     try:
-        result = run_program(unit, check_trace=args.trace)
+        result = run_program(unit, args.trace, MAX_STEPS if args.max_steps is None else args.max_steps)
     except MiniOORuntimeError as exc:
         if exc.result is not None:  # what the program printed before the fault
             _print_lines(exc.result, args.trace)
@@ -201,6 +201,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_DIAGNOSTICS
 
 
+def _step_count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError("%r is not a whole number of steps" % text)
+    return int(text)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invweave",
@@ -219,6 +225,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", action="store_true", help="log check events")
     p_run.add_argument(
         "--entry", help="file whose driver to execute when several have one"
+    )
+    p_run.add_argument(
+        "--max-steps", type=_step_count, metavar="N",
+        help="stop with a runtime fault after N loop passes, calls and constructions (default 10000000)",
     )
     p_run.set_defaults(func=cmd_run)
 

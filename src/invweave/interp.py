@@ -5,19 +5,27 @@ Each method and constructor body becomes the source of one Python function
 kept while its declaration lives (declarations are never changed once run,
 see `syntax`); it depends only on the declaration, the names of its class and
 superclass and the fields of its class's objects.  MiniOO locals are Python
-locals; fields every `this` has are read inline; `==` and `!=` are Python's
-own (objects compare by identity).  An object holds a field dict copied from
-its class's layout and its class's vtable, which maps each method name, and
-the name with the arity of its most-derived implementation (`size/0`), to
-that implementation, so `this`-calls in original bodies land on woven
-wrappers.  A call is one helper, which looks it up and counts the depth.
-The driver is emitted alike, in chunks of `_CHUNK` top-level statements.
+locals; `==` and `!=` are Python's own (objects compare by identity).  Each
+class layout has its own Python class, kept with the class declaration: its
+`__slots__` are the layout's fields, each under the prefix `f_`, and its
+`__init__` sets their zero values.  An object also holds its class's vtable,
+which maps each method name, and the name with the arity of its most-derived
+implementation (`size/0`), to that implementation, so `this`-calls in
+original bodies land on woven wrappers.  A call is one helper, which looks
+it up, counts the depth and draws a step (below).  The driver is emitted
+alike, in chunks of `_CHUNK` top-level statements.
 
-A read path (`n.next.prev`) is plain subscripts.  When one raises, the
-function's handler finds the path from the position of the instruction that
-raised and walks it again from its root value: faults and messages are those
-of reading one step at a time.  Deep expressions are spilled into
-temporaries in evaluation order, and deeply nested statements into closures.
+A read path (`n.next.prev`) is plain attribute loads (`n.f_next.f_prev`), and
+a field write one store; fields every `this` has are read and written with no
+check at all.  When one raises AttributeError, the function's handler finds
+the path from the position of the instruction that raised and walks it again
+from its root value: faults and messages are those of reading one step at a
+time.  Deep expressions are spilled into temporaries in evaluation order, and
+deeply nested statements into closures.
+
+A run has a budget of steps, one shared iterator: each `while` loop draws a
+step per pass, as does each call and construction, and a run that needs more
+is a fault.  The same program always stops at the same step.
 
 A run produces printed output lines, an optional check-event trace
 (`CHECK <object-id> <class> <entry|exit|construction> <method>`, one line
@@ -41,6 +49,8 @@ from .syntax import (
 # Calls and constructions nested deeper are a runtime fault, well before Python's frame limit.
 MAX_CALL_DEPTH = 256
 _TOO_DEEP = "MiniOO calls nested too deeply"
+# Loop passes, calls and constructions a run may take by default: every corpus program needs far fewer.
+MAX_STEPS = 10_000_000
 
 
 class MiniOORuntimeError(Exception):
@@ -69,9 +79,12 @@ class _Violation(Exception):
 
 
 class ObjectInstance:  # not a Record: `==` on objects is identity, as in MiniOO
-    __slots__ = ("class_name", "obj_id", "fields", "vt")  # `vt` is its class's vtable
-    def __init__(self, class_name: str, obj_id: int, fields: dict[str, object], vt: dict):
-        self.class_name, self.obj_id, self.fields, self.vt = class_name, obj_id, fields, vt
+    """The base of the Python class of each object layout (see `_object_class`),
+    whose slots hold the fields, each under the prefix `f_`."""
+
+    __slots__ = ("class_name", "obj_id", "vt")  # `vt` is its class's vtable
+    def __init__(self, class_name: str, obj_id: int, vt: dict):
+        self.class_name, self.obj_id, self.vt = class_name, obj_id, vt
 
     def __repr__(self) -> str:
         return "%s@%d" % (self.class_name, self.obj_id)
@@ -113,9 +126,9 @@ def _field_fault(obj, name: str, verb: Optional[str] = "reading") -> MiniOORunti
     return MiniOORuntimeError(message)
 
 
-def _read_fault(exc: Exception, sites: dict) -> Exception:
-    """The fault for an AttributeError or KeyError raised in emitted code: `sites` maps the position
-    of each read path to a message, or to its root's name and its (name, verb) steps."""
+def _read_fault(exc: AttributeError, sites: dict) -> Exception:
+    """The fault for an AttributeError raised in emitted code: `sites` maps the position of each
+    read path and field write to a message, or to its root's name and its (name, verb) steps."""
     tb = exc.__traceback__
     while tb.tb_next is not None:  # into the closures that hold deeply nested statements
         if not (tb := tb.tb_next).tb_frame.f_code.co_name.startswith("_t"):
@@ -126,9 +139,9 @@ def _read_fault(exc: Exception, sites: dict) -> Exception:
         return site if site is exc else MiniOORuntimeError(site)
     o = eval(site[0], {}, tb.tb_frame.f_locals)
     for name, verb in site[1]:
-        if not isinstance(o, ObjectInstance) or name not in o.fields:
+        if not isinstance(o, ObjectInstance) or not hasattr(o, "f_" + name):
             return _field_fault(o, name, verb)
-        o = o.fields[name]
+        o = getattr(o, "f_" + name)
     return exc
 
 
@@ -172,12 +185,14 @@ def _call{n}(rt, d, {a}o, key, vt=None, where=""):
         raise _no_method(key, o, vt, where) from None
     if d >= MAX_CALL_DEPTH:
         raise _err(_TOO_DEEP)
+    if next(rt.ticks, 1):
+        raise rt.spent()
     return (m.fn or m.load())(rt, d + 1, o, {a})
 """
 _NS: dict = {  # the globals of emitted code
     "_err": MiniOORuntimeError, "_Obj": ObjectInstance, "_Violation": _Violation, "_VR": ViolationRecord,
-    "_div": _divide, "_fail": _fail, "_print": _print, "_field_fault": _field_fault,
-    "_read_fault": _read_fault, "_no_method": _no_method, "_TOO_DEEP": _TOO_DEEP, "MAX_CALL_DEPTH": MAX_CALL_DEPTH,
+    "_div": _divide, "_fail": _fail, "_print": _print, "_read_fault": _read_fault, "_no_method": _no_method,
+    "_TOO_DEEP": _TOO_DEEP, "MAX_CALL_DEPTH": MAX_CALL_DEPTH,
 }
 
 
@@ -238,7 +253,7 @@ class _Emitter:
             lines.append(text)
         if marks:  # lines[0] comes after the head and `try:`
             sites = {(len(self.out) + 3 + i, col): site for i, col, site in marks}
-            lines = [" try:", *lines, " except (AttributeError, KeyError) as e:"]
+            lines = [" try:", *lines, " except AttributeError as e:"]
             lines.append("  raise _read_fault(e, %r) from None" % sites)
         self.out += [head] + lines
         self.lines, self.defs = [], []
@@ -289,16 +304,16 @@ class _Emitter:
         target, message = s.target, None
         name, obj = getattr(target, "name", None), getattr(target, "obj", ThisExpr())
         if isinstance(target, VarRead):
-            text = self.locals.get(name) or ("F[%s]" % ascii(name) if self.owner and name in self.fields else None)
+            text = self.locals.get(name) or ("this.f_" + name if self.owner and name in self.fields else None)
             if text is not None:
                 return self.line("%s = %s" % (text, *self.values(s.value)))
-            message = ascii("unknown variable %r" % name)  # unless a subclass's `this` has the field
+            message = "unknown variable %r" % name  # unless a subclass's `this` has the field
             if self.owner is None:
-                return self.line("_fail(%s, %s)" % (message, *self.values(s.value)))
+                return self.line("_fail(%s, %s)" % (ascii(message), *self.values(s.value)))
         elif not isinstance(target, FieldAccess):
             return self.line("_fail('invalid assignment target', %s)" % tuple(self.values(s.value)))
         elif isinstance(obj, ThisExpr) and self.owner is not None and name in self.fields:
-            return self.line("F[%s] = %s" % (ascii(name), *self.values(s.value)))
+            return self.line("this.f_%s = %s" % (name, *self.values(s.value)))
         pre, ((v, _, _, stable), (o, *_)) = self.seq([self.expr(s.value), self.expr(obj)])
         self.line(*("%s = %s" % (t, x) for t, x, _ in pre))
         if not stable:  # the value is taken before the object
@@ -307,10 +322,7 @@ class _Emitter:
         if not self.named(o):
             self.line("%s = %s" % (t := self.temp(), o))
             o = t
-        key = ascii(name)
-        fault = "_err(%s)" % message if message else "_field_fault(%s, %s, 'writing')" % (o, key)
-        self.line("if %s.__class__ is _Obj and %s in %s.fields:" % (o, key, o),
-                  " %s.fields[%s] = %s" % (o, key, v), "else:", " raise " + fault)
+        self.line(self.site(message or (o, ((name, "writing"),))) + "%s.f_%s = %s" % (o, name, v))
 
     def s_IfStmt(self, s) -> None:
         known, t = _is_bool(s.cond), self.temp()
@@ -324,10 +336,16 @@ class _Emitter:
             self.block(s.else_body)
 
     def s_WhileStmt(self, s) -> None:
+        """`if cond:`, then a loop that draws one step of the run's budget per pass
+        and tests `cond` again at its end; a loop that runs out of steps is a fault."""
         known, t = _is_bool(s.cond), self.temp()
-        cond = self.inline(self.expr(s.cond))[0]  # evaluated on every iteration
-        self.line("while %s:" % cond if known else "while (%s := %s) is True:" % (t, cond))
+        cond = self.inline(self.expr(s.cond))[0]  # evaluated before every pass
+        self.line("if %s:" % cond if known else "if (%s := %s) is True:" % (t, cond), " for _ in rt.ticks:")
+        self.nest += 1
         self.block(s.body, 1)
+        self.line(" if not (%s):" % cond if known else " if (%s := %s) is not True:" % (t, cond), "  break")
+        self.line("else:", " raise rt.spent()")
+        self.nest -= 1
         if not known:
             self.line("if %s is not False:" % t, " raise _err('condition is not a bool')")
 
@@ -472,14 +490,15 @@ class _Emitter:
             return self.fail("unknown variable %r" % name, [])
         if name in self.fields:  # as `this.name`
             return self.read((name, "reading"), ([], "this", _ATOM, 1, True))
-        return [], self.site("unknown variable %r" % name) + "this.fields[%s]" % ascii(name), _ATOM, 3, False
+        return [], self.site("unknown variable %r" % name) + "this.f_" + name, _ATOM, 2, False
 
     def read(self, step: tuple, obj: tuple) -> tuple:
-        """A read of the (name, verb) `step` from `obj`, one subscript.  The
+        """A read of the (name, verb) `step` from `obj`, one attribute.  The
         steps of a path that may fault share one mark, and its root a name."""
         pre, text, _, h, stable = obj
+        attr = "f_" + step[0]
         if text == "this" and step[0] in self.fields:  # every `this` has it
-            self.open[text := "F[%s]" % ascii(step[0])] = "this", (step,), None
+            self.open[text := "this." + attr] = "this", (step,), None
             return pre, text, _ATOM, 2, False
         pre, (root, steps, k) = list(pre), self.open.get(text) or (stable and self.named(text) and text, (), None)
         if not root:
@@ -488,7 +507,11 @@ class _Emitter:
         if k is None:
             text, k = self.site(None) + text, len(self.sites) - 1
         self.sites[k] = root, steps + (step,)
-        self.open[text := text + ".fields[%s]" % ascii(step[0])] = self.sites[k] + (k,)
+        if attr.isascii() and attr.isidentifier():
+            text += "." + attr
+        else:  # a reflective read of a name no field has: the call is marked too
+            text = "\x01%d\x02getattr(%s, %s)" % (k, text, ascii(attr))
+        self.open[text] = self.sites[k] + (k,)
         return self.done(pre, text, _ATOM, h + 2)
 
     def call(self, e, args: list) -> tuple:
@@ -526,8 +549,24 @@ class _Emitter:
 
 
 # declaration -> its code: for a body, {(class name, superclass name, field names
-# of the class's objects): function}; for a driver block, its chunks' functions
+# of the class's objects): function}; for a class, {Python class of its superclass's
+# objects, or None: its objects' Python class}; for a driver block, its chunks' functions
 _COMPILED = DeclMemo()
+
+
+def _object_class(decl: ClassDecl, layout: dict, parent: Optional[type]) -> type:
+    """The Python class of `decl`'s objects: a slot for each field of `layout`,
+    named with the prefix `f_`, which its `__init__` sets to the zero value.
+    `parent`, that of its superclass's objects, stands for the inherited fields."""
+    if (made := _COMPILED.get(decl)) is None:
+        _COMPILED.put(decl, made := {})
+    if (cls := made.get(parent)) is None:
+        init = ["def __init__(self, class_name, obj_id, vt):", " self.class_name, self.obj_id = class_name, obj_id"]
+        init += [" self.vt = vt"] + [" self.f_%s = %r" % field for field in layout.items()]
+        exec("\n".join(init), ns := {})
+        slots = ["f_" + name for name in layout]
+        cls = made[parent] = type(decl.name, (ObjectInstance,), {"__slots__": slots, "__init__": ns["__init__"]})
+    return cls
 
 
 def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict) -> Callable:
@@ -537,7 +576,7 @@ def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], la
         em.stmt(s)
     if isinstance(decl, MethodDecl) and decl.return_type is not None:
         em.line("raise _err(%s)" % ascii("%s.%s finished without returning a value" % (owner.name, decl.name)))
-    em.finish("def _f(%s):" % ", ".join(["rt", "d", "this"] + params), ["F = this.fields"])
+    em.finish("def _f(%s):" % ", ".join(["rt", "d", "this"] + params), [])
     return em.build()
 
 
@@ -577,14 +616,17 @@ class _Body:
         return self.fn
 
 
-_Class = namedtuple("_Class", "parent layout vt ctor")  # a class's runtime tables
+_Class = namedtuple("_Class", "parent layout vt ctor new")  # a class's runtime tables and objects' class
 
 
 class Interpreter:
-    """One execution per instance; not safe for concurrent use."""
+    """One execution per instance; not safe for concurrent use.  Each loop pass,
+    call and construction draws one step from `ticks`; a run that needs more
+    than `max_steps` is a fault, at the same point on every run."""
 
-    def __init__(self, unit: SourceUnit, trace: bool = False):
+    def __init__(self, unit: SourceUnit, trace: bool = False, max_steps: int = MAX_STEPS):
         self.unit = unit
+        self.max_steps, self.ticks = max_steps, itertools.repeat(None, max_steps)
         self.decls = {c.name: c for c in unit.classes}
         self.trace_enabled = trace
         self.output, self.trace, self.combined = [], [], []  # output and trace lines, and both interleaved
@@ -617,13 +659,14 @@ class Interpreter:
                         del vt["%s/%d" % (m.name, len(old.decl.params))]
                     vt[m.name] = vt["%s/%d" % (m.name, len(m.params))] = _Body(decl, m, layout)
             ctor = None if decl.constructor is None else _Body(decl, decl.constructor, layout)
-            self._classes[decl.name] = _Class(parent_name, layout, vt, ctor)
+            new = _object_class(decl, layout, getattr(parent, "new", None))
+            self._classes[decl.name] = _Class(parent_name, layout, vt, ctor, new)
         return self._classes.get(name)
 
     def construct(self, class_name: str, args: list, d: int = 0) -> ObjectInstance:
         self._next_id += 1
         c = self._class(class_name)
-        obj = ObjectInstance(class_name, self._next_id, dict(getattr(c, "layout", {})), getattr(c, "vt", {}))
+        obj = getattr(c, "new", ObjectInstance)(class_name, self._next_id, getattr(c, "vt", {}))
         self.init(obj, class_name, args, d)
         return obj
 
@@ -632,6 +675,8 @@ class Interpreter:
         the depth and the arities up the implicit `super()` chain are checked first."""
         if d >= MAX_CALL_DEPTH:
             raise MiniOORuntimeError(_TOO_DEEP)
+        if next(self.ticks, 1):
+            raise self.spent()
         bodies = []
         while class_name is not None:
             c = self._class(class_name)
@@ -647,6 +692,9 @@ class Interpreter:
             class_name, args = c.parent, []
         for m, argv in reversed(bodies):
             (m.fn or m.load())(self, d + 1, obj, *argv)
+
+    def spent(self) -> MiniOORuntimeError:
+        return MiniOORuntimeError("run used up its budget of %d steps" % self.max_steps)
 
     def singleton(self, class_name: str, d: int = 0) -> ObjectInstance:
         one = self.singletons
@@ -677,8 +725,9 @@ class Interpreter:
         return ExecutionResult(self.output, self.trace, violation, self.combined)
 
 
-def run_program(unit: SourceUnit, check_trace: bool = False) -> ExecutionResult:
-    """Execute the unit's driver block.  Invariant violations stop execution
-    and are returned in the result; runtime faults raise MiniOORuntimeError,
-    whose `result` holds the output produced before the fault."""
-    return Interpreter(unit, trace=check_trace).run()
+def run_program(unit: SourceUnit, check_trace: bool = False, max_steps: int = MAX_STEPS) -> ExecutionResult:
+    """Execute the unit's driver block in at most `max_steps` loop passes,
+    calls and constructions.  Invariant violations stop execution and are
+    returned in the result; runtime faults raise MiniOORuntimeError, whose
+    `result` holds the output produced before the fault."""
+    return Interpreter(unit, check_trace, max_steps).run()

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from invweave.cli import main
-from invweave.interp import MAX_CALL_DEPTH
+from invweave.interp import MAX_CALL_DEPTH, MAX_STEPS
 
 from helpers import CORPUS, REPO
 
@@ -309,6 +309,42 @@ def test_run_deep_minioo_recursion_is_a_one_line_fault(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "before\n"
     assert captured.err == "runtime fault: MiniOO calls nested too deeply\n"
+
+
+def test_run_endless_loop_is_a_one_line_fault(tmp_path, capsys):
+    src = tmp_path / "spin.moo"
+    src.write_text("driver { print(1); while (true) { } }\n")
+    assert main(["run", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "1\n"
+    assert captured.err == "runtime fault: run used up its budget of %d steps\n" % MAX_STEPS
+    assert main(["run", "--max-steps", "7", str(src)]) == 1
+    assert capsys.readouterr() == ("1\n", "runtime fault: run used up its budget of 7 steps\n")
+
+
+def test_run_checked_list_stops_at_the_same_step_every_time(tmp_path, capsys):
+    out = tmp_path / "out"
+    spec = str(DLIST / "invariants.json")
+    assert main(["weave", str(DLIST / "list_fixed.moo"), "--spec", spec, "--out", str(out)]) == 0
+    capsys.readouterr()
+    files = [str(DLIST / "list_fixed.moo")] + [str(out / n) for n in GENERATED] + [str(DLIST / "driver_checked.moo")]
+    assert main(["run", "--trace"] + files) == 0
+    full = capsys.readouterr().out
+    runs = []
+    for _ in range(3):
+        assert main(["run", "--trace", "--max-steps", "200"] + files) == 1
+        runs.append(capsys.readouterr())
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0].err == "runtime fault: run used up its budget of 200 steps\n"
+    assert runs[0].out and full.startswith(runs[0].out) and len(runs[0].out) < len(full)
+
+
+@pytest.mark.parametrize("steps", ["-1", "many", "1.5", "\u0664"])
+def test_run_max_steps_must_be_a_whole_number(steps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--max-steps", steps, str(DLIST / "list.moo")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("is not a whole number of steps")
 
 
 def test_run_printing_an_integer_past_the_digit_limit_is_a_one_line_fault(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Interpreter semantics: dispatch, reflection, gating, and the woven runs."""
 
 import gc
+import operator
 import random
 import sys
 import weakref
@@ -12,6 +13,7 @@ from invweave.interp import (
     _MAX_LOOPS,
     _MAX_NEST,
     MAX_CALL_DEPTH,
+    MAX_STEPS,
     Interpreter,
     MiniOORuntimeError,
     run_program,
@@ -20,9 +22,9 @@ from invweave.invspec import load_spec
 from invweave.parser import parse_unit
 from invweave.syntax import merge_units
 from invweave.typecheck import typecheck_program
-from invweave.weave import weave_program
+from invweave.weave import swap_driver_constructors, weave_program
 
-from helpers import dlist_driver, load_dlist, make_chain_program, run_woven
+from helpers import TRANSPARENCY, dlist_driver, load_dlist, load_program, make_chain_program, run_woven
 
 
 def run_src(source: str, trace: bool = False):
@@ -223,6 +225,12 @@ def test_reference_equality_vs_value_equality():
         # `this._ok && ...` where the class has no `_ok` (an unchecked unit)
         ("N n = new N(); print(n.guarded());", "no such field '_ok' on N"),
         ("N n = new N(); print(n.reflectGuarded());", "no such field '_ok' on N"),
+        # a reflective read of a name that is no identifier, so no field's
+        ('N n = new N(); print(@field(n, "x y"));', "no such field 'x y' on N"),
+        ('N n = null; print(@field(n, "x y"));', "null dereference in reflective read of 'x y'"),
+        ('N n = new N(); print(@field(@field(n, "x y"), "z"));', "no such field 'x y' on N"),
+        ('N n = new N(); n.next = new N(); print(@field(@field(n, "next"), "x y") == n);',
+         "no such field 'x y' on N"),
     ],
 )
 def test_field_read_faults(read, message):
@@ -243,6 +251,59 @@ def test_field_read_faults(read, message):
     with pytest.raises(MiniOORuntimeError) as exc:
         run_src(source % read)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        ("N n = null; n.x = 1;", "null dereference writing 'x'"),
+        ("int n = 1; n.x = 2;", "1 has no fields"),
+        ('string s = "q"; s.x = 1;', "'q' has no fields"),
+        ("N n = new N(); n.y = 1;", "no such field 'y' on N"),
+        ("N n = new N(); n.next.x = 1;", "null dereference writing 'x'"),
+        ("N n = null; n.next.x = 1;", "null dereference reading 'next'"),
+        ("N n = new N(); n.setY();", "no such field 'y' on N"),
+        ("N n = new N(); n.setBareY();", "unknown variable 'y'"),
+        ("y = 1;", "unknown variable 'y'"),
+    ],
+)
+def test_field_write_faults(write, message):
+    # Unchecked: N declares no `y`, so writes of it fault.
+    source = """
+        class N {
+            public int x;
+            public N next;
+            public void setY() { this.y = 1; }
+            public void setBareY() { y = 1; }
+        }
+        driver { print("before"); %s print("after"); }
+    """
+    assert run_fault(source % write) == (message, ["before"])
+
+
+def test_a_second_run_over_a_hierarchy_builds_no_object_class():
+    # A class's objects get one Python class per layout, kept with the declaration.
+    b = parse_unit("class B extends A { public int y; }")
+    with_int, with_bool = (
+        merge_units([parse_unit("class A { public %s x; }" % t), b, parse_unit("driver { }")]) for t in ("int", "bool")
+    )
+    first, again = (Interpreter(with_int).construct("B", []) for _ in range(2))
+    assert type(first) is type(again)
+    assert type(first).__slots__ == ["f_x", "f_y"]
+    other = Interpreter(with_bool).construct("B", [])
+    assert type(other) is not type(first)  # the same names, but other zero values
+    assert (first.f_x, first.f_y, other.f_x) == (0, 0, False)
+
+
+def test_woven_objects_have_no_instance_dict():
+    unit, spec = load_dlist(fixed=True)
+    interp = Interpreter(merge_units([unit, weave_program(unit, spec).declarations_unit()]))
+    ls = interp.construct("ExposedDLinkedList", [])
+    interp.dispatch_call(ls, "add", ["a"])
+    for obj in (ls, ls.f_head, ls.f_head.f_next):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.extra = 1
 
 
 def test_negated_comparison_on_mixed_operands():
@@ -422,9 +483,9 @@ def test_dispatch_call_exposed_wrapper_from_python():
     assert interp.dispatch_call(obj, "remove", ["a"]) is True
     assert interp.dispatch_call(obj, "size", []) == 1
     # Exposure faithfulness: getters agree with the direct field store.
-    assert interp.dispatch_call(obj, "_get_size", []) == obj.fields["size"]
-    assert interp.dispatch_call(obj, "_get_head", []) is obj.fields["head"]
-    assert interp.dispatch_call(obj, "_get_tail", []) is obj.fields["tail"]
+    assert interp.dispatch_call(obj, "_get_size", []) == obj.f_size
+    assert interp.dispatch_call(obj, "_get_head", []) is obj.f_head
+    assert interp.dispatch_call(obj, "_get_tail", []) is obj.f_tail
 
 
 # -- the flagship woven/unwoven runs --------------------------------------------
@@ -533,12 +594,12 @@ def test_quantifier_loop_against_hand_checker():
         interp.dispatch_call(ls, "add", [v])
 
     def hand_checker(obj) -> bool:
-        head = obj.fields["head"]
-        tail = obj.fields["tail"]
+        head = obj.f_head
+        tail = obj.f_tail
         n = head
         while n is not tail:
-            nxt = n.fields["next"]
-            if nxt.fields["prev"] is not n:
+            nxt = n.f_next
+            if nxt.f_prev is not n:
                 return False
             n = nxt
         return True
@@ -546,10 +607,10 @@ def test_quantifier_loop_against_hand_checker():
     assert hand_checker(ls) is True
     assert interp.dispatch_call(ls, "inv", []) is True
     # corrupt: second node's prev pointer dangles to the head
-    head = ls.fields["head"]
-    first = head.fields["next"]
-    second = first.fields["next"]
-    second.fields["prev"] = head
+    head = ls.f_head
+    first = head.f_next
+    second = first.f_next
+    second.f_prev = head
     assert hand_checker(ls) is False
     assert interp.dispatch_call(ls, "inv", []) is False
 
@@ -775,3 +836,67 @@ def test_statements_nested_deeper_than_one_compiled_function_run():
         driver { A a = new A(); a.x = 200; print(a.f(3)); print(a.x); A b = new A(); b.x = 5; print(a.g(b)); print(a.g(null)); }
     """ % ("if (true) { " * deep, "} " * deep, "while (s < 1) { " * deep, "} " * deep)
     assert run_fault(source) == ("null dereference reading 'x'", ["204", "204", "5"])
+
+
+@pytest.mark.parametrize(
+    "source, printed",
+    [
+        ("driver { int i = 0; while (i < 5) { i = i + 1; } print(i); }", "5"),
+        ("driver { bool b = true; int i = 0; while (b) { i = i + 1; b = i < 5; } print(i); }", "5"),
+        (_DOWN + "driver { D d = new D(); print(d.down(3)); }", "3"),  # one construction, four calls
+    ],
+)
+def test_each_loop_pass_call_and_construction_is_one_step(source, printed):
+    assert run_program(parse_unit(source), max_steps=5).output == [printed]
+    with pytest.raises(MiniOORuntimeError) as exc:
+        run_program(parse_unit(source), max_steps=4)
+    assert (str(exc.value), exc.value.result.output) == ("run used up its budget of 4 steps", [])
+
+
+def test_a_loop_condition_that_stops_being_a_bool_is_a_fault():
+    assert run_fault("driver { bool b = true; while (b) { print(1); b = 2; } }") == ("condition is not a bool", ["1"])
+
+
+@pytest.mark.parametrize(
+    "source, max_steps, message",
+    [
+        ("driver { print(1); while (true) { } }", MAX_STEPS, "run used up its budget of %d steps" % MAX_STEPS),
+        (  # each call's depth is bounded, their number is not
+            "class F { public int f(int n) { if (n == 0) { return 1; } return this.f(n - 1) + this.f(n - 1); } }\n"
+            "driver { print(1); F x = new F(); print(x.f(200)); }",
+            100_000,
+            "run used up its budget of 100000 steps",
+        ),
+        (
+            "class F { public int f(int n) { return this.f(n + 1); } }\n"
+            "driver { print(1); F x = new F(); print(x.f(0)); }",
+            MAX_STEPS,
+            "MiniOO calls nested too deeply",
+        ),
+        (  # a condition not known to be a bool when emitted
+            "driver { print(1); bool b = true; while (b) { } }",
+            1000,
+            "run used up its budget of 1000 steps",
+        ),
+    ],
+)
+def test_runs_that_would_not_end_are_faults(source, max_steps, message):
+    with pytest.raises(MiniOORuntimeError) as exc:
+        run_program(parse_unit(source), max_steps=max_steps)
+    assert (str(exc.value), exc.value.result.output) == (message, ["1"])
+
+
+def test_every_corpus_program_runs_well_inside_the_default_budget():
+    units = []
+    for fixed in (False, True):
+        unit, spec = load_dlist(fixed)
+        units.append(merge_units([unit, dlist_driver(checked=False)]))
+        units.append(merge_units([unit, weave_program(unit, spec).declarations_unit(), dlist_driver(checked=True)]))
+    for path in TRANSPARENCY:
+        unit, spec = load_program(path)
+        artifacts = weave_program(unit, spec)
+        units += [unit, merge_units([swap_driver_constructors(unit, artifacts), artifacts.declarations_unit()])]
+    for unit in units:
+        interp = Interpreter(unit, trace=True)
+        interp.run()
+        assert 0 < MAX_STEPS - operator.length_hint(interp.ticks) < MAX_STEPS // 1000

@@ -143,8 +143,8 @@ def test_substitution_refuses_a_duplicate_variable():
 
 
 def test_objects_compare_by_identity():
-    a = ObjectInstance("A", 1, {}, {})
-    b = ObjectInstance("A", 1, {}, {})
+    a = ObjectInstance("A", 1, {})
+    b = ObjectInstance("A", 1, {})
     assert a == a and a != b and len({a, b}) == 2
 
 
