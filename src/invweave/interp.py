@@ -1,19 +1,26 @@
 """Compiling interpreter for MiniOO.
 
+Each class gets runtime tables: its objects' layout and Python class, its
+vtable and its constructor.  They are built the first time a run needs them
+and kept with the class declaration (declarations are never changed once
+run, see `syntax`), one set for each set of its superclass's tables, so a
+run over a hierarchy an earlier run used builds none.  Each class layout has
+its own Python class: its `__slots__` are the layout's fields, each under
+the prefix `f_`, and its `__init__` sets their zero values.  An object holds
+its class's vtable, which maps each method name, and the name with the arity
+of its most-derived implementation (`size/0`), to that implementation, so
+`this`-calls in original bodies land on woven wrappers.
+
 Each method and constructor body becomes the source of one Python function
-`(rt, depth, this, *params)`, compiled the first time a run reaches it and
-kept while its declaration lives (declarations are never changed once run,
-see `syntax`); it depends only on the declaration, the names of its class and
-superclass and the fields of its class's objects.  MiniOO locals are Python
-locals; `==` and `!=` are Python's own (objects compare by identity).  Each
-class layout has its own Python class, kept with the class declaration: its
-`__slots__` are the layout's fields, each under the prefix `f_`, and its
-`__init__` sets their zero values.  An object also holds its class's vtable,
-which maps each method name, and the name with the arity of its most-derived
-implementation (`size/0`), to that implementation, so `this`-calls in
-original bodies land on woven wrappers.  A call is one helper, which looks
-it up, counts the depth and draws a step (below).  The driver is emitted
-alike, in chunks of `_CHUNK` top-level statements.
+`(rt, depth, this, *params)`, compiled the first time any run reaches it and
+kept in its tables; it is named after its declaration (`List.add`,
+`List.<init>`), so a profile tells the bodies apart.  MiniOO locals are
+Python locals; `==` and `!=` are Python's own (objects compare by identity).
+A call is one helper, which looks it up, counts the depth and draws a step
+(below).  The driver is emitted alike, as `<driver>`, in chunks of `_CHUNK`
+top-level statements; its common statements, a `new` or a call on a local
+with literal arguments, are written out directly, and its depth, always 0,
+is the helpers' default.
 
 A read path (`n.next.prev`) is plain attribute loads (`n.f_next.f_prev`), and
 a field write one store; fields every `this` has are read and written with no
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import weakref
 from collections import namedtuple
 from typing import Callable, Optional, Union
 
@@ -131,8 +139,9 @@ def _read_fault(exc: AttributeError, sites: dict) -> Exception:
     read path and field write to a message, or to its root's name and its (name, verb) steps."""
     tb = exc.__traceback__
     while tb.tb_next is not None:  # into the closures that hold deeply nested statements
-        if not (tb := tb.tb_next).tb_frame.f_code.co_name.startswith("_t"):
+        if tb.tb_next.tb_frame.f_code not in tb.tb_frame.f_code.co_consts:
             return exc  # raised below the emitted code
+        tb = tb.tb_next
     pos = next(itertools.islice(tb.tb_frame.f_code.co_positions(), tb.tb_lasti // 2, None), None)
     site = sites.get(pos and (pos[0], pos[2]), exc)
     if not isinstance(site, tuple):
@@ -172,13 +181,13 @@ def _no_method(key: str, o, vt: Optional[dict] = None, where: str = "") -> MiniO
         vt, where = o.vt, "on " + o.class_name
     if (m := vt.get(name)) is None:
         return MiniOORuntimeError("no implementation of %r %s" % (name, where))
-    return MiniOORuntimeError("%s.%s takes %d argument(s)" % (m.owner.name, m.decl.name, len(m.decl.params)))
+    return MiniOORuntimeError("%s takes %d argument(s)" % (m.name, m.arity))
 
 
-# The call helper of emitted code for each arity, made when first needed.
-# The arguments come before the receiver, as MiniOO evaluates them.
+# The call helper of emitted code for each arity, made when first needed.  The arguments
+# come before the receiver, as MiniOO evaluates them; the driver's depth is the default.
 _CALL = """\
-def _call{n}(rt, d, {a}o, key, vt=None, where=""):
+def _call{n}(rt, {a}o, key, d=0, vt=None, where=""):
     try:
         m = (o.vt if vt is None else vt)[key]
     except (AttributeError, KeyError):
@@ -202,6 +211,7 @@ _PREC = {"==": _CMP, "!=": _CMP, "<": _CMP, "<=": _CMP, ">": _CMP, ">=": _CMP, "
 _LIMIT = 40  # nesting of emitted text beyond which a value is spilled into a temporary
 _MAX_NEST, _MAX_LOOPS = 64, 18  # nested blocks and loops per function; CPython allows 99 and 19
 _CHUNK = 50  # top-level driver statements per emitted function
+_LITERALS = ("IntLit", "BoolLit", "StringLit", "NullLit")
 
 
 def _is_bool(e) -> bool:  # whether `e`'s value is always a bool, so a condition needs no check
@@ -219,6 +229,7 @@ class _Emitter:
 
     def __init__(self, owner: Optional[ClassDecl], fields=()):
         self.owner, self.fields = owner, fields
+        self.d = "" if owner is None else ", d"  # the depth argument: the driver's is the helpers' default
         self.locals: dict[str, str] = {}  # MiniOO name -> Python text, for the names in scope
         self.ntemps = self.nest = self.loops = 0
         self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path or a fault message
@@ -258,10 +269,11 @@ class _Emitter:
         self.out += [head] + lines
         self.lines, self.defs = [], []
 
-    def build(self) -> Callable:  # the one function emitted, its globals `_NS`
+    def build(self, name: str) -> Callable:  # the one function emitted, named `name`; its globals `_NS`
         exec(compile("\n".join(self.out), "<minioo>", "exec"), _NS)
-        self.out = []
-        return _NS.pop("_f")
+        self.out, fn = [], _NS.pop("_f")
+        fn.__code__ = fn.__code__.replace(co_name=name, co_qualname=name)
+        return fn
 
     def block(self, body: list, loop: int = 0) -> None:
         outer = dict(self.locals)
@@ -297,7 +309,7 @@ class _Emitter:
         return [f[0] for f in frags]
 
     def s_LocalDecl(self, s) -> None:
-        init = repr(_zero_value(s.decl_type)) if s.init is None else self.values(s.init)[0]
+        init = repr(_zero_value(s.decl_type)) if s.init is None else self.quick(s.init) or self.values(s.init)[0]
         self.line("%s = %s" % (self.declare(s.name), init))
 
     def s_Assign(self, s) -> None:
@@ -354,7 +366,7 @@ class _Emitter:
         self.line("return (%s,)" % v if self.boxed else "return " + v)
 
     def s_ExprStmt(self, s) -> None:
-        self.line(*self.values(s.expr))
+        self.line(self.quick(s.expr) or self.values(s.expr)[0])
 
     def s_PrintStmt(self, s) -> None:
         self.line("_print(rt, %s)" % tuple(self.values(s.value)))
@@ -415,9 +427,8 @@ class _Emitter:
             return self.var(e.name)
         if kind == "MethodCall":
             return self.call(e, args)
-        if kind in ("IntLit", "BoolLit", "StringLit", "NullLit"):
-            text = ascii(v) if isinstance(v := getattr(e, "value", None), str) else repr(v)
-            return [], "(%s)" % text if text[0] == "-" else text, _ATOM, 1, True
+        if kind in _LITERALS:
+            return [], self.leaf(e), _ATOM, 1, True
         if kind in ("FieldAccess", "ReflectGet"):
             return self.read((e.name, "reading") if kind == "FieldAccess" else (e.field_name, None), args[0])
         if kind == "Binary":
@@ -430,13 +441,35 @@ class _Emitter:
             op, need = ("not ", _NOT) if e.op == "!" else ("-", _NEG)
             return self.done(list(pre), op + self.wrap(text, prec, need), need, h + 1)
         if kind == "NewObject":
-            return self.apply("rt.construct(%s, [" % ascii(e.type.name), args, "], d)")
+            head, tail = self.new(e)
+            return self.apply(head, args, tail)
         if kind == "ThisExpr" and self.owner is not None:
             return [], "this", _ATOM, 1, True
         if kind == "SingletonRef":
-            return [], "rt.singleton(%s, d)" % ascii(e.class_name), _ATOM, 1, False
+            return [], "rt.singleton(%s%s)" % (ascii(e.class_name), self.d), _ATOM, 1, False
         messages = {"ThisExpr": "this outside a method", "SuperExpr": "super outside a call"}
         return self.fail(messages.get(kind, "unknown expression %r" % kind), [])
+
+    def leaf(self, e) -> Optional[str]:  # the text of a literal or a local, or None
+        if (kind := type(e).__name__) == "VarRead":
+            return self.locals.get(e.name)
+        if kind not in _LITERALS:
+            return None
+        text = ascii(v) if isinstance(v := getattr(e, "value", None), str) else repr(v)
+        return "(%s)" % text if text[0] == "-" else text
+
+    def quick(self, e) -> Optional[str]:
+        """The text of a `new`, or of a call on a local, whose arguments are literals or
+        locals: the common statements, emitted as `node` would but with no fragments."""
+        kind = type(e).__name__
+        if kind == "MethodCall" and type(e.receiver).__name__ == "VarRead":
+            texts = [self.leaf(a) for a in (*e.args, e.receiver)]
+            head, tail = self.helper(len(e.args)), ", %s%s)" % (ascii("%s/%d" % (e.name, len(e.args))), self.d)
+        elif kind == "NewObject":
+            texts, (head, tail) = [self.leaf(a) for a in e.args], self.new(e)
+        else:
+            return None
+        return None if None in texts else head + ", ".join(texts) + tail  # type: ignore[operator]
 
     @staticmethod
     def wrap(text: str, prec: int, need: int) -> str:
@@ -514,22 +547,31 @@ class _Emitter:
         self.open[text] = self.sites[k] + (k,)
         return self.done(pre, text, _ATOM, h + 2)
 
-    def call(self, e, args: list) -> tuple:
-        n, owner, receiver = len(e.args), self.owner, e.receiver
+    def new(self, e) -> tuple:  # the text of a `new` before and after its arguments
+        if e.args:
+            return "_new(rt, %s, [" % ascii(e.type.name), "]%s)" % self.d
+        return "_new(rt, %s%s" % (ascii(e.type.name), ", (), d" * bool(self.d)), ")"
+
+    @staticmethod
+    def helper(n: int) -> str:  # the head of a call with `n` arguments
         if "_call%d" % n not in _NS:
             exec(_CALL.format(n=n, a="".join("a%d, " % i for i in range(n))), _NS)
+        return "_call%d(rt, " % n
+
+    def call(self, e, args: list) -> tuple:
+        n, owner, receiver = len(e.args), self.owner, e.receiver
         key = ascii("%s/%d" % (e.name, n))
         if isinstance(receiver, SuperExpr):
             if owner is None or owner.super_class is None:
                 where = "no superclass for %s" % owner.name if owner else "super call outside a method"
                 return self.fail(where, args)
             parent = "getattr(rt._classes.get(%s), 'vt', {})" % ascii(owner.super_class.name)
-            tail = "this, %s, %s, 'above %s')" % (key, parent, owner.name)
-            return self.apply("_call%d(rt, d, " % n, args, ", " * bool(n) + tail)
+            tail = "this, %s, d, %s, 'above %s')" % (key, parent, owner.name)
+            return self.apply(self.helper(n), args, ", " * bool(n) + tail)
         if receiver is None and owner is None:
             return self.fail("call of %r outside a class" % e.name, args)
         this = "" if receiver else ", this" if n else "this"
-        return self.apply("_call%d(rt, d, " % n, args, "%s, %s)" % (this, key))
+        return self.apply(self.helper(n), args, "%s, %s%s)" % (this, key, self.d))
 
     def binary(self, op: str, args: list) -> tuple:
         if op in ("&&", "||"):  # a bool; as a condition CPython compiles this to jumps alone
@@ -548,28 +590,12 @@ class _Emitter:
         return self.done(pre, text, p, max(ah, bh) + 2)  # comparisons above must not chain
 
 
-# declaration -> its code: for a body, {(class name, superclass name, field names
-# of the class's objects): function}; for a class, {Python class of its superclass's
-# objects, or None: its objects' Python class}; for a driver block, its chunks' functions
+# declaration -> its code: for a class, {Python class of its superclass's objects,
+# or None: its runtime tables}; for a driver block, its chunks' functions
 _COMPILED = DeclMemo()
 
 
-def _object_class(decl: ClassDecl, layout: dict, parent: Optional[type]) -> type:
-    """The Python class of `decl`'s objects: a slot for each field of `layout`,
-    named with the prefix `f_`, which its `__init__` sets to the zero value.
-    `parent`, that of its superclass's objects, stands for the inherited fields."""
-    if (made := _COMPILED.get(decl)) is None:
-        _COMPILED.put(decl, made := {})
-    if (cls := made.get(parent)) is None:
-        init = ["def __init__(self, class_name, obj_id, vt):", " self.class_name, self.obj_id = class_name, obj_id"]
-        init += [" self.vt = vt"] + [" self.f_%s = %r" % field for field in layout.items()]
-        exec("\n".join(init), ns := {})
-        slots = ["f_" + name for name in layout]
-        cls = made[parent] = type(decl.name, (ObjectInstance,), {"__slots__": slots, "__init__": ns["__init__"]})
-    return cls
-
-
-def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict) -> Callable:
+def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict, name: str) -> Callable:
     em = _Emitter(owner, layout)
     params = [em.declare(p.name) for p in decl.params]
     for s in decl.body:
@@ -577,7 +603,7 @@ def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], la
     if isinstance(decl, MethodDecl) and decl.return_type is not None:
         em.line("raise _err(%s)" % ascii("%s.%s finished without returning a value" % (owner.name, decl.name)))
     em.finish("def _f(%s):" % ", ".join(["rt", "d", "this"] + params), [])
-    return em.build()
+    return em.build(name)
 
 
 def _driver_code(driver: DriverBlock) -> list:
@@ -594,29 +620,61 @@ def _driver_code(driver: DriverBlock) -> list:
         if em.locals and i + _CHUNK < len(body):
             em.line("L[:] = %s," % ", ".join(em.locals.values()))
         em.finish("def _f(rt, d, L):", ["%s, = L" % carried] if carried else [])
-        chunks.append(em.build())
+        chunks.append(em.build("<driver>"))
     _COMPILED.put(driver, chunks)
     return chunks
 
 
 class _Body:
-    """A method or constructor, its class and its objects' layout; `fn(rt, depth, this, *args)` runs it."""
+    """A method or constructor of a class's runtime tables, named `Class.method` or
+    `Class.<init>`; `fn(rt, depth, this, *args)` runs it, compiled on the first call
+    of any run.  It holds its declarations weakly: its tables are kept with one."""
 
-    __slots__ = ("owner", "decl", "layout", "fn")
+    __slots__ = ("name", "arity", "chains", "fn", "source")
 
     def __init__(self, owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict):
-        self.owner, self.decl, self.layout, self.fn = owner, decl, layout, None
+        self.name, self.arity, self.fn = "%s.%s" % (owner.name, getattr(decl, "name", "<init>")), len(decl.params), None
+        self.chains = bool(decl.body) and isinstance(decl.body[0], SuperCall)  # a constructor's own `super(...)`
+        self.source = weakref.ref(owner), weakref.ref(decl), layout
 
-    def load(self) -> Callable:  # compiled the first time any run asks for it
-        owner, decl, layout = self.owner, self.decl, self.layout
-        if (views := _COMPILED.get(decl)) is None:
-            _COMPILED.put(decl, views := {})
-        view = (owner.name, owner.super_class and owner.super_class.name, tuple(layout))
-        self.fn = views.get(view) or views.setdefault(view, _compile_body(owner, decl, layout))
+    def load(self) -> Callable:
+        owner, decl, layout = self.source
+        self.fn = _compile_body(owner(), decl(), layout, self.name)
         return self.fn
 
 
 _Class = namedtuple("_Class", "parent layout vt ctor new")  # a class's runtime tables and objects' class
+
+
+def _class_tables(decl: ClassDecl, parent: Optional[_Class]) -> _Class:
+    """`decl`'s runtime tables below `parent`, its superclass's, built once and kept with
+    `decl`.  Its objects' Python class has a slot for each field of the layout, named
+    with the prefix `f_`, which its `__init__` sets to the zero value; that of the
+    superclass's objects, which is made with `parent`, stands for `parent`."""
+    if (made := _COMPILED.get(decl)) is None:
+        _COMPILED.put(decl, made := {})
+    if (c := made.get(key := getattr(parent, "new", None))) is not None:
+        return c
+    layout = dict(inherited := getattr(parent, "layout", {}))
+    for f in decl.fields:
+        if f.name in inherited:
+            message = "field %r of %s shadows an inherited field (shadowing is not supported)"
+            raise MiniOORuntimeError(message % (f.name, decl.name))
+        layout[f.name] = _zero_value(f.declared_type)
+    vt = dict(getattr(parent, "vt", {}))
+    for m in reversed(decl.methods):  # the first of two same-named methods wins
+        if m.body is not None:
+            if (old := vt.get(m.name)) is not None:
+                del vt["%s/%d" % (m.name, old.arity)]
+            vt[m.name] = vt["%s/%d" % (m.name, len(m.params))] = _Body(decl, m, layout)
+    ctor = None if decl.constructor is None else _Body(decl, decl.constructor, layout)
+    init = ["def __init__(self, class_name, obj_id, vt):", " self.class_name, self.obj_id = class_name, obj_id"]
+    init += [" self.vt = vt"] + [" self.f_%s = %r" % field for field in layout.items()]
+    exec("\n".join(init), ns := {})
+    slots = ["f_" + name for name in layout]
+    new = type(decl.name, (ObjectInstance,), {"__slots__": slots, "__init__": ns["__init__"]})
+    made[key] = c = _Class(getattr(decl.super_class, "name", None), layout, vt, ctor, new)
+    return c
 
 
 class Interpreter:
@@ -634,7 +692,7 @@ class Interpreter:
         self._next_id = 0
 
     def _class(self, name: str) -> Optional[_Class]:
-        """The runtime tables of a declared class, built on first use after its ancestors'."""
+        """The runtime tables of a declared class, found on first use after its ancestors'."""
         if (c := self._classes.get(name)) is not None:
             return c
         chain, up = [], name  # the classes to build, leaf first
@@ -644,26 +702,11 @@ class Interpreter:
                 raise MiniOORuntimeError("inheritance cycle through %r" % up)
             up = getattr(chain[-1].super_class, "name", None)
         for decl in reversed(chain):
-            parent_name = getattr(decl.super_class, "name", None)
-            parent = self._classes.get(parent_name)  # type: ignore[arg-type]
-            layout = dict(inherited := getattr(parent, "layout", {}))
-            for f in decl.fields:
-                if f.name in inherited:
-                    message = "field %r of %s shadows an inherited field (shadowing is not supported)"
-                    raise MiniOORuntimeError(message % (f.name, decl.name))
-                layout[f.name] = _zero_value(f.declared_type)
-            vt = dict(getattr(parent, "vt", {}))
-            for m in reversed(decl.methods):  # the first of two same-named methods wins
-                if m.body is not None:
-                    if (old := vt.get(m.name)) is not None:
-                        del vt["%s/%d" % (m.name, len(old.decl.params))]
-                    vt[m.name] = vt["%s/%d" % (m.name, len(m.params))] = _Body(decl, m, layout)
-            ctor = None if decl.constructor is None else _Body(decl, decl.constructor, layout)
-            new = _object_class(decl, layout, getattr(parent, "new", None))
-            self._classes[decl.name] = _Class(parent_name, layout, vt, ctor, new)
+            parent = self._classes.get(getattr(decl.super_class, "name", None))  # type: ignore[arg-type]
+            self._classes[decl.name] = _class_tables(decl, parent)
         return self._classes.get(name)
 
-    def construct(self, class_name: str, args: list, d: int = 0) -> ObjectInstance:
+    def construct(self, class_name: str, args=(), d: int = 0) -> ObjectInstance:
         self._next_id += 1
         c = self._class(class_name)
         obj = getattr(c, "new", ObjectInstance)(class_name, self._next_id, getattr(c, "vt", {}))
@@ -682,12 +725,12 @@ class Interpreter:
             c = self._class(class_name)
             if c is None:
                 raise MiniOORuntimeError("unknown class %r" % class_name)
-            if (ctor := c.ctor and c.ctor.decl) is not None:
-                if len(args) != len(ctor.params):
+            if (ctor := c.ctor) is not None:
+                if len(args) != ctor.arity:
                     message = "constructor of %s takes %d argument(s)"
-                    raise MiniOORuntimeError(message % (class_name, len(ctor.params)))
-                bodies.append((c.ctor, args))
-                if ctor.body and isinstance(ctor.body[0], SuperCall):
+                    raise MiniOORuntimeError(message % (class_name, ctor.arity))
+                bodies.append((ctor, args))
+                if ctor.chains:
                     break
             class_name, args = c.parent, []
         for m, argv in reversed(bodies):
@@ -723,6 +766,9 @@ class Interpreter:
             fault.result = ExecutionResult(self.output, self.trace, None, self.combined)
             raise fault
         return ExecutionResult(self.output, self.trace, violation, self.combined)
+
+
+_NS["_new"] = Interpreter.construct
 
 
 def run_program(unit: SourceUnit, check_trace: bool = False, max_steps: int = MAX_STEPS) -> ExecutionResult:

@@ -1,54 +1,40 @@
-"""Tokenizer for MiniOO source and for invariant predicate strings."""
+"""Tokenizer for MiniOO source and for invariant predicate strings.
+
+One regular-expression match per token: the whitespace, comments and line
+breaks before a token are skipped inside its match, never by a pass of the
+Python loop.  A token's column is its offset from the start of its line."""
 
 from __future__ import annotations
 
 import re
 
 from .diagnostics import Diagnostic, ParseError
-from .syntax import Frozen, set_field
+from .syntax import Frozen
 
 KEYWORDS = frozenset(
-    {
-        "class",
-        "interface",
-        "extends",
-        "implements",
-        "abstract",
-        "public",
-        "protected",
-        "private",
-        "void",
-        "if",
-        "else",
-        "while",
-        "return",
-        "new",
-        "null",
-        "true",
-        "false",
-        "this",
-        "super",
-        "driver",
-        "print",
-        "forall",
-    }
+    "class interface extends implements abstract public protected private void if else while return"
+    " new null true false this super driver print forall".split()
 )
 
-# Order matters: multi-char operators before their prefixes.
+# One match per token: the skipped text comes first, and group 1 ends at its last line break.
+# Multi-character operators come before their prefixes.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<nl>\n)
-  | (?P<comment>//[^\n]*)
-  | (?P<atident>@[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<string>"(?:\\.|[^"\\\n])*")
-  | (?P<op>==|!=|<=|>=|&&|\|\||[-+*/!<>=(){},;.:])
+    (?:[ \t\r]+ | //[^\n]* | (\n))*+
+    (?: (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<OP>==|!=|<=|>=|&&|\|\||[-+*/!<>=(){},;.:])
+      | (?P<INT>[0-9]+)
+      | (?P<STRING>"(?:\\.|[^"\\\n])*")
+      | (?P<AT>@[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<EOF>\Z)
+      | (?P<BAD>) )
     """,
     re.VERBOSE,
 )
 
+_KINDS = {number: kind for kind, number in _TOKEN_RE.groupindex.items()}
+_KEYWORD = dict.fromkeys(KEYWORDS, "KEYWORD")  # the kind of a keyword's text, which only IDENT matches
+_RARE = frozenset({"STRING", "AT", "EOF", "BAD"})  # the kinds whose text is not the token's value
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
 
 
@@ -57,10 +43,14 @@ class Token(Frozen):
 
     __slots__ = ("kind", "value", "line", "col", "_hash")
     def __init__(self, kind: str, value: str, line: int, col: int):
-        set_field(self, "kind", kind)
-        set_field(self, "value", value)
-        set_field(self, "line", line)
-        set_field(self, "col", col)
+        _kind(self, kind)
+        _value(self, value)
+        _line(self, line)
+        _col(self, col)
+
+
+# The slots' own setters, which skip the name lookup of `set_field`.
+_kind, _value, _line, _col = (Token.__dict__[name].__set__ for name in Token._fields)
 
 
 def _unescape(raw: str, line: int, col: int) -> str:
@@ -84,38 +74,23 @@ def _unescape(raw: str, line: int, col: int) -> str:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(
-                Diagnostic("syntax", "unexpected character %r" % source[pos], line, col)
-            )
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        elif kind == "ident":
-            tk = "KEYWORD" if text in KEYWORDS else "IDENT"
-            tokens.append(Token(tk, text, line, col))
-            col += len(text)
-        elif kind == "int":
-            tokens.append(Token("INT", text, line, col))
-            col += len(text)
-        elif kind == "string":
-            tokens.append(Token("STRING", _unescape(text, line, col), line, col))
-            col += len(text)
-        elif kind == "atident":
-            tokens.append(Token("AT", text[1:], line, col))
-            col += len(text)
-        else:  # op
-            tokens.append(Token("OP", text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+    line, start = 1, 0  # the current line and the offset where it starts
+    for m in _TOKEN_RE.finditer(source):
+        at, text = m.start(group := m.lastindex), m[group]
+        kind = _KEYWORD.get(text) or _KINDS[group]
+        if m.start(1) >= 0:  # line breaks were skipped
+            line += source.count("\n", m.start(), at)
+            start = m.end(1)
+        if kind in _RARE:
+            if kind == "STRING":
+                text = _unescape(text, line, at - start + 1)
+            elif kind == "AT":
+                text = text[1:]
+            elif kind == "EOF":
+                break
+            else:
+                message = "unexpected character %r" % source[at]
+                raise ParseError(Diagnostic("syntax", message, line, at - start + 1))
+        tokens.append(Token(kind, text, line, at - start + 1))
+    tokens.append(Token("EOF", "", line, at - start + 1))
     return tokens

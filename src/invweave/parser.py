@@ -94,23 +94,17 @@ class _Parser:
         return t
 
     def accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, value):
-            return self.advance()
-        return None
+        t = self.toks[self.i]
+        if t.kind != kind or (value is not None and t.value != value):
+            return None
+        self.i += kind != "EOF"
+        return t
 
     def expect(self, kind: str, value: Optional[str] = None, what: str = "") -> Token:
-        if self.at(kind, value):
-            return self.advance()
-        t = self.peek()
-        expected = what or (value if value is not None else kind)
-        raise ParseError(
-            Diagnostic(
-                "syntax",
-                "expected %s, found %r" % (expected, t.value or t.kind),
-                t.line,
-                t.col,
-            )
-        )
+        if (t := self.accept(kind, value)) is None:
+            t, expected = self.peek(), what or (value if value is not None else kind)
+            raise self.error("expected %s, found %r" % (expected, t.value or t.kind))
+        return t
 
     def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
         t = tok or self.peek()
@@ -342,51 +336,13 @@ class _Parser:
         return body
 
     def parse_stmt(self) -> Stmt:
-        t = self.peek()
-        if self.at_kw("if"):
-            return self.parse_if()
-        if self.at_kw("while"):
-            self.advance()
-            self.expect("OP", "(")
-            cond = self.parse_expr()
-            self.expect("OP", ")")
-            body = self.parse_block()
-            return WhileStmt(cond, body, t.line, t.col)
-        if self.at_kw("return"):
-            self.advance()
-            value = None
-            if not self.at("OP", ";"):
-                value = self.parse_expr()
-            self.expect("OP", ";")
-            return ReturnStmt(value, t.line, t.col)
-        if self.at_kw("print"):
-            self.advance()
-            self.expect("OP", "(")
-            value = self.parse_expr()
-            self.expect("OP", ")")
-            self.expect("OP", ";")
-            return PrintStmt(value, t.line, t.col)
-        if self.at_kw("super") and self.peek(1).value == "(":
-            self.advance()
-            args = self.parse_args()
-            self.expect("OP", ";")
-            return SuperCall(args, t.line, t.col)
-        if self.at("AT", "trace") or self.at("AT", "violation"):
-            name = self.advance().value
-            self.expect("OP", "(")
-            args = [self.parse_expr()]
-            while self.accept("OP", ","):
-                args.append(self.parse_expr())
-            self.expect("OP", ")")
-            self.expect("OP", ";")
-            if len(args) != 4:
-                raise self.error("@%s takes exactly 4 arguments" % name, t)
-            if name == "trace":
-                return TraceStmt(args[0], args[1], args[2], args[3], t.line, t.col)
-            return ViolationStmt(args[0], args[1], args[2], args[3], t.line, t.col)
+        t = self.toks[self.i]
+        if (head := _STATEMENTS.get((t.kind, t.value))) is not None:
+            self.i += 1
+            return head(self, t)
         # Local declaration vs expression statement: `Type name [=|;]` starts a
-        # declaration, whose errors are then its own.
-        if self.at("IDENT"):
+        # declaration, whose errors are then its own.  A type is a name, maybe with `<`.
+        if t.kind == "IDENT" and (self.toks[self.i + 1].kind == "IDENT" or self.toks[self.i + 1].value == "<"):
             mark = self.i
             try:
                 decl_type = self.parse_type()
@@ -403,8 +359,7 @@ class _Parser:
             self.i = mark
         return self.parse_expr_or_assign()
 
-    def parse_if(self) -> Stmt:
-        t = self.expect("KEYWORD", "if")
+    def parse_if(self, t: Token) -> Stmt:
         self.expect("OP", "(")
         cond = self.parse_expr()
         self.expect("OP", ")")
@@ -412,10 +367,47 @@ class _Parser:
         else_body: Optional[list[Stmt]] = None
         if self.accept("KEYWORD", "else"):
             if self.at_kw("if"):
-                else_body = [self.parse_if()]
+                else_body = [self.parse_if(self.advance())]
             else:
                 else_body = self.parse_block()
         return IfStmt(cond, then_body, else_body, t.line, t.col)
+
+    def parse_while(self, t: Token) -> Stmt:
+        self.expect("OP", "(")
+        cond = self.parse_expr()
+        self.expect("OP", ")")
+        return WhileStmt(cond, self.parse_block(), t.line, t.col)
+
+    def parse_return(self, t: Token) -> Stmt:
+        value = None if self.at("OP", ";") else self.parse_expr()
+        self.expect("OP", ";")
+        return ReturnStmt(value, t.line, t.col)
+
+    def parse_print(self, t: Token) -> Stmt:
+        self.expect("OP", "(")
+        value = self.parse_expr()
+        self.expect("OP", ")")
+        self.expect("OP", ";")
+        return PrintStmt(value, t.line, t.col)
+
+    def parse_super(self, t: Token) -> Stmt:
+        if self.toks[self.i].value != "(":  # `super.m(...)`, an expression
+            self.i -= 1
+            return self.parse_expr_or_assign()
+        args = self.parse_args()
+        self.expect("OP", ";")
+        return SuperCall(args, t.line, t.col)
+
+    def parse_check(self, t: Token) -> Stmt:  # `@trace(...)` or `@violation(...)`
+        self.expect("OP", "(")
+        args = [self.parse_expr()]
+        while self.accept("OP", ","):
+            args.append(self.parse_expr())
+        self.expect("OP", ")")
+        self.expect("OP", ";")
+        if len(args) != 4:
+            raise self.error("@%s takes exactly 4 arguments" % t.value, t)
+        return (TraceStmt if t.value == "trace" else ViolationStmt)(*args, t.line, t.col)  # type: ignore[arg-type]
 
     def parse_expr_or_assign(self) -> Stmt:
         t = self.peek()
@@ -455,16 +447,15 @@ class _Parser:
             left = Binary(t.value, left, right, t.line, t.col)
 
     def parse_unary(self) -> Expr:
-        if self.at("OP", "!") or self.at("OP", "-"):
-            t = self.advance()
+        if (t := self.toks[self.i]).kind == "OP" and t.value in ("!", "-"):
+            self.i += 1
             operand = self.parse_unary()
             return Unary(t.value, operand, t.line, t.col)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
         e = self.parse_primary()
-        while self.at("OP", "."):
-            self.advance()
+        while self.accept("OP", "."):
             name_tok = self.expect("IDENT", what="member name")
             if self.at("OP", "("):
                 args = self.parse_args()
@@ -474,64 +465,68 @@ class _Parser:
         return e
 
     def parse_primary(self) -> Expr:
-        t = self.peek()
-        if self.at("INT"):
-            self.advance()
-            try:
-                value = int(t.value)
-            except ValueError:  # more digits than Python converts from text
-                limit = sys.get_int_max_str_digits()
-                raise self.error("integer literal of more than %d digits" % limit, t) from None
-            return IntLit(value, t.line, t.col)
-        if self.at("STRING"):
-            self.advance()
-            return StringLit(t.value, t.line, t.col)
-        if self.at_kw("true") or self.at_kw("false"):
-            self.advance()
-            return BoolLit(t.value == "true", t.line, t.col)
-        if self.at_kw("null"):
-            self.advance()
-            return NullLit(t.line, t.col)
-        if self.at_kw("this"):
-            self.advance()
-            return ThisExpr(t.line, t.col)
-        if self.at_kw("super"):
-            self.advance()
-            self.expect("OP", ".")
-            name_tok = self.expect("IDENT", what="method name")
-            args = self.parse_args()
-            return MethodCall(SuperExpr(t.line, t.col), name_tok.value, args, name_tok.line, name_tok.col)
-        if self.at_kw("new"):
-            self.advance()
-            ntype = self.parse_named_type()
-            args = self.parse_args()
-            return NewObject(ntype, args, t.line, t.col)
-        if self.at("AT", "field"):
-            self.advance()
-            self.expect("OP", "(")
-            obj = self.parse_expr()
-            self.expect("OP", ",")
-            name_tok = self.expect("STRING", what="field name string")
-            self.expect("OP", ")")
-            return ReflectGet(obj, name_tok.value, t.line, t.col)
-        if self.at("AT", "singleton"):
-            self.advance()
-            self.expect("OP", "(")
-            name_tok = self.expect("IDENT", what="class name")
-            self.expect("OP", ")")
-            return SingletonRef(name_tok.value, t.line, t.col)
+        t = self.toks[self.i]
+        if (make := _PRIMARIES.get(t.kind) or _PRIMARIES.get((t.kind, t.value))) is None:
+            raise self.error("expected expression")
+        self.i += 1  # `t` is not EOF, which starts no expression
+        return make(self, t)
+
+    def parse_int(self, t: Token) -> Expr:
+        try:
+            return IntLit(int(t.value), t.line, t.col)
+        except ValueError:  # more digits than Python converts from text
+            limit = sys.get_int_max_str_digits()
+            raise self.error("integer literal of more than %d digits" % limit, t) from None
+
+    def parse_name(self, t: Token) -> Expr:
         if self.at("OP", "("):
-            self.advance()
-            e = self.parse_expr()
-            self.expect("OP", ")")
-            return e
-        if self.at("IDENT"):
-            self.advance()
-            if self.at("OP", "("):
-                args = self.parse_args()
-                return MethodCall(None, t.value, args, t.line, t.col)
-            return VarRead(t.value, t.line, t.col)
-        raise self.error("expected expression")
+            return MethodCall(None, t.value, self.parse_args(), t.line, t.col)
+        return VarRead(t.value, t.line, t.col)
+
+    def parse_super_call(self, t: Token) -> Expr:
+        self.expect("OP", ".")
+        name_tok = self.expect("IDENT", what="method name")
+        args = self.parse_args()
+        return MethodCall(SuperExpr(t.line, t.col), name_tok.value, args, name_tok.line, name_tok.col)
+
+    def parse_reflect(self, t: Token) -> Expr:
+        self.expect("OP", "(")
+        obj = self.parse_expr()
+        self.expect("OP", ",")
+        name_tok = self.expect("STRING", what="field name string")
+        self.expect("OP", ")")
+        return ReflectGet(obj, name_tok.value, t.line, t.col)
+
+    def parse_singleton(self, t: Token) -> Expr:
+        self.expect("OP", "(")
+        name_tok = self.expect("IDENT", what="class name")
+        self.expect("OP", ")")
+        return SingletonRef(name_tok.value, t.line, t.col)
+
+    def parse_parenthesized(self, t: Token) -> Expr:
+        e = self.parse_expr()
+        self.expect("OP", ")")
+        return e
+
+
+# What parses the statement that a token starts, after the token, by its kind and value.
+_STATEMENTS = {
+    ("KEYWORD", "if"): _Parser.parse_if, ("KEYWORD", "while"): _Parser.parse_while,
+    ("KEYWORD", "return"): _Parser.parse_return, ("KEYWORD", "print"): _Parser.parse_print,
+    ("KEYWORD", "super"): _Parser.parse_super,
+    ("AT", "trace"): _Parser.parse_check, ("AT", "violation"): _Parser.parse_check,
+}
+# What parses the primary expression that a token starts, after the token, by its kind, or its kind and value.
+_PRIMARIES = {
+    "IDENT": _Parser.parse_name, "INT": _Parser.parse_int, "STRING": lambda p, t: StringLit(t.value, t.line, t.col),
+    ("KEYWORD", "true"): lambda p, t: BoolLit(True, t.line, t.col),
+    ("KEYWORD", "false"): lambda p, t: BoolLit(False, t.line, t.col),
+    ("KEYWORD", "null"): lambda p, t: NullLit(t.line, t.col), ("KEYWORD", "this"): lambda p, t: ThisExpr(t.line, t.col),
+    ("KEYWORD", "super"): _Parser.parse_super_call,
+    ("KEYWORD", "new"): lambda p, t: NewObject(p.parse_named_type(), p.parse_args(), t.line, t.col),
+    ("AT", "field"): _Parser.parse_reflect, ("AT", "singleton"): _Parser.parse_singleton,
+    ("OP", "("): _Parser.parse_parenthesized,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +578,7 @@ def check_cycles(unit: SourceUnit) -> None:
                 path.pop()
 
 
-_STATEMENT_CODE = frozenset(
-    m.__code__ for m in (_Parser.parse_block, _Parser.parse_stmt, _Parser.parse_if)
-)
+_STATEMENT_CODE = frozenset(m.__code__ for m in (_Parser.parse_block, _Parser.parse_stmt, *_STATEMENTS.values()))
 
 
 def _too_deep(exc: RecursionError) -> str:

@@ -72,7 +72,8 @@ class Record:
 class Frozen(Record):
     """A record whose fields `__init__` sets once, through `set_field`.
     Equal records hash equal; each computes its hash on first use, into the
-    `_hash` slot that every frozen class declares."""
+    `_hash` slot that every frozen class declares.  The types, which are
+    nearly all hashed, compute it in `__init__`."""
 
     __slots__ = ()
 
@@ -115,6 +116,7 @@ class TypeVar(Positioned, Frozen):
         set_field(self, "name", name)
         set_field(self, "line", line)
         set_field(self, "col", col)
+        set_field(self, "_hash", hash(name))
 
     def __eq__(self, other: object) -> bool:  # spelled out, as types are compared all the time
         return self.name == other.name if other.__class__ is TypeVar else NotImplemented  # type: ignore
@@ -134,6 +136,7 @@ class NamedType(Positioned, Frozen):
         set_field(self, "args", args)
         set_field(self, "line", line)
         set_field(self, "col", col)
+        set_field(self, "_hash", hash((name, args)))
 
     def __eq__(self, other: object) -> bool:  # spelled out, as types are compared all the time
         if other.__class__ is not NamedType:

@@ -3,15 +3,18 @@
 Whatever the input, the CLI keeps its contract: the exit code is 0, 1, 2 or
 3, no Python traceback escapes, and every message on stderr is one line.
 Every run is under a small step budget, so a mutation that makes a driver
-loop for ever ends as a one-line fault.  Hypothesis draws the mutations
-from a fixed seed (`derandomize`), so every run of the suite tries the same
-cases.
+loop for ever ends as a one-line fault.  Most mutations stop at a static
+error, so seeded well-typed call scripts over the woven gating hierarchies
+go through `invweave run --trace` too, each to the end of its driver.
+Hypothesis draws the cases from a fixed seed (`derandomize`), so every run
+of the suite tries the same ones.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from invweave.cli import main
 
-from helpers import CORPUS
+from helpers import CORPUS, GATING_PROFILES, expected_trace, make_script
 
 # (subcommand, source files, specification file or None); the mutated file is one of them
 CASES = [
@@ -97,3 +100,30 @@ def test_cli_contract_holds_for_mutated_corpus_files(workdir, case, target, chan
         assert lines == []
     if code == 2 or any(line.startswith("runtime fault:") for line in lines):
         assert len(lines) == 1, lines
+
+
+@pytest.fixture(scope="module")
+def woven_gating(tmp_path_factory):
+    """Each gating hierarchy's source and woven files, as `invweave weave` writes them."""
+    out, files = tmp_path_factory.mktemp("gating"), {}
+    for name in sorted(GATING_PROFILES):
+        moo = CORPUS / "gating" / (name + ".moo")
+        spec = str(moo.with_suffix(".json"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["weave", str(moo), "--spec", spec, "--out", str(out / name)]) == 0
+        files[name] = [str(moo)] + sorted(str(p) for p in (out / name).glob("*.moo"))
+    return out, files
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(GATING_PROFILES)), seed=st.integers(0, 2**32), length=st.integers(1, 20))
+def test_well_typed_gating_scripts_run_to_the_end(woven_gating, name, seed, length):
+    out_dir, files = woven_gating
+    text, steps = make_script(random.Random(seed), GATING_PROFILES[name], length)
+    script = out_dir / ("%s_script.moo" % name)
+    script.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--trace", "--max-steps", "20000"] + files[name] + [str(script)])
+    assert (code, err.getvalue()) == (0, "")
+    assert expected_trace(steps, out.getvalue().splitlines()) is None, text

@@ -16,13 +16,15 @@ trace on.  Re-record (only when a change of behaviour is intended) with
 from __future__ import annotations
 
 import json
+import operator
 import random
 from pathlib import Path
 
 import pytest
 
-from invweave.interp import MiniOORuntimeError, run_program
+from invweave.interp import MAX_STEPS, Interpreter, MiniOORuntimeError, run_program
 from invweave.parser import parse_unit
+from invweave.printer import render_source
 from invweave.syntax import merge_units
 from invweave.weave import swap_driver_constructors, weave_program
 
@@ -190,6 +192,32 @@ def test_recorded_runs_replay_identically():
     for _ in range(2):
         for case_id, unit in runs:
             assert record(unit) == goldens[case_id], case_id
+
+
+def _observe(unit) -> tuple:
+    """What a run records, and the steps of its budget it used."""
+    interp = Interpreter(unit, trace=True)
+    try:
+        r = interp.run()
+        seen = (r.output, r.trace, r.combined, r.violation)
+    except MiniOORuntimeError as exc:
+        seen = str(exc)
+    return seen, MAX_STEPS - operator.length_hint(interp.ticks)
+
+
+def test_gating_scripts_run_alike_on_cold_and_warm_memos():
+    # A hierarchy parsed afresh has no class tables or compiled bodies yet; the
+    # shared one keeps those of every script before.
+    for gname, profile in sorted(GATING_PROFILES.items()):
+        unit, spec = load_program(CORPUS / "gating" / (gname + ".moo"))
+        warm = merge_units([unit, weave_program(unit, spec).declarations_unit()])
+        source = render_source(warm)
+        rng = random.Random("gating-" + gname)
+        for k in range(SCRIPTS_PER_HIERARCHY):
+            text, _ = make_script(rng, profile, rng.randint(1, 20))
+            cold = parse_unit(source)
+            seen = [_observe(merge_units([base, parse_unit(text)])) for base in (cold, warm)]
+            assert seen[0] == seen[1] and seen[0][1] > 0, (gname, k)
 
 
 @pytest.mark.parametrize("kind", ["violation", "error"])

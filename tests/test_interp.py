@@ -10,12 +10,14 @@ import pytest
 
 from invweave.interp import (
     _CHUNK,
+    _COMPILED,
     _MAX_LOOPS,
     _MAX_NEST,
     MAX_CALL_DEPTH,
     MAX_STEPS,
     Interpreter,
     MiniOORuntimeError,
+    _driver_code,
     run_program,
 )
 from invweave.invspec import load_spec
@@ -685,6 +687,45 @@ def test_checked_and_run_declarations_are_freed_with_their_units():
     assert [r() for r in refs] == [None] * len(refs)
 
 
+def _checked_dlist_base():
+    unit, spec = load_dlist(fixed=True)
+    return merge_units([unit, weave_program(unit, spec).declarations_unit()])
+
+
+def test_memo_entries_die_with_their_declarations():
+    merged = merge_units([_checked_dlist_base(), dlist_driver(checked=True)])
+    run_program(merged, check_trace=True)
+    kept = [d for d in [*merged.classes, merged.driver] if _COMPILED.get(d) is not None]
+    assert merged.driver in kept and len(kept) >= 4  # the driver and each class a run built tables for
+    ids, refs = {id(d) for d in kept}, [weakref.ref(d) for d in kept]
+    del merged, kept
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+    assert not ids & set(_COMPILED._entries)
+
+
+def test_a_second_run_over_a_hierarchy_builds_no_class_table(monkeypatch):
+    base = _checked_dlist_base()
+    first = Interpreter(merge_units([base, dlist_driver(checked=True)]), trace=True)
+    result = first.run()
+    built = []
+    monkeypatch.setattr("invweave.interp._Class", lambda *fields: built.append(fields))
+    monkeypatch.setattr("invweave.interp._compile_body", lambda *args: built.append(args))
+    again = Interpreter(merge_units([base, dlist_driver(checked=True)]), trace=True)
+    assert again.run() == result and built == []
+    assert again._classes.keys() == first._classes.keys()
+    assert all(again._classes[name] is c for name, c in first._classes.items())
+
+
+def test_compiled_functions_are_named_after_their_declarations():
+    interp = Interpreter(merge_units([_checked_dlist_base(), dlist_driver(checked=True)]))
+    interp.run()
+    c = interp._classes["ExposedDLinkedList"]
+    assert c.vt["add"].fn.__code__.co_name == c.vt["add/1"].fn.__code__.co_qualname == "ExposedDLinkedList.add"
+    assert c.ctor.fn.__code__.co_name == "ExposedDLinkedList.<init>"
+    assert [f.__code__.co_name for f in _driver_code(interp.unit.driver)] == ["<driver>"]
+
+
 # -- fault order in compiled code ------------------------------------------------
 
 
@@ -692,6 +733,21 @@ def run_fault(source: str):
     with pytest.raises(MiniOORuntimeError) as exc:
         run_src(source)
     return str(exc.value), exc.value.result.output
+
+
+@pytest.mark.parametrize("method", ["direct", "nested"])
+def test_a_field_fault_in_a_class_named_like_a_temporary_keeps_its_message(method):
+    # Emitted closures are told from other functions by their code, not by a name such as `_t1`.
+    nested = "if (true) { " * (_MAX_NEST + 6) + "print(this.y);" + " }" * (_MAX_NEST + 6)
+    source = """
+        class _tBox {
+            public int x;
+            public void direct() { print(this.y); }
+            public void nested() { %s }
+        }
+        driver { print("made"); _tBox b = new _tBox(); b.%s(); }
+    """
+    assert run_fault(source % (nested, method)) == ("no such field 'y' on _tBox", ["made"])
 
 
 _PATHS = """

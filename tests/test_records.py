@@ -125,11 +125,14 @@ def test_frozen_records_refuse_assignment_and_hash_by_value(record):
 
 
 def test_hash_ignores_positions_and_is_computed_once():
+    # A type's hash is set as it is built; another frozen record's on its first use.
     t = NamedType("List", (NamedType("int"),), 4, 5)
-    assert hash(t) == hash(NamedType("List", (NamedType("int"),)))
-    assert t._hash == hash(t)  # kept after the first use
+    assert t._hash == hash(t) == hash(NamedType("List", (NamedType("int"),)))
+    assert TypeVar("T", 1, 2)._hash == hash(TypeVar("T"))
+    token = Token("IDENT", "x", 1, 1)
     with pytest.raises(AttributeError):
-        NamedType("int")._hash  # nothing is computed before it
+        token._hash  # nothing is computed before it
+    assert hash(token) == token._hash  # kept after the first use
 
 
 def test_mutable_records_are_unhashable():
