@@ -87,7 +87,7 @@ class _Violation(Exception):
 
 
 class ObjectInstance:  # not a Record: `==` on objects is identity, as in MiniOO
-    """The base of the Python class of each object layout (see `_object_class`),
+    """The base of the Python class of each object layout (see `_class_tables`),
     whose slots hold the fields, each under the prefix `f_`."""
 
     __slots__ = ("class_name", "obj_id", "vt")  # `vt` is its class's vtable
