@@ -15,7 +15,10 @@ Each method and constructor body becomes the source of one Python function
 `(rt, depth, this, *params)`, compiled the first time any run reaches it and
 kept in its tables; it is named after its declaration (`List.add`,
 `List.<init>`), so a profile tells the bodies apart.  MiniOO locals are
-Python locals; `==` and `!=` are Python's own (objects compare by identity).
+Python locals, each kept with its declared type.
+`==` and `!=` are Python's `is` and `is not` where an operand is `null`,
+`this`, a `new` or such a local, and Python's own elsewhere: in a unit that
+typechecks, such a value is an object or null, and those compare by identity.
 A call is one helper, which looks it up, counts the depth and draws a step
 (below).  The driver is emitted alike, as `<driver>`, in chunks of `_CHUNK`
 top-level statements; its common statements, a `new` or a call on a local
@@ -165,9 +168,9 @@ def _fail(message: str, *evaluated):  # a fault after the operands before it
     raise MiniOORuntimeError(message)
 
 
-def _print(rt: "Interpreter", value, lines: Optional[list] = None) -> None:  # to the output, or the trace
+def _print(rt: "Interpreter", value) -> None:
     line = stringify(value)
-    (rt.output if lines is None else lines).append(line)
+    rt.output.append(line)
     rt.combined.append(line)
 
 
@@ -212,6 +215,8 @@ _LIMIT = 40  # nesting of emitted text beyond which a value is spilled into a te
 _MAX_NEST, _MAX_LOOPS = 64, 18  # nested blocks and loops per function; CPython allows 99 and 19
 _CHUNK = 50  # top-level driver statements per emitted function
 _LITERALS = ("IntLit", "BoolLit", "StringLit", "NullLit")
+_IS = {"==": "is", "!=": "is not"}  # on an object or null, identity gives what `==` gives
+_REFS = ("NullLit", "ThisExpr", "NewObject")  # the expressions whose value is always an object or null
 
 
 def _is_bool(e) -> bool:  # whether `e`'s value is always a bool, so a condition needs no check
@@ -230,16 +235,23 @@ class _Emitter:
     def __init__(self, owner: Optional[ClassDecl], fields=()):
         self.owner, self.fields = owner, fields
         self.d = "" if owner is None else ", d"  # the depth argument: the driver's is the helpers' default
-        self.locals: dict[str, str] = {}  # MiniOO name -> Python text, for the names in scope
+        self.locals: dict[str, tuple] = {}  # MiniOO name -> (Python text, declared type), for the names in scope
         self.ntemps = self.nest = self.loops = 0
         self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path or a fault message
         self.open: dict = {}  # text of a read path -> its root, steps and mark, to read on from it
         self.out, self.lines = [], []  # the lines of the finished functions, of the one being emitted
         self.defs, self.boxed = [], owner is None  # its closures; whether it returns `(value,)`
 
-    def declare(self, name: str) -> str:  # a shadowed name is in `locals`, so its new number is higher
-        text = self.locals[name] = "%s_%d" % (name, len(self.locals))
+    def declare(self, name: str, t: TypeExpr) -> str:  # a shadowed name is in `locals`, so its new number is higher
+        text = "%s_%d" % (name, len(self.locals))
+        self.locals[name] = text, t
         return text
+
+    def local(self, name: str) -> Optional[str]:  # the Python text of a local in scope, or None
+        return self.locals.get(name, (None,))[0]
+
+    def texts(self) -> str:  # the Python names of the locals in scope
+        return ", ".join(text for text, _ in self.locals.values())
 
     def temp(self) -> str:
         self.ntemps += 1
@@ -298,7 +310,7 @@ class _Emitter:
         outer = self.lines, self.defs, self.nest, self.loops, self.boxed
         self.lines, self.defs, self.nest, self.loops, self.boxed = [], [], 0, 0, True
         self.stmt(s)
-        body = ["  nonlocal " + ", ".join(self.locals.values())] * bool(self.locals) + self.defs + self.lines
+        body = ["  nonlocal " + self.texts()] * bool(self.locals) + self.defs + self.lines
         self.lines, self.defs, self.nest, self.loops, self.boxed = outer
         self.defs += ["  def %s():" % (f := self.temp())] + [" " + text for text in body]
         self.line("if (%s := %s()) is not None:" % (r := self.temp(), f), " return " + r + "[0]" * (not self.boxed))
@@ -310,13 +322,13 @@ class _Emitter:
 
     def s_LocalDecl(self, s) -> None:
         init = repr(_zero_value(s.decl_type)) if s.init is None else self.quick(s.init) or self.values(s.init)[0]
-        self.line("%s = %s" % (self.declare(s.name), init))
+        self.line("%s = %s" % (self.declare(s.name, s.decl_type), init))
 
     def s_Assign(self, s) -> None:
         target, message = s.target, None
         name, obj = getattr(target, "name", None), getattr(target, "obj", ThisExpr())
         if isinstance(target, VarRead):
-            text = self.locals.get(name) or ("this.f_" + name if self.owner and name in self.fields else None)
+            text = self.local(name) or ("this.f_" + name if self.owner and name in self.fields else None)
             if text is not None:
                 return self.line("%s = %s" % (text, *self.values(s.value)))
             message = "unknown variable %r" % name  # unless a subclass's `this` has the field
@@ -387,7 +399,8 @@ class _Emitter:
             self.line(" raise _err('@trace target is not an object')")
             obj = t
         args = ", ".join(self.values(s.check_class, s.phase, s.method))
-        self.line("_print(rt, 'CHECK %%d %%s %%s %%s' %% (%s.obj_id, %s), rt.trace)" % (obj, args))
+        self.line("%s = 'CHECK %%d %%s %%s %%s' %% (%s.obj_id, %s)" % (t := self.temp(), obj, args))
+        self.line("rt.trace.append(%s)" % t, "rt.combined.append(%s)" % t)
         self.nest -= 1
 
     def s_ViolationStmt(self, s) -> None:
@@ -432,11 +445,11 @@ class _Emitter:
         if kind in ("FieldAccess", "ReflectGet"):
             return self.read((e.name, "reading") if kind == "FieldAccess" else (e.field_name, None), args[0])
         if kind == "Binary":
-            return self.binary(e.op, args)
+            return self.binary(e.op, args, self.refs(e))
         if kind == "Unary":
             o = e.operand
             if e.op == "!" and isinstance(o, Binary) and o.op in ("==", "!="):
-                return self.binary("!=" if o.op == "==" else "==", args)  # !(a == b) is a != b
+                return self.binary("!=" if o.op == "==" else "==", args, self.refs(o))  # !(a == b) is a != b
             (pre, text, prec, h, _), = args
             op, need = ("not ", _NOT) if e.op == "!" else ("-", _NEG)
             return self.done(list(pre), op + self.wrap(text, prec, need), need, h + 1)
@@ -452,7 +465,7 @@ class _Emitter:
 
     def leaf(self, e) -> Optional[str]:  # the text of a literal or a local, or None
         if (kind := type(e).__name__) == "VarRead":
-            return self.locals.get(e.name)
+            return self.local(e.name)
         if kind not in _LITERALS:
             return None
         text = ascii(v) if isinstance(v := getattr(e, "value", None), str) else repr(v)
@@ -517,7 +530,7 @@ class _Emitter:
         return self.apply("_fail(%s%s" % (ascii(message), ", " * bool(args)), args)
 
     def var(self, name: str) -> tuple:
-        if (text := self.locals.get(name)) is not None:
+        if (text := self.local(name)) is not None:
             return [], text, _ATOM, 1, True
         if self.owner is None:
             return self.fail("unknown variable %r" % name, [])
@@ -573,7 +586,16 @@ class _Emitter:
         this = "" if receiver else ", this" if n else "this"
         return self.apply(self.helper(n), args, "%s, %s%s)" % (this, key, self.d))
 
-    def binary(self, op: str, args: list) -> tuple:
+    def refs(self, e: Binary) -> bool:
+        """Whether `e` is `==` or `!=` with an operand that, in a unit that typechecks, is an
+        object or null: `null`, `this`, a `new`, or a local of class or interface type."""
+        for o in (e.left, e.right) if e.op in _IS else ():
+            t = self.locals.get(o.name, (None, None))[1] if isinstance(o, VarRead) else None
+            if type(o).__name__ in _REFS or isinstance(t, NamedType) and t.name not in _ZERO:
+                return True
+        return False
+
+    def binary(self, op: str, args: list, same: bool = False) -> tuple:  # `same`: `==`/`!=` as `is`/`is not`
         if op in ("&&", "||"):  # a bool; as a condition CPython compiles this to jumps alone
             (pre, a, ap, ah, _), b = args
             word, p = ("and", _AND) if op == "&&" else ("or", _OR)
@@ -586,7 +608,7 @@ class _Emitter:
         if p is None:
             return self.fail("unknown operator %r" % op, args)
         pre, ((a, ap, ah, _), (b, bp, bh, _)) = self.seq(args)
-        text = "%s %s %s" % (self.wrap(a, ap, p + (p == _CMP)), op, self.wrap(b, bp, p + 1))
+        text = "%s %s %s" % (self.wrap(a, ap, p + (p == _CMP)), _IS[op] if same else op, self.wrap(b, bp, p + 1))
         return self.done(pre, text, p, max(ah, bh) + 2)  # comparisons above must not chain
 
 
@@ -597,7 +619,7 @@ _COMPILED = DeclMemo()
 
 def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict, name: str) -> Callable:
     em = _Emitter(owner, layout)
-    params = [em.declare(p.name) for p in decl.params]
+    params = [em.declare(p.name, p.type) for p in decl.params]
     for s in decl.body:
         em.stmt(s)
     if isinstance(decl, MethodDecl) and decl.return_type is not None:
@@ -614,11 +636,11 @@ def _driver_code(driver: DriverBlock) -> list:
         return chunks
     body, em, chunks = driver.body, _Emitter(None), []
     for i in range(0, len(body), _CHUNK):
-        carried = ", ".join(em.locals.values())
+        carried = em.texts()
         for s in body[i:i + _CHUNK]:
             em.stmt(s)
         if em.locals and i + _CHUNK < len(body):
-            em.line("L[:] = %s," % ", ".join(em.locals.values()))
+            em.line("L[:] = %s," % em.texts())
         em.finish("def _f(rt, d, L):", ["%s, = L" % carried] if carried else [])
         chunks.append(em.build("<driver>"))
     _COMPILED.put(driver, chunks)
@@ -643,7 +665,9 @@ class _Body:
         return self.fn
 
 
-_Class = namedtuple("_Class", "parent layout vt ctor new")  # a class's runtime tables and objects' class
+# A class's runtime tables and objects' class; `parent` is its superclass's `_Class`,
+# or the name of a superclass the unit does not declare.
+_Class = namedtuple("_Class", "parent layout vt ctor new")
 
 
 def _class_tables(decl: ClassDecl, parent: Optional[_Class]) -> _Class:
@@ -673,7 +697,7 @@ def _class_tables(decl: ClassDecl, parent: Optional[_Class]) -> _Class:
     exec("\n".join(init), ns := {})
     slots = ["f_" + name for name in layout]
     new = type(decl.name, (ObjectInstance,), {"__slots__": slots, "__init__": ns["__init__"]})
-    made[key] = c = _Class(getattr(decl.super_class, "name", None), layout, vt, ctor, new)
+    made[key] = c = _Class(parent or getattr(decl.super_class, "name", None), layout, vt, ctor, new)
     return c
 
 
@@ -710,29 +734,29 @@ class Interpreter:
         self._next_id += 1
         c = self._class(class_name)
         obj = getattr(c, "new", ObjectInstance)(class_name, self._next_id, getattr(c, "vt", {}))
-        self.init(obj, class_name, args, d)
+        self.init(obj, c or class_name, args, d)
         return obj
 
-    def init(self, obj: ObjectInstance, class_name: Optional[str], args: list, d: int) -> None:
-        """Run the constructors of a new `class_name`, or those of `super(args)`:
-        the depth and the arities up the implicit `super()` chain are checked first."""
+    def init(self, obj: ObjectInstance, c: Union[_Class, str, None], args: list, d: int) -> None:
+        """Run the constructors of a new object of the class with tables `c`, or those of
+        `super(args)`, a class name: the depth and the arities up the implicit `super()`
+        chain are checked first."""
         if d >= MAX_CALL_DEPTH:
             raise MiniOORuntimeError(_TOO_DEEP)
         if next(self.ticks, 1):
             raise self.spent()
         bodies = []
-        while class_name is not None:
-            c = self._class(class_name)
-            if c is None:
-                raise MiniOORuntimeError("unknown class %r" % class_name)
+        while c is not None:
+            if isinstance(c, str) and (c := self._class(name := c)) is None:
+                raise MiniOORuntimeError("unknown class %r" % name)
             if (ctor := c.ctor) is not None:
                 if len(args) != ctor.arity:
                     message = "constructor of %s takes %d argument(s)"
-                    raise MiniOORuntimeError(message % (class_name, ctor.arity))
+                    raise MiniOORuntimeError(message % (c.new.__name__, ctor.arity))
                 bodies.append((ctor, args))
                 if ctor.chains:
                     break
-            class_name, args = c.parent, []
+            c, args = c.parent, []
         for m, argv in reversed(bodies):
             (m.fn or m.load())(self, d + 1, obj, *argv)
 
@@ -775,5 +799,7 @@ def run_program(unit: SourceUnit, check_trace: bool = False, max_steps: int = MA
     """Execute the unit's driver block in at most `max_steps` loop passes,
     calls and constructions.  Invariant violations stop execution and are
     returned in the result; runtime faults raise MiniOORuntimeError, whose
-    `result` holds the output produced before the fault."""
+    `result` holds the output produced before the fault.  The unit need not
+    typecheck (the CLI typechecks it first), but then a local of class type
+    that holds an int, bool or string compares by identity."""
     return Interpreter(unit, check_trace, max_steps).run()

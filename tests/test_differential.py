@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from invweave.interp import MAX_STEPS, Interpreter, MiniOORuntimeError, run_program
+from invweave.interp import MAX_STEPS, Interpreter, MiniOORuntimeError, _Emitter, run_program
 from invweave.parser import parse_unit
 from invweave.printer import render_source
 from invweave.syntax import merge_units
@@ -195,14 +195,13 @@ def test_recorded_runs_replay_identically():
 
 
 def _observe(unit) -> tuple:
-    """What a run records, and the steps of its budget it used."""
+    """What a run records, its fault's message, and the steps of its budget it used."""
     interp = Interpreter(unit, trace=True)
     try:
-        r = interp.run()
-        seen = (r.output, r.trace, r.combined, r.violation)
+        r, fault = interp.run(), None
     except MiniOORuntimeError as exc:
-        seen = str(exc)
-    return seen, MAX_STEPS - operator.length_hint(interp.ticks)
+        r, fault = exc.result, str(exc)
+    return (r.output, r.trace, r.combined, r.violation, fault), MAX_STEPS - operator.length_hint(interp.ticks)
 
 
 def test_gating_scripts_run_alike_on_cold_and_warm_memos():
@@ -218,6 +217,20 @@ def test_gating_scripts_run_alike_on_cold_and_warm_memos():
             cold = parse_unit(source)
             seen = [_observe(merge_units([base, parse_unit(text)])) for base in (cold, warm)]
             assert seen[0] == seen[1] and seen[0][1] > 0, (gname, k)
+
+
+def test_every_case_runs_alike_with_identity_comparisons_switched_off(monkeypatch):
+    # `==` and `!=` with an object or null operand are emitted as `is` and `is not`;
+    # with that rule off, every comparison is Python's `==`.  Each pass parses its
+    # own units, so neither runs code the other compiled.
+    rule, used = _Emitter.refs, []
+    monkeypatch.setattr(_Emitter, "refs", lambda em, e: used.append(rule(em, e)) or used[-1])
+    on = [(case_id, _observe(unit)) for case_id, unit in cases()]
+    monkeypatch.setattr(_Emitter, "refs", lambda em, e: False)
+    off = [(case_id, _observe(unit)) for case_id, unit in cases()]
+    assert sum(used) >= 20 and len(on) == len(off)
+    for a, b in zip(on, off):
+        assert a == b, a[0]
 
 
 @pytest.mark.parametrize("kind", ["violation", "error"])

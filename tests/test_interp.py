@@ -3,6 +3,7 @@
 import gc
 import operator
 import random
+import re
 import sys
 import weakref
 
@@ -18,6 +19,7 @@ from invweave.interp import (
     Interpreter,
     MiniOORuntimeError,
     _driver_code,
+    _Emitter,
     run_program,
 )
 from invweave.invspec import load_spec
@@ -407,6 +409,26 @@ def test_implicit_constructor_chain_order():
         run_src(source)
     assert str(exc.value) == "constructor of P takes 1 argument(s)"
     assert exc.value.result.output == ["A", "C", "D", "A", "C", "before"]
+
+
+def test_a_construction_looks_its_class_up_by_name_once(monkeypatch):
+    # The implicit chain above is walked through the tables; `super(...)` names its class.
+    names, lookup = [], Interpreter._class
+    monkeypatch.setattr(Interpreter, "_class", lambda rt, name: names.append(name) or lookup(rt, name))
+    source = """
+        class A { public A() { print("A"); } }
+        class B extends A { }
+        class C extends B { }
+        class D extends C { public D() { super(); print("D"); } }
+        driver { C c = new C(); D d = new D(); c = new C(); }
+    """
+    assert run_src(source).output == ["A", "A", "D", "A"]
+    assert names == ["C", "D", "C", "C"]
+
+
+@pytest.mark.parametrize("header", ["class B extends Ghost", "interface Ghost { } class B extends Ghost"])
+def test_a_superclass_the_unit_does_not_declare_is_an_unknown_class(header):
+    assert run_fault(header + " { } driver { print(1); B b = new B(); }") == ("unknown class 'Ghost'", ["1"])
 
 
 def test_inheritance_cycle_in_merged_unit_is_a_runtime_fault():
@@ -956,3 +978,106 @@ def test_every_corpus_program_runs_well_inside_the_default_budget():
         interp = Interpreter(unit, trace=True)
         interp.run()
         assert 0 < MAX_STEPS - operator.length_hint(interp.ticks) < MAX_STEPS // 1000
+
+
+# -- `==` and `!=` on objects: identity -------------------------------------------
+
+
+def _comparisons(monkeypatch, source: str, name: str = "<driver>") -> tuple:
+    """The Python comparison operators, in order, of the function emitted for
+    `name` when `source` runs, and that function's source."""
+    emitted, build = {}, _Emitter.build
+
+    def spy(em, fn_name):
+        emitted[fn_name] = "\n".join(em.out)
+        return build(em, fn_name)
+
+    monkeypatch.setattr(_Emitter, "build", spy)
+    run_src(source)
+    return re.findall(r" (is not|is|==|!=) ", emitted[name]), emitted[name]
+
+
+def test_comparisons_with_an_object_or_null_are_identity(monkeypatch):
+    source = """
+        interface I { }
+        class A implements I { }
+        driver {
+            A a = new A(); A b = a; I i = a; string s = "s";
+            print(a == b); print(a != null); print(null == s); print(new A() == a); print(i != a);
+            print(!(a == b)); print(!(i != null));
+        }
+    """
+    ops, _ = _comparisons(monkeypatch, source)
+    assert ops == ["is", "is not", "is", "is", "is not", "is not", "is"]
+
+
+def test_comparisons_of_values_field_reads_and_call_results_stay_equality(monkeypatch):
+    source = """
+        class A {
+            public A f;
+            public A me() { return this; }
+        }
+        class Box<T> {
+            public T v;
+            public bool m(T x, T y, A o, int k, bool b, string s) {
+                print(this == o); print(o != this); print(x == y); print(k == 1); print(b != true);
+                print(s == "q"); print(this.v == x); print(o.f == o.f); print(o.me() != o.me()); print(!(x == y));
+                return o == null;
+            }
+        }
+        driver { Box<int> b = new Box<int>(); A a = new A(); print(b.m(1, 1, a, 1, true, "q")); }
+    """
+    ops, _ = _comparisons(monkeypatch, source, "Box.m")
+    assert ops == ["is", "is not", "==", "==", "!=", "==", "==", "==", "!=", "!=", "is"]
+
+
+def test_a_sibling_block_that_redeclares_a_name_as_a_value_keeps_equality(monkeypatch):
+    # The siblings' `a` share one Python name; each block compares as its own `a` is declared.
+    source = """
+        class A { }
+        driver {
+            A o = new A();
+            if (true) { A a = new A(); print(a == o); }
+            if (true) { int a = 1; print(a == 1); }
+            if (true) { string a = "x"; print(a != "y"); }
+            if (true) { A a = o; print(a != o); }
+            print(o == o);
+        }
+    """
+    ops, text = _comparisons(monkeypatch, source)
+    assert ops == ["is", "==", "!=", "is not", "is"]
+    assert "a_1 is o_0" in text and "a_1 == 1" in text and "a_1 != 'y'" in text
+
+
+_VALUES = """
+    class A { }
+    class Box<T> {
+        public T v;
+        public Box(T v) { this.v = v; }
+        public bool same(T x) { return this.v == x; }
+        public bool holds(Box<T> o) { T mine = this.v; T theirs = o.v; return mine == theirs && !(mine != theirs); }
+        public bool empty() { T mine = this.v; return this.v == null && mine == null && !(mine != null); }
+    }
+    driver {
+        string p = "a";
+        string q = p + "b";
+        print(p + "b" == "ab"); print(q == "ab"); print(q != "ab"); print(!(q == "a" + "b"));
+        Box<string> s = new Box<string>(q);
+        print(s.same("a" + "b")); print(s.holds(new Box<string>("ab"))); print(s.empty());
+        Box<int> n = new Box<int>(1000 * 1000);
+        print(n.same(999999 + 1)); print(n.holds(new Box<int>(2000000 / 2))); print(n.same(7));
+        Box<A> a = new Box<A>(null);
+        print(a.empty()); print(new Box<A>(new A()).empty()); print(s.empty() || new Box<string>("").empty());
+    }
+"""
+
+
+def test_values_built_at_run_time_compare_by_value():
+    unit = parse_unit(_VALUES)
+    assert typecheck_program(unit) == []
+    assert run_program(unit).output == [
+        "true", "true", "false", "false",
+        "true", "true", "false",
+        "true", "true", "false",
+        "true", "false", "false",
+    ]
