@@ -19,19 +19,23 @@ Python locals, each kept with its declared type.
 `==` and `!=` are Python's `is` and `is not` where an operand is `null`,
 `this`, a `new` or such a local, and Python's own elsewhere: in a unit that
 typechecks, such a value is an object or null, and those compare by identity.
-A call is one helper, which looks it up, counts the depth and draws a step
-(below).  The driver is emitted alike, as `<driver>`, in chunks of `_CHUNK`
-top-level statements; its common statements, a `new` or a call on a local
-with literal arguments, are written out directly, and its depth, always 0,
-is the helpers' default.
+A call is one Python call through the receiver's vtable,
+`o.vt['size/0'].fn(rt, d + 1, o)`; its arguments and receiver are put in
+names first, unless literals, as MiniOO evaluates them before the lookup.
+Each method body starts by checking its depth and drawing a step (below).
+The driver is emitted alike, as `<driver>`, in chunks of `_CHUNK` top-level
+statements, but it runs once, so its calls go through shorter helpers that
+look up and call; its common statements, a `new` or a call on a local with
+literal arguments, are written out directly.
 
 A read path (`n.next.prev`) is plain attribute loads (`n.f_next.f_prev`), and
 a field write one store; fields every `this` has are read and written with no
 check at all.  When one raises AttributeError, the function's handler finds
 the path from the position of the instruction that raised and walks it again
 from its root value: faults and messages are those of reading one step at a
-time.  Deep expressions are spilled into temporaries in evaluation order, and
-deeply nested statements into closures.
+time.  A call that finds no method raises AttributeError or KeyError there,
+and is told the same way.  Deep expressions are spilled into temporaries in
+evaluation order, and deeply nested statements into closures.
 
 A run has a budget of steps, one shared iterator: each `while` loop draws a
 step per pass, as does each call and construction, and a run that needs more
@@ -137,9 +141,10 @@ def _field_fault(obj, name: str, verb: Optional[str] = "reading") -> MiniOORunti
     return MiniOORuntimeError(message)
 
 
-def _read_fault(exc: AttributeError, sites: dict) -> Exception:
-    """The fault for an AttributeError raised in emitted code: `sites` maps the position of each
-    read path and field write to a message, or to its root's name and its (name, verb) steps."""
+def _read_fault(exc: Exception, sites: dict) -> Exception:
+    """The fault for an AttributeError or KeyError raised in emitted code: `sites` maps the position
+    of each read path, field write and call to a message, or to its root's text and its (name, verb)
+    steps, or to its receiver's text and key (for a super call, its superclass's vtable's, key and where)."""
     tb = exc.__traceback__
     while tb.tb_next is not None:  # into the closures that hold deeply nested statements
         if tb.tb_next.tb_frame.f_code not in tb.tb_frame.f_code.co_consts:
@@ -150,6 +155,8 @@ def _read_fault(exc: AttributeError, sites: dict) -> Exception:
     if not isinstance(site, tuple):
         return site if site is exc else MiniOORuntimeError(site)
     o = eval(site[0], {}, tb.tb_frame.f_locals)
+    if isinstance(site[1], str):
+        return _no_method(site[1], o, *site[2:])
     for name, verb in site[1]:
         if not isinstance(o, ObjectInstance) or not hasattr(o, "f_" + name):
             return _field_fault(o, name, verb)
@@ -174,32 +181,28 @@ def _print(rt: "Interpreter", value) -> None:
     rt.combined.append(line)
 
 
-def _no_method(key: str, o, vt: Optional[dict] = None, where: str = "") -> MiniOORuntimeError:
-    """Why `key` (`name/arity`) is not in `o`'s vtable, or in `vt` (of a superclass)."""
+def _no_method(key: str, o, where: Optional[str] = None) -> MiniOORuntimeError:
+    """Why `key` (`name/arity`) is not in `o`'s vtable or, given `where`, in `o`, a superclass's vtable."""
     name = key.rpartition("/")[0]
-    if vt is None:
+    if where is None:
         if not isinstance(o, ObjectInstance):
             message = "null dereference calling %r" % name if o is None else "%r has no methods" % (o,)
             return MiniOORuntimeError(message)
-        vt, where = o.vt, "on " + o.class_name
-    if (m := vt.get(name)) is None:
+        o, where = o.vt, "on " + o.class_name
+    if (m := o.get(name)) is None:
         return MiniOORuntimeError("no implementation of %r %s" % (name, where))
     return MiniOORuntimeError("%s takes %d argument(s)" % (m.name, m.arity))
 
 
-# The call helper of emitted code for each arity, made when first needed.  The arguments
-# come before the receiver, as MiniOO evaluates them; the driver's depth is the default.
+# The driver's call helper for each arity, made when first needed.  The arguments
+# come before the receiver, as MiniOO evaluates them.
 _CALL = """\
-def _call{n}(rt, {a}o, key, d=0, vt=None, where=""):
+def _call{n}(rt, {a}o, key):
     try:
-        m = (o.vt if vt is None else vt)[key]
+        m = o.vt[key]
     except (AttributeError, KeyError):
-        raise _no_method(key, o, vt, where) from None
-    if d >= MAX_CALL_DEPTH:
-        raise _err(_TOO_DEEP)
-    if next(rt.ticks, 1):
-        raise rt.spent()
-    return (m.fn or m.load())(rt, d + 1, o, {a})
+        raise _no_method(key, o) from None
+    return m.fn(rt, 1, o, {a})
 """
 _NS: dict = {  # the globals of emitted code
     "_err": MiniOORuntimeError, "_Obj": ObjectInstance, "_Violation": _Violation, "_VR": ViolationRecord,
@@ -234,10 +237,10 @@ class _Emitter:
 
     def __init__(self, owner: Optional[ClassDecl], fields=()):
         self.owner, self.fields = owner, fields
-        self.d = "" if owner is None else ", d"  # the depth argument: the driver's is the helpers' default
+        self.d = "" if owner is None else ", d"  # the depth argument: the driver passes none
         self.locals: dict[str, tuple] = {}  # MiniOO name -> (Python text, declared type), for the names in scope
         self.ntemps = self.nest = self.loops = 0
-        self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path or a fault message
+        self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path, a call or a fault message
         self.open: dict = {}  # text of a read path -> its root, steps and mark, to read on from it
         self.out, self.lines = [], []  # the lines of the finished functions, of the one being emitted
         self.defs, self.boxed = [], owner is None  # its closures; whether it returns `(value,)`
@@ -276,7 +279,7 @@ class _Emitter:
             lines.append(text)
         if marks:  # lines[0] comes after the head and `try:`
             sites = {(len(self.out) + 3 + i, col): site for i, col, site in marks}
-            lines = [" try:", *lines, " except AttributeError as e:"]
+            lines = [" try:", *lines, " except (AttributeError, KeyError) as e:"]
             lines.append("  raise _read_fault(e, %r) from None" % sites)
         self.out += [head] + lines
         self.lines, self.defs = [], []
@@ -473,15 +476,14 @@ class _Emitter:
 
     def quick(self, e) -> Optional[str]:
         """The text of a `new`, or of a call on a local, whose arguments are literals or
-        locals: the common statements, emitted as `node` would but with no fragments."""
+        locals: the common statements, emitted as `node` would but without walking the operands."""
         kind = type(e).__name__
         if kind == "MethodCall" and type(e.receiver).__name__ == "VarRead":
             texts = [self.leaf(a) for a in (*e.args, e.receiver)]
-            head, tail = self.helper(len(e.args)), ", %s%s)" % (ascii("%s/%d" % (e.name, len(e.args))), self.d)
-        elif kind == "NewObject":
-            texts, (head, tail) = [self.leaf(a) for a in e.args], self.new(e)
-        else:
+            return None if None in texts else self.call(e, [([], t, _ATOM, 1, True) for t in texts])[1]
+        if kind != "NewObject":
             return None
+        texts, (head, tail) = [self.leaf(a) for a in e.args], self.new(e)
         return None if None in texts else head + ", ".join(texts) + tail  # type: ignore[operator]
 
     @staticmethod
@@ -494,9 +496,11 @@ class _Emitter:
 
     def done(self, pre: list, text: str, prec: int, h: int, stable: bool = False) -> tuple:
         if h > _LIMIT:  # too deep for CPython: the value goes to a temporary
-            pre.append((t := self.temp(), text, h))
-            return pre, t, _ATOM, 1, True
+            return self.spill(pre, text, h)
         return pre, text, prec, h, stable
+
+    def spill(self, pre: list, text: str, h: int) -> tuple:  # the value of `text` in a temporary
+        return [*pre, (t := self.temp(), text, h)], t, _ATOM, 1, True
 
     def seq(self, frags: list) -> tuple:
         """The spills and (text, prec, height, stable) of `frags` evaluated in order:
@@ -565,26 +569,29 @@ class _Emitter:
             return "_new(rt, %s, [" % ascii(e.type.name), "]%s)" % self.d
         return "_new(rt, %s%s" % (ascii(e.type.name), ", (), d" * bool(self.d)), ")"
 
-    @staticmethod
-    def helper(n: int) -> str:  # the head of a call with `n` arguments
-        if "_call%d" % n not in _NS:
-            exec(_CALL.format(n=n, a="".join("a%d, " % i for i in range(n))), _NS)
-        return "_call%d(rt, " % n
-
     def call(self, e, args: list) -> tuple:
         n, owner, receiver = len(e.args), self.owner, e.receiver
-        key = ascii("%s/%d" % (e.name, n))
+        key = "%s/%d" % (e.name, n)
         if isinstance(receiver, SuperExpr):
             if owner is None or owner.super_class is None:
                 where = "no superclass for %s" % owner.name if owner else "super call outside a method"
                 return self.fail(where, args)
-            parent = "getattr(rt._classes.get(%s), 'vt', {})" % ascii(owner.super_class.name)
-            tail = "this, %s, d, %s, 'above %s')" % (key, parent, owner.name)
-            return self.apply(self.helper(n), args, ", " * bool(n) + tail)
-        if receiver is None and owner is None:
+        elif receiver is None and owner is None:
             return self.fail("call of %r outside a class" % e.name, args)
-        this = "" if receiver else ", this" if n else "this"
-        return self.apply(self.helper(n), args, "%s, %s%s)" % (this, key, self.d))
+        if owner is None:  # the driver runs once, and a helper's shorter text compiles faster
+            if "_call%d" % n not in _NS:
+                exec(_CALL.format(n=n, a="".join("a%d, " % i for i in range(n))), _NS)
+            return self.apply("_call%d(rt, " % n, args, ", %s)" % ascii(key))
+        # Python looks the method up before it evaluates the arguments: they and the receiver go first
+        args = [f if f[4] and (i < n or self.named(f[1])) else self.spill(f[0], f[1], f[3]) for i, f in enumerate(args)]
+        pre, frags = self.seq(args)
+        *texts, o = [f[0] for f in frags] + ["this"] * (len(frags) == n)
+        head, site = o, (o, key)
+        if isinstance(receiver, SuperExpr):  # `this` was made, so the superclass has its tables
+            head = "rt._classes[%s]" % ascii(owner.super_class.name)
+            site = head + ".vt", key, "above " + owner.name
+        text = "%s.vt[%s].fn(rt, d + 1, %s)" % (head, ascii(key), ", ".join([o, *texts]))
+        return pre, self.site(site) + text, _ATOM, 4, False
 
     def refs(self, e: Binary) -> bool:
         """Whether `e` is `==` or `!=` with an operand that, in a unit that typechecks, is an
@@ -618,13 +625,16 @@ _COMPILED = DeclMemo()
 
 
 def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict, name: str) -> Callable:
+    """A method's function starts by checking its depth and drawing a step, as `Interpreter.init`
+    does for each construction."""
     em = _Emitter(owner, layout)
     params = [em.declare(p.name, p.type) for p in decl.params]
     for s in decl.body:
         em.stmt(s)
     if isinstance(decl, MethodDecl) and decl.return_type is not None:
         em.line("raise _err(%s)" % ascii("%s.%s finished without returning a value" % (owner.name, decl.name)))
-    em.finish("def _f(%s):" % ", ".join(["rt", "d", "this"] + params), [])
+    prologue = ["if d > MAX_CALL_DEPTH: raise _err(_TOO_DEEP)", "if next(rt.ticks, 1): raise rt.spent()"]
+    em.finish("def _f(%s):" % ", ".join(["rt", "d", "this"] + params), prologue * isinstance(decl, MethodDecl))
     return em.build(name)
 
 
@@ -641,7 +651,7 @@ def _driver_code(driver: DriverBlock) -> list:
             em.stmt(s)
         if em.locals and i + _CHUNK < len(body):
             em.line("L[:] = %s," % em.texts())
-        em.finish("def _f(rt, d, L):", ["%s, = L" % carried] if carried else [])
+        em.finish("def _f(rt, L):", ["%s, = L" % carried] if carried else [])
         chunks.append(em.build("<driver>"))
     _COMPILED.put(driver, chunks)
     return chunks
@@ -649,20 +659,22 @@ def _driver_code(driver: DriverBlock) -> list:
 
 class _Body:
     """A method or constructor of a class's runtime tables, named `Class.method` or
-    `Class.<init>`; `fn(rt, depth, this, *args)` runs it, compiled on the first call
-    of any run.  It holds its declarations weakly: its tables are kept with one."""
+    `Class.<init>`; `fn(rt, depth, this, *args)` runs it.  `fn` is `load` until the
+    first call of any run compiles it.  It holds its declarations weakly: its tables
+    are kept with one."""
 
     __slots__ = ("name", "arity", "chains", "fn", "source")
 
     def __init__(self, owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict):
-        self.name, self.arity, self.fn = "%s.%s" % (owner.name, getattr(decl, "name", "<init>")), len(decl.params), None
+        self.name, self.arity = "%s.%s" % (owner.name, getattr(decl, "name", "<init>")), len(decl.params)
+        self.fn = self.load
         self.chains = bool(decl.body) and isinstance(decl.body[0], SuperCall)  # a constructor's own `super(...)`
         self.source = weakref.ref(owner), weakref.ref(decl), layout
 
-    def load(self) -> Callable:
+    def load(self, *args):
         owner, decl, layout = self.source
         self.fn = _compile_body(owner(), decl(), layout, self.name)
-        return self.fn
+        return self.fn(*args)
 
 
 # A class's runtime tables and objects' class; `parent` is its superclass's `_Class`,
@@ -758,7 +770,7 @@ class Interpreter:
                     break
             c, args = c.parent, []
         for m, argv in reversed(bodies):
-            (m.fn or m.load())(self, d + 1, obj, *argv)
+            m.fn(self, d + 1, obj, *argv)
 
     def spent(self) -> MiniOORuntimeError:
         return MiniOORuntimeError("run used up its budget of %d steps" % self.max_steps)
@@ -768,11 +780,12 @@ class Interpreter:
         return one.get(class_name) or one.setdefault(class_name, self.construct(class_name, [], d))
 
     def dispatch_call(self, receiver: ObjectInstance, name: str, args: list):
-        """Execute the most-derived override of `name` on the receiver."""
+        """Execute the most-derived override of `name` on the receiver, at depth 0; like
+        any call, it draws one step."""
         key = "%s/%d" % (name, len(args))
-        if (m := getattr(self._class(receiver.class_name), "vt", {}).get(key)) is None:
+        if (m := receiver.vt.get(key)) is None:
             raise _no_method(key, receiver)
-        return (m.fn or m.load())(self, 0, receiver, *args)
+        return m.fn(self, 0, receiver, *args)
 
     def run(self) -> ExecutionResult:
         if self.unit.driver is None:
@@ -781,7 +794,7 @@ class Interpreter:
         try:
             carried: list = []
             for chunk in _driver_code(self.unit.driver):
-                if chunk(self, 0, carried) is not None:  # a `return` ended the driver
+                if chunk(self, carried) is not None:  # a `return` ended the driver
                     break
         except _Violation as v:
             violation = v.record

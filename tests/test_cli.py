@@ -337,6 +337,23 @@ def test_run_checked_list_stops_at_the_same_step_every_time(tmp_path, capsys):
     assert runs[0] == runs[1] == runs[2]
     assert runs[0].err == "runtime fault: run used up its budget of 200 steps\n"
     assert runs[0].out and full.startswith(runs[0].out) and len(runs[0].out) < len(full)
+    assert len(runs[0].out.splitlines()) == 14  # the step the budget runs out at
+
+
+@pytest.mark.parametrize(
+    "steps, out",
+    [("3", "1\n"), ("7", "1\n2\n2\n1\n0\n2\n")],  # the 4th step is a call, the 8th a construction
+)
+def test_run_max_steps_runs_out_on_a_call_or_a_construction(tmp_path, capsys, steps, out):
+    src = tmp_path / "steps.moo"
+    src.write_text(
+        "class D { public int down(int n) { if (n == 0) { return 0; } return this.down(n - 1) + 1; } }\n"
+        "class C { public C c; public C(int n) { print(n); if (n > 0) { this.c = new C(n - 1); } } }\n"
+        "class E extends C { public E() { super(1); print(9); } }\n"
+        "driver { print(1); D d = new D(); print(d.down(2)); C c = new C(2); print(2); E e = new E(); }\n"
+    )
+    assert main(["run", "--max-steps", steps, str(src)]) == 1
+    assert capsys.readouterr() == (out, "runtime fault: run used up its budget of %s steps\n" % steps)
 
 
 @pytest.mark.parametrize("steps", ["-1", "many", "1.5", "\u0664"])

@@ -10,6 +10,7 @@ import weakref
 import pytest
 
 from invweave.interp import (
+    _CALL,
     _CHUNK,
     _COMPILED,
     _MAX_LOOPS,
@@ -849,6 +850,136 @@ def test_receiver_path_faults_after_an_argument_that_prints():
     assert run_fault(_PATHS + driver) == ("null dereference calling 'get'", ["said"])
 
 
+_CALLS = """
+    class A {
+        public A next;
+        public int f(int k) { return k; }
+        public int g() { return 1; }
+        public int say() { print("said"); return 2; }
+    }
+    class B extends A {
+        public int go(A a, A n, int i) { %s return 0; }
+    }
+    driver { A a = new A(); A n = null; int i = 3; print("go"); B b = new B(); b.go(a, n, i); %s }
+"""
+
+
+@pytest.mark.parametrize("where", ["driver", "method", "nested"])
+@pytest.mark.parametrize(
+    "call, message, in_driver",
+    [
+        ("n.g()", "null dereference calling 'g'", None),
+        ("i.g()", "3 has no methods", None),  # the unit does not typecheck
+        ('"s".g()', "'s' has no methods", None),
+        ("null.g()", "null dereference calling 'g'", None),
+        ("a.zz()", "no implementation of 'zz' on A", None),
+        ("a.f()", "A.f takes 1 argument(s)", None),
+        ("a.next.g()", "null dereference calling 'g'", None),
+        ("n.next.g()", "null dereference reading 'next'", None),
+        # the arguments run before the receiver is looked up
+        ("n.f(a.say())", "null dereference calling 'f'", None),
+        ("a.next.f(a.say())", "null dereference calling 'f'", None),
+        ("n.f(n.next.g())", "null dereference reading 'next'", None),
+        ("n.f(a.next.g())", "null dereference calling 'g'", None),
+        ("n.f(a.say() + i.g())", "3 has no methods", None),
+        ("zz()", "no implementation of 'zz' on B", "call of 'zz' outside a class"),
+        ("super.zz()", "no implementation of 'zz' above B", "super call outside a method"),
+        ("super.f(a.say())", None, "super call outside a method"),
+        ("super.f()", "A.f takes 1 argument(s)", "super call outside a method"),
+        ("super.go(a, n, i)", "no implementation of 'go' above B", "super call outside a method"),
+    ],
+)
+def test_call_faults(where, call, message, in_driver):
+    # A body is emitted deeper than one Python function allows for "nested", so its call sits in a closure.
+    stmt = "print(%s);" % call
+    if where == "nested":
+        stmt = "if (true) { " * (_MAX_NEST + 2) + stmt + " }" * (_MAX_NEST + 2)
+    source = _CALLS % ((stmt, "") if where != "driver" else ("", stmt))
+    message = in_driver or message if where == "driver" else message
+    printed = ["go"] + ["said"] * ("say" in call)
+    if message is None:
+        assert run_src(source).output == printed + ["2"]
+    else:
+        assert run_fault(source) == (message, printed)
+
+
+def _emitted(monkeypatch, source: str) -> dict:
+    """The source of each function emitted when `source` runs, by name."""
+    emitted, build = {}, _Emitter.build
+
+    def spy(em, fn_name):
+        emitted[fn_name] = "\n".join(em.out)
+        return build(em, fn_name)
+
+    monkeypatch.setattr(_Emitter, "build", spy)
+    run_src(source)
+    return emitted
+
+
+def test_bodies_call_through_the_vtable_and_the_driver_through_helpers(monkeypatch):
+    source = _DOWN + """
+        class C extends D { public C(D o) { super(); print(o.down(1)); print(this.down(0)); } }
+        driver { D d = new D(); print(d.down(2)); C c = new C(d); print(c.down(1) + 1); }
+    """
+    emitted = _emitted(monkeypatch, source)
+    method, ctor, driver = emitted["D.down"], emitted["C.<init>"], emitted["<driver>"]
+    assert "_call" not in method + ctor
+    assert "this.vt['down/1'].fn(rt, d + 1, this, " in method
+    assert "o_0.vt['down/1'].fn(rt, d + 1, o_0, 1)" in ctor
+    # a method starts by checking its depth and drawing a step; `Interpreter.init` does both for a constructor
+    prologue = ["if d > MAX_CALL_DEPTH: raise _err(_TOO_DEEP)", "if next(rt.ticks, 1): raise rt.spent()"]
+    assert [line.strip() for line in method.splitlines()[2:4]] == prologue
+    assert not any(line in ctor for line in prologue) and "rt.ticks" not in ctor
+    assert "_call1(rt, 2, d_0, 'down/1')" in driver and ".vt[" not in driver
+    assert _CALL.splitlines()[0] == "def _call{n}(rt, {a}o, key):"
+
+
+@pytest.mark.parametrize("call", ["this.down(n - 1)", "down(n - 1)", "this.me().down(n - 1)"])
+def test_call_depth_limit_is_the_same_for_every_form_of_call(call):
+    source = "class D { public D me() { return this; } public int down(int n) { if (n == 0) { return 0; } return %s + 1; } }\n"
+    source %= call
+    limit = MAX_CALL_DEPTH
+    assert run_src(source + "driver { D d = new D(); print(d.down(%d)); }" % (limit - 1)).output == [str(limit - 1)]
+    assert run_fault(source + 'driver { print("b"); D d = new D(); print(d.down(%d)); }' % limit) == (
+        "MiniOO calls nested too deeply",
+        ["b"],
+    )
+
+
+def test_dispatch_call_runs_at_depth_zero_and_draws_a_step_like_any_call():
+    interp = Interpreter(parse_unit(_DOWN + "driver { }"), max_steps=7)
+    d = interp.construct("D")  # one step
+    assert interp.dispatch_call(d, "down", [3]) == 3  # four calls, four steps
+    assert operator.length_hint(interp.ticks) == 2
+    assert interp.dispatch_call(d, "down", [0]) == 0
+    assert interp.dispatch_call(d, "down", [0]) == 0
+    with pytest.raises(MiniOORuntimeError, match="^run used up its budget of 7 steps$"):
+        interp.dispatch_call(d, "down", [0])
+    # Depth 0 is below the driver's calls: down(n) from here nests n calls on top.
+    interp = Interpreter(parse_unit(_DOWN + "driver { }"))
+    d = interp.construct("D")
+    assert interp.dispatch_call(d, "down", [MAX_CALL_DEPTH]) == MAX_CALL_DEPTH
+    with pytest.raises(MiniOORuntimeError, match="^MiniOO calls nested too deeply$"):
+        interp.dispatch_call(d, "down", [MAX_CALL_DEPTH + 1])
+
+
+_STEPS = """
+    class D { public int down(int n) { if (n == 0) { return 0; } return this.down(n - 1) + 1; } }
+    class C { public C c; public C(int n) { print(n); if (n > 0) { this.c = new C(n - 1); } } }
+    class E extends C { public E() { super(1); print(9); } }
+    driver { print(1); D d = new D(); print(d.down(2)); C c = new C(2); print(2); E e = new E(); print(d.down(1)); }
+"""
+
+
+def test_a_run_stops_at_the_same_step_on_a_call_or_a_construction():
+    # The steps: new D; down(2), down(1), down(0); new C(2), C(1), C(0); new E, its C(1), C(0); down(1), down(0).
+    for budget, printed in enumerate([1, 1, 1, 1, 2, 3, 4, 6, 6, 7, 9, 9]):
+        with pytest.raises(MiniOORuntimeError) as exc:
+            run_program(parse_unit(_STEPS), max_steps=budget)
+        assert (str(exc.value), len(exc.value.result.output)) == ("run used up its budget of %d steps" % budget, printed)
+    assert run_program(parse_unit(_STEPS), max_steps=12).output == ["1", "2", "2", "1", "0", "2", "1", "0", "9", "1"]
+
+
 def test_driver_of_several_chunks_reads_locals_across_them():
     # Locals declared in the first chunk are read and written in later ones.
     body = ['int a = 1;', 'string s = "x";', "N n = new N();"]
@@ -986,14 +1117,7 @@ def test_every_corpus_program_runs_well_inside_the_default_budget():
 def _comparisons(monkeypatch, source: str, name: str = "<driver>") -> tuple:
     """The Python comparison operators, in order, of the function emitted for
     `name` when `source` runs, and that function's source."""
-    emitted, build = {}, _Emitter.build
-
-    def spy(em, fn_name):
-        emitted[fn_name] = "\n".join(em.out)
-        return build(em, fn_name)
-
-    monkeypatch.setattr(_Emitter, "build", spy)
-    run_src(source)
+    emitted = _emitted(monkeypatch, source)
     return re.findall(r" (is not|is|==|!=) ", emitted[name]), emitted[name]
 
 
