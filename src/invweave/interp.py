@@ -23,10 +23,10 @@ A call is one Python call through the receiver's vtable,
 `o.vt['size/0'].fn(rt, d + 1, o)`; its arguments and receiver are put in
 names first, unless literals, as MiniOO evaluates them before the lookup.
 Each method body starts by checking its depth and drawing a step (below).
-The driver is emitted alike, as `<driver>`, in chunks of `_CHUNK` top-level
-statements, but it runs once, so its calls go through shorter helpers that
-look up and call; its common statements, a `new` or a call on a local with
-literal arguments, are written out directly.
+The driver runs once, so its simple statements (`_op`) are not compiled: each
+is one op, five plain values in a table that `Interpreter.run` walks.  The
+others are emitted as bodies are, as `<driver>` at depth 0, at most `_CHUNK`
+in a row to one function; ops and functions share the driver's locals.
 
 A read path (`n.next.prev`) is plain attribute loads (`n.f_next.f_prev`), and
 a field write one store; fields every `this` has are read and written with no
@@ -56,9 +56,9 @@ from collections import namedtuple
 from typing import Callable, Optional, Union
 
 from .syntax import (
-    Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, Frozen, IfStmt, MethodDecl,
-    NamedType, Record, ReflectGet, SourceUnit, SuperCall, SuperExpr, ThisExpr, TypeExpr, Unary, VarRead,
-    WhileStmt, set_field,
+    Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, Frozen, IfStmt, LocalDecl,
+    MethodCall, MethodDecl, NamedType, NewObject, Record, ReflectGet, SourceUnit, SuperCall, SuperExpr, ThisExpr,
+    TypeExpr, Unary, VarRead, WhileStmt, set_field,
 )
 
 # Calls and constructions nested deeper are a runtime fault, well before Python's frame limit.
@@ -194,16 +194,6 @@ def _no_method(key: str, o, where: Optional[str] = None) -> MiniOORuntimeError:
     return MiniOORuntimeError("%s takes %d argument(s)" % (m.name, m.arity))
 
 
-# The driver's call helper for each arity, made when first needed.  The arguments
-# come before the receiver, as MiniOO evaluates them.
-_CALL = """\
-def _call{n}(rt, {a}o, key):
-    try:
-        m = o.vt[key]
-    except (AttributeError, KeyError):
-        raise _no_method(key, o) from None
-    return m.fn(rt, 1, o, {a})
-"""
 _NS: dict = {  # the globals of emitted code
     "_err": MiniOORuntimeError, "_Obj": ObjectInstance, "_Violation": _Violation, "_VR": ViolationRecord,
     "_div": _divide, "_fail": _fail, "_print": _print, "_read_fault": _read_fault, "_no_method": _no_method,
@@ -216,7 +206,7 @@ _OR, _AND, _NOT, _CMP, _ADD, _MUL, _NEG, _ATOM = range(1, 9)
 _PREC = {"==": _CMP, "!=": _CMP, "<": _CMP, "<=": _CMP, ">": _CMP, ">=": _CMP, "+": _ADD, "-": _ADD, "*": _MUL}
 _LIMIT = 40  # nesting of emitted text beyond which a value is spilled into a temporary
 _MAX_NEST, _MAX_LOOPS = 64, 18  # nested blocks and loops per function; CPython allows 99 and 19
-_CHUNK = 50  # top-level driver statements per emitted function
+_CHUNK = 50  # compiled top-level driver statements in a row per emitted function
 _LITERALS = ("IntLit", "BoolLit", "StringLit", "NullLit")
 _IS = {"==": "is", "!=": "is not"}  # on an object or null, identity gives what `==` gives
 _REFS = ("NullLit", "ThisExpr", "NewObject")  # the expressions whose value is always an object or null
@@ -237,7 +227,6 @@ class _Emitter:
 
     def __init__(self, owner: Optional[ClassDecl], fields=()):
         self.owner, self.fields = owner, fields
-        self.d = "" if owner is None else ", d"  # the depth argument: the driver passes none
         self.locals: dict[str, tuple] = {}  # MiniOO name -> (Python text, declared type), for the names in scope
         self.ntemps = self.nest = self.loops = 0
         self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path, a call or a fault message
@@ -324,7 +313,7 @@ class _Emitter:
         return [f[0] for f in frags]
 
     def s_LocalDecl(self, s) -> None:
-        init = repr(_zero_value(s.decl_type)) if s.init is None else self.quick(s.init) or self.values(s.init)[0]
+        init = repr(_zero_value(s.decl_type)) if s.init is None else self.values(s.init)[0]
         self.line("%s = %s" % (self.declare(s.name, s.decl_type), init))
 
     def s_Assign(self, s) -> None:
@@ -381,7 +370,7 @@ class _Emitter:
         self.line("return (%s,)" % v if self.boxed else "return " + v)
 
     def s_ExprStmt(self, s) -> None:
-        self.line(self.quick(s.expr) or self.values(s.expr)[0])
+        self.line(self.values(s.expr)[0])
 
     def s_PrintStmt(self, s) -> None:
         self.line("_print(rt, %s)" % tuple(self.values(s.value)))
@@ -444,7 +433,8 @@ class _Emitter:
         if kind == "MethodCall":
             return self.call(e, args)
         if kind in _LITERALS:
-            return [], self.leaf(e), _ATOM, 1, True
+            text = ascii(v) if isinstance(v := getattr(e, "value", None), str) else repr(v)
+            return [], "(%s)" % text if text[0] == "-" else text, _ATOM, 1, True
         if kind in ("FieldAccess", "ReflectGet"):
             return self.read((e.name, "reading") if kind == "FieldAccess" else (e.field_name, None), args[0])
         if kind == "Binary":
@@ -462,29 +452,9 @@ class _Emitter:
         if kind == "ThisExpr" and self.owner is not None:
             return [], "this", _ATOM, 1, True
         if kind == "SingletonRef":
-            return [], "rt.singleton(%s%s)" % (ascii(e.class_name), self.d), _ATOM, 1, False
+            return [], "rt.singleton(%s, d)" % ascii(e.class_name), _ATOM, 1, False
         messages = {"ThisExpr": "this outside a method", "SuperExpr": "super outside a call"}
         return self.fail(messages.get(kind, "unknown expression %r" % kind), [])
-
-    def leaf(self, e) -> Optional[str]:  # the text of a literal or a local, or None
-        if (kind := type(e).__name__) == "VarRead":
-            return self.local(e.name)
-        if kind not in _LITERALS:
-            return None
-        text = ascii(v) if isinstance(v := getattr(e, "value", None), str) else repr(v)
-        return "(%s)" % text if text[0] == "-" else text
-
-    def quick(self, e) -> Optional[str]:
-        """The text of a `new`, or of a call on a local, whose arguments are literals or
-        locals: the common statements, emitted as `node` would but without walking the operands."""
-        kind = type(e).__name__
-        if kind == "MethodCall" and type(e.receiver).__name__ == "VarRead":
-            texts = [self.leaf(a) for a in (*e.args, e.receiver)]
-            return None if None in texts else self.call(e, [([], t, _ATOM, 1, True) for t in texts])[1]
-        if kind != "NewObject":
-            return None
-        texts, (head, tail) = [self.leaf(a) for a in e.args], self.new(e)
-        return None if None in texts else head + ", ".join(texts) + tail  # type: ignore[operator]
 
     @staticmethod
     def wrap(text: str, prec: int, need: int) -> str:
@@ -566,8 +536,8 @@ class _Emitter:
 
     def new(self, e) -> tuple:  # the text of a `new` before and after its arguments
         if e.args:
-            return "_new(rt, %s, [" % ascii(e.type.name), "]%s)" % self.d
-        return "_new(rt, %s%s" % (ascii(e.type.name), ", (), d" * bool(self.d)), ")"
+            return "_new(rt, %s, [" % ascii(e.type.name), "], d)"
+        return "_new(rt, %s, (), d" % ascii(e.type.name), ")"
 
     def call(self, e, args: list) -> tuple:
         n, owner, receiver = len(e.args), self.owner, e.receiver
@@ -578,10 +548,6 @@ class _Emitter:
                 return self.fail(where, args)
         elif receiver is None and owner is None:
             return self.fail("call of %r outside a class" % e.name, args)
-        if owner is None:  # the driver runs once, and a helper's shorter text compiles faster
-            if "_call%d" % n not in _NS:
-                exec(_CALL.format(n=n, a="".join("a%d, " % i for i in range(n))), _NS)
-            return self.apply("_call%d(rt, " % n, args, ", %s)" % ascii(key))
         # Python looks the method up before it evaluates the arguments: they and the receiver go first
         args = [f if f[4] and (i < n or self.named(f[1])) else self.spill(f[0], f[1], f[3]) for i, f in enumerate(args)]
         pre, frags = self.seq(args)
@@ -638,23 +604,88 @@ def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], la
     return em.build(name)
 
 
-def _driver_code(driver: DriverBlock) -> list:
-    """The functions that run `driver`, in order: a long driver is cut into chunks,
-    which CPython compiles in far less memory than one function.  Each chunk
-    passes the driver's locals on to the next in the list `L`."""
-    if (chunks := _COMPILED.get(driver)) is not None:
-        return chunks
-    body, em, chunks = driver.body, _Emitter(None), []
-    for i in range(0, len(body), _CHUNK):
-        carried = em.texts()
-        for s in body[i:i + _CHUNK]:
-            em.stmt(s)
-        if em.locals and i + _CHUNK < len(body):
+# The kinds of op of a driver's simple statement (see `_op` and `Interpreter.run`): a call with no
+# argument or one literal (the kind is the arity), with others; a `new`; a literal or a local; code.
+_CALL0_OP, _CALL1_OP, _CALLN_OP, _NEW_OP, _VALUE_OP, _CODE_OP = range(6)
+_PRINT = "print"  # the destination of a `print`
+
+
+def _operand(e, slots: dict) -> Optional[tuple]:  # (None, value) of a literal, (index in L, None) of a local
+    if isinstance(e, VarRead):
+        return (slots[e.name], None) if e.name in slots else None
+    return (None, getattr(e, "value", None)) if type(e).__name__ in _LITERALS else None
+
+
+def _gather(args, L: list):  # literal arguments as they are; else their (index in L or None, literal) pairs read
+    return args if args.__class__ is tuple else [v if i is None else L[i] for i, v in args]
+
+
+def _op(s, slots: dict) -> Optional[tuple]:
+    """The op `(kind, dest, key, o, args)` of a simple driver statement, or None: `T x;`,
+    `T x = E;`, `x = E;`, `E;` or `print(E);`, where `E` is a literal, a local,
+    `new C(A...)` or `l.m(A...)` on a local `l`, and each `A` a literal or a local.
+    `slots` holds the index in `L` of each local in scope."""
+    stmt = type(s).__name__
+    if stmt == "LocalDecl":
+        dest, e = slots.get(s.name, len(slots)), s.init
+    elif stmt == "Assign" and isinstance(s.target, VarRead) and s.target.name in slots:
+        dest, e = slots[s.target.name], s.value
+    elif stmt in ("ExprStmt", "PrintStmt"):
+        dest, e = (None, s.expr) if stmt == "ExprStmt" else (_PRINT, s.value)
+    else:
+        return None
+    if e is None:  # `T x;`
+        return _VALUE_OP, dest, None, None, (_zero_value(s.decl_type),)
+    call = isinstance(e, MethodCall)
+    if call and not (isinstance(e.receiver, VarRead) and e.receiver.name in slots):
+        return None
+    args = [_operand(a, slots) for a in (e.args if call or isinstance(e, NewObject) else [e])]
+    if None in args:
+        return None
+    if all(i is None for i, _ in args):  # literals only, passed as they are
+        args = tuple(v for _, v in args)
+    if isinstance(e, NewObject):
+        return _NEW_OP, dest, e.type.name, None, args
+    if not call:
+        return _VALUE_OP, dest, None, None, args
+    kind = _CALLN_OP if len(args) > 1 or isinstance(args, list) else len(args)
+    key = sys.intern("%s/%d" % (e.name, len(args)))
+    return kind, dest, key, slots[e.receiver.name], args[0] if kind == _CALL1_OP else args
+
+
+def _driver_code(driver: DriverBlock) -> tuple:
+    """The op table that runs `driver`, five values per statement (see `Interpreter.run`):
+    each simple statement is one op (`_op`), and at most `_CHUNK` others in a row one
+    function `(rt, d, L)`, which reads the driver's locals from the list `L` and, when
+    anything follows, writes them back (CPython compiles short functions in less memory)."""
+    if (table := _COMPILED.get(driver)) is not None:
+        return table
+    em, table, slots, n, carried = _Emitter(None), [], {}, 0, ""  # n: the statements of the chunk being emitted
+
+    def close(more: bool) -> None:
+        if more and em.locals:
             em.line("L[:] = %s," % em.texts())
-        em.finish("def _f(rt, L):", ["%s, = L" % carried] if carried else [])
-        chunks.append(em.build("<driver>"))
-    _COMPILED.put(driver, chunks)
-    return chunks
+        em.finish("def _f(rt, d, L):", ["%s, = L" % carried] if carried else [])
+        table.extend((_CODE_OP, None, em.build("<driver>"), None, None))
+
+    for s in driver.body:
+        op = _op(s, slots)
+        if n and (op is not None or n == _CHUNK):  # before an op declares a local the chunk must not write back
+            close(True)
+            n = 0
+        if op is None:
+            carried = carried if n else em.texts()  # the locals in scope as the chunk starts
+            em.stmt(s)
+            n += 1
+        elif isinstance(s, LocalDecl):
+            em.declare(s.name, s.decl_type)
+        table += op or ()
+        if isinstance(s, LocalDecl):  # a top-level local, its index in L the next free one
+            slots.setdefault(s.name, len(slots))
+    if n:
+        close(False)
+    _COMPILED.put(driver, table := tuple(table))
+    return table
 
 
 class _Body:
@@ -702,7 +733,7 @@ def _class_tables(decl: ClassDecl, parent: Optional[_Class]) -> _Class:
         if m.body is not None:
             if (old := vt.get(m.name)) is not None:
                 del vt["%s/%d" % (m.name, old.arity)]
-            vt[m.name] = vt["%s/%d" % (m.name, len(m.params))] = _Body(decl, m, layout)
+            vt[m.name] = vt[sys.intern("%s/%d" % (m.name, len(m.params)))] = _Body(decl, m, layout)
     ctor = None if decl.constructor is None else _Body(decl, decl.constructor, layout)
     init = ["def __init__(self, class_name, obj_id, vt):", " self.class_name, self.obj_id = class_name, obj_id"]
     init += [" self.vt = vt"] + [" self.f_%s = %r" % field for field in layout.items()]
@@ -790,12 +821,31 @@ class Interpreter:
     def run(self) -> ExecutionResult:
         if self.unit.driver is None:
             raise MiniOORuntimeError("no driver block to execute")
-        violation = None
+        violation, L = None, []  # L: the driver's top-level locals, in the order they were declared
         try:
-            carried: list = []
-            for chunk in _driver_code(self.unit.driver):
-                if chunk(self, carried) is not None:  # a `return` ended the driver
-                    break
+            it = iter(_driver_code(self.unit.driver))
+            for kind, dest, key, o, args in zip(it, it, it, it, it):
+                if kind <= _CALLN_OP:  # `L[o].key(...)` at depth 1, looked up as a body looks a call up
+                    o = L[o]
+                    try:
+                        m = o.vt[key]
+                    except (AttributeError, KeyError):
+                        raise _no_method(key, o) from None
+                    if kind == _CALL1_OP:  # a call that spreads its arguments costs Python far more
+                        value = m.fn(self, 1, o, args)
+                    else:
+                        value = m.fn(self, 1, o) if kind == _CALL0_OP else m.fn(self, 1, o, *_gather(args, L))
+                elif kind == _NEW_OP:  # `new key(*args)`
+                    value = self.construct(key, _gather(args, L))
+                elif kind == _CODE_OP:  # compiled statements, `key(rt, d, L)`; `dest` is None
+                    if key(self, 0, L) is not None:  # a `return` ended the driver
+                        break
+                else:  # a literal or a local
+                    value = _gather(args, L)[0]
+                if dest is _PRINT:
+                    _print(self, value)
+                elif dest is not None:  # sets the local at `dest`, or declares the next one
+                    L[dest:dest + 1] = (value,)
         except _Violation as v:
             violation = v.record
         except (MiniOORuntimeError, RecursionError) as exc:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from invweave import interp as interp_module
 from invweave.interp import MAX_STEPS, Interpreter, MiniOORuntimeError, _Emitter, run_program
 from invweave.parser import parse_unit
 from invweave.printer import render_source
@@ -194,14 +195,14 @@ def test_recorded_runs_replay_identically():
             assert record(unit) == goldens[case_id], case_id
 
 
-def _observe(unit) -> tuple:
+def _observe(unit, max_steps: int = MAX_STEPS) -> tuple:
     """What a run records, its fault's message, and the steps of its budget it used."""
-    interp = Interpreter(unit, trace=True)
+    interp = Interpreter(unit, trace=True, max_steps=max_steps)
     try:
         r, fault = interp.run(), None
     except MiniOORuntimeError as exc:
         r, fault = exc.result, str(exc)
-    return (r.output, r.trace, r.combined, r.violation, fault), MAX_STEPS - operator.length_hint(interp.ticks)
+    return (r.output, r.trace, r.combined, r.violation, fault), max_steps - operator.length_hint(interp.ticks)
 
 
 def test_gating_scripts_run_alike_on_cold_and_warm_memos():
@@ -231,6 +232,37 @@ def test_every_case_runs_alike_with_identity_comparisons_switched_off(monkeypatc
     assert sum(used) >= 20 and len(on) == len(off)
     for a, b in zip(on, off):
         assert a == b, a[0]
+
+
+def test_every_case_runs_alike_with_the_whole_driver_compiled(monkeypatch):
+    # The driver's simple statements run from an op table; with `_op` declining
+    # every statement, the whole driver is compiled.  Each pass parses its own
+    # units, so neither runs a table the other built.
+    build, ops = interp_module._op, []
+    monkeypatch.setattr(interp_module, "_op", lambda s, slots: ops.append(build(s, slots)) or ops[-1])
+    on = [(case_id, _observe(unit)) for case_id, unit in cases()]
+    monkeypatch.setattr(interp_module, "_op", lambda s, slots: None)
+    off = [(case_id, _observe(unit)) for case_id, unit in cases()]
+    assert sum(op is not None for op in ops) >= 3000 and None in ops and len(on) == len(off)
+    for a, b in zip(on, off):
+        assert a == b, a[0]
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_the_checked_dlist_driver_stops_alike_at_every_budget(monkeypatch, fixed):
+    # With each budget from 0 to the steps the whole run takes, the run stops
+    # at the same step with the same output whether its driver's simple
+    # statements run from the op table or are compiled.
+    name = "dlist/%s/driver_checked" % ("list_fixed" if fixed else "list")
+    on = next(unit for case_id, unit in cases() if case_id == name)
+    _, used = _observe(on)
+    monkeypatch.setattr(interp_module, "_op", lambda s, slots: None)
+    off = next(unit for case_id, unit in cases() if case_id == name)
+    assert used > 200
+    for budget in range(used + 1):
+        seen = _observe(on, budget), _observe(off, budget)
+        assert seen[0] == seen[1], budget
+        assert (seen[0][0][4] is None) == (budget == used), budget
 
 
 @pytest.mark.parametrize("kind", ["violation", "error"])

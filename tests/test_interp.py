@@ -9,9 +9,10 @@ import weakref
 
 import pytest
 
+from invweave import interp as interp_module
 from invweave.interp import (
-    _CALL,
     _CHUNK,
+    _CODE_OP,
     _COMPILED,
     _MAX_LOOPS,
     _MAX_NEST,
@@ -29,7 +30,17 @@ from invweave.syntax import merge_units
 from invweave.typecheck import typecheck_program
 from invweave.weave import swap_driver_constructors, weave_program
 
-from helpers import TRANSPARENCY, dlist_driver, load_dlist, load_program, make_chain_program, run_woven
+from helpers import (
+    CORPUS,
+    GATING_PROFILES,
+    TRANSPARENCY,
+    dlist_driver,
+    load_dlist,
+    load_program,
+    make_chain_program,
+    make_script,
+    run_woven,
+)
 
 
 def run_src(source: str, trace: bool = False):
@@ -740,13 +751,20 @@ def test_a_second_run_over_a_hierarchy_builds_no_class_table(monkeypatch):
     assert all(again._classes[name] is c for name, c in first._classes.items())
 
 
+def _chunks(driver) -> list:
+    """The compiled functions of `driver`'s op table, in order."""
+    table = _driver_code(driver)
+    return [key for kind, key in zip(table[::5], table[2::5]) if kind == _CODE_OP]
+
+
 def test_compiled_functions_are_named_after_their_declarations():
     interp = Interpreter(merge_units([_checked_dlist_base(), dlist_driver(checked=True)]))
     interp.run()
     c = interp._classes["ExposedDLinkedList"]
     assert c.vt["add"].fn.__code__.co_name == c.vt["add/1"].fn.__code__.co_qualname == "ExposedDLinkedList.add"
     assert c.ctor.fn.__code__.co_name == "ExposedDLinkedList.<init>"
-    assert [f.__code__.co_name for f in _driver_code(interp.unit.driver)] == ["<driver>"]
+    chunks = _chunks(interp.unit.driver)
+    assert chunks and {f.__code__.co_name for f in chunks} == {"<driver>"}
 
 
 # -- fault order in compiled code ------------------------------------------------
@@ -903,6 +921,29 @@ def test_call_faults(where, call, message, in_driver):
         assert run_fault(source) == (message, printed)
 
 
+@pytest.mark.parametrize("form", ["%s;", "int x = %s;", "print(%s);", "i = %s;"])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("n.g()", "null dereference calling 'g'"),
+        ("i.g(1)", "3 has no methods"),  # the unit does not typecheck
+        ("a.zz(1)", "no implementation of 'zz' on A"),
+        ("a.f()", "A.f takes 1 argument(s)"),
+        ("a.g(i)", "A.g takes 0 argument(s)"),
+        ('n.f(i, "s")', "null dereference calling 'f'"),
+        ("a.f(i)", None),
+    ],
+)
+def test_call_faults_in_each_statement_of_the_drivers_op_table(form, call, message):
+    # Every statement of this driver is simple, so the op table runs it all and nothing is compiled.
+    source = _CALLS % ("", form % call)
+    assert _chunks(parse_unit(source).driver) == []
+    if message is None:
+        assert run_src(source).output == ["go"] + ["3"] * form.startswith("print")
+    else:
+        assert run_fault(source) == (message, ["go"])
+
+
 def _emitted(monkeypatch, source: str) -> dict:
     """The source of each function emitted when `source` runs, by name."""
     emitted, build = {}, _Emitter.build
@@ -916,10 +957,10 @@ def _emitted(monkeypatch, source: str) -> dict:
     return emitted
 
 
-def test_bodies_call_through_the_vtable_and_the_driver_through_helpers(monkeypatch):
+def test_bodies_and_the_drivers_compiled_chunks_call_through_the_vtable(monkeypatch):
     source = _DOWN + """
         class C extends D { public C(D o) { super(); print(o.down(1)); print(this.down(0)); } }
-        driver { D d = new D(); print(d.down(2)); C c = new C(d); print(c.down(1) + 1); }
+        driver { D d = new D(); print(d.down(2)); C c = new C(d); print(c.down(1) + 1); print(new C(c).down(0)); }
     """
     emitted = _emitted(monkeypatch, source)
     method, ctor, driver = emitted["D.down"], emitted["C.<init>"], emitted["<driver>"]
@@ -930,8 +971,10 @@ def test_bodies_call_through_the_vtable_and_the_driver_through_helpers(monkeypat
     prologue = ["if d > MAX_CALL_DEPTH: raise _err(_TOO_DEEP)", "if next(rt.ticks, 1): raise rt.spent()"]
     assert [line.strip() for line in method.splitlines()[2:4]] == prologue
     assert not any(line in ctor for line in prologue) and "rt.ticks" not in ctor
-    assert "_call1(rt, 2, d_0, 'down/1')" in driver and ".vt[" not in driver
-    assert _CALL.splitlines()[0] == "def _call{n}(rt, {a}o, key):"
+    # the driver's chunks run at depth 0 and emit calls and `new` as bodies do; it has no call helpers
+    assert "c_1.vt['down/1'].fn(rt, d + 1, c_1, 1) + 1" in driver and "_new(rt, 'C', [c_1], d)" in driver
+    assert "d_0, c_1, = L" in driver and "d_0.vt[" not in driver  # the op table runs the simple statements
+    assert "_call" not in driver and not hasattr(interp_module, "_CALL") and "_call1" not in interp_module._NS
 
 
 @pytest.mark.parametrize("call", ["this.down(n - 1)", "down(n - 1)", "this.me().down(n - 1)"])
@@ -981,13 +1024,69 @@ def test_a_run_stops_at_the_same_step_on_a_call_or_a_construction():
 
 
 def test_driver_of_several_chunks_reads_locals_across_them():
-    # Locals declared in the first chunk are read and written in later ones.
+    # Locals declared by ops are read and written in compiled chunks, and those of chunks by later ops.
     body = ['int a = 1;', 'string s = "x";', "N n = new N();"]
     body += ["a = a + 1;"] * (3 * _CHUNK)
     body += ["n.i = a;", "print(a);", "print(s);", "if (true) { int t = n.i; print(t + 1); }"]
-    res = run_src(_PATHS + "driver { %s }" % " ".join(body))
+    body += ["int b = a + 0;", "print(b);", "int c = n.get(b);", "b = c - 1;", "print(n.get(b));"]
+    unit = parse_unit(_PATHS + "driver { %s }" % " ".join(body))
     assert len(body) > 3 * _CHUNK
-    assert res.output == [str(1 + 3 * _CHUNK), "x", str(2 + 3 * _CHUNK)]
+    assert run_program(unit).output == [str(1 + 3 * _CHUNK), "x", str(2 + 3 * _CHUNK), str(1 + 3 * _CHUNK), str(3 * _CHUNK)]
+    assert len(_chunks(unit.driver)) == 6  # at most `_CHUNK` compiled statements in a row, each run one chunk
+
+
+_A = "class A { public int v; public A(int k) { this.v = k; } public int f(int k) { return k; } }\n"
+
+
+@pytest.mark.parametrize(
+    "source, printed, fault",
+    [
+        (  # a local an op declares, set in a compiled `if` and read by later ops
+            _A + "driver { A a = new A(1); int x = a.f(1); if (x == 1) { x = a.f(5); print(x); } print(x);"
+            " x = a.f(x); print(x); A b = a; if (true) { b = null; } print(b); A c = b; print(c); }",
+            ["5", "5", "5", "null", "null"],
+            None,
+        ),
+        (_A + "driver { A a = new A(1); print(a.f(1)); return; print(a.f(2)); }", ["1"], None),
+        (_A + "driver { A a = new A(1); int x = a.f(1); if (x == 1) { return; } print(a.f(2)); }", [], None),
+        (  # top-level redeclarations, by ops and by compiled statements, in a unit that does not typecheck
+            _A + "driver { A a = new A(1); int x = a.f(1); A x = a; print(x.f(7)); int a = 2; print(a); a = x.f(a);"
+            " print(a); string x; print(x); int y = 1 + 1; int y = y + 1; print(y); int y = 9; print(y + 0);"
+            " print(y); A y = x; print(y.v); }",
+            ["7", "2", "2", "", "3", "9", "9"],
+            "'' has no fields",
+        ),
+        ("driver { print(1); Foo f = new Foo(); }", ["1"], "unknown class 'Foo'"),
+        ("driver { print(1); int i = 2; new Foo(i, 1); }", ["1"], "unknown class 'Foo'"),
+        ("driver { print(1); print(new Foo(2)); }", ["1"], "unknown class 'Foo'"),
+        (_A + "driver { print(1); A a = new A(); }", ["1"], "constructor of A takes 1 argument(s)"),
+        (_A + "driver { print(1); int i = 2; A a = new A(i, i); }", ["1"], "constructor of A takes 1 argument(s)"),
+        (_A + "driver { print(1); A a = null; a = new A(1, 2); }", ["1"], "constructor of A takes 1 argument(s)"),
+    ],
+)
+def test_op_statements_and_compiled_ones_share_the_drivers_locals(source, printed, fault):
+    if fault is None:
+        assert run_src(source).output == printed
+    else:
+        assert run_fault(source) == (fault, printed)
+    assert bool(typecheck_program(parse_unit(source))) == (fault is not None)  # each fault is in a unit that does not typecheck
+
+
+def test_a_gating_scripts_driver_is_not_compiled(monkeypatch):
+    # A script of `new` and calls with literal arguments runs from its op table alone.
+    unit, spec = load_program(CORPUS / "gating" / "g2.moo")
+    base = merge_units([unit, weave_program(unit, spec).declarations_unit()])
+    rng = random.Random(20)
+    texts = [make_script(rng, GATING_PROFILES["g2"], 12)[0] for _ in range(10)]
+    for text in texts:  # the bodies the scripts reach are compiled once
+        run_program(merge_units([base, parse_unit(text)]))
+    compiled = []
+    monkeypatch.setattr(interp_module, "compile", lambda *args: compiled.append(args), raising=False)
+    for text in texts:
+        script = merge_units([base, parse_unit(text)])
+        assert len(_driver_code(script.driver)) == 5 * 12 and _chunks(script.driver) == []
+        assert len(run_program(script, check_trace=True).trace) >= 12
+    assert compiled == []
 
 
 _DOWN = "class D { public int down(int n) { if (n == 0) { return 0; } return this.down(n - 1) + 1; } }\n"
