@@ -882,7 +882,9 @@ _CALLS = """
 """
 
 
-@pytest.mark.parametrize("where", ["driver", "method", "nested"])
+@pytest.mark.parametrize(
+    "where", ["method", "nested", "driver", "driver: %s;", "driver: int x = %s;", "driver: i = %s;"]
+)
 @pytest.mark.parametrize(
     "call, message, in_driver",
     [
@@ -891,7 +893,10 @@ _CALLS = """
         ('"s".g()', "'s' has no methods", None),
         ("null.g()", "null dereference calling 'g'", None),
         ("a.zz()", "no implementation of 'zz' on A", None),
+        ("a.zz(1)", "no implementation of 'zz' on A", None),
         ("a.f()", "A.f takes 1 argument(s)", None),
+        ("a.g(i)", "A.g takes 0 argument(s)", None),
+        ('n.f(i, "s")', "null dereference calling 'f'", None),
         ("a.next.g()", "null dereference calling 'g'", None),
         ("n.next.g()", "null dereference reading 'next'", None),
         # the arguments run before the receiver is looked up
@@ -909,39 +914,19 @@ _CALLS = """
 )
 def test_call_faults(where, call, message, in_driver):
     # A body is emitted deeper than one Python function allows for "nested", so its call sits in a closure.
-    stmt = "print(%s);" % call
+    # The driver runs a call on a local with literal or local arguments from its op table, in each
+    # form of statement that can hold it, and compiles any other.
+    stmt = (where.partition(": ")[2] or "print(%s);") % call
     if where == "nested":
         stmt = "if (true) { " * (_MAX_NEST + 2) + stmt + " }" * (_MAX_NEST + 2)
-    source = _CALLS % ((stmt, "") if where != "driver" else ("", stmt))
-    message = in_driver or message if where == "driver" else message
+    in_body = not where.startswith("driver")
+    source = _CALLS % ((stmt, "") if in_body else ("", stmt))
+    message = message if in_body else in_driver or message
     printed = ["go"] + ["said"] * ("say" in call)
     if message is None:
         assert run_src(source).output == printed + ["2"]
     else:
         assert run_fault(source) == (message, printed)
-
-
-@pytest.mark.parametrize("form", ["%s;", "int x = %s;", "print(%s);", "i = %s;"])
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        ("n.g()", "null dereference calling 'g'"),
-        ("i.g(1)", "3 has no methods"),  # the unit does not typecheck
-        ("a.zz(1)", "no implementation of 'zz' on A"),
-        ("a.f()", "A.f takes 1 argument(s)"),
-        ("a.g(i)", "A.g takes 0 argument(s)"),
-        ('n.f(i, "s")', "null dereference calling 'f'"),
-        ("a.f(i)", None),
-    ],
-)
-def test_call_faults_in_each_statement_of_the_drivers_op_table(form, call, message):
-    # Every statement of this driver is simple, so the op table runs it all and nothing is compiled.
-    source = _CALLS % ("", form % call)
-    assert _chunks(parse_unit(source).driver) == []
-    if message is None:
-        assert run_src(source).output == ["go"] + ["3"] * form.startswith("print")
-    else:
-        assert run_fault(source) == (message, ["go"])
 
 
 def _emitted(monkeypatch, source: str) -> dict:
@@ -1031,7 +1016,8 @@ def test_driver_of_several_chunks_reads_locals_across_them():
     body += ["int b = a + 0;", "print(b);", "int c = n.get(b);", "b = c - 1;", "print(n.get(b));"]
     unit = parse_unit(_PATHS + "driver { %s }" % " ".join(body))
     assert len(body) > 3 * _CHUNK
-    assert run_program(unit).output == [str(1 + 3 * _CHUNK), "x", str(2 + 3 * _CHUNK), str(1 + 3 * _CHUNK), str(3 * _CHUNK)]
+    n = 3 * _CHUNK
+    assert run_program(unit).output == [str(1 + n), "x", str(2 + n), str(1 + n), str(n)]
     assert len(_chunks(unit.driver)) == 6  # at most `_CHUNK` compiled statements in a row, each run one chunk
 
 
@@ -1064,12 +1050,14 @@ _A = "class A { public int v; public A(int k) { this.v = k; } public int f(int k
         (_A + "driver { print(1); A a = null; a = new A(1, 2); }", ["1"], "constructor of A takes 1 argument(s)"),
     ],
 )
-def test_op_statements_and_compiled_ones_share_the_drivers_locals(source, printed, fault):
+def test_driver_op_statements_give_what_compiled_ones_gave(source, printed, fault):
+    # Each expectation is what the driver gave when all of it was compiled.
     if fault is None:
         assert run_src(source).output == printed
     else:
         assert run_fault(source) == (fault, printed)
-    assert bool(typecheck_program(parse_unit(source))) == (fault is not None)  # each fault is in a unit that does not typecheck
+    # each fault is in a unit that does not typecheck
+    assert bool(typecheck_program(parse_unit(source))) == (fault is not None)
 
 
 def test_a_gating_scripts_driver_is_not_compiled(monkeypatch):
