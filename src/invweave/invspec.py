@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from .diagnostics import Diagnostic, ParseError, SpecError
 from .lexer import tokenize
-from .parser import _Parser
+from .parser import _Parser, _too_deep
 from .printer import render_expr
 from .syntax import (
     Binary,
@@ -94,6 +94,13 @@ def _check_restricted(e: Expr) -> None:
 def parse_predicate(text: str) -> Predicate:
     """Parse one predicate string; raises ParseError with position info."""
     parser = _Parser(tokenize(text))
+    try:
+        return _predicate(parser)
+    except RecursionError as exc:  # nested deeper than the Python stack allows
+        raise parser.error("%s nested too deeply" % _too_deep(exc)) from None
+
+
+def _predicate(parser: _Parser) -> Predicate:
     if parser.at_kw("forall"):
         parser.advance()
         parser.expect("OP", "(")
@@ -260,12 +267,15 @@ class _PredicateChecker(_Checker):
     def report(self, code: str, message: str, node) -> None:
         super().error(code, "%s: %s" % (self.where, message), node)
 
-    def type_of(self, e: Expr) -> Optional[TypeExpr]:
-        if not isinstance(e, _ALLOWED):  # only a spec built in code has such a node
-            d = _not_allowed(e)
-            self.report(d.code, d.message, e)
-            return None
-        return super().type_of(e)
+    def type_of_disallowed(self, e: Expr, _: Optional[TypeExpr]) -> None:
+        d = _not_allowed(e)
+        self.report(d.code, d.message, e)
+
+    # Only a spec built in code has a node outside `_ALLOWED`.  Such a node
+    # ends a chain of first operands: nothing beneath it is typed, and the
+    # rules of the nodes above it are given None.
+    rules = {**_Checker.rules, **dict.fromkeys(_Checker.rules.keys() - set(_ALLOWED), type_of_disallowed)}
+    first_operands = {t: first for t, first in _Checker.first_operands.items() if t in _ALLOWED}
 
     def check(self, p: Predicate, where: str) -> PredicateTyping:
         self.where = where

@@ -2,6 +2,14 @@
 
 `parse_unit(render_source(u))` is structurally equal to `u` for every valid
 unit, and the output is byte-stable, which the golden-file tests rely on.
+
+`render_source` writes a whole unit into one flat list of strings and joins
+it once.  A statement's line and every expression in it are written by
+`_write`, in order, from a stack of pending texts and nodes: each node is
+replaced by its `_PARTS`, so expressions of any depth render without
+recursion.  A leaf that is a receiver, a field's object or an argument is
+written straight into the texts around it, so a call such as `this.m(x, 1)`
+is one text.
 """
 
 from __future__ import annotations
@@ -43,160 +51,146 @@ from .syntax import (
 _INDENT = "    "
 
 _UNARY_PREC = max(BINARY_PRECEDENCE.values()) + 1
-_ATOM_PREC = _UNARY_PREC + 1
+_LOOSE = (Binary, Unary)  # the nodes that bind looser than a receiver or a field's object
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-
-
-def _escape(s: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in s)
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, Binary):
-        return BINARY_PRECEDENCE[e.op]
-    if isinstance(e, Unary):
-        return _UNARY_PREC
-    return _ATOM_PREC
+# The text of each leaf node.
+_LEAVES = {
+    IntLit: lambda e: str(e.value),
+    BoolLit: lambda e: "true" if e.value else "false",
+    StringLit: lambda e: '"%s"' % e.value.translate(_ESCAPES),
+    NullLit: lambda e: "null",
+    VarRead: lambda e: e.name,
+    ThisExpr: lambda e: "this",
+    SuperExpr: lambda e: "super",
+    SingletonRef: lambda e: "@singleton(%s)" % e.class_name,
+}
+
+
+def _operand(e: Expr, floor: int) -> tuple:
+    """`e`, parenthesized if it binds looser than `floor`."""
+    if e.__class__ not in _LOOSE:
+        return (e,)
+    prec = BINARY_PRECEDENCE[e.op] if e.__class__ is Binary else _UNARY_PREC
+    return ("(", e, ")") if prec < floor else (e,)
+
+
+def _binary(e: Binary) -> tuple:
+    p = BINARY_PRECEDENCE[e.op]
+    return _operand(e.left, p) + (" %s " % e.op,) + _operand(e.right, p + 1)
+
+
+def _before(e: Expr, text: str):
+    """`e` as a receiver or a field's object, then `text`: one text if `e`
+    is a leaf, and `e` in parentheses if it is a `Binary` or a `Unary`."""
+    leaf = _LEAVES.get(e.__class__)
+    if leaf is not None:
+        return leaf(e) + text
+    return ["(", e, ")" + text] if e.__class__ in _LOOSE else [e, text]
+
+
+def _args(head, args: list[Expr], close: str):
+    """`head`, a text or parts that end with one, then `args` in
+    parentheses and separated by commas, then `close`.  A leaf argument is
+    written into the texts around it, so that this is one text if every
+    argument is a leaf."""
+    parts = [head] if head.__class__ is str else head
+    sep = "("
+    for a in args:
+        leaf = _LEAVES.get(a.__class__)
+        if leaf is None:
+            parts[-1] += sep
+            parts += (a, "")
+        else:
+            parts[-1] += sep + leaf(a)
+        sep = ", "
+    parts[-1] += (")" if args else "()") + close
+    return parts[0] if len(parts) == 1 else parts
+
+
+# What each node is written as: its whole text, or its texts and child nodes in order.
+_PARTS = {
+    **_LEAVES,
+    FieldAccess: lambda e: _before(e.obj, "." + e.name),
+    MethodCall: lambda e: _args(
+        e.name if e.receiver is None else _before(e.receiver, "." + e.name), e.args, ""
+    ),
+    NewObject: lambda e: _args("new %s" % e.type, e.args, ""),
+    Binary: _binary,
+    Unary: lambda e: (e.op,) + _operand(e.operand, _UNARY_PREC),
+    ReflectGet: lambda e: ("@field(", e.obj, ', "%s")' % e.field_name.translate(_ESCAPES)),
+    LocalDecl: lambda s: (
+        "%s %s;\n" % (s.decl_type, s.name) if s.init is None
+        else ("%s %s = " % (s.decl_type, s.name), s.init, ";\n")
+    ),
+    Assign: lambda s: (s.target, " = ", s.value, ";\n"),
+    ReturnStmt: lambda s: "return;\n" if s.value is None else ("return ", s.value, ";\n"),
+    ExprStmt: lambda s: (s.expr, ";\n"),
+    PrintStmt: lambda s: ("print(", s.value, ");\n"),
+    SuperCall: lambda s: _args("super", s.args, ";\n"),
+    TraceStmt: lambda s: _args("@trace", [s.obj, s.check_class, s.phase, s.method], ";\n"),
+    ViolationStmt: lambda s: _args("@violation", [s.check_class, s.index, s.phase, s.method], ";\n"),
+    IfStmt: lambda s: ("if (", s.cond, ") {\n"),
+    WhileStmt: lambda s: ("while (", s.cond, ") {\n"),
+}
+
+
+def _write(out: list[str], node) -> None:
+    """Append the text of `node`, an expression or a simple statement, to `out`."""
+    stack = [node]
+    pop, append = stack.pop, out.append
+    while stack:
+        item = pop()
+        if item.__class__ is str:
+            append(item)
+            continue
+        parts = _PARTS[item.__class__](item)
+        if parts.__class__ is str:
+            append(parts)
+        else:
+            stack += parts[::-1]
 
 
 def render_expr(e: Expr) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, StringLit):
-        return '"%s"' % _escape(e.value)
-    if isinstance(e, NullLit):
-        return "null"
-    if isinstance(e, VarRead):
-        return e.name
-    if isinstance(e, ThisExpr):
-        return "this"
-    if isinstance(e, SuperExpr):
-        return "super"
-    if isinstance(e, FieldAccess):
-        return "%s.%s" % (_atom(e.obj), e.name)
-    if isinstance(e, MethodCall):
-        args = ", ".join(render_expr(a) for a in e.args)
-        if e.receiver is None:
-            return "%s(%s)" % (e.name, args)
-        return "%s.%s(%s)" % (_atom(e.receiver), e.name, args)
-    if isinstance(e, NewObject):
-        args = ", ".join(render_expr(a) for a in e.args)
-        return "new %s(%s)" % (e.type, args)
-    if isinstance(e, Binary):
-        p = BINARY_PRECEDENCE[e.op]
-        left = render_expr(e.left)
-        if _prec(e.left) < p:
-            left = "(%s)" % left
-        right = render_expr(e.right)
-        if _prec(e.right) <= p:
-            right = "(%s)" % right
-        return "%s %s %s" % (left, e.op, right)
-    if isinstance(e, Unary):
-        operand = render_expr(e.operand)
-        if _prec(e.operand) < _UNARY_PREC:
-            operand = "(%s)" % operand
-        return "%s%s" % (e.op, operand)
-    if isinstance(e, ReflectGet):
-        return '@field(%s, "%s")' % (render_expr(e.obj), _escape(e.field_name))
-    if isinstance(e, SingletonRef):
-        return "@singleton(%s)" % e.class_name
-    raise TypeError("unknown expression node %r" % type(e).__name__)
+    out: list[str] = []
+    _write(out, e)
+    return "".join(out)
 
 
-def _atom(e: Expr) -> str:
-    """Render a receiver/base expression, parenthesized unless atomic."""
-    s = render_expr(e)
-    if _prec(e) < _ATOM_PREC:
-        return "(%s)" % s
-    return s
-
-
-def _render_stmt(s: Stmt, depth: int, out: list[str]) -> None:
-    pad = _INDENT * depth
-    if isinstance(s, LocalDecl):
-        if s.init is None:
-            out.append("%s%s %s;" % (pad, s.decl_type, s.name))
-        else:
-            out.append(
-                "%s%s %s = %s;"
-                % (pad, s.decl_type, s.name, render_expr(s.init))
-            )
-    elif isinstance(s, Assign):
-        out.append("%s%s = %s;" % (pad, render_expr(s.target), render_expr(s.value)))
-    elif isinstance(s, IfStmt):
-        out.append("%sif (%s) {" % (pad, render_expr(s.cond)))
-        for inner in s.then_body:
-            _render_stmt(inner, depth + 1, out)
-        if s.else_body is None:
-            out.append("%s}" % pad)
-        else:
-            out.append("%s} else {" % pad)
-            for inner in s.else_body:
-                _render_stmt(inner, depth + 1, out)
-            out.append("%s}" % pad)
-    elif isinstance(s, WhileStmt):
-        out.append("%swhile (%s) {" % (pad, render_expr(s.cond)))
-        for inner in s.body:
-            _render_stmt(inner, depth + 1, out)
-        out.append("%s}" % pad)
-    elif isinstance(s, ReturnStmt):
-        if s.value is None:
-            out.append("%sreturn;" % pad)
-        else:
-            out.append("%sreturn %s;" % (pad, render_expr(s.value)))
-    elif isinstance(s, ExprStmt):
-        out.append("%s%s;" % (pad, render_expr(s.expr)))
-    elif isinstance(s, PrintStmt):
-        out.append("%sprint(%s);" % (pad, render_expr(s.value)))
-    elif isinstance(s, SuperCall):
-        out.append("%ssuper(%s);" % (pad, ", ".join(render_expr(a) for a in s.args)))
-    elif isinstance(s, TraceStmt):
-        out.append(
-            "%s@trace(%s, %s, %s, %s);"
-            % (
-                pad,
-                render_expr(s.obj),
-                render_expr(s.check_class),
-                render_expr(s.phase),
-                render_expr(s.method),
-            )
-        )
-    elif isinstance(s, ViolationStmt):
-        out.append(
-            "%s@violation(%s, %s, %s, %s);"
-            % (
-                pad,
-                render_expr(s.check_class),
-                render_expr(s.index),
-                render_expr(s.phase),
-                render_expr(s.method),
-            )
-        )
-    else:
-        raise TypeError("unknown statement node %r" % type(s).__name__)
+def _render_block(body: list[Stmt], pad: str, out: list[str]) -> None:
+    inner = pad + _INDENT
+    for s in body:
+        out.append(pad)
+        _write(out, s)  # a whole simple statement, or the head of an `if` or a `while`
+        if isinstance(s, IfStmt):
+            _render_block(s.then_body, inner, out)
+            if s.else_body is not None:
+                out += (pad, "} else {\n")
+                _render_block(s.else_body, inner, out)
+            out += (pad, "}\n")
+        elif isinstance(s, WhileStmt):
+            _render_block(s.body, inner, out)
+            out += (pad, "}\n")
 
 
 def _render_params(params) -> str:
     return ", ".join("%s %s" % (p.type, p.name) for p in params)
 
 
-def _render_method(m: MethodDecl, depth: int, out: list[str], in_interface: bool) -> None:
-    pad = _INDENT * depth
+def _render_method(m: MethodDecl, out: list[str], in_interface: bool) -> None:
     head = "" if in_interface else m.visibility + " "
     if m.type_params:
         head += "<%s> " % ", ".join(m.type_params)
     ret = "void" if m.return_type is None else str(m.return_type)
-    sig = "%s%s%s %s(%s)" % (pad, head, ret, m.name, _render_params(m.params))
+    out.append("%s%s%s %s(%s)" % (_INDENT, head, ret, m.name, _render_params(m.params)))
     if m.body is None:
-        out.append(sig + ";")
+        out.append(";\n")
         return
-    out.append(sig + " {")
-    for s in m.body:
-        _render_stmt(s, depth + 1, out)
-    out.append("%s}" % pad)
+    out.append(" {\n")
+    _render_block(m.body, _INDENT * 2, out)
+    out.append(_INDENT + "}\n")
 
 
 def _render_class(c: ClassDecl, out: list[str]) -> None:
@@ -208,22 +202,17 @@ def _render_class(c: ClassDecl, out: list[str]) -> None:
         head += " extends " + str(c.super_class)
     if c.interfaces:
         head += " implements " + ", ".join(str(i) for i in c.interfaces)
-    out.append(head + " {")
+    out.append(head + " {\n")
     for f in c.fields:
-        out.append(
-            "%s%s %s %s;" % (_INDENT, f.visibility, f.declared_type, f.name)
-        )
+        out.append("%s%s %s %s;\n" % (_INDENT, f.visibility, f.declared_type, f.name))
     if c.constructor is not None:
         ctor = c.constructor
-        out.append(
-            "%s%s %s(%s) {" % (_INDENT, ctor.visibility, c.name, _render_params(ctor.params))
-        )
-        for s in ctor.body:
-            _render_stmt(s, 2, out)
-        out.append("%s}" % _INDENT)
+        out.append("%s%s %s(%s) {\n" % (_INDENT, ctor.visibility, c.name, _render_params(ctor.params)))
+        _render_block(ctor.body, _INDENT * 2, out)
+        out.append(_INDENT + "}\n")
     for m in c.methods:
-        _render_method(m, 1, out, in_interface=False)
-    out.append("}")
+        _render_method(m, out, in_interface=False)
+    out.append("}\n")
 
 
 def _render_interface(i: InterfaceDecl, out: list[str]) -> None:
@@ -232,27 +221,23 @@ def _render_interface(i: InterfaceDecl, out: list[str]) -> None:
         head += "<%s>" % ", ".join(i.type_params)
     if i.extends:
         head += " extends " + ", ".join(str(e) for e in i.extends)
-    out.append(head + " {")
+    out.append(head + " {\n")
     for m in i.methods:
-        _render_method(m, 1, out, in_interface=True)
-    out.append("}")
+        _render_method(m, out, in_interface=True)
+    out.append("}\n")
 
 
 def render_source(unit: SourceUnit) -> str:
     """Render a unit back to MiniOO source text (round-trip safe)."""
-    blocks: list[str] = []
+    out: list[str] = []  # each block after a "\n" that separates it from the one before
     for i in unit.interfaces:
-        lines: list[str] = []
-        _render_interface(i, lines)
-        blocks.append("\n".join(lines))
+        out.append("\n")
+        _render_interface(i, out)
     for c in unit.classes:
-        lines = []
-        _render_class(c, lines)
-        blocks.append("\n".join(lines))
+        out.append("\n")
+        _render_class(c, out)
     if unit.driver is not None:
-        lines = ["driver {"]
-        for s in unit.driver.body:
-            _render_stmt(s, 1, lines)
-        lines.append("}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n" if blocks else ""
+        out += ("\n", "driver {\n")
+        _render_block(unit.driver.body, _INDENT, out)
+        out.append("}\n")
+    return "".join(out[1:])

@@ -15,9 +15,12 @@ chains, member maps and supertype closures are each made from their parent's
 (the superclass, or a type's sole supertype) by one loop, `_walk_up`, which
 walks up to the first memoised ancestor and fills the memo back down, so a
 deep hierarchy costs no Python stack.  A table lives for one check or one
-weave of an unchanging unit.  Expression rules are chosen by node type; a
-binary expression's left spine is typed in a loop, so a long flat sum such
-as `1 + 1 + ... + 1` costs no Python stack.
+weave of an unchanging unit.  Expression rules are chosen by node type, and
+each is given the type of its node's first operand: the left operand, the
+operand of a unary operator, the object of a field read or of `@field`, or
+a call's receiver.  Only these nest without bound, so `type_of` types a chain of
+them bottom-up in one loop, and `a.n.n...n`, `!!...!b` and
+`1 + 1 + ... + 1` cost no Python stack.
 
 Each class or interface is checked once for all the units it goes into.  A
 unit that checks with no diagnostic leaves a clean verdict on each of its
@@ -39,6 +42,7 @@ verdict, since a verdict says the bodies were typed.
 from __future__ import annotations
 
 import weakref
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from .diagnostics import Diagnostic, ParseError
@@ -878,21 +882,29 @@ class _Checker:
     # -- expressions --------------------------------------------------------------------
 
     def type_of(self, e: Expr) -> Optional[TypeExpr]:
-        rule = _EXPR_RULES.get(type(e))
-        if rule is None:
-            raise TypeError("unknown expression node %r" % type(e).__name__)
-        return rule(self, e)
+        rules, first_operands = self.rules, self.first_operands
+        first = first_operands.get(e.__class__)
+        if first is None:
+            return rules[e.__class__](self, e, None)
+        chain = [e]  # e, its first operand, that one's first operand, ...
+        while (e := first(e)) is not None and (first := first_operands.get(e.__class__)) is not None:
+            chain.append(e)
+        # `e` is the operand the chain ends on, or None after a call with no receiver to type.
+        t = None if e is None else rules[e.__class__](self, e, None)
+        for e in reversed(chain):
+            t = rules[e.__class__](self, e, t)
+        return t
 
-    def type_of_this(self, e: ThisExpr) -> Optional[TypeExpr]:
+    def type_of_this(self, e: ThisExpr, _: None) -> Optional[TypeExpr]:
         if self.current_class is None:
             self.error("unknown-name", "this outside a class", e)
             return None
         return self.self_t
 
-    def type_of_super(self, e: SuperExpr) -> None:
+    def type_of_super(self, e: SuperExpr, _: None) -> None:
         self.error("type-mismatch", "super is only valid in super.method(...)", e)
 
-    def type_of_var(self, e: VarRead) -> Optional[TypeExpr]:
+    def type_of_var(self, e: VarRead, _: None) -> Optional[TypeExpr]:
         local = self.scope.lookup(e.name)
         if local is not None:
             return local
@@ -903,8 +915,7 @@ class _Checker:
         self.error("unknown-name", "unknown variable %r" % e.name, e)
         return None
 
-    def type_of_field(self, e: FieldAccess) -> Optional[TypeExpr]:
-        obj_t = self.type_of(e.obj)
+    def type_of_field(self, e: FieldAccess, obj_t: Optional[TypeExpr]) -> Optional[TypeExpr]:
         if obj_t is None:
             return None
         if not isinstance(obj_t, NamedType) or self.table.get_class(obj_t.name) is None:
@@ -916,7 +927,7 @@ class _Checker:
             return None
         return hit.type
 
-    def type_of_new(self, e: NewObject) -> Optional[TypeExpr]:
+    def type_of_new(self, e: NewObject, _: None) -> Optional[TypeExpr]:
         self.check_type(e.type, self.scope_vars(), e)
         decl = self.table.get_class(e.type.name)
         if decl is None:
@@ -933,8 +944,7 @@ class _Checker:
         self.check_call_args(want, e.args, e, "constructor of %s" % decl.name)
         return e.type
 
-    def type_of_unary(self, e: Unary) -> TypeExpr:
-        t = self.type_of(e.operand)
+    def type_of_unary(self, e: Unary, t: Optional[TypeExpr]) -> TypeExpr:
         if e.op == "!":
             if t is not None and t != BOOL:
                 self.error("type-mismatch", "! expects bool, got %s" % t, e)
@@ -943,8 +953,7 @@ class _Checker:
             self.error("type-mismatch", "unary - expects int, got %s" % t, e)
         return INT
 
-    def type_of_reflect(self, e: ReflectGet) -> Optional[TypeExpr]:
-        obj_t = self.type_of(e.obj)
+    def type_of_reflect(self, e: ReflectGet, obj_t: Optional[TypeExpr]) -> Optional[TypeExpr]:
         if obj_t is None:
             return None
         if not isinstance(obj_t, NamedType) or self.table.get_class(obj_t.name) is None:
@@ -956,7 +965,7 @@ class _Checker:
             return None
         return hit.type
 
-    def type_of_singleton(self, e: SingletonRef) -> Optional[TypeExpr]:
+    def type_of_singleton(self, e: SingletonRef, _: None) -> Optional[TypeExpr]:
         decl = self.table.get_class(e.class_name)
         if decl is None:
             self.error("unknown-name", "unknown class %r" % e.class_name, e)
@@ -969,22 +978,18 @@ class _Checker:
             self.error("type-mismatch", "@singleton requires a zero-argument constructor", e)
         return NamedType(decl.name)
 
-    def type_of_call(self, e: MethodCall) -> Optional[TypeExpr]:
-        if isinstance(e.receiver, SuperExpr):
+    def type_of_call(self, e: MethodCall, recv_t: Optional[TypeExpr]) -> Optional[TypeExpr]:
+        is_super = isinstance(e.receiver, SuperExpr)
+        if is_super:
             if self.current_class is None or self.current_class.super_class is None:
                 self.error("type-mismatch", "super call outside a subclass", e)
                 return None
-            recv_t: Optional[TypeExpr] = self.current_class.super_class
-            is_super = True
+            recv_t = self.current_class.super_class
         elif e.receiver is None:
             if self.current_class is None:
                 self.error("unknown-name", "call %r outside a class" % e.name, e)
                 return None
             recv_t = self.self_t
-            is_super = False
-        else:
-            recv_t = self.type_of(e.receiver)
-            is_super = False
         if recv_t is None:
             return None
         if (
@@ -1039,19 +1044,8 @@ class _Checker:
         self.check_call_args(want, e.args, e, e.name)
         return VOID_TYPE if ret is None else ret
 
-    def type_of_binary(self, e: Binary) -> Optional[TypeExpr]:
-        # The left spine (`1 + 1 + ... + 1`) is typed bottom-up in a loop, so
-        # a long flat sum costs no Python stack.
-        spine = [e]
-        while isinstance(spine[-1].left, Binary):
-            spine.append(spine[-1].left)
-        lt = self.type_of(spine[-1].left)
-        for node in reversed(spine):
-            lt = self.binary_result(node, lt, self.type_of(node.right))
-        return lt
-
-    def binary_result(self, e: Binary, lt: Optional[TypeExpr], rt: Optional[TypeExpr]) -> Optional[TypeExpr]:
-        """The type of `e` given its operands' types, reporting a mismatch."""
+    def type_of_binary(self, e: Binary, lt: Optional[TypeExpr]) -> Optional[TypeExpr]:
+        rt = self.type_of(e.right)
         op = e.op
         if op in ("==", "!="):
             if lt is None or rt is None:
@@ -1084,24 +1078,33 @@ class _Checker:
                 self.error("type-mismatch", message, e)
         return result
 
-
-# The typing rule of each expression node type, for `_Checker.type_of`.
-_EXPR_RULES = {
-    IntLit: lambda checker, e: INT,
-    BoolLit: lambda checker, e: BOOL,
-    StringLit: lambda checker, e: STRING,
-    NullLit: lambda checker, e: NULL_TYPE,
-    ThisExpr: _Checker.type_of_this,
-    SuperExpr: _Checker.type_of_super,
-    VarRead: _Checker.type_of_var,
-    FieldAccess: _Checker.type_of_field,
-    MethodCall: _Checker.type_of_call,
-    NewObject: _Checker.type_of_new,
-    Binary: _Checker.type_of_binary,
-    Unary: _Checker.type_of_unary,
-    ReflectGet: _Checker.type_of_reflect,
-    SingletonRef: _Checker.type_of_singleton,
-}
+    # The typing rule of each expression node type, given the type of the
+    # node's first operand, or None if it has none.
+    rules = {
+        IntLit: lambda checker, e, _: INT,
+        BoolLit: lambda checker, e, _: BOOL,
+        StringLit: lambda checker, e, _: STRING,
+        NullLit: lambda checker, e, _: NULL_TYPE,
+        ThisExpr: type_of_this,
+        SuperExpr: type_of_super,
+        VarRead: type_of_var,
+        FieldAccess: type_of_field,
+        MethodCall: type_of_call,
+        NewObject: type_of_new,
+        Binary: type_of_binary,
+        Unary: type_of_unary,
+        ReflectGet: type_of_reflect,
+        SingletonRef: type_of_singleton,
+    }
+    # The first operand of each node type that has one; a `super` receiver is
+    # not typed as an expression.
+    first_operands = {
+        Binary: attrgetter("left"),
+        Unary: attrgetter("operand"),
+        FieldAccess: attrgetter("obj"),
+        ReflectGet: attrgetter("obj"),
+        MethodCall: lambda e: None if e.receiver.__class__ is SuperExpr else e.receiver,
+    }
 
 
 # declaration -> weak references to the declarations of a unit it checked clean in

@@ -414,17 +414,24 @@ def test_run_recursion_up_to_the_call_depth_limit(n, code, tmp_path, capsys):
     assert captured.err == ("" if code == 0 else "runtime fault: MiniOO calls nested too deeply\n")
 
 
+_N = "class N { public N n; public N() { this.n = this; } }\n"
+
+
 @pytest.mark.parametrize(
-    "expr, printed",
+    "program, printed",
     [
-        (" + ".join(["1"] * 400), "400"),
-        (" / ".join(["8"] + ["1"] * 400), "8"),
-        (" + ".join(["1"] * 4000), "4000"),  # each term nests one more Binary on the left
+        pytest.param("driver { int x = %s; print(x); }" % " + ".join(["1"] * 400), "400", id="sum-400"),
+        pytest.param("driver { int x = %s; print(x); }" % " / ".join(["8"] + ["1"] * 400), "8", id="quotient-400"),
+        # Each term nests one more Binary on the left, each step one more FieldAccess.
+        pytest.param("driver { int x = %s; print(x); }" % " + ".join(["1"] * 4000), "4000", id="sum-4000"),
+        pytest.param(_N + "driver { N a = new N(); N b = a%s; print(b == a); }" % (".n" * 1000), "true", id="field-chain-1000"),
+        pytest.param(_N + "driver { N a = new N(); N b = a%s; print(b == a); }" % (".n" * 4000), "true", id="field-chain-4000"),
+        pytest.param("driver { print(%strue); }" % ("!" * 900), "true", id="not-900"),
     ],
 )
-def test_run_long_operator_chain(expr, printed, tmp_path, capsys):
+def test_run_long_operator_chain(program, printed, tmp_path, capsys):
     src = tmp_path / "long.moo"
-    src.write_text("driver { int x = %s; print(x); }\n" % expr)
+    src.write_text(program + "\n")
     assert main(["run", str(src)]) == 0
     assert capsys.readouterr().out == printed + "\n"
 
@@ -437,6 +444,39 @@ def test_report_long_flat_sum_predicate(tmp_path, capsys):
     spec.write_text(json.dumps(data))
     assert main(["report", str(DLIST / "list.moo"), "--spec", str(spec)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "SPACE PASS (3 <= 14)"
+
+
+def test_weave_and_run_long_flat_sum_predicate(tmp_path, capsys):
+    data = json.loads((DLIST / "invariants.json").read_text())
+    data["classes"][0]["invariant"] = [" + ".join(["size"] * 4000) + " >= 0"]
+    spec, out = tmp_path / "flat.json", tmp_path / "out"
+    spec.write_text(json.dumps(data))
+    assert main(["weave", str(DLIST / "list.moo"), "--spec", str(spec), "--out", str(out)]) == 0
+    capsys.readouterr()
+    woven = [str(out / n) for n in GENERATED]
+    assert main(["run", str(DLIST / "list.moo"), *woven, str(DLIST / "driver_checked.moo")]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "VIOLATION DLinkedList 0 exit remove"
+
+
+@pytest.mark.parametrize("command", ["report", "weave"])
+def test_deeply_nested_spec_predicate_is_a_positioned_error(command, tmp_path, capsys):
+    data = json.loads((DLIST / "invariants.json").read_text())
+    text = "(" * 3000 + "size >= 0" + ")" * 3000
+    data["classes"][0]["invariant"] = [text]
+    spec = tmp_path / "nested.json"
+    spec.write_text(json.dumps(data))
+    argv = [command, str(DLIST / "list.moo"), "--spec", str(spec)]
+    assert main(argv + (["--out", str(tmp_path / "out")] if command == "weave" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # The column is where the Python stack gave out, so it depends on the caller's depth.
+    found = re.fullmatch(
+        r"%s: 1:(\d+): error \[syntax\] AbstractList, invariant\[0\]: expression nested too deeply\n"
+        % re.escape(str(spec)),
+        captured.err,
+    )
+    assert found is not None, captured.err
+    assert text[int(found.group(1)) - 1] == "("
 
 
 def test_run_deeply_nested_expression_is_a_one_line_error(tmp_path, capsys):

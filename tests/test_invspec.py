@@ -173,6 +173,8 @@ def test_validate_rejects_calls_allocation_and_this_in_a_spec_built_in_code():
                 Binary("!=", NewObject(NamedType("DNode", (NamedType("int"),)), [IntLit(1)]), NullLit()),
                 Binary(">=", FieldAccess(ThisExpr(), "size"), IntLit(0)),
                 Binary(">=", VarRead("size"), IntLit(0)),
+                # The rules above a disallowed node still run, in order.
+                Binary("&&", MethodCall(ThisExpr(), "size", []), VarRead("nosuch")),
             ]
         }
     )
@@ -182,7 +184,10 @@ def test_validate_rejects_calls_allocation_and_this_in_a_spec_built_in_code():
         ("predicate-grammar", "AbstractList, invariant[1]: NewObject is not allowed in a predicate"),
         ("predicate-grammar", "AbstractList, invariant[2]: ThisExpr is not allowed in a predicate"),
     ]
-    assert [(d.code, d.message) for d in diags] == expected
+    assert [(d.code, d.message) for d in diags] == expected + [
+        ("predicate-grammar", "AbstractList, invariant[4]: MethodCall is not allowed in a predicate"),
+        ("unknown-field", "AbstractList, invariant[4]: no field 'nosuch' on AbstractList or its ancestors"),
+    ]
     # Written as text, the same predicates are refused at load time in the same words.
     for j, text in enumerate(["size() >= 0", "new DNode<int>(1) != null", "this.size >= 0"]):
         doc = {"classes": [{"name": "AbstractList", "invariant": ["size >= 0"] * j + [text]}]}

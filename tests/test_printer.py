@@ -28,6 +28,7 @@ from invweave.syntax import (
     NullLit,
     Param,
     PrintStmt,
+    Record,
     ReturnStmt,
     SourceUnit,
     StringLit,
@@ -49,11 +50,30 @@ def test_empty_unit_renders_empty():
     assert render_source(SourceUnit()) == ""
 
 
+def same(a, b) -> bool:
+    """`a == b`, compared field by field without recursion, so that it holds
+    for expressions nested deeper than the Python stack."""
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        if isinstance(x, Record):
+            if x.__class__ is not y.__class__:
+                return False
+            pending += ((getattr(x, n), getattr(y, n)) for n in x._keyed)
+        elif isinstance(x, (list, tuple)):
+            if x.__class__ is not y.__class__ or len(x) != len(y):
+                return False
+            pending += zip(x, y)
+        elif x != y:
+            return False
+    return True
+
+
 def roundtrip(source: str) -> None:
     unit = parse_unit(source)
     printed = render_source(unit)
     again = parse_unit(printed)
-    assert again == unit
+    assert same(again, unit)
     assert render_source(again) == printed  # printing is a fixed point
 
 
@@ -71,6 +91,12 @@ def roundtrip(source: str) -> None:
         "class B { public B() { } }\nclass A extends B { public A() { super(); } }",
         "driver {\n    int i = 0;\n    while (i < 3) {\n        i = i + 1;\n    }\n}",
         "class A { public A() { } public <U> void f(U u) { } }",
+        pytest.param("driver { int x = %s; }" % " + ".join(["1"] * 4000), id="sum-4000"),
+        pytest.param(
+            "class N { public N n; public N() { this.n = this; } }\n"
+            "driver { N a = new N(); N b = a%s; }" % (".n" * 4000),
+            id="field-chain-4000",
+        ),
     ],
 )
 def test_roundtrip_cases(source):
