@@ -274,8 +274,8 @@ class _PredicateChecker(_Checker):
     # Only a spec built in code has a node outside `_ALLOWED`.  Such a node
     # ends a chain of first operands: nothing beneath it is typed, and the
     # rules of the nodes above it are given None.
-    rules = {**_Checker.rules, **dict.fromkeys(_Checker.rules.keys() - set(_ALLOWED), type_of_disallowed)}
-    first_operands = {t: first for t, first in _Checker.first_operands.items() if t in _ALLOWED}
+    rules = {t: rule for t, rule in _Checker.rules.items() if t in _ALLOWED}
+    other_rule = (type_of_disallowed, None)
 
     def check(self, p: Predicate, where: str) -> PredicateTyping:
         self.where = where

@@ -137,8 +137,8 @@ _PARTS = {
 }
 
 
-def _write(out: list[str], node) -> None:
-    """Append the text of `node`, an expression or a simple statement, to `out`."""
+def _write(out: list[str], node) -> list[str]:
+    """Append the text of `node`, an expression or a simple statement, to `out`; return `out`."""
     stack = [node]
     pop, append = stack.pop, out.append
     while stack:
@@ -146,17 +146,20 @@ def _write(out: list[str], node) -> None:
         if item.__class__ is str:
             append(item)
             continue
-        parts = _PARTS[item.__class__](item)
+        try:
+            rule = _PARTS[item.__class__]
+        except KeyError:
+            raise TypeError("unknown node %r" % type(item).__name__) from None
+        parts = rule(item)
         if parts.__class__ is str:
             append(parts)
         else:
             stack += parts[::-1]
+    return out
 
 
 def render_expr(e: Expr) -> str:
-    out: list[str] = []
-    _write(out, e)
-    return "".join(out)
+    return "".join(_write([], e))
 
 
 def _render_block(body: list[Stmt], pad: str, out: list[str]) -> None:

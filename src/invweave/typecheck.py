@@ -882,18 +882,23 @@ class _Checker:
     # -- expressions --------------------------------------------------------------------
 
     def type_of(self, e: Expr) -> Optional[TypeExpr]:
-        rules, first_operands = self.rules, self.first_operands
-        first = first_operands.get(e.__class__)
+        rules, other = self.rules, self.other_rule
+        rule, first = rules.get(e.__class__, other)
         if first is None:
-            return rules[e.__class__](self, e, None)
-        chain = [e]  # e, its first operand, that one's first operand, ...
-        while (e := first(e)) is not None and (first := first_operands.get(e.__class__)) is not None:
-            chain.append(e)
-        # `e` is the operand the chain ends on, or None after a call with no receiver to type.
-        t = None if e is None else rules[e.__class__](self, e, None)
-        for e in reversed(chain):
-            t = rules[e.__class__](self, e, t)
+            return rule(self, e, None)
+        above = []  # (rule, node) for each node of the chain, from `e` down
+        while first is not None:
+            above.append((rule, e))
+            if (e := first(e)) is None:  # a call with no receiver to type
+                break
+            rule, first = rules.get(e.__class__, other)
+        t = None if e is None else rule(self, e, None)
+        for rule, e in reversed(above):
+            t = rule(self, e, t)
         return t
+
+    def type_of_other(self, e, _: None) -> None:
+        raise TypeError("unknown expression node %r" % type(e).__name__)
 
     def type_of_this(self, e: ThisExpr, _: None) -> Optional[TypeExpr]:
         if self.current_class is None:
@@ -1079,32 +1084,25 @@ class _Checker:
         return result
 
     # The typing rule of each expression node type, given the type of the
-    # node's first operand, or None if it has none.
+    # node's first operand (or None if it has none), and the getter of that
+    # operand.  A `super` receiver is not typed as an expression.
     rules = {
-        IntLit: lambda checker, e, _: INT,
-        BoolLit: lambda checker, e, _: BOOL,
-        StringLit: lambda checker, e, _: STRING,
-        NullLit: lambda checker, e, _: NULL_TYPE,
-        ThisExpr: type_of_this,
-        SuperExpr: type_of_super,
-        VarRead: type_of_var,
-        FieldAccess: type_of_field,
-        MethodCall: type_of_call,
-        NewObject: type_of_new,
-        Binary: type_of_binary,
-        Unary: type_of_unary,
-        ReflectGet: type_of_reflect,
-        SingletonRef: type_of_singleton,
+        IntLit: (lambda checker, e, _: INT, None),
+        BoolLit: (lambda checker, e, _: BOOL, None),
+        StringLit: (lambda checker, e, _: STRING, None),
+        NullLit: (lambda checker, e, _: NULL_TYPE, None),
+        ThisExpr: (type_of_this, None),
+        SuperExpr: (type_of_super, None),
+        VarRead: (type_of_var, None),
+        FieldAccess: (type_of_field, attrgetter("obj")),
+        MethodCall: (type_of_call, lambda e: None if e.receiver.__class__ is SuperExpr else e.receiver),
+        NewObject: (type_of_new, None),
+        Binary: (type_of_binary, attrgetter("left")),
+        Unary: (type_of_unary, attrgetter("operand")),
+        ReflectGet: (type_of_reflect, attrgetter("obj")),
+        SingletonRef: (type_of_singleton, None),
     }
-    # The first operand of each node type that has one; a `super` receiver is
-    # not typed as an expression.
-    first_operands = {
-        Binary: attrgetter("left"),
-        Unary: attrgetter("operand"),
-        FieldAccess: attrgetter("obj"),
-        ReflectGet: attrgetter("obj"),
-        MethodCall: lambda e: None if e.receiver.__class__ is SuperExpr else e.receiver,
-    }
+    other_rule = (type_of_other, None)  # for a node that is no expression
 
 
 # declaration -> weak references to the declarations of a unit it checked clean in

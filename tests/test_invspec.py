@@ -13,7 +13,19 @@ from invweave.invspec import (
     serialize_spec,
     validate_spec,
 )
-from invweave.syntax import Binary, FieldAccess, IntLit, MethodCall, NamedType, NewObject, NullLit, ThisExpr, VarRead
+from invweave.syntax import (
+    Binary,
+    BoolLit,
+    ExprStmt,
+    FieldAccess,
+    IntLit,
+    MethodCall,
+    NamedType,
+    NewObject,
+    NullLit,
+    ThisExpr,
+    VarRead,
+)
 
 from helpers import load_dlist
 
@@ -175,6 +187,8 @@ def test_validate_rejects_calls_allocation_and_this_in_a_spec_built_in_code():
                 Binary(">=", VarRead("size"), IntLit(0)),
                 # The rules above a disallowed node still run, in order.
                 Binary("&&", MethodCall(ThisExpr(), "size", []), VarRead("nosuch")),
+                # So does a node that is no expression at all.
+                Binary("||", ExprStmt(IntLit(1)), BoolLit(True)),
             ]
         }
     )
@@ -187,6 +201,7 @@ def test_validate_rejects_calls_allocation_and_this_in_a_spec_built_in_code():
     assert [(d.code, d.message) for d in diags] == expected + [
         ("predicate-grammar", "AbstractList, invariant[4]: MethodCall is not allowed in a predicate"),
         ("unknown-field", "AbstractList, invariant[4]: no field 'nosuch' on AbstractList or its ancestors"),
+        ("predicate-grammar", "AbstractList, invariant[5]: ExprStmt is not allowed in a predicate"),
     ]
     # Written as text, the same predicates are refused at load time in the same words.
     for j, text in enumerate(["size() >= 0", "new DNode<int>(1) != null", "this.size >= 0"]):

@@ -125,6 +125,11 @@ def test_minimal_paren_insertion():
     assert render_expr(e4) == "1 - (2 - 3)"
 
 
+
+def test_a_node_the_printer_does_not_know_is_named_in_a_type_error():
+    with pytest.raises(TypeError, match="unknown node 'DriverBlock'"):
+        render_expr(Binary("+", IntLit(1), DriverBlock([])))
+
 # -- randomized round-trip ---------------------------------------------------
 
 _names = st.sampled_from(["a", "b", "c", "d", "val", "obj"])

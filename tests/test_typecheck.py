@@ -4,7 +4,7 @@ import pytest
 
 from invweave.diagnostics import ParseError
 from invweave.parser import parse_unit, validate_structure
-from invweave.syntax import NamedType, Param, SourceUnit, merge_units, replace
+from invweave.syntax import Binary, DriverBlock, ExprStmt, IntLit, NamedType, Param, PrintStmt, SourceUnit, merge_units, replace
 from invweave.typecheck import ClassTable, _reusable, typecheck_program
 
 from helpers import dlist_driver, load_dlist
@@ -309,6 +309,13 @@ def test_super_call_rules():
 def test_this_and_bare_calls_outside_class():
     diags = check("driver { print(this); }")
     assert "unknown-name" in codes(diags)
+
+
+def test_a_statement_built_into_an_expression_is_named_in_a_type_error():
+    # The parser never puts a statement where an expression belongs.
+    bad = Binary("+", ExprStmt(IntLit(1)), IntLit(1))
+    with pytest.raises(TypeError, match="unknown expression node 'ExprStmt'"):
+        typecheck_program(SourceUnit([], [], DriverBlock([PrintStmt(bad)])))
 
 
 def test_method_type_parameter_inference():
