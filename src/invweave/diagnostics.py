@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-from .syntax import Frozen, set_field
+from .syntax import Record
 
 
-class Diagnostic(Frozen):
-    __slots__ = ("code", "message", "line", "col", "severity", "_hash")
+class Diagnostic(Record):
+    __slots__ = ("code", "message", "line", "col", "severity")
     def __init__(self, code: str, message: str, line: int = 0, col: int = 0, severity: str = "error"):
-        set_field(self, "code", code)
-        set_field(self, "message", message)
-        set_field(self, "line", line)
-        set_field(self, "col", col)
-        set_field(self, "severity", severity)  # "error" or "note"
+        self.code, self.message, self.line, self.col = code, message, line, col
+        self.severity = severity  # "error" or "note"
 
     def __str__(self) -> str:
         loc = "%d:%d" % (self.line, self.col) if self.line else "-"

@@ -56,9 +56,9 @@ from collections import namedtuple
 from typing import Callable, Optional, Union
 
 from .syntax import (
-    Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, Frozen, IfStmt, LocalDecl,
+    Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, IfStmt, LocalDecl,
     MethodCall, MethodDecl, NamedType, NewObject, Record, ReflectGet, SourceUnit, SuperCall, SuperExpr, ThisExpr,
-    TypeExpr, Unary, VarRead, WhileStmt, set_field,
+    TypeExpr, Unary, VarRead, WhileStmt,
 )
 
 # Calls and constructions nested deeper are a runtime fault, well before Python's frame limit.
@@ -75,13 +75,12 @@ class MiniOORuntimeError(Exception):
     result: Optional["ExecutionResult"] = None
 
 
-class ViolationRecord(Frozen):
-    __slots__ = ("class_name", "predicate_index", "phase", "method", "_hash")
+class ViolationRecord(Record):
+    __slots__ = ("class_name", "predicate_index", "phase", "method")
     def __init__(self, class_name: str, predicate_index: int, phase: str, method: str):
-        set_field(self, "class_name", class_name)
-        set_field(self, "predicate_index", predicate_index)
-        set_field(self, "phase", phase)  # entry | exit | construction
-        set_field(self, "method", method)  # method name or "<init>"
+        self.class_name, self.predicate_index = class_name, predicate_index
+        self.phase = phase  # entry | exit | construction
+        self.method = method  # method name or "<init>"
 
     def __str__(self) -> str:
         return "VIOLATION %s %d %s %s" % (self.class_name, self.predicate_index, self.phase, self.method)

@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from .diagnostics import Diagnostic, ParseError, SpecError
 from .lexer import tokenize
-from .parser import _Parser, _too_deep
+from .parser import _Parser
 from .printer import render_expr
 from .syntax import (
     Binary,
@@ -96,8 +96,8 @@ def parse_predicate(text: str) -> Predicate:
     parser = _Parser(tokenize(text))
     try:
         return _predicate(parser)
-    except RecursionError as exc:  # nested deeper than the Python stack allows
-        raise parser.error("%s nested too deeply" % _too_deep(exc)) from None
+    except RecursionError:  # nested deeper than the Python stack allows
+        raise parser.error("expression nested too deeply") from None
 
 
 def _predicate(parser: _Parser) -> Predicate:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 
 from .diagnostics import Diagnostic, ParseError
-from .syntax import Frozen
+from .syntax import Record
 
 KEYWORDS = frozenset(
     "class interface extends implements abstract public protected private void if else while return"
@@ -38,19 +38,12 @@ _RARE = frozenset({"STRING", "AT", "EOF", "BAD"})  # the kinds whose text is not
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
 
 
-class Token(Frozen):
+class Token(Record):
     """`kind` is KEYWORD, IDENT, INT, STRING, OP, AT or EOF."""
 
-    __slots__ = ("kind", "value", "line", "col", "_hash")
+    __slots__ = ("kind", "value", "line", "col")
     def __init__(self, kind: str, value: str, line: int, col: int):
-        _kind(self, kind)
-        _value(self, value)
-        _line(self, line)
-        _col(self, col)
-
-
-# The slots' own setters, which skip the name lookup of `set_field`.
-_kind, _value, _line, _col = (Token.__dict__[name].__set__ for name in Token._fields)
+        self.kind, self.value, self.line, self.col = kind, value, line, col
 
 
 def _unescape(raw: str, line: int, col: int) -> str:

@@ -11,7 +11,9 @@ Grammar notes:
     via bounded backtracking (the same rule Java applies through name
     resolution);
   - structural rules (unique names, acyclic inheritance, body presence) are
-    enforced here so every returned SourceUnit is structurally valid.
+    enforced here so every returned SourceUnit is structurally valid;
+  - statements nest at most `MAX_STATEMENT_LEVELS` deep, so every later
+    stage has the Python stack to walk them.
 """
 
 from __future__ import annotations
@@ -64,11 +66,15 @@ from .syntax import (
     WhileStmt,
 )
 
+# Each `if`, `else` or `while` body is one statement level, and so is each `else if` link.
+MAX_STATEMENT_LEVELS = 200
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.i = 0
+        self.levels = 0  # the statement levels open at `i`
         self.type_scope: list[set[str]] = [set()]
 
     # -- token helpers ------------------------------------------------------
@@ -363,20 +369,27 @@ class _Parser:
         self.expect("OP", "(")
         cond = self.parse_expr()
         self.expect("OP", ")")
-        then_body = self.parse_block()
+        then_body = self.parse_body()
         else_body: Optional[list[Stmt]] = None
         if self.accept("KEYWORD", "else"):
-            if self.at_kw("if"):
-                else_body = [self.parse_if(self.advance())]
-            else:
-                else_body = self.parse_block()
+            else_body = self.parse_body(self.at_kw("if"))
         return IfStmt(cond, then_body, else_body, t.line, t.col)
+
+    def parse_body(self, link: bool = False) -> list[Stmt]:
+        """A block one statement level deeper, or an `else if` link: a body
+        of one `if`."""
+        if self.levels == MAX_STATEMENT_LEVELS:
+            raise self.error("statement nested too deeply")
+        self.levels += 1
+        body = [self.parse_if(self.advance())] if link else self.parse_block()
+        self.levels -= 1
+        return body
 
     def parse_while(self, t: Token) -> Stmt:
         self.expect("OP", "(")
         cond = self.parse_expr()
         self.expect("OP", ")")
-        return WhileStmt(cond, self.parse_block(), t.line, t.col)
+        return WhileStmt(cond, self.parse_body(), t.line, t.col)
 
     def parse_return(self, t: Token) -> Stmt:
         value = None if self.at("OP", ";") else self.parse_expr()
@@ -578,21 +591,6 @@ def check_cycles(unit: SourceUnit) -> None:
                 path.pop()
 
 
-_STATEMENT_CODE = frozenset(m.__code__ for m in (_Parser.parse_block, _Parser.parse_stmt, *_STATEMENTS.values()))
-
-
-def _too_deep(exc: RecursionError) -> str:
-    """What the parser had nested when it ran out of stack: statements when
-    most of its frames were statement-level, otherwise an expression."""
-    frames = statements = 0
-    tb = exc.__traceback__
-    while tb is not None:
-        frames += 1
-        statements += tb.tb_frame.f_code in _STATEMENT_CODE
-        tb = tb.tb_next
-    return "statement" if 2 * statements > frames else "expression"
-
-
 def validate_structure(unit: SourceUnit) -> None:
     seen: dict[str, tuple[int, int]] = {}
     for d in list(unit.classes) + list(unit.interfaces):
@@ -615,7 +613,7 @@ def parse_unit(source: str) -> SourceUnit:
     parser = _Parser(tokenize(source))
     try:
         unit = parser.parse_unit()
-    except RecursionError as exc:  # nested deeper than the Python stack allows
-        raise parser.error("%s nested too deeply" % _too_deep(exc)) from None
+    except RecursionError:  # an expression nested deeper than the Python stack allows
+        raise parser.error("expression nested too deeply") from None
     validate_structure(unit)
     return unit

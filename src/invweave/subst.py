@@ -1,39 +1,20 @@
 """Type-parameter substitution and deterministic fresh names.
 
-Substitutions are simultaneous: one application replaces each bound variable
-once and does not rescan its own images.  A chain of substitutions, as the
-hierarchy walk meets when a subclass instantiates its superclass's
-parameters, is applied innermost first.
+A substitution is a `dict` from type-variable names to types.  It is
+simultaneous: one application replaces each bound variable once and does
+not rescan its own images.  A chain of substitutions, as the hierarchy walk
+meets when a subclass instantiates its superclass's parameters, is applied
+innermost first.
 """
 
 from __future__ import annotations
 
-from .syntax import Frozen, NamedType, Record, TypeExpr, TypeVar, set_field
+from .syntax import NamedType, Record, TypeExpr, TypeVar
 
 
-class TypeSubstitution(Frozen):
-    """An ordered, duplicate-free map from type-variable names to types."""
-
-    __slots__ = ("bindings", "_hash")
-    def __init__(self, bindings: tuple[tuple[str, TypeExpr], ...] = ()):
-        if len({n for n, _ in bindings}) != len(bindings):
-            raise ValueError("duplicate variable in substitution")
-        set_field(self, "bindings", bindings)
-
-    def lookup(self, name: str) -> TypeExpr | None:
-        for n, t in self.bindings:
-            if n == name:
-                return t
-        return None
-
-    def __str__(self) -> str:
-        return "[%s]" % ", ".join("%s->%s" % (n, t) for n, t in self.bindings)
-
-
-def substitute(subst: TypeSubstitution, t: TypeExpr) -> TypeExpr:
+def substitute(subst: dict[str, TypeExpr], t: TypeExpr) -> TypeExpr:
     if isinstance(t, TypeVar):
-        image = subst.lookup(t.name)
-        return t if image is None else image
+        return subst.get(t.name, t)
     if not t.args:
         return t
     return NamedType(t.name, tuple(substitute(subst, a) for a in t.args))

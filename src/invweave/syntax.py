@@ -35,15 +35,15 @@ RESERVED_TYPE_NAMES = frozenset({"int", "bool", "string", "void"})
 # Records
 # ---------------------------------------------------------------------------
 
-set_field = object.__setattr__  # how a Frozen record's `__init__` sets its fields
-
 
 class Record:
     """Base of the package's records: plain `__slots__` classes whose
     `__init__` takes every field, in order.  The fields are the public names
     of a class's own `__slots__`, then `_unkeyed` (a base class's fields,
     left out of `==` and `repr`).  Records of one class are `==` when their
-    other fields are.  A record is unhashable unless it is `Frozen`."""
+    other fields are.  Only the types hash: `TypeVar` and `NamedType` compute
+    their hash in `__init__`, and nothing assigns to a type's field after it.
+    Other records are unhashable."""
 
     __slots__ = ()
     _unkeyed: tuple[str, ...] = ()
@@ -69,28 +69,6 @@ class Record:
         return self.__class__, tuple(getattr(self, n) for n in self._fields)
 
 
-class Frozen(Record):
-    """A record whose fields `__init__` sets once, through `set_field`.
-    Equal records hash equal; each computes its hash on first use, into the
-    `_hash` slot that every frozen class declares.  The types, which are
-    nearly all hashed, compute it in `__init__`."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
-
-    __delattr__ = __setattr__
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self._key(self))
-            set_field(self, "_hash", h)
-            return h
-
-
 class Positioned(Record):
     """A record with a source position: 0:0 when built in code."""
 
@@ -110,40 +88,35 @@ def replace(record: Record, **changes: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-class TypeVar(Positioned, Frozen):
+class TypeVar(Positioned):
     __slots__ = ("name", "_hash")
     def __init__(self, name: str, line: int = 0, col: int = 0):
-        set_field(self, "name", name)
-        set_field(self, "line", line)
-        set_field(self, "col", col)
-        set_field(self, "_hash", hash(name))
+        self.name, self.line, self.col, self._hash = name, line, col, hash(name)
 
     def __eq__(self, other: object) -> bool:  # spelled out, as types are compared all the time
         return self.name == other.name if other.__class__ is TypeVar else NotImplemented  # type: ignore
 
-    __hash__ = Frozen.__hash__  # which defining `__eq__` would unset
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.name
 
 
-class NamedType(Positioned, Frozen):
+class NamedType(Positioned):
     """An applied named type: class, interface, or nullary primitive."""
 
     __slots__ = ("name", "args", "_hash")
     def __init__(self, name: str, args: tuple[TypeExpr, ...] = (), line: int = 0, col: int = 0):
-        set_field(self, "name", name)
-        set_field(self, "args", args)
-        set_field(self, "line", line)
-        set_field(self, "col", col)
-        set_field(self, "_hash", hash((name, args)))
+        self.name, self.args, self.line, self.col, self._hash = name, args, line, col, hash((name, args))
 
     def __eq__(self, other: object) -> bool:  # spelled out, as types are compared all the time
         if other.__class__ is not NamedType:
             return NotImplemented
         return self.name == other.name and self.args == other.args  # type: ignore
 
-    __hash__ = Frozen.__hash__  # which defining `__eq__` would unset
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         if not self.args:

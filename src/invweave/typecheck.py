@@ -47,7 +47,7 @@ from typing import Optional, Sequence, Union
 
 from .diagnostics import Diagnostic, ParseError
 from .parser import check_cycles
-from .subst import TypeSubstitution, substitute
+from .subst import substitute
 from .syntax import (
     Assign,
     Binary,
@@ -116,20 +116,20 @@ class _Members(Record):
 
 
 _NO_MEMBERS = _Members({}, {}, {})
-_NO_SUBST = TypeSubstitution()
+_NO_SUBST: dict[str, TypeExpr] = {}  # nothing writes to it
 
 
-def _signature(m: MethodDecl, *subs: TypeSubstitution) -> list[Optional[TypeExpr]]:
+def _signature(m: MethodDecl, *subs: dict[str, TypeExpr]) -> list[Optional[TypeExpr]]:
     """`m`'s parameter types, then its return type (None for void), each
     substituted by `subs` in turn."""
     types = [p.type for p in m.params] + [m.return_type]
     for sub in subs:
-        if sub.bindings:
+        if sub:
             types = [None if t is None else substitute(sub, t) for t in types]
     return types
 
 
-def _extend(inherited: _Members, decl: ClassDecl, sub: TypeSubstitution) -> _Members:
+def _extend(inherited: _Members, decl: ClassDecl, sub: dict[str, TypeExpr]) -> _Members:
     """`inherited` with `decl`'s own members in front; they hide inherited
     ones, and the first of a name wins."""
     out = _Members(dict(inherited.methods), dict(inherited.fields), dict(inherited.impls))
@@ -218,10 +218,10 @@ class ClassTable:
 
         return self._walk_up(self._chains, name, up, [])
 
-    def view_subst(self, decl: Union[ClassDecl, InterfaceDecl], t: NamedType) -> TypeSubstitution:
+    def view_subst(self, decl: Union[ClassDecl, InterfaceDecl], t: NamedType) -> dict[str, TypeExpr]:
         if not decl.type_params or not t.args:
             return _NO_SUBST
-        return TypeSubstitution(tuple(zip(decl.type_params, t.args)))
+        return dict(zip(decl.type_params, t.args))
 
     def super_instances(self, t: NamedType) -> list[NamedType]:
         out = self._supers.get(t)
@@ -328,7 +328,7 @@ class ClassTable:
         return None
 
     @staticmethod
-    def _hit(decl: Union[ClassDecl, InterfaceDecl], m: MethodDecl, sub: TypeSubstitution) -> MethodHit:
+    def _hit(decl: Union[ClassDecl, InterfaceDecl], m: MethodDecl, sub: dict[str, TypeExpr]) -> MethodHit:
         return MethodHit(
             declaring=decl.name,
             method=m,
@@ -539,7 +539,7 @@ class _Checker:
             self.check_implicit_constructor(cdecl)
         self.current_class = None
 
-    def check_override(self, m: MethodDecl, theirs: MethodDecl, sub: TypeSubstitution) -> None:
+    def check_override(self, m: MethodDecl, theirs: MethodDecl, sub: dict[str, TypeExpr]) -> None:
         if m.visibility == "private" or theirs.visibility == "private":
             self.error(
                 "duplicate-name",
@@ -595,9 +595,9 @@ class _Checker:
     def check_conforms(
         self,
         m: MethodDecl,
-        msub: TypeSubstitution,
+        msub: dict[str, TypeExpr],
         theirs: MethodDecl,
-        tsub: TypeSubstitution,
+        tsub: dict[str, TypeExpr],
         what: str,
         signature: str,
     ) -> None:
@@ -607,9 +607,7 @@ class _Checker:
         if len(m.type_params) != len(theirs.type_params):
             self.error("type-mismatch", "%s changes type parameters" % what, m)
             return
-        rename = _NO_SUBST
-        if m.type_params:
-            rename = TypeSubstitution(tuple((a, TypeVar(b)) for a, b in zip(theirs.type_params, m.type_params)))
+        rename = {a: TypeVar(b) for a, b in zip(theirs.type_params, m.type_params)}
         if _signature(m, msub) != _signature(theirs, tsub, rename):
             self.error("type-mismatch", "%s does not match %s" % (what, signature), m)
 
@@ -1044,8 +1042,7 @@ class _Checker:
                     e,
                 )
                 return None
-            inst = TypeSubstitution(tuple(bindings.items()))
-            return VOID_TYPE if ret is None else substitute(inst, ret)
+            return VOID_TYPE if ret is None else substitute(bindings, ret)
         self.check_call_args(want, e.args, e, e.name)
         return VOID_TYPE if ret is None else ret
 

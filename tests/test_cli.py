@@ -493,14 +493,34 @@ def test_run_deeply_nested_expression_is_a_one_line_error(tmp_path, capsys):
     assert text[int(found.group(1)) - 1] == "("
 
 
-def test_run_deeply_nested_statements_are_a_one_line_error(tmp_path, capsys):
+_CHAIN = "int x = 3; if (x == 0) { print(0); }" + "".join(
+    " else if (x == %d) { print(%d); }" % (i, i) for i in range(1, 401)
+)
+
+
+@pytest.mark.parametrize(
+    "text, level_201",  # what comes before the brace that opens the 201st statement level
+    [
+        (
+            "driver { %s print(1); %s }\n" % ("if (true) { " * 400, "} " * 400),
+            "driver { " + "if (true) { " * 200 + "if (true) ",
+        ),
+        ("driver { %s }\n" % _CHAIN, "else if (x == 200) "),
+        ("class A { public void m() { %s } }\ndriver { A a = new A(); a.m(); }\n" % _CHAIN, "else if (x == 200) "),
+    ],
+    ids=["nested", "driver-chain", "method-chain"],
+)
+def test_run_deeply_nested_statements_are_a_one_line_error(text, level_201, tmp_path, capsys):
     src = tmp_path / "nested.moo"
-    src.write_text("driver { %s print(1); %s }\n" % ("if (true) { " * 400, "} " * 400))
+    src.write_text(text)
     assert main(["run", str(src)]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(
-        r"%s:1:\d+: error \[syntax\] statement nested too deeply\n" % re.escape(str(src)), err
-    ), err
+    captured = capsys.readouterr()
+    found = re.fullmatch(
+        r"%s:1:(\d+): error \[syntax\] statement nested too deeply\n" % re.escape(str(src)), captured.err
+    )
+    assert found is not None and captured.out == "", captured.err
+    col = int(found.group(1))
+    assert text[col - 1] == "{" and text[: col - 1].endswith(level_201)
 
 
 @pytest.mark.parametrize("depth", [80, 150])

@@ -25,7 +25,7 @@ from invweave.interp import (
     run_program,
 )
 from invweave.invspec import load_spec
-from invweave.parser import parse_unit
+from invweave.parser import MAX_STATEMENT_LEVELS, parse_unit
 from invweave.syntax import merge_units
 from invweave.typecheck import typecheck_program
 from invweave.weave import swap_driver_constructors, weave_program
@@ -1132,6 +1132,26 @@ def test_statements_nested_deeper_than_one_compiled_function_run():
         driver { A a = new A(); a.x = 200; print(a.f(3)); print(a.x); A b = new A(); b.x = 5; print(a.g(b)); print(a.g(null)); }
     """ % ("if (true) { " * deep, "} " * deep, "while (s < 1) { " * deep, "} " * deep)
     assert run_fault(source) == ("null dereference reading 'x'", ["204", "204", "5"])
+
+
+@pytest.mark.parametrize("shape", ["nested", "chain"])
+def test_a_body_nested_as_deep_as_the_parser_allows_runs_when_first_called_deepest(shape):
+    # The body is compiled on its first call, at depth 255, where the Python stack is shortest.
+    levels = MAX_STATEMENT_LEVELS
+    if shape == "nested":
+        body = "if (x > 0) { " * levels + "return x; " + "} " * levels + "return 0;"
+    else:  # the last link's body is level 200
+        body = "if (x == 0) { return 0; }%s return -1;" % "".join(
+            " else if (x == %d) { return %d; }" % (i, i) for i in range(1, levels)
+        )
+    source = """
+        class D {
+            public int deep(int x) { %s }
+            public int down(int n, int x) { if (n == 0) { return this.deep(x); } return this.down(n - 1, x); }
+        }
+        driver { D d = new D(); print(d.down(%d, %d)); }
+    """ % (body, MAX_CALL_DEPTH - 3, levels - 1)
+    assert run_src(source).output == [str(levels - 1)]
 
 
 @pytest.mark.parametrize(

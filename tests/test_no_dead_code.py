@@ -5,7 +5,8 @@ somewhere under `src/` or `bench/` outside the definition itself, or when it
 is listed in `invweave.__all__`.  A module's `__getattr__` counts as used too:
 the import system calls it by that name (PEP 562) when an attribute is missing.
 The scan is by name only, so it errs on the side of keeping code; what it
-reports has no caller at all.
+reports has no caller at all.  Likewise every name a module imports at its
+top level is used in that module.
 """
 
 import ast
@@ -43,4 +44,18 @@ def test_every_top_level_definition_is_referenced():
         for top in ast.parse(path.read_text(), str(path)).body:
             if isinstance(top, _DEFS) and top.name not in used:
                 unused.append("%s:%d %s" % (path.name, top.lineno, top.name))
+    assert unused == []
+
+
+def test_every_top_level_import_is_referenced():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for top in tree.body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)) and getattr(top, "module", "") != "__future__":
+                for alias in top.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.append("%s:%d %s" % (path.name, top.lineno, name))
     assert unused == []

@@ -1,7 +1,7 @@
 import pytest
 
 from invweave.diagnostics import ParseError
-from invweave.parser import parse_unit
+from invweave.parser import MAX_STATEMENT_LEVELS, parse_unit
 from invweave.syntax import (
     Binary,
     FieldAccess,
@@ -198,6 +198,45 @@ def test_at_primitives_parse():
 def test_comments_are_skipped():
     unit = parse_unit("// header\nclass A { // trailing\n}\n")
     assert unit.classes[0].name == "A"
+
+
+def _too_deep(text: str) -> int:
+    """The column of the one-line unit's `statement nested too deeply` error."""
+    with pytest.raises(ParseError) as exc:
+        parse_unit(text)
+    d = exc.value.diagnostic
+    assert (d.code, d.message, d.line) == ("syntax", "statement nested too deeply", 1)
+    return d.col
+
+
+@pytest.mark.parametrize("shape", ["if (true) { %s }", "while (false) { %s }", "if (false) { } else { %s }"])
+def test_statements_nest_at_most_a_fixed_number_of_levels(shape):
+    def unit(levels):
+        body = "print(1);"
+        for _ in range(levels):
+            body = shape % body
+        return "class A { public void m() { %s } }" % body
+
+    parse_unit(unit(MAX_STATEMENT_LEVELS))
+    text = unit(MAX_STATEMENT_LEVELS + 1)
+    col = _too_deep(text)
+    # The error is at the brace that opens the level past the bound: the class's, the method's and 200 are open.
+    assert text[col - 1] == "{" and text[: col - 1].count("{") - text[: col - 1].count("}") == MAX_STATEMENT_LEVELS + 2
+
+
+def test_each_else_if_link_is_a_statement_level():
+    def unit(n):
+        links = "".join(" else if (x == %d) { }" % i for i in range(1, n + 1))
+        return "driver { int x = 0; if (x == 0) { }%s }" % links
+
+    parse_unit(unit(MAX_STATEMENT_LEVELS - 1))  # the last link's body is level 200
+    text = unit(MAX_STATEMENT_LEVELS)
+    col = _too_deep(text)
+    assert text[col - 1] == "{" and text[: col - 1].endswith("else if (x == %d) " % MAX_STATEMENT_LEVELS)
+    # A chain inside nested blocks counts both.
+    depth = MAX_STATEMENT_LEVELS - 1
+    nested = "driver { %s if (true) { } else if (true) { } %s }" % ("if (true) { " * depth, "} " * depth)
+    assert nested[_too_deep(nested) - 1] == "{"
 
 
 def test_dlist_corpus_parses():

@@ -1,9 +1,12 @@
 """The contract of the package's records (`syntax.Record`): plain `__slots__`
 classes whose `__init__` takes every field in order, compared field by field
-without their source position, frozen where a value is shared."""
+without their source position.  Only the types hash."""
 
 import copy
 import inspect
+import os
+import pickle
+import subprocess
 import sys
 import weakref
 
@@ -15,7 +18,6 @@ from invweave.diagnostics import Diagnostic
 from invweave.interp import ExecutionResult, ObjectInstance, ViolationRecord
 from invweave.lexer import Token
 from invweave.parser import parse_unit
-from invweave.subst import TypeSubstitution
 from invweave.syntax import (
     Binary,
     ClassDecl,
@@ -23,7 +25,6 @@ from invweave.syntax import (
     DeclMemo,
     DriverBlock,
     FieldAccess,
-    Frozen,
     InterfaceDecl,
     IntLit,
     MethodCall,
@@ -51,11 +52,11 @@ def _records(cls=Record):
 
 
 RECORDS = sorted(set(_records()), key=lambda c: (c.__module__, c.__name__))
-CONCRETE = [c for c in RECORDS if c not in (Frozen, Positioned)]
+CONCRETE = [c for c in RECORDS if c is not Positioned]
 
 
 def test_every_record_takes_its_fields_in_order():
-    assert len(CONCRETE) == 52  # ObjectInstance is not a record: its `==` is identity
+    assert len(CONCRETE) == 51  # ObjectInstance is not a record: its `==` is identity
     for cls in CONCRETE:
         params = list(inspect.signature(cls.__init__).parameters)[1:]
         assert tuple(params) == cls._fields == cls.__dataclass_fields__, cls.__name__
@@ -96,53 +97,29 @@ def test_every_list_default_is_a_fresh_list():
             assert getattr(record, name) == [] and getattr(record, name) is not getattr(again, name)
 
 
-FROZEN = [
-    TypeVar("T", 1, 2),
-    NamedType("Map", (NamedType("int"), TypeVar("V"))),
-    Token("IDENT", "x", 1, 1),
-    Diagnostic("syntax", "bad", 1, 1),
-    TypeSubstitution((("T", NamedType("int")),)),
-    ViolationRecord("A", 0, "entry", "m"),
-]
+def test_types_hash_by_value_in_any_process():
+    types = [TypeVar("T", 1, 2), NamedType("Map", (NamedType("int", (), 3, 4), TypeVar("V")), 5, 6)]
+    # Pickled where strings hash otherwise, so a loaded type must hash again as it is built.
+    dumped = subprocess.run(
+        [sys.executable, "-B", "-c", "import pickle, sys; from invweave.syntax import NamedType, TypeVar;"
+         " sys.stdout.buffer.write(pickle.dumps(%r))" % types],
+        capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED="1"),
+    ).stdout
+    for t, loaded in zip(types, pickle.loads(dumped)):
+        twin = copy.deepcopy(t)
+        bare = replace(t, line=0, col=0)
+        assert t == twin == loaded == bare and hash(t) == hash(twin) == hash(loaded) == hash(bare)
+        assert {t: 1}[twin] == {t: 1}[loaded] == {t: 1}[bare] == 1
 
 
-def test_exactly_these_records_are_frozen():
-    assert sorted(c.__name__ for c in RECORDS if issubclass(c, Frozen) and c is not Frozen) == sorted(
-        type(r).__name__ for r in FROZEN
-    )
-
-
-@pytest.mark.parametrize("record", FROZEN, ids=lambda r: type(r).__name__)
-def test_frozen_records_refuse_assignment_and_hash_by_value(record):
-    name = record._fields[0]
-    with pytest.raises(AttributeError):
-        setattr(record, name, None)
-    with pytest.raises(AttributeError):
-        delattr(record, name)
-    twin = copy.deepcopy(record)
-    assert twin is not record and twin == record and hash(twin) == hash(record)
-    assert {record: 1}[twin] == 1
-
-
-def test_hash_ignores_positions_and_is_computed_once():
-    # A type's hash is set as it is built; another frozen record's on its first use.
-    t = NamedType("List", (NamedType("int"),), 4, 5)
-    assert t._hash == hash(t) == hash(NamedType("List", (NamedType("int"),)))
-    assert TypeVar("T", 1, 2)._hash == hash(TypeVar("T"))
-    token = Token("IDENT", "x", 1, 1)
-    with pytest.raises(AttributeError):
-        token._hash  # nothing is computed before it
-    assert hash(token) == token._hash  # kept after the first use
-
-
-def test_mutable_records_are_unhashable():
+@pytest.mark.parametrize(
+    "record",
+    [Token("IDENT", "x", 1, 1), Diagnostic("syntax", "bad", 1, 1), ViolationRecord("A", 0, "entry", "m"), VarRead("x")],
+    ids=lambda r: type(r).__name__,
+)
+def test_other_records_are_unhashable(record):
     with pytest.raises(TypeError):
-        hash(VarRead("x"))
-
-
-def test_substitution_refuses_a_duplicate_variable():
-    with pytest.raises(ValueError, match="duplicate variable"):
-        TypeSubstitution((("T", NamedType("int")), ("T", NamedType("bool"))))
+        hash(record)
 
 
 def test_objects_compare_by_identity():
@@ -170,8 +147,6 @@ def test_replace_copies_through_init_and_leaves_the_record_unchanged():
     moved = replace(call, name="g")
     assert (moved.name, moved.receiver, moved.args, moved.line, moved.col) == ("g", call.receiver, call.args, 3, 4)
     assert call.name == "f"
-    with pytest.raises(ValueError, match="duplicate variable"):
-        replace(TypeSubstitution(), bindings=(("T", NamedType("int")),) * 2)
 
 
 def _types(t) -> int:
