@@ -43,8 +43,18 @@ is a fault.  The same program always stops at the same step.
 
 A run produces printed output lines, an optional check-event trace
 (`CHECK <object-id> <class> <entry|exit|construction> <method>`, one line
-per invariant evaluation), and an optional violation record when a woven
-check fails, at which point execution stops.
+per check point), and an optional violation record when a woven check
+fails, at which point execution stops.
+
+A unit that holds a check body the weaver marked (`syntax.GENERATED`) counts
+its field writes: each store its bodies and driver make bumps `rt.writes`,
+except a generated class's stores of its own bookkeeping fields in `this`,
+and so does each `dispatch_call` and `construct`, as host code may have set
+slots.  Its bodies and driver are compiled apart from those of other units.
+A check body that passed, having constructed, written and printed nothing,
+is replayed while no write follows, at no greater depth: the run draws the
+steps it took and goes on (`_replaying`).  Predicates only read fields, so
+the check would have passed again at that cost.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from collections import namedtuple
 from typing import Callable, Optional, Union
 
 from .syntax import (
-    Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, IfStmt, LocalDecl,
+    GENERATED, Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, IfStmt, LocalDecl,
     MethodCall, MethodDecl, NamedType, NewObject, Record, ReflectGet, SourceUnit, SuperCall, SuperExpr, ThisExpr,
     TypeExpr, Unary, VarRead, WhileStmt,
 )
@@ -224,8 +234,9 @@ class _Emitter:
     height, stable)`: `pre` lists the (temporary, text, height) spills done
     before `text`; a stable text is a name nothing else in the statement sets."""
 
-    def __init__(self, owner: Optional[ClassDecl], fields=()):
+    def __init__(self, owner: Optional[ClassDecl], fields=(), unbumped: Optional[tuple] = None):
         self.owner, self.fields = owner, fields
+        self.unbumped = unbumped  # in a unit that counts writes, the fields whose stores in `this` it does not count
         self.locals: dict[str, tuple] = {}  # MiniOO name -> (Python text, declared type), for the names in scope
         self.ntemps = self.nest = self.loops = 0
         self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path, a call or a fault message
@@ -251,6 +262,9 @@ class _Emitter:
     def site(self, payload) -> str:
         self.sites.append(payload)
         return "\x01%d\x02" % (len(self.sites) - 1)
+
+    def bump(self, field: Optional[str] = None) -> str:  # what follows a store of `field`
+        return "" if self.unbumped is None or field in self.unbumped else "; rt.writes += 1"
 
     def line(self, *texts: str) -> None:
         self.lines += [" " * (self.nest + 2) + text for text in texts]
@@ -319,16 +333,17 @@ class _Emitter:
         target, message = s.target, None
         name, obj = getattr(target, "name", None), getattr(target, "obj", ThisExpr())
         if isinstance(target, VarRead):
-            text = self.local(name) or ("this.f_" + name if self.owner and name in self.fields else None)
-            if text is not None:
+            if (text := self.local(name)) is not None:
                 return self.line("%s = %s" % (text, *self.values(s.value)))
+            if self.owner and name in self.fields:
+                return self.line("this.f_%s = %s" % (name, *self.values(s.value)) + self.bump(name))
             message = "unknown variable %r" % name  # unless a subclass's `this` has the field
             if self.owner is None:
                 return self.line("_fail(%s, %s)" % (ascii(message), *self.values(s.value)))
         elif not isinstance(target, FieldAccess):
             return self.line("_fail('invalid assignment target', %s)" % tuple(self.values(s.value)))
         elif isinstance(obj, ThisExpr) and self.owner is not None and name in self.fields:
-            return self.line("this.f_%s = %s" % (name, *self.values(s.value)))
+            return self.line("this.f_%s = %s" % (name, *self.values(s.value)) + self.bump(name))
         pre, ((v, _, _, stable), (o, *_)) = self.seq([self.expr(s.value), self.expr(obj)])
         self.line(*("%s = %s" % (t, x) for t, x, _ in pre))
         if not stable:  # the value is taken before the object
@@ -337,7 +352,7 @@ class _Emitter:
         if not self.named(o):
             self.line("%s = %s" % (t := self.temp(), o))
             o = t
-        self.line(self.site(message or (o, ((name, "writing"),))) + "%s.f_%s = %s" % (o, name, v))
+        self.line(self.site(message or (o, ((name, "writing"),))) + "%s.f_%s = %s" % (o, name, v) + self.bump())
 
     def s_IfStmt(self, s) -> None:
         known, t = _is_bool(s.cond), self.temp()
@@ -589,10 +604,13 @@ class _Emitter:
 _COMPILED = DeclMemo()
 
 
-def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict, name: str) -> Callable:
+def _compile_body(
+    owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict, name: str, counted: bool
+) -> Callable:
     """A method's function starts by checking its depth and drawing a step, as `Interpreter.init`
-    does for each construction."""
-    em = _Emitter(owner, layout)
+    does for each construction.  In a unit that counts writes, a check body replays its passes."""
+    check, own = GENERATED.get(owner) or (None, ())
+    em = _Emitter(owner, layout, own if counted else None)
     params = [em.declare(p.name, p.type) for p in decl.params]
     for s in decl.body:
         em.stmt(s)
@@ -600,7 +618,28 @@ def _compile_body(owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], la
         em.line("raise _err(%s)" % ascii("%s.%s finished without returning a value" % (owner.name, decl.name)))
     prologue = ["if d > MAX_CALL_DEPTH: raise _err(_TOO_DEEP)", "if next(rt.ticks, 1): raise rt.spent()"]
     em.finish("def _f(%s):" % ", ".join(["rt", "d", "this"] + params), prologue * isinstance(decl, MethodDecl))
-    return em.build(name)
+    fn = em.build(name)
+    return _replaying(fn) if counted and decl is check else fn
+
+
+def _replaying(check: Callable) -> Callable:
+    """`check`, a check body, run only when its last pass on `this` cannot be replayed: a pass
+    that constructed, wrote and printed nothing, at a depth no less than `d`, with no write
+    since.  A replay draws that pass's steps from the budget and returns True."""
+
+    def replay(rt: "Interpreter", d: int, this):
+        last = rt.passed.get(this)
+        if last is not None and last[0] is check and last[1] == rt.writes and d <= last[3]:
+            if next(itertools.islice(rt.ticks, last[2] - 1, None), 1):  # too few steps left: all are drawn
+                raise rt.spent()
+            return True
+        made, writes, lines, left = rt._next_id, rt.writes, len(rt.combined), rt.ticks.__length_hint__()
+        verdict = check(rt, d, this)
+        if verdict is True and made == rt._next_id and writes == rt.writes and lines == len(rt.combined):
+            rt.passed[this] = check, writes, left - rt.ticks.__length_hint__(), d
+        return verdict
+
+    return replay
 
 
 # The kinds of op of a driver's simple statement (see `_op` and `Interpreter.run`): a call with no
@@ -652,14 +691,18 @@ def _op(s, slots: dict) -> Optional[tuple]:
     return kind, dest, key, slots[e.receiver.name], args[0] if kind == _CALL1_OP else args
 
 
-def _driver_code(driver: DriverBlock) -> tuple:
+def _driver_code(driver: DriverBlock, counted: bool = False) -> tuple:
     """The op table that runs `driver`, five values per statement (see `Interpreter.run`):
     each simple statement is one op (`_op`), and at most `_CHUNK` others in a row one
     function `(rt, d, L)`, which reads the driver's locals from the list `L` and, when
-    anything follows, writes them back (CPython compiles short functions in less memory)."""
-    if (table := _COMPILED.get(driver)) is not None:
+    anything follows, writes them back (CPython compiles short functions in less memory).
+    Built once for a unit that counts writes and once for others."""
+    if (made := _COMPILED.get(driver)) is None:
+        _COMPILED.put(driver, made := {})
+    if (table := made.get(counted)) is not None:
         return table
-    em, table, slots, n, carried = _Emitter(None), [], {}, 0, ""  # n: the statements of the chunk being emitted
+    em = _Emitter(None, (), () if counted else None)
+    table, slots, n, carried = [], {}, 0, ""  # n: the statements of the chunk being emitted
 
     def close(more: bool) -> None:
         if more and em.locals:
@@ -683,7 +726,7 @@ def _driver_code(driver: DriverBlock) -> tuple:
             slots.setdefault(s.name, len(slots))
     if n:
         close(False)
-    _COMPILED.put(driver, table := tuple(table))
+    made[counted] = table = tuple(table)
     return table
 
 
@@ -695,15 +738,15 @@ class _Body:
 
     __slots__ = ("name", "arity", "chains", "fn", "source")
 
-    def __init__(self, owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict):
+    def __init__(self, owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict, counted: bool):
         self.name, self.arity = "%s.%s" % (owner.name, getattr(decl, "name", "<init>")), len(decl.params)
         self.fn = self.load
         self.chains = bool(decl.body) and isinstance(decl.body[0], SuperCall)  # a constructor's own `super(...)`
-        self.source = weakref.ref(owner), weakref.ref(decl), layout
+        self.source = weakref.ref(owner), weakref.ref(decl), layout, counted
 
     def load(self, *args):
-        owner, decl, layout = self.source
-        self.fn = _compile_body(owner(), decl(), layout, self.name)
+        owner, decl, layout, counted = self.source
+        self.fn = _compile_body(owner(), decl(), layout, self.name, counted)
         return self.fn(*args)
 
 
@@ -712,14 +755,14 @@ class _Body:
 _Class = namedtuple("_Class", "parent layout vt ctor new")
 
 
-def _class_tables(decl: ClassDecl, parent: Optional[_Class]) -> _Class:
-    """`decl`'s runtime tables below `parent`, its superclass's, built once and kept with
-    `decl`.  Its objects' Python class has a slot for each field of the layout, named
-    with the prefix `f_`, which its `__init__` sets to the zero value; that of the
-    superclass's objects, which is made with `parent`, stands for `parent`."""
+def _class_tables(decl: ClassDecl, parent: Optional[_Class], counted: bool) -> _Class:
+    """`decl`'s runtime tables below `parent`, its superclass's, in a unit that counts writes
+    or not, built once and kept with `decl`.  Its objects' Python class has a slot for each
+    field of the layout, named with the prefix `f_`, which its `__init__` sets to the zero
+    value; that of the superclass's objects, which is made with `parent`, stands for `parent`."""
     if (made := _COMPILED.get(decl)) is None:
         _COMPILED.put(decl, made := {})
-    if (c := made.get(key := getattr(parent, "new", None))) is not None:
+    if (c := made.get(key := (getattr(parent, "new", None), counted))) is not None:
         return c
     layout = dict(inherited := getattr(parent, "layout", {}))
     for f in decl.fields:
@@ -732,8 +775,8 @@ def _class_tables(decl: ClassDecl, parent: Optional[_Class]) -> _Class:
         if m.body is not None:
             if (old := vt.get(m.name)) is not None:
                 del vt["%s/%d" % (m.name, old.arity)]
-            vt[m.name] = vt[sys.intern("%s/%d" % (m.name, len(m.params)))] = _Body(decl, m, layout)
-    ctor = None if decl.constructor is None else _Body(decl, decl.constructor, layout)
+            vt[m.name] = vt[sys.intern("%s/%d" % (m.name, len(m.params)))] = _Body(decl, m, layout, counted)
+    ctor = None if decl.constructor is None else _Body(decl, decl.constructor, layout, counted)
     init = ["def __init__(self, class_name, obj_id, vt):", " self.class_name, self.obj_id = class_name, obj_id"]
     init += [" self.vt = vt"] + [" self.f_%s = %r" % field for field in layout.items()]
     exec("\n".join(init), ns := {})
@@ -741,6 +784,11 @@ def _class_tables(decl: ClassDecl, parent: Optional[_Class]) -> _Class:
     new = type(decl.name, (ObjectInstance,), {"__slots__": slots, "__init__": ns["__init__"]})
     made[key] = c = _Class(parent or getattr(decl.super_class, "name", None), layout, vt, ctor, new)
     return c
+
+
+def _counted(unit: SourceUnit) -> bool:
+    """Whether a run of `unit` counts its field writes: whether it holds a marked check body."""
+    return any((GENERATED.get(c) or (None,))[0] is not None for c in unit.classes)
 
 
 class Interpreter:
@@ -756,6 +804,8 @@ class Interpreter:
         self.output, self.trace, self.combined = [], [], []  # output and trace lines, and both interleaved
         self.singletons, self._classes = {}, {}  # class name -> its one instance, its runtime tables
         self._next_id = 0
+        self.counted, self.writes = _counted(unit), 0
+        self.passed: dict = {}  # object -> (check body, writes, steps, depth) of a pass it may replay (`_replaying`)
 
     def _class(self, name: str) -> Optional[_Class]:
         """The runtime tables of a declared class, found on first use after its ancestors'."""
@@ -769,10 +819,15 @@ class Interpreter:
             up = getattr(chain[-1].super_class, "name", None)
         for decl in reversed(chain):
             parent = self._classes.get(getattr(decl.super_class, "name", None))  # type: ignore[arg-type]
-            self._classes[decl.name] = _class_tables(decl, parent)
+            self._classes[decl.name] = _class_tables(decl, parent, self.counted)
         return self._classes.get(name)
 
     def construct(self, class_name: str, args=(), d: int = 0) -> ObjectInstance:
+        """A new object, for host code: like `dispatch_call`, it counts as a write."""
+        self.writes += 1
+        return self._new(class_name, args, d)
+
+    def _new(self, class_name: str, args=(), d: int = 0) -> ObjectInstance:  # `new` in the driver and in bodies
         self._next_id += 1
         c = self._class(class_name)
         obj = getattr(c, "new", ObjectInstance)(class_name, self._next_id, getattr(c, "vt", {}))
@@ -807,11 +862,12 @@ class Interpreter:
 
     def singleton(self, class_name: str, d: int = 0) -> ObjectInstance:
         one = self.singletons
-        return one.get(class_name) or one.setdefault(class_name, self.construct(class_name, [], d))
+        return one.get(class_name) or one.setdefault(class_name, self._new(class_name, [], d))
 
     def dispatch_call(self, receiver: ObjectInstance, name: str, args: list):
         """Execute the most-derived override of `name` on the receiver, at depth 0; like
-        any call, it draws one step."""
+        any call, it draws one step.  It counts as a write: host code may have set slots."""
+        self.writes += 1
         key = "%s/%d" % (name, len(args))
         if (m := receiver.vt.get(key)) is None:
             raise _no_method(key, receiver)
@@ -822,7 +878,7 @@ class Interpreter:
             raise MiniOORuntimeError("no driver block to execute")
         violation, L = None, []  # L: the driver's top-level locals, in the order they were declared
         try:
-            it = iter(_driver_code(self.unit.driver))
+            it = iter(_driver_code(self.unit.driver, self.counted))
             for kind, dest, key, o, args in zip(it, it, it, it, it):
                 if kind <= _CALLN_OP:  # `L[o].key(...)` at depth 1, looked up as a body looks a call up
                     o = L[o]
@@ -835,7 +891,7 @@ class Interpreter:
                     else:
                         value = m.fn(self, 1, o) if kind == _CALL0_OP else m.fn(self, 1, o, *_gather(args, L))
                 elif kind == _NEW_OP:  # `new key(*args)`
-                    value = self.construct(key, _gather(args, L))
+                    value = self._new(key, _gather(args, L))
                 elif kind == _CODE_OP:  # compiled statements, `key(rt, d, L)`; `dest` is None
                     if key(self, 0, L) is not None:  # a `return` ended the driver
                         break
@@ -854,7 +910,7 @@ class Interpreter:
         return ExecutionResult(self.output, self.trace, violation, self.combined)
 
 
-_NS["_new"] = Interpreter.construct
+_NS["_new"] = Interpreter._new
 
 
 def run_program(unit: SourceUnit, check_trace: bool = False, max_steps: int = MAX_STEPS) -> ExecutionResult:

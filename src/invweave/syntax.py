@@ -563,3 +563,9 @@ class DeclMemo:
                 del entries[key]
 
         entries[key] = (weakref.ref(decl, drop), value)
+
+
+# The declarations the weaver generated, each mapped to (its check body: an exposed class's
+# `inv` method whose check walks a quantifier's loop, else None; the names of its bookkeeping
+# fields).  Nothing prints or compares this mark, so a unit parsed from woven text has none.
+GENERATED = DeclMemo()

@@ -27,7 +27,12 @@ report is counted from them alone, not from the generated declarations.
 Checks fire only when the depth counter is zero, which makes them coincide
 with publicly-visible calls; nested self-calls are suppressed.  Invariant
 failures abort the run with a violation record (class, predicate index,
-phase, method).
+phase, method).  Each generated class is marked in `syntax.GENERATED` with
+its bookkeeping fields (the depth counter, the visitor's verdict) and, when
+a predicate on its specified chain is quantified, its check body (`inv`):
+the interpreter replays such a check while nothing it reads has been written
+(see `interp`).  A check without a quantifier takes a few steps, about what
+replaying it costs, so it is not marked.
 
 Every type in the generated declarations is copied from the original
 hierarchy or from the typings `validate_spec` accepted, so their bodies are
@@ -53,6 +58,7 @@ from .invspec import Forall, InvariantSpec, Predicate, type_predicate, validate_
 from .printer import render_source
 from .subst import NameSupply
 from .syntax import (
+    GENERATED,
     Assign,
     Binary,
     BoolLit,
@@ -309,8 +315,10 @@ def gen_exposed_class(
     table: ClassTable,
     plan: ExposurePlan,
     wraps: list[tuple[MethodHit, str]],
+    walks: bool = False,
 ) -> ClassDecl:
-    """The exposed class of `c`; `wraps` is `_public_methods_to_wrap` of it."""
+    """The exposed class of `c`; `wraps` is `_public_methods_to_wrap` of it.  `walks`: a
+    predicate on its specified chain is quantified, so its check takes a loop's steps."""
     self_t = c.self_type()
     hooks = _hook_names(table, self_t, set(naming.getter_names.values()))
     visitor = naming.visitor_name
@@ -418,7 +426,7 @@ def gen_exposed_class(
                 MethodDecl(naming.getter(owner, fname), "public", [], [], hit.type, [ReturnStmt(read)])
             )
 
-    return ClassDecl(
+    exposed = ClassDecl(
         naming.exposed_names[c.name],
         list(c.type_params),
         self_t,
@@ -428,6 +436,8 @@ def gen_exposed_class(
         constructor,
         [check_entry, check_exit, inv] + wrappers + getters,
     )
+    GENERATED.put(exposed, (inv if walks else None, (hooks.depth,)))
+    return exposed
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +566,9 @@ def gen_visitor(
         methods.append(record)
     methods.extend(visit_methods)
     constructor = ConstructorDecl("public", [], [ExprStmt(_this_call("reset", []))])
-    return ClassDecl(naming.visitor_name, [], None, [], False, fields, constructor, methods)
+    visitor = ClassDecl(naming.visitor_name, [], None, [], False, fields, constructor, methods)
+    GENERATED.put(visitor, (None, tuple(f.name for f in fields)))
+    return visitor
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +609,9 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
     exposed: list[ClassDecl] = []
     wraps = {c.name: _public_methods_to_wrap(table, c, c.self_type()) for c in specified}
     for c in specified:
+        walks = any(isinstance(p, Forall) for a in plan.per_class[c.name].chain for p in spec.predicates(a))
         interfaces.append(gen_exposure_interface(c, plan, naming))
-        exposed.append(gen_exposed_class(c, naming, table, plan, wraps[c.name]))
+        exposed.append(gen_exposed_class(c, naming, table, plan, wraps[c.name], walks))
 
     artifacts = WovenArtifacts(
         interfaces=interfaces,

@@ -265,6 +265,56 @@ def test_the_checked_dlist_driver_stops_alike_at_every_budget(monkeypatch, fixed
         assert (seen[0][0][4] is None) == (budget == used), budget
 
 
+def _counting_replays(monkeypatch) -> list:
+    """Counts, from now on, of calls of each check body that replays and of its runs: [calls, runs]."""
+    replaying, counts = interp_module._replaying, [0, 0]
+
+    def counted(check):
+        def run(*args):
+            counts[1] += 1
+            return check(*args)
+
+        replay = replaying(run)
+
+        def call(*args):
+            counts[0] += 1
+            return replay(*args)
+
+        return call
+
+    monkeypatch.setattr(interp_module, "_replaying", counted)
+    return counts
+
+
+def test_every_case_runs_alike_with_check_replay_switched_off(monkeypatch):
+    # A unit that holds a woven check counts its writes, and a check that passed
+    # replays while nothing is written; with `_counted` declining every unit, every
+    # check runs.  Each pass parses its own units, so neither runs code the other compiled.
+    counts = _counting_replays(monkeypatch)
+    on = [(case_id, _observe(unit)) for case_id, unit in cases()]
+    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    off = [(case_id, _observe(unit)) for case_id, unit in cases()]
+    calls, runs = counts
+    assert calls - runs >= 900 and runs >= 300 and len(on) == len(off)
+    for a, b in zip(on, off):
+        assert a == b, a[0]
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_the_checked_dlist_driver_stops_alike_at_every_budget_with_check_replay_off(monkeypatch, fixed):
+    name = "dlist/%s/driver_checked" % ("list_fixed" if fixed else "list")
+    counts = _counting_replays(monkeypatch)
+    on = next(unit for case_id, unit in cases() if case_id == name)
+    _, used = _observe(on)
+    assert counts[0] - counts[1] >= 8
+    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    off = next(unit for case_id, unit in cases() if case_id == name)
+    for budget in range(used + 1):
+        seen = _observe(on, budget), _observe(off, budget)
+        assert seen[0] == seen[1], budget
+        assert (seen[0][0][4] is None) == (budget == used), budget
+
+
 @pytest.mark.parametrize("kind", ["violation", "error"])
 def test_goldens_cover_both_abnormal_endings(kind):
     goldens = json.loads(GOLDENS.read_text()).values()

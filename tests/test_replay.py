@@ -1,0 +1,216 @@
+"""Replayed checks: in a unit the weaver built in process, a woven check that
+passed is not run again while nothing it could read has been written since;
+the run draws the steps it took instead (see `interp`)."""
+
+import json
+import operator
+
+import pytest
+
+from invweave import interp as interp_module
+from invweave.diagnostics import errors_only
+from invweave.interp import Interpreter, MiniOORuntimeError, _Emitter, _Violation, run_program
+from invweave.invspec import load_spec
+from invweave.parser import parse_unit
+from invweave.printer import render_source
+from invweave.syntax import GENERATED, merge_units
+from invweave.typecheck import typecheck_program
+from invweave.weave import swap_driver_constructors, weave_program
+
+from helpers import dlist_driver, load_dlist
+
+
+def _walk(class_name: str, field: str) -> str:
+    """A spec for `class_name`: `field` is not negative, and a quantifier walks its value."""
+    predicates = ["%s >= 0" % field, "forall (i = 0; i < %s; i = i + 1) : i >= 0" % field]
+    return json.dumps({"classes": [{"name": class_name, "invariant": predicates}]})
+
+
+def test_the_weaver_marks_its_classes_and_text_parsed_back_has_no_marks():
+    # Only `DLinkedList`'s chain has a quantified predicate: `AbstractList`'s check takes a few steps.
+    unit, spec = load_dlist(fixed=True)
+    art = weave_program(unit, spec)
+    abstract, linked = art.exposed_classes
+    assert GENERATED.get(abstract) == (None, ("_depth",))
+    assert GENERATED.get(linked) == (next(m for m in linked.methods if m.name == "inv"), ("_depth",))
+    assert GENERATED.get(art.visitor) == (None, ("_ok", "_fail_class", "_fail_index"))
+    assert all(GENERATED.get(c) is None for c in unit.classes)
+    merged = merge_units([unit, art.declarations_unit()])
+    reparsed = parse_unit(render_source(merged))
+    assert reparsed == merged and all(GENERATED.get(c) is None for c in reparsed.classes)
+    assert interp_module._counted(merged) and not interp_module._counted(reparsed)
+
+
+def _spy_on_build(monkeypatch) -> list:
+    """The (name, source) of each function emitted from now on."""
+    built, build = [], _Emitter.build
+
+    def spy(em, fn_name):
+        built.append((fn_name, "\n".join(em.out)))
+        return build(em, fn_name)
+
+    monkeypatch.setattr(_Emitter, "build", spy)
+    return built
+
+
+@pytest.mark.parametrize("order", [("checked", "plain", "checked"), ("plain", "checked", "plain")])
+def test_plain_and_checked_runs_over_shared_declarations_keep_their_own_bodies(monkeypatch, order):
+    # Both units hold the faulty list's own classes.  Were a plain body, which does not
+    # count its writes, run in the checked unit, `remove`'s exit check would replay the
+    # pass of its entry check and miss the violation.
+    unit, spec = load_dlist(fixed=False)
+    decls = weave_program(unit, spec).declarations_unit()
+    units = {
+        "plain": merge_units([unit, dlist_driver(checked=False)]),
+        "checked": merge_units([unit, decls, dlist_driver(checked=True)]),
+    }
+    built, first = _spy_on_build(monkeypatch), {}
+    for kind in order:
+        built.clear()
+        result = run_program(units[kind], check_trace=True)
+        if kind == "plain":
+            assert result.violation is None and result.output == ["testRemove complete"]
+            assert not any("rt.writes" in source for _, source in built)
+        else:
+            assert str(result.violation) == "VIOLATION DLinkedList 0 exit remove"
+        first.setdefault(kind, dict(built))
+    assert "rt.writes += 1" in first["checked"]["DLinkedList.remove"]
+    assert "rt.writes" not in first["plain"]["DLinkedList.remove"]
+
+
+def test_a_host_write_between_calls_is_seen_by_the_next_check():
+    unit, spec = load_dlist(fixed=True)
+    interp = Interpreter(merge_units([unit, weave_program(unit, spec).declarations_unit()]))
+    ls = interp.construct("ExposedDLinkedList", [])
+    interp.dispatch_call(ls, "add", ["a"])
+    interp.dispatch_call(ls, "add", ["b"])
+    # the exit check of the second `add` passed, and the run has written nothing since
+    assert [last[1] for last in interp.passed.values()] == [interp.writes]
+    second = ls.f_head.f_next.f_next
+    second.f_prev = ls.f_head
+    with pytest.raises(_Violation) as violation:
+        interp.dispatch_call(ls, "size", [])
+    assert str(violation.value.record) == "VIOLATION DLinkedList 0 entry size"
+
+
+_ACC = """
+class Acc {
+    protected int total;
+    public Acc() { this.total = 0; }
+    public void add(int v) { this.total = this.total + v; }
+    public int total() { return this.total; }
+    public int viaNull() { Acc a = null; return a.total(); }
+    public int share(int k) { return this.total / k; }
+    public int down(int n) { if (n == 0) { return 0; } return this.down(n - 1) + 1; }
+}
+"""
+_ACC_SPEC = _walk("Acc", "total")
+_BUDGET = 200  # steps of the `spin` run: it runs out inside a replayed check
+
+# driver -> (output, fault): each wrapped method faults after its entry check
+_WOVEN_FAULTS = {
+    "null-local": ("Acc a = new Acc(); a.add(2); print(a.total()); print(a.viaNull());",
+                   ["2"], "null dereference calling 'total'"),
+    "zero-divisor": ("Acc a = new Acc(); a.add(6); print(a.share(3)); print(a.share(0));",
+                     ["2"], "division by zero"),
+    "runaway-recursion": ("Acc a = new Acc(); print(a.down(3)); print(a.down(1000));",
+                          ["3"], "MiniOO calls nested too deeply"),
+    "spin": ("Acc a = new Acc(); a.add(1); while (true) { a.total(); }",
+             [], "run used up its budget of %d steps" % _BUDGET),
+}
+
+
+def _woven_acc(driver: str, classes: str = _ACC):
+    unit = parse_unit(classes + "driver { %s }" % driver)
+    artifacts = weave_program(unit, load_spec(_ACC_SPEC))
+    woven = merge_units([swap_driver_constructors(unit, artifacts), artifacts.declarations_unit()])
+    assert errors_only(typecheck_program(woven)) == []
+    return woven
+
+
+def _run_to_fault(unit, max_steps: int) -> tuple:
+    """What the run recorded, its fault, the steps it used, and the function that raised."""
+    interp = Interpreter(unit, trace=True, max_steps=max_steps)
+    with pytest.raises(MiniOORuntimeError) as fault:
+        interp.run()
+    tb = fault.value.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    r = fault.value.result
+    seen = r.output, r.trace, r.combined, str(fault.value), max_steps - operator.length_hint(interp.ticks)
+    return seen, tb.tb_frame.f_code.co_name
+
+
+@pytest.mark.parametrize("case", sorted(_WOVEN_FAULTS))
+def test_a_fault_inside_a_woven_method_is_the_same_with_checks_replayed_or_run(monkeypatch, case):
+    driver, output, message = _WOVEN_FAULTS[case]
+    on, raised_in = _run_to_fault(_woven_acc(driver), _BUDGET if case == "spin" else 10_000)
+    assert on[0] == output and on[3] == message and on[1][0] == "CHECK 1 Acc construction <init>"
+    assert (raised_in == "replay") == (case == "spin")
+    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    off, _ = _run_to_fault(_woven_acc(driver), _BUDGET if case == "spin" else 10_000)
+    assert off == on
+
+
+def _outcome(unit) -> tuple:
+    try:
+        return run_program(unit).output, None
+    except MiniOORuntimeError as exc:
+        return exc.result.output, str(exc)
+
+
+@pytest.mark.parametrize("n", range(122, 130))
+def test_a_pass_is_not_replayed_deeper_than_it_ran(monkeypatch, n):
+    # `b` passes its checks at call depth 1; `reach` then calls it from 2n + 3 levels
+    # down, where its check runs out of call depth for n of 125 and 126 (and the call
+    # itself for larger n).
+    reach = "public int reach(Acc o, int n) { if (n == 0) { return o.total(); } return this.reach(o, n - 1); }"
+    classes = _ACC.replace("public int total()", reach + "\n    public int total()")
+    driver = "Acc a = new Acc(); Acc b = new Acc(); print(b.total()); print(a.reach(b, %d));" % n
+    on = _outcome(_woven_acc(driver, classes))
+    assert on == (["0"] + ["0"] * (n < 125), None if n < 125 else "MiniOO calls nested too deeply")
+    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    assert _outcome(_woven_acc(driver, classes)) == on
+
+
+def test_a_field_the_driver_writes_is_read_again_by_the_next_check():
+    source = """
+        class P { public int v; public int get() { return this.v; } }
+        driver { P p = new P(); print(p.get()); if (true) { p.v = -1; } print(p.get()); }
+    """
+    unit = parse_unit(source)
+    artifacts = weave_program(unit, load_spec(_walk("P", "v")))
+    result = run_program(merge_units([swap_driver_constructors(unit, artifacts), artifacts.declarations_unit()]))
+    assert result.output == ["0"] and str(result.violation) == "VIOLATION P 0 entry get"
+
+
+def test_a_host_write_before_a_construction_is_seen_by_its_checks():
+    # `deep` records a pass of `b`'s check deeper than the constructor's call of `get` runs.
+    source = """
+        class Box { public int v; public int get() { return this.v; } }
+        class Probe {
+            public Probe(Box b) { print(b.get()); }
+            public void deep(Box b, int n) { if (n == 0) { b.get(); } else { this.deep(b, n - 1); } }
+        }
+    """
+    unit = parse_unit(source)
+    artifacts = weave_program(unit, load_spec(_walk("Box", "v")))
+    interp = Interpreter(merge_units([unit, artifacts.declarations_unit()]))
+    b = interp.construct("ExposedBox", [])
+    interp.dispatch_call(interp.construct("Probe", [b]), "deep", [b, 5])
+    b.f_v = -1
+    with pytest.raises(_Violation) as violation:
+        interp.construct("Probe", [b])
+    assert str(violation.value.record) == "VIOLATION Box 0 entry get" and interp.output == ["0"]
+
+
+def test_a_check_that_prints_runs_every_time():
+    # A subclass's getter prints, so each of its checks prints: a pass that printed is not replayed.
+    unit = parse_unit("class Box { public int v; public int get() { return this.v; } }")
+    noisy = parse_unit("""
+        class Noisy extends ExposedBox { public int _get_v() { print("read"); return this.v; } }
+        driver { Box b = new Noisy(); print(b.get()); print(b.get()); }
+    """)
+    artifacts = weave_program(unit, load_spec(_walk("Box", "v")))
+    result = run_program(merge_units([unit, artifacts.declarations_unit(), noisy]))
+    assert result.output == ["read"] * 3 + ["0"] + ["read"] * 2 + ["0"]
