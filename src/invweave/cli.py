@@ -93,9 +93,20 @@ def _load_spec_file(path: str):
         return None, EXIT_DIAGNOSTICS
 
 
-def _weave_checked(unit: SourceUnit, spec):
+def _woven(args: argparse.Namespace):
+    """The artifacts of weaving `args.sources` with `args.spec`, and EXIT_OK;
+    or None and the exit code of the first step that failed."""
     from .weave import weave_program
 
+    sources = _read_sources(args.sources)
+    if sources is None:
+        return None, EXIT_IO
+    unit, code = _parse_all(sources, None)
+    if unit is None:
+        return None, code
+    spec, code = _load_spec_file(args.spec)
+    if spec is None:
+        return None, code
     try:
         return weave_program(unit, spec), EXIT_OK
     except WeaveError as exc:
@@ -105,16 +116,7 @@ def _weave_checked(unit: SourceUnit, spec):
 def cmd_weave(args: argparse.Namespace) -> int:
     from .weave import render_artifacts
 
-    sources = _read_sources(args.sources)
-    if sources is None:
-        return EXIT_IO
-    unit, code = _parse_all(sources, None)
-    if unit is None:
-        return code
-    spec, code = _load_spec_file(args.spec)
-    if spec is None:
-        return code
-    artifacts, code = _weave_checked(unit, spec)
+    artifacts, code = _woven(args)
     if artifacts is None:
         return code
     files = render_artifacts(artifacts)
@@ -166,16 +168,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    sources = _read_sources(args.sources)
-    if sources is None:
-        return EXIT_IO
-    unit, code = _parse_all(sources, None)
-    if unit is None:
-        return code
-    spec, code = _load_spec_file(args.spec)
-    if spec is None:
-        return code
-    artifacts, code = _weave_checked(unit, spec)
+    artifacts, code = _woven(args)
     if artifacts is None:
         return code
     report = artifacts.report

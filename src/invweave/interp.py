@@ -31,11 +31,12 @@ in a row to one function; ops and functions share the driver's locals.
 A read path (`n.next.prev`) is plain attribute loads (`n.f_next.f_prev`), and
 a field write one store; fields every `this` has are read and written with no
 check at all.  When one raises AttributeError, the function's handler finds
-the path from the position of the instruction that raised and walks it again
-from its root value: faults and messages are those of reading one step at a
-time.  A call that finds no method raises AttributeError or KeyError there,
-and is told the same way.  Deep expressions are spilled into temporaries in
-evaluation order, and deeply nested statements into closures.
+the site from the position of the instruction that raised: a read's fault is
+built from the value and field the AttributeError names, so faults and
+messages are those of reading one step at a time.  A write, or a call that
+finds no method (AttributeError or KeyError), is told from the local it went
+through.  Deep expressions are spilled into temporaries in evaluation order,
+and deeply nested statements into closures.
 
 A run has a budget of steps, one shared iterator: each `while` loop draws a
 step per pass, as does each call and construction, and a run that needs more
@@ -49,8 +50,8 @@ fails, at which point execution stops.
 A unit that holds a check body the weaver marked (`syntax.GENERATED`) counts
 its field writes: each store its bodies and driver make bumps `rt.writes`,
 except a generated class's stores of its own bookkeeping fields in `this`,
-and so does each `dispatch_call` and `construct`, as host code may have set
-slots.  Its bodies and driver are compiled apart from those of other units.
+and so does each `dispatch_call`, `construct` and host call of `singleton`,
+as host code may have set slots.  Its bodies and driver are compiled apart from those of other units.
 A check body that passed, having constructed, written and printed nothing,
 is replayed while no write follows, at no greater depth: the run draws the
 steps it took and goes on (`_replaying`).  Predicates only read fields, so
@@ -152,8 +153,9 @@ def _field_fault(obj, name: str, verb: Optional[str] = "reading") -> MiniOORunti
 
 def _read_fault(exc: Exception, sites: dict) -> Exception:
     """The fault for an AttributeError or KeyError raised in emitted code: `sites` maps the position
-    of each read path, field write and call to a message, or to its root's text and its (name, verb)
-    steps, or to its receiver's text and key (for a super call, its superclass's vtable's, key and where)."""
+    of each read path to its verb, of each field write to its target local and field, of each call
+    to its receiver local, key and None (a super call: its superclass's name, key and where), and of
+    other sites to a message."""
     tb = exc.__traceback__
     while tb.tb_next is not None:  # into the closures that hold deeply nested statements
         if tb.tb_next.tb_frame.f_code not in tb.tb_frame.f_code.co_consts:
@@ -163,14 +165,13 @@ def _read_fault(exc: Exception, sites: dict) -> Exception:
     site = sites.get(pos and (pos[0], pos[2]), exc)
     if not isinstance(site, tuple):
         return site if site is exc else MiniOORuntimeError(site)
-    o = eval(site[0], {}, tb.tb_frame.f_locals)
-    if isinstance(site[1], str):
-        return _no_method(site[1], o, *site[2:])
-    for name, verb in site[1]:
-        if not isinstance(o, ObjectInstance) or not hasattr(o, "f_" + name):
-            return _field_fault(o, name, verb)
-        o = getattr(o, "f_" + name)
-    return exc
+    if len(site) == 1:  # the load that failed names its value and field
+        return _field_fault(exc.obj, exc.name[2:], *site)
+    f = tb.tb_frame.f_locals
+    if len(site) == 2:
+        return _field_fault(f[site[0]], site[1], "writing")
+    o, key, where = site
+    return _no_method(key, f[o] if where is None else f["rt"]._classes[o].vt, where)
 
 
 def _divide(left, right):
@@ -239,8 +240,7 @@ class _Emitter:
         self.unbumped = unbumped  # in a unit that counts writes, the fields whose stores in `this` it does not count
         self.locals: dict[str, tuple] = {}  # MiniOO name -> (Python text, declared type), for the names in scope
         self.ntemps = self.nest = self.loops = 0
-        self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path, a call or a fault message
-        self.open: dict = {}  # text of a read path -> its root, steps and mark, to read on from it
+        self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path, a write, a call or a fault message
         self.out, self.lines = [], []  # the lines of the finished functions, of the one being emitted
         self.defs, self.boxed = [], owner is None  # its closures; whether it returns `(value,)`
 
@@ -295,26 +295,26 @@ class _Emitter:
     def block(self, body: list, loop: int = 0) -> None:
         outer = dict(self.locals)
         self.nest, self.loops = self.nest + 1, self.loops + loop
-        for s in body:
-            self.stmt(s)
+        for s in body:  # `emitter` returns first, so a level of nesting costs two Python frames
+            self.emitter(s)(s)
         self.line("pass")  # for an empty block
         self.nest, self.loops = self.nest - 1, self.loops - loop
         self.locals = outer
 
-    def stmt(self, s) -> None:
+    def emitter(self, s) -> Callable:  # what emits statement `s`, given it
         if isinstance(s, (IfStmt, WhileStmt)) and (self.nest >= _MAX_NEST or self.loops >= _MAX_LOOPS):
-            return self.split(s)
-        emit = getattr(self, "s_" + type(s).__name__, None)
-        if emit is None:
-            return self.line("raise _err(%s)" % ascii("unknown statement %r" % type(s).__name__))
-        emit(s)
+            return self.split
+        return getattr(self, "s_" + type(s).__name__, self.s_unknown)
+
+    def s_unknown(self, s) -> None:
+        self.line("raise _err(%s)" % ascii("unknown statement %r" % type(s).__name__))
 
     def split(self, s) -> None:
         """Emit `s` as a closure, defined at the top of the function being emitted,
         that shares its locals: CPython nests blocks and loops in one function only so deep."""
         outer = self.lines, self.defs, self.nest, self.loops, self.boxed
         self.lines, self.defs, self.nest, self.loops, self.boxed = [], [], 0, 0, True
-        self.stmt(s)
+        self.emitter(s)(s)
         body = ["  nonlocal " + self.texts()] * bool(self.locals) + self.defs + self.lines
         self.lines, self.defs, self.nest, self.loops, self.boxed = outer
         self.defs += ["  def %s():" % (f := self.temp())] + [" " + text for text in body]
@@ -352,7 +352,7 @@ class _Emitter:
         if not self.named(o):
             self.line("%s = %s" % (t := self.temp(), o))
             o = t
-        self.line(self.site(message or (o, ((name, "writing"),))) + "%s.f_%s = %s" % (o, name, v) + self.bump())
+        self.line(self.site(message or (o, name)) + "%s.f_%s = %s" % (o, name, v) + self.bump())
 
     def s_IfStmt(self, s) -> None:
         known, t = _is_bool(s.cond), self.temp()
@@ -527,26 +527,21 @@ class _Emitter:
         return [], self.site("unknown variable %r" % name) + "this.f_" + name, _ATOM, 2, False
 
     def read(self, step: tuple, obj: tuple) -> tuple:
-        """A read of the (name, verb) `step` from `obj`, one attribute.  The
-        steps of a path that may fault share one mark, and its root a name."""
-        pre, text, _, h, stable = obj
-        attr = "f_" + step[0]
-        if text == "this" and step[0] in self.fields:  # every `this` has it
-            self.open[text := "this." + attr] = "this", (step,), None
-            return pre, text, _ATOM, 2, False
-        pre, (root, steps, k) = list(pre), self.open.get(text) or (stable and self.named(text) and text, (), None)
-        if not root:
-            root = self.temp()
-            text, h = "(%s := %s)" % (root, text), h + 1
-        if k is None:
-            text, k = self.site(None) + text, len(self.sites) - 1
-        self.sites[k] = root, steps + (step,)
-        if attr.isascii() and attr.isidentifier():
-            text += "." + attr
-        else:  # a reflective read of a name no field has: the call is marked too
-            text = "\x01%d\x02getattr(%s, %s)" % (k, text, ascii(attr))
-        self.open[text] = self.sites[k] + (k,)
-        return self.done(pre, text, _ATOM, h + 2)
+        """A read of the (name, verb) `step` from `obj`, one attribute, marked with its verb.  The
+        steps of a path with one verb from a name or a `this.` path share the mark of the first;
+        any other `obj` goes in parentheses, so that each mark keeps a position of its own."""
+        (name, verb), (pre, text, _, h, _) = step, obj
+        attr = "f_" + name
+        if text == "this" and name in self.fields:  # every `this` has it
+            return pre, "this." + attr, _ATOM, 2, False
+        if not (attr.isascii() and attr.isidentifier()):  # a reflective read of a name no field has
+            return self.done(pre, self.site((verb,)) + "getattr(%s, %s)" % (text, ascii(attr)), _ATOM, h + 2)
+        mark, _, chain = text.partition("\x02") if text[0] == "\x01" else ("", "", text)
+        if not all(map(str.isidentifier, chain.split("."))) or mark and self.sites[int(mark[1:])] != (verb,):
+            text, h, mark = "(%s)" % text, h + 1, ""  # not a bare chain of names, or not of this verb
+        if not mark:
+            text = self.site((verb,)) + text
+        return self.done(pre, text + "." + attr, _ATOM, h + 2)
 
     def new(self, e) -> tuple:  # the text of a `new` before and after its arguments
         if e.args:
@@ -566,10 +561,10 @@ class _Emitter:
         args = [f if f[4] and (i < n or self.named(f[1])) else self.spill(f[0], f[1], f[3]) for i, f in enumerate(args)]
         pre, frags = self.seq(args)
         *texts, o = [f[0] for f in frags] + ["this"] * (len(frags) == n)
-        head, site = o, (o, key)
+        head, site = o, (o, key, None)
         if isinstance(receiver, SuperExpr):  # `this` was made, so the superclass has its tables
             head = "rt._classes[%s]" % ascii(owner.super_class.name)
-            site = head + ".vt", key, "above " + owner.name
+            site = owner.super_class.name, key, "above " + owner.name
         text = "%s.vt[%s].fn(rt, d + 1, %s)" % (head, ascii(key), ", ".join([o, *texts]))
         return pre, self.site(site) + text, _ATOM, 4, False
 
@@ -613,7 +608,7 @@ def _compile_body(
     em = _Emitter(owner, layout, own if counted else None)
     params = [em.declare(p.name, p.type) for p in decl.params]
     for s in decl.body:
-        em.stmt(s)
+        em.emitter(s)(s)
     if isinstance(decl, MethodDecl) and decl.return_type is not None:
         em.line("raise _err(%s)" % ascii("%s.%s finished without returning a value" % (owner.name, decl.name)))
     prologue = ["if d > MAX_CALL_DEPTH: raise _err(_TOO_DEEP)", "if next(rt.ticks, 1): raise rt.spent()"]
@@ -717,7 +712,7 @@ def _driver_code(driver: DriverBlock, counted: bool = False) -> tuple:
             n = 0
         if op is None:
             carried = carried if n else em.texts()  # the locals in scope as the chunk starts
-            em.stmt(s)
+            em.emitter(s)(s)
             n += 1
         elif isinstance(s, LocalDecl):
             em.declare(s.name, s.decl_type)
@@ -860,7 +855,11 @@ class Interpreter:
     def spent(self) -> MiniOORuntimeError:
         return MiniOORuntimeError("run used up its budget of %d steps" % self.max_steps)
 
-    def singleton(self, class_name: str, d: int = 0) -> ObjectInstance:
+    def singleton(self, class_name: str, d: Optional[int] = None) -> ObjectInstance:
+        """The one object of a class, made on first use.  Emitted code passes its depth; a call
+        from host code passes none and, like `dispatch_call`, counts as a write."""
+        if d is None:
+            self.writes, d = self.writes + 1, 0
         one = self.singletons
         return one.get(class_name) or one.setdefault(class_name, self._new(class_name, [], d))
 
@@ -869,8 +868,10 @@ class Interpreter:
         any call, it draws one step.  It counts as a write: host code may have set slots."""
         self.writes += 1
         key = "%s/%d" % (name, len(args))
-        if (m := receiver.vt.get(key)) is None:
-            raise _no_method(key, receiver)
+        try:
+            m = receiver.vt[key]
+        except (AttributeError, KeyError):
+            raise _no_method(key, receiver) from None
         return m.fn(self, 0, receiver, *args)
 
     def run(self) -> ExecutionResult:

@@ -1154,6 +1154,33 @@ def test_a_body_nested_as_deep_as_the_parser_allows_runs_when_first_called_deepe
     assert run_src(source).output == [str(levels - 1)]
 
 
+@pytest.mark.parametrize("receiver, message", [(None, "null dereference calling 'get'"), (7, "7 has no methods")])
+def test_a_host_call_on_a_non_object_is_a_one_line_fault(receiver, message):
+    interp = Interpreter(parse_unit("class Box { public int get() { return 0; } }"))
+    with pytest.raises(MiniOORuntimeError) as fault:
+        interp.dispatch_call(receiver, "get", [])
+    assert str(fault.value) == message
+
+
+def test_a_body_nested_199_deep_compiles_from_a_caller_150_python_frames_deep():
+    # Compiling a body costs two Python frames per statement level (the `if` and its block),
+    # so a body first reached at depth 255 still compiles below a deep host caller.
+    body = "if (true) { " * 199 + "print(n); " + "} " * 199
+    source = """
+        class D {
+            public void down(int n) { if (n == 0) { this.deep(n); } else { this.down(n - 1); } }
+            public void deep(int n) { %s }
+        }
+        driver { D d = new D(); d.down(%d); }
+    """ % (body, MAX_CALL_DEPTH - 3)
+
+    def run_below(frames: int, unit):
+        return run_below(frames - 1, unit) if frames else run_program(unit).output
+
+    top = run_program(parse_unit(source)).output
+    assert top == ["0"] and run_below(150, parse_unit(source)) == top
+
+
 @pytest.mark.parametrize(
     "source, printed",
     [

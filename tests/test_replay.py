@@ -214,3 +214,26 @@ def test_a_check_that_prints_runs_every_time():
     artifacts = weave_program(unit, load_spec(_walk("Box", "v")))
     result = run_program(merge_units([unit, artifacts.declarations_unit(), noisy]))
     assert result.output == ["read"] * 3 + ["0"] + ["read"] * 2 + ["0"]
+
+
+@pytest.mark.parametrize("replay", [True, False])
+def test_a_host_write_before_a_host_singleton_is_seen_by_its_checks(monkeypatch, replay):
+    # `deep` records a pass of `b`'s check deeper than the Reader constructor's call of `get` runs.
+    source = """
+        class Box { public int v; public int get() { return this.v; } }
+        class Holder { public Box b; }
+        class Reader { public Reader() { print(@singleton(Holder).b.get()); } }
+        class Probe { public void deep(Box b, int n) { if (n == 0) { b.get(); } else { this.deep(b, n - 1); } } }
+    """
+    if not replay:
+        monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    unit = parse_unit(source)
+    artifacts = weave_program(unit, load_spec(_walk("Box", "v")))
+    interp = Interpreter(merge_units([unit, artifacts.declarations_unit()]))
+    b = interp.construct("ExposedBox", [])
+    interp.singleton("Holder").f_b = b
+    interp.dispatch_call(interp.construct("Probe", []), "deep", [b, 5])
+    b.f_v = -1
+    with pytest.raises(_Violation) as violation:
+        interp.singleton("Reader")
+    assert str(violation.value.record) == "VIOLATION Box 0 entry get" and interp.output == []
