@@ -47,15 +47,21 @@ A run produces printed output lines, an optional check-event trace
 per check point), and an optional violation record when a woven check
 fails, at which point execution stops.
 
-A unit that holds a check body the weaver marked (`syntax.GENERATED`) counts
-its field writes: each store its bodies and driver make bumps `rt.writes`,
-except a generated class's stores of its own bookkeeping fields in `this`,
-and so does each `dispatch_call`, `construct` and host call of `singleton`,
-as host code may have set slots.  Its bodies and driver are compiled apart from those of other units.
-A check body that passed, having constructed, written and printed nothing,
-is replayed while no write follows, at no greater depth: the run draws the
-steps it took and goes on (`_replaying`).  Predicates only read fields, so
-the check would have passed again at that cost.
+A unit that holds a check body the weaver marked (`syntax.GENERATED`) logs
+its field writes: each store its bodies and driver make appends the object
+it wrote to `rt.log`, except a generated class's stores of its own
+bookkeeping fields in `this`, and each `dispatch_call`, `construct` and host
+call of `singleton` appends None, as host code may have set any slot.  The
+log holds at most `_LOG_SIZE` entries.  Its bodies and driver are compiled
+apart from those of other units.  A check body that passed, having
+constructed, written and printed nothing, is kept with the log's length.
+The next check of its object, at no greater depth, is replayed if nothing
+has been logged since (`_replaying`): the run draws the steps the pass took
+and goes on, as predicates only read fields.  After writes, a check whose
+quantified predicates all walk a chain of nodes by one field (the
+`forall (n = head; n != tail; n = n.next)` shape) is re-checked from the
+nodes its pass walked and the objects written since (`recheck`).  Any other
+check runs in full.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from __future__ import annotations
 import itertools
 import sys
 import weakref
-from collections import namedtuple
+from collections import deque, namedtuple
 from typing import Callable, Optional, Union
 
 from .syntax import (
@@ -77,6 +83,7 @@ MAX_CALL_DEPTH = 256
 _TOO_DEEP = "MiniOO calls nested too deeply"
 # Loop passes, calls and constructions a run may take by default: every corpus program needs far fewer.
 MAX_STEPS = 10_000_000
+_LOG_SIZE = 1 << 14  # entries the write log holds; once full, every kept pass is dropped
 
 
 class MiniOORuntimeError(Exception):
@@ -108,6 +115,7 @@ class ObjectInstance:  # not a Record: `==` on objects is identity, as in MiniOO
     whose slots hold the fields, each under the prefix `f_`."""
 
     __slots__ = ("class_name", "obj_id", "vt")  # `vt` is its class's vtable
+    _recheck = None  # of the objects of an exposed class whose check `recheck` can settle, its plan
     def __init__(self, class_name: str, obj_id: int, vt: dict):
         self.class_name, self.obj_id, self.vt = class_name, obj_id, vt
 
@@ -235,9 +243,9 @@ class _Emitter:
     height, stable)`: `pre` lists the (temporary, text, height) spills done
     before `text`; a stable text is a name nothing else in the statement sets."""
 
-    def __init__(self, owner: Optional[ClassDecl], fields=(), unbumped: Optional[tuple] = None):
+    def __init__(self, owner: Optional[ClassDecl], fields=(), unlogged: Optional[tuple] = None):
         self.owner, self.fields = owner, fields
-        self.unbumped = unbumped  # in a unit that counts writes, the fields whose stores in `this` it does not count
+        self.unlogged = unlogged  # in a unit that logs writes, the fields whose stores in `this` it does not log
         self.locals: dict[str, tuple] = {}  # MiniOO name -> (Python text, declared type), for the names in scope
         self.ntemps = self.nest = self.loops = 0
         self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path, a write, a call or a fault message
@@ -263,8 +271,8 @@ class _Emitter:
         self.sites.append(payload)
         return "\x01%d\x02" % (len(self.sites) - 1)
 
-    def bump(self, field: Optional[str] = None) -> str:  # what follows a store of `field`
-        return "" if self.unbumped is None or field in self.unbumped else "; rt.writes += 1"
+    def logged(self, obj: str, field: Optional[str] = None) -> str:  # what follows a store of `field` into `obj`
+        return "" if self.unlogged is None or field in self.unlogged else "; rt.log.append(%s)" % obj
 
     def line(self, *texts: str) -> None:
         self.lines += [" " * (self.nest + 2) + text for text in texts]
@@ -336,14 +344,14 @@ class _Emitter:
             if (text := self.local(name)) is not None:
                 return self.line("%s = %s" % (text, *self.values(s.value)))
             if self.owner and name in self.fields:
-                return self.line("this.f_%s = %s" % (name, *self.values(s.value)) + self.bump(name))
+                return self.line("this.f_%s = %s" % (name, *self.values(s.value)) + self.logged("this", name))
             message = "unknown variable %r" % name  # unless a subclass's `this` has the field
             if self.owner is None:
                 return self.line("_fail(%s, %s)" % (ascii(message), *self.values(s.value)))
         elif not isinstance(target, FieldAccess):
             return self.line("_fail('invalid assignment target', %s)" % tuple(self.values(s.value)))
         elif isinstance(obj, ThisExpr) and self.owner is not None and name in self.fields:
-            return self.line("this.f_%s = %s" % (name, *self.values(s.value)) + self.bump(name))
+            return self.line("this.f_%s = %s" % (name, *self.values(s.value)) + self.logged("this", name))
         pre, ((v, _, _, stable), (o, *_)) = self.seq([self.expr(s.value), self.expr(obj)])
         self.line(*("%s = %s" % (t, x) for t, x, _ in pre))
         if not stable:  # the value is taken before the object
@@ -352,7 +360,7 @@ class _Emitter:
         if not self.named(o):
             self.line("%s = %s" % (t := self.temp(), o))
             o = t
-        self.line(self.site(message or (o, name)) + "%s.f_%s = %s" % (o, name, v) + self.bump())
+        self.line(self.site(message or (o, name)) + "%s.f_%s = %s" % (o, name, v) + self.logged(o))
 
     def s_IfStmt(self, s) -> None:
         known, t = _is_bool(s.cond), self.temp()
@@ -603,8 +611,9 @@ def _compile_body(
     owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict, name: str, counted: bool
 ) -> Callable:
     """A method's function starts by checking its depth and drawing a step, as `Interpreter.init`
-    does for each construction.  In a unit that counts writes, a check body replays its passes."""
-    check, own = GENERATED.get(owner) or (None, ())
+    does for each construction.  In a unit that logs writes, a check body replays its passes and,
+    when its check walks, re-checks them after writes (`recheck`)."""
+    check, own, walks = GENERATED.get(owner) or (None, (), ())
     em = _Emitter(owner, layout, own if counted else None)
     params = [em.declare(p.name, p.type) for p in decl.params]
     for s in decl.body:
@@ -614,27 +623,19 @@ def _compile_body(
     prologue = ["if d > MAX_CALL_DEPTH: raise _err(_TOO_DEEP)", "if next(rt.ticks, 1): raise rt.spent()"]
     em.finish("def _f(%s):" % ", ".join(["rt", "d", "this"] + params), prologue * isinstance(decl, MethodDecl))
     fn = em.build(name)
-    return _replaying(fn) if counted and decl is check else fn
+    if not (counted and decl is check):
+        return fn
+    from .recheck import rechecking
+
+    return _replaying(rechecking(fn, owner, walks))
 
 
 def _replaying(check: Callable) -> Callable:
-    """`check`, a check body, run only when its last pass on `this` cannot be replayed: a pass
-    that constructed, wrote and printed nothing, at a depth no less than `d`, with no write
-    since.  A replay draws that pass's steps from the budget and returns True."""
+    """`check`, a check body, replayed while nothing is logged since its last pass (`recheck`,
+    which units that log nothing do not import)."""
+    from .recheck import replaying
 
-    def replay(rt: "Interpreter", d: int, this):
-        last = rt.passed.get(this)
-        if last is not None and last[0] is check and last[1] == rt.writes and d <= last[3]:
-            if next(itertools.islice(rt.ticks, last[2] - 1, None), 1):  # too few steps left: all are drawn
-                raise rt.spent()
-            return True
-        made, writes, lines, left = rt._next_id, rt.writes, len(rt.combined), rt.ticks.__length_hint__()
-        verdict = check(rt, d, this)
-        if verdict is True and made == rt._next_id and writes == rt.writes and lines == len(rt.combined):
-            rt.passed[this] = check, writes, left - rt.ticks.__length_hint__(), d
-        return verdict
-
-    return replay
+    return replaying(check)
 
 
 # The kinds of op of a driver's simple statement (see `_op` and `Interpreter.run`): a call with no
@@ -691,7 +692,7 @@ def _driver_code(driver: DriverBlock, counted: bool = False) -> tuple:
     each simple statement is one op (`_op`), and at most `_CHUNK` others in a row one
     function `(rt, d, L)`, which reads the driver's locals from the list `L` and, when
     anything follows, writes them back (CPython compiles short functions in less memory).
-    Built once for a unit that counts writes and once for others."""
+    Built once for a unit that logs writes and once for others."""
     if (made := _COMPILED.get(driver)) is None:
         _COMPILED.put(driver, made := {})
     if (table := made.get(counted)) is not None:
@@ -751,7 +752,7 @@ _Class = namedtuple("_Class", "parent layout vt ctor new")
 
 
 def _class_tables(decl: ClassDecl, parent: Optional[_Class], counted: bool) -> _Class:
-    """`decl`'s runtime tables below `parent`, its superclass's, in a unit that counts writes
+    """`decl`'s runtime tables below `parent`, its superclass's, in a unit that logs writes
     or not, built once and kept with `decl`.  Its objects' Python class has a slot for each
     field of the layout, named with the prefix `f_`, which its `__init__` sets to the zero
     value; that of the superclass's objects, which is made with `parent`, stands for `parent`."""
@@ -773,17 +774,24 @@ def _class_tables(decl: ClassDecl, parent: Optional[_Class], counted: bool) -> _
             vt[m.name] = vt[sys.intern("%s/%d" % (m.name, len(m.params)))] = _Body(decl, m, layout, counted)
     ctor = None if decl.constructor is None else _Body(decl, decl.constructor, layout, counted)
     init = ["def __init__(self, class_name, obj_id, vt):", " self.class_name, self.obj_id = class_name, obj_id"]
-    init += [" self.vt = vt"] + [" self.f_%s = %r" % field for field in layout.items()]
+    init += [" self.vt = vt"] + [" self.f_%s = %r" % field for field in layout.items()] + [" self._walk = None"] * counted
     exec("\n".join(init), ns := {})
-    slots = ["f_" + name for name in layout]
-    new = type(decl.name, (ObjectInstance,), {"__slots__": slots, "__init__": ns["__init__"]})
+    # in a unit that logs writes, an object also holds the walk it is on, if any, and its place there (`recheck`)
+    members = {"__slots__": ["f_" + name for name in layout] + ["_walk", "_at"] * counted, "__init__": ns["__init__"]}
+    if counted and (mark := GENERATED.get(decl)) and mark[2]:  # its check walks: see `recheck`
+        from .recheck import plan_of
+
+        members["_recheck"] = plan_of(decl, mark[2])
+    new = type(decl.name, (ObjectInstance,), members)
     made[key] = c = _Class(parent or getattr(decl.super_class, "name", None), layout, vt, ctor, new)
     return c
 
 
 def _counted(unit: SourceUnit) -> bool:
-    """Whether a run of `unit` counts its field writes: whether it holds a marked check body."""
-    return any((GENERATED.get(c) or (None,))[0] is not None for c in unit.classes)
+    """Whether a run of `unit` logs its field writes: whether it holds a marked check body.  Its
+    classes are looked up by id, in C; a declaration found alive is the class with its id."""
+    marks = GENERATED._entries  # id -> (weak reference to the declaration, mark)
+    return any(mark[0] is not None and ref() is not None for ref, mark in map(marks.get, marks.keys() & map(id, unit.classes)))
 
 
 class Interpreter:
@@ -799,8 +807,9 @@ class Interpreter:
         self.output, self.trace, self.combined = [], [], []  # output and trace lines, and both interleaved
         self.singletons, self._classes = {}, {}  # class name -> its one instance, its runtime tables
         self._next_id = 0
-        self.counted, self.writes = _counted(unit), 0
-        self.passed: dict = {}  # object -> (check body, writes, steps, depth) of a pass it may replay (`_replaying`)
+        self.counted, self.log = _counted(unit), deque(maxlen=_LOG_SIZE)  # the objects written, None for host calls
+        # object -> (check body, log length, steps, depth, its walks or None) of a pass that may settle its next check
+        self.passed: dict = {}
 
     def _class(self, name: str) -> Optional[_Class]:
         """The runtime tables of a declared class, found on first use after its ancestors'."""
@@ -818,8 +827,8 @@ class Interpreter:
         return self._classes.get(name)
 
     def construct(self, class_name: str, args=(), d: int = 0) -> ObjectInstance:
-        """A new object, for host code: like `dispatch_call`, it counts as a write."""
-        self.writes += 1
+        """A new object, for host code: like `dispatch_call`, it is logged as a write of any slot."""
+        self.log.append(None)
         return self._new(class_name, args, d)
 
     def _new(self, class_name: str, args=(), d: int = 0) -> ObjectInstance:  # `new` in the driver and in bodies
@@ -857,16 +866,17 @@ class Interpreter:
 
     def singleton(self, class_name: str, d: Optional[int] = None) -> ObjectInstance:
         """The one object of a class, made on first use.  Emitted code passes its depth; a call
-        from host code passes none and, like `dispatch_call`, counts as a write."""
+        from host code passes none and, like `dispatch_call`, is logged as a write of any slot."""
         if d is None:
-            self.writes, d = self.writes + 1, 0
+            self.log.append(None)
+            d = 0
         one = self.singletons
         return one.get(class_name) or one.setdefault(class_name, self._new(class_name, [], d))
 
     def dispatch_call(self, receiver: ObjectInstance, name: str, args: list):
         """Execute the most-derived override of `name` on the receiver, at depth 0; like
-        any call, it draws one step.  It counts as a write: host code may have set slots."""
-        self.writes += 1
+        any call, it draws one step.  It is logged as a write of any slot: host code may have set slots."""
+        self.log.append(None)
         key = "%s/%d" % (name, len(args))
         try:
             m = receiver.vt[key]

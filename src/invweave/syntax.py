@@ -567,5 +567,8 @@ class DeclMemo:
 
 # The declarations the weaver generated, each mapped to (its check body: an exposed class's
 # `inv` method whose check walks a quantifier's loop, else None; the names of its bookkeeping
-# fields).  Nothing prints or compares this mark, so a unit parsed from woven text has none.
+# fields; with a check body, (the visitor, per class of the specified chain, root first, its
+# predicates and its free variables, each with its type), else ()).  The interpreter re-checks
+# a check after writes from these (`recheck`).  Nothing prints or compares this mark, so a unit
+# parsed from woven text has none.
 GENERATED = DeclMemo()

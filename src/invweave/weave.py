@@ -29,10 +29,15 @@ with publicly-visible calls; nested self-calls are suppressed.  Invariant
 failures abort the run with a violation record (class, predicate index,
 phase, method).  Each generated class is marked in `syntax.GENERATED` with
 its bookkeeping fields (the depth counter, the visitor's verdict) and, when
-a predicate on its specified chain is quantified, its check body (`inv`):
-the interpreter replays such a check while nothing it reads has been written
-(see `interp`).  A check without a quantifier takes a few steps, about what
-replaying it costs, so it is not marked.
+a predicate on its specified chain is quantified, its check body (`inv`),
+the visitor, and what the check evaluates: per class of the chain, root
+first, the specification's own predicates and each free variable with the
+type its visit method binds it with.  Nothing is compiled here.  The
+interpreter replays such a check while nothing has been written since it
+passed, and re-checks one whose quantifiers walk nodes by one field from
+the nodes written (see `interp` and `recheck`).  A check without a
+quantifier takes a few steps, about what replaying it costs, so it is not
+marked.
 
 Every type in the generated declarations is copied from the original
 hierarchy or from the typings `validate_spec` accepted, so their bodies are
@@ -89,6 +94,7 @@ from .syntax import (
     SuperExpr,
     ThisExpr,
     TraceStmt,
+    TypeExpr,
     Unary,
     VarRead,
     ViolationStmt,
@@ -315,10 +321,11 @@ def gen_exposed_class(
     table: ClassTable,
     plan: ExposurePlan,
     wraps: list[tuple[MethodHit, str]],
-    walks: bool = False,
+    walks: tuple = (),
 ) -> ClassDecl:
-    """The exposed class of `c`; `wraps` is `_public_methods_to_wrap` of it.  `walks`: a
-    predicate on its specified chain is quantified, so its check takes a loop's steps."""
+    """The exposed class of `c`; `wraps` is `_public_methods_to_wrap` of it.  `walks`, when a
+    predicate on its specified chain is quantified, so that its check takes a loop's steps: the
+    visitor and what the check evaluates (`_evaluated`), which its mark carries."""
     self_t = c.self_type()
     hooks = _hook_names(table, self_t, set(naming.getter_names.values()))
     visitor = naming.visitor_name
@@ -436,7 +443,7 @@ def gen_exposed_class(
         constructor,
         [check_entry, check_exit, inv] + wrappers + getters,
     )
-    GENERATED.put(exposed, (inv if walks else None, (hooks.depth,)))
+    GENERATED.put(exposed, (inv if walks else None, (hooks.depth,), walks))
     return exposed
 
 
@@ -492,6 +499,21 @@ def _predicate_stmts(table: ClassTable, cls: ClassDecl, index: int, pred: Predic
     ]
 
 
+def _bound(table: ClassTable, c: ClassDecl, free: list[str]) -> list[tuple[str, TypeExpr]]:
+    """Each of `c`'s free variables `free` with the type its visit method binds it with."""
+    self_t = c.self_type()
+    hits = [table.find_field(self_t, var) for var in free]
+    assert None not in hits
+    return [(var, hit.type) for var, hit in zip(free, hits)]
+
+
+def _evaluated(table: ClassTable, spec: InvariantSpec, chain: list[str]) -> tuple:
+    """What the check of a class with specified chain `chain` evaluates, root first: each
+    class's predicates and its free variables, each with its type, as its visit method binds them."""
+    classes = [table.get_class(name) for name in chain]
+    return tuple((spec.predicates(a.name), _bound(table, a, class_free_vars_ordered(a.name, spec))) for a in classes)
+
+
 def gen_visitor(
     table: ClassTable,
     spec: InvariantSpec,
@@ -512,11 +534,9 @@ def gen_visitor(
             body.append(ExprStmt(_this_call("visit_" + chain[-2], [VarRead(obj)])))
         if preds:
             inner: list[Stmt] = []
-            for var in fv:
-                hit = table.find_field(self_t, var)
-                assert hit is not None
+            for var, var_t in _bound(table, c, fv):
                 getter = naming.getter(plan.getter_owner(c.name, var), var)
-                inner.append(LocalDecl(hit.type, var, MethodCall(VarRead(obj), getter, [])))
+                inner.append(LocalDecl(var_t, var, MethodCall(VarRead(obj), getter, [])))
             for i, p in enumerate(preds):
                 inner.extend(_predicate_stmts(table, c, i, p))
             body.append(IfStmt(_ok_read(), inner, None))
@@ -567,7 +587,7 @@ def gen_visitor(
     methods.extend(visit_methods)
     constructor = ConstructorDecl("public", [], [ExprStmt(_this_call("reset", []))])
     visitor = ClassDecl(naming.visitor_name, [], None, [], False, fields, constructor, methods)
-    GENERATED.put(visitor, (None, tuple(f.name for f in fields)))
+    GENERATED.put(visitor, (None, tuple(f.name for f in fields), ()))
     return visitor
 
 
@@ -608,15 +628,18 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
     interfaces: list[InterfaceDecl] = []
     exposed: list[ClassDecl] = []
     wraps = {c.name: _public_methods_to_wrap(table, c, c.self_type()) for c in specified}
+    visitor = gen_visitor(table, spec, specified, plan, naming)
     for c in specified:
-        walks = any(isinstance(p, Forall) for a in plan.per_class[c.name].chain for p in spec.predicates(a))
+        chain = plan.per_class[c.name].chain
+        walks = any(isinstance(p, Forall) for a in chain for p in spec.predicates(a))
         interfaces.append(gen_exposure_interface(c, plan, naming))
-        exposed.append(gen_exposed_class(c, naming, table, plan, wraps[c.name], walks))
+        checked = (visitor, _evaluated(table, spec, chain)) if walks else ()
+        exposed.append(gen_exposed_class(c, naming, table, plan, wraps[c.name], checked))
 
     artifacts = WovenArtifacts(
         interfaces=interfaces,
         exposed_classes=exposed,
-        visitor=gen_visitor(table, spec, specified, plan, naming),
+        visitor=visitor,
         report=_build_report(plan, specified, wraps),
         naming=naming,
         source_unit=unit,

@@ -1,5 +1,6 @@
-"""Shared test machinery: corpus loading, random chain hierarchies, and
-random call scripts with their expected check-event traces."""
+"""Shared test machinery: corpus loading, random chain hierarchies,
+random call scripts with their expected check-event traces, and a count of
+checks re-checked after writes."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from invweave import recheck
 from invweave.interp import ExecutionResult, run_program
 from invweave.invspec import InvariantSpec, load_spec
 from invweave.parser import parse_unit
@@ -245,3 +247,25 @@ def expected_trace(steps: list[ScriptStep], trace: list[str]) -> str | None:
     if pos != len(trace):
         return "unexpected extra events: %r" % trace[pos:]
     return None
+
+
+def counting_settles(monkeypatch) -> list:
+    """Counts, from now on, of calls of each check body that re-checks after writes and of its
+    runs in full: [calls, runs].  The calls it settles (`recheck`) are the difference."""
+    rechecking, counts = recheck.rechecking, [0, 0]
+
+    def counted(check, *marked):
+        def run(*args):
+            counts[1] += 1
+            return check(*args)
+
+        settled = rechecking(run, *marked)
+
+        def call(*args):
+            counts[0] += 1
+            return settled(*args)
+
+        return call
+
+    monkeypatch.setattr(recheck, "rechecking", counted)
+    return counts

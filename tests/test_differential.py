@@ -33,6 +33,7 @@ from helpers import (
     CORPUS,
     GATING_PROFILES,
     TRANSPARENCY,
+    counting_settles,
     dlist_driver,
     load_dlist,
     load_program,
@@ -298,6 +299,17 @@ def test_every_case_runs_alike_with_check_replay_switched_off(monkeypatch):
     assert calls - runs >= 900 and runs >= 300 and len(on) == len(off)
     for a, b in zip(on, off):
         assert a == b, a[0]
+
+
+def test_the_checked_dlist_cases_settle_checks_after_writes(monkeypatch):
+    # A check after writes is settled from the pass before and the objects written since
+    # (`recheck`): were that to stop, each of these checks would run in full again.
+    counts = counting_settles(monkeypatch)
+    for case_id, unit in cases():
+        if case_id.startswith("dlist/") and case_id.endswith(("checked", "ExposedDLinkedList")):
+            _observe(unit)
+    calls, runs = counts
+    assert calls - runs >= 200 and runs >= 10
 
 
 @pytest.mark.parametrize("fixed", [False, True])

@@ -1,0 +1,288 @@
+"""Checks re-checked after writes: in a unit the weaver built in process, a
+check whose quantifiers walk nodes by one field is settled from its last
+pass and the objects written since (see `recheck`).  Every run here must
+give what it gives with every check run in full: the output, the trace,
+the violation, the fault and the steps used."""
+
+import operator
+import random
+
+import pytest
+
+from invweave import interp as interp_module
+from invweave import recheck as recheck_module
+from invweave.interp import Interpreter, MiniOORuntimeError, _Violation
+from invweave.invspec import load_spec
+from invweave.parser import parse_unit
+from invweave.syntax import merge_units
+from invweave.weave import weave_program
+
+from helpers import counting_settles, load_dlist
+
+_OPS = ["add", "addFirst", "remove", "removeFirst", "set", "clear"]
+
+
+def _mutations(rng: random.Random, size: int, calls: int) -> list:
+    """(method, args) calls that build a list of `size` elements, then change it at random places."""
+    model, made = [], []
+    for k in range(size + calls):
+        op = rng.choice(["add", "addFirst"] if k < size else _OPS if model else ["add", "addFirst", "clear"])
+        v = "v%d" % rng.randrange(size + 5)
+        if op in ("add", "addFirst"):
+            model.insert(len(model) if op == "add" else 0, v)
+        elif op == "remove":  # found or not
+            model.remove(v) if v in model else None
+        elif op == "set":
+            i = rng.randrange(len(model))
+            model[i] = v
+            made.append((op, [i, v]))
+            continue
+        elif op == "removeFirst":
+            model.pop(0)
+        else:
+            model.clear()
+        made.append((op, [v] if op in ("add", "addFirst", "remove") else []))
+    return made
+
+
+def _literal(v) -> str:
+    return '"%s"' % v if isinstance(v, str) else str(v)
+
+
+def _driver(calls: list, tail: str = "") -> str:
+    lines = ["ExposedDLinkedList<string> ls = new ExposedDLinkedList<string>();"]
+    lines += ["print(ls.%s(%s));" % (m, ", ".join(map(_literal, a))) if m in ("remove", "removeFirst")
+              else "ls.%s(%s);" % (m, ", ".join(map(_literal, a))) for m, a in calls]
+    return "driver { %s %s print(ls.size()); }" % (" ".join(lines), tail)
+
+
+def _dlist(driver: str):
+    """The woven fixed list with `driver`, parsed afresh so that no run shares compiled code."""
+    unit, spec = load_dlist(fixed=True)
+    return merge_units([unit, weave_program(unit, spec).declarations_unit(), parse_unit(driver)])
+
+
+def _observe(unit, max_steps: int = 2_000_000) -> tuple:
+    interp = Interpreter(unit, trace=True, max_steps=max_steps)
+    try:
+        r, fault = interp.run(), None
+    except MiniOORuntimeError as exc:
+        r, fault = exc.result, str(exc)
+    return (r.output, r.trace, r.combined, r.violation, fault), max_steps - operator.length_hint(interp.ticks)
+
+
+def _alike(monkeypatch, build, *args) -> tuple:
+    """What `build()`'s unit does with checks settled, with them replayed only, and with every
+    check run in full; all three must agree.  The settled run's counts of settles are returned."""
+    counts = counting_settles(monkeypatch)
+    on = _observe(build(), *args)
+    with monkeypatch.context() as m:
+        m.setattr(recheck_module, "plan", lambda *_: None)
+        replayed = _observe(build(), *args)
+    with monkeypatch.context() as m:
+        m.setattr(interp_module, "_counted", lambda unit: False)
+        full = _observe(build(), *args)
+    assert on == replayed == full
+    return on, counts
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_seeded_mutations_from_the_driver_are_settled_as_a_full_walk_checks_them(monkeypatch, seed):
+    rng = random.Random(2600 + seed)
+    calls = _mutations(rng, rng.choice([0, 1, 2, rng.randrange(300)]), rng.randrange(5, 40))
+    (seen, _), counts = _alike(monkeypatch, lambda: _dlist(_driver(calls)))
+    assert seen[3] is None and seen[4] is None and counts[0] - counts[1] >= min(len(calls), 5) - 1
+
+
+def _host_run(interp: Interpreter, calls: list, ls=None) -> tuple:
+    """`calls` made on `ls`, or on a new list, through `dispatch_call`, as host code makes them."""
+    out = []
+    try:
+        ls = ls or interp.construct("ExposedDLinkedList", [])
+        for m, args in calls:
+            out.append(interp.dispatch_call(ls, m, args))
+        fault = None
+    except (MiniOORuntimeError, _Violation) as exc:
+        fault = str(exc)
+    return out, interp.trace, fault, interp.max_steps - operator.length_hint(interp.ticks)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_mutations_through_dispatch_call_are_checked_as_in_full(monkeypatch, seed):
+    rng = random.Random(2700 + seed)
+    calls = _mutations(rng, rng.randrange(300), 30)
+
+    def run():
+        return _host_run(Interpreter(_dlist("driver { }"), trace=True), calls)
+
+    on = run()
+    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    assert run() == on and on[2] is None
+
+
+# Writes a driver makes into the list's nodes, a few calls after it is built: each breaks the
+# invariant or the walk, or links a node from outside in.
+_ADVERSARIAL = {
+    "broken-prev": "ls.head.next.next.next.prev = ls.head; print(ls.size());",
+    "cycle": "DNode<string> l = ls.tail.prev; l.next = ls.head; ls.head.prev = l; print(ls.size());",
+    "cycle-broken": "ls.head.next.next.next.next = ls.head.next; print(ls.size());",
+    "outside-node": "DNode<string> o = new DNode<string>(\"o\"); ls.head.next.next = o; print(ls.size());",
+    "outside-node-linked": "DNode<string> o = new DNode<string>(\"o\"); DNode<string> a = ls.head.next;"
+    " o.prev = a; o.next = a.next; a.next.prev = o; a.next = o; print(ls.size()); ls.add(\"z\"); print(ls.size());",
+    "outside-list-linked": "ExposedDLinkedList<string> b = new ExposedDLinkedList<string>(); b.add(\"p\"); b.add(\"q\");"
+    " ls.tail.prev.next = b.head.next; print(ls.size());",
+    "tail-moved": "ls.tail.prev.prev.next = ls.tail; print(ls.size());",
+    "size-negative": "ls.size = -1; print(ls.size());",
+    "head-moved": "ls.head = ls.head.next; print(ls.size()); ls.add(\"y\"); print(ls.size());",
+    "null-next": "ls.tail.prev.next = null; print(ls.size());",
+    "repaired": "DNode<string> a = ls.head.next; a.next.prev = ls.head; a.next.prev = a; print(ls.size());",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ADVERSARIAL))
+def test_adversarial_writes_are_seen_as_a_full_walk_sees_them(monkeypatch, case):
+    calls = [("add", ["a"]), ("add", ["b"]), ("addFirst", ["c"]), ("add", ["d"]), ("remove", ["b"])]
+    (seen, _), _ = _alike(monkeypatch, lambda: _dlist(_driver(calls, _ADVERSARIAL[case])), 20_000)
+    ended = {"cycle": "run used up its budget of 20000 steps", "size-negative": "VIOLATION AbstractList 0 entry size",
+             "null-next": "null dereference in reflective read of 'prev'", "head-moved": None,
+             "outside-node-linked": None, "repaired": None}.get(case, "VIOLATION DLinkedList 0 entry size")
+    assert ended == (seen[4] or seen[3] and str(seen[3]))
+
+
+_REACH = """
+class Reach {
+    public void reach(List<string> ls, int n) { if (n == 0) { ls.add("r"); } else { this.reach(ls, n - 1); } }
+}
+"""
+
+
+@pytest.mark.parametrize("n", range(246, 256))
+def test_a_check_deeper_than_its_pass_runs_in_full(monkeypatch, n):
+    # `ls` passes its checks at call depth 1; `reach` then writes it from n levels down, where
+    # its checks run out of call depth for the larger n.
+    driver = "driver { ExposedDLinkedList<string> ls = new ExposedDLinkedList<string>(); ls.add(\"a\");" \
+        " Reach r = new Reach(); r.reach(ls, %d); print(ls.size()); }" % n
+
+    def build():
+        unit, spec = load_dlist(fixed=True)
+        return merge_units([unit, weave_program(unit, spec).declarations_unit(), parse_unit(_REACH + driver)])
+
+    (seen, _), _ = _alike(monkeypatch, build)
+    assert seen[4] == (None if n < 250 else "MiniOO calls nested too deeply")
+
+
+_BAG = """
+class Link { public int w; public Link next; public Link(int v) { this.w = v; } }
+class Bag {
+    protected Link first;
+    protected int count;
+    public Bag() { this.first = new Link(0); this.count = 0; }
+    public Link at(int i) { Link c = this.first; while (i > 0 && c.next != null) { c = c.next; i = i - 1; } return c; }
+    public void put(int i, int v) { Link c = this.at(i); Link n = new Link(v); n.next = c.next; c.next = n; this.count = this.count + 1; }
+    public void drop(int i) { Link c = this.at(i); if (c.next != null) { c.next = c.next.next; this.count = this.count - 1; } }
+    public void poke(int i, int v) { this.at(i).w = v; }
+    public int count() { return this.count; }
+}
+"""
+_BAG_SPEC = '{"classes": [{"name": "Bag", "invariant": ["count >= 0", "forall (c = first; c != null; c = c.next) : %s"]}]}'
+_BODIES = ["c.w >= 0", "c.w" + " + 0" * 60 + " >= 0"]  # the second too deep for one Python expression
+
+
+def _bag(driver: str, body: str = _BODIES[0]):
+    unit = parse_unit(_BAG)
+    spec = load_spec(_BAG_SPEC % body)
+    return merge_units([unit, weave_program(unit, spec).declarations_unit(), parse_unit(driver)])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_walk_to_null_is_settled_as_a_full_walk_checks_it(monkeypatch, seed):
+    rng, lines, n = random.Random(2800 + seed), ["ExposedBag b = new ExposedBag();"], 0
+    for _ in range(rng.randrange(20, 120)):
+        op = rng.choice(["put", "put", "put", "drop", "poke", "count"])
+        i = rng.randrange(n + 1)
+        if op == "put":
+            lines.append("b.put(%d, %d);" % (i, rng.randrange(50)))
+            n += 1
+        elif op == "drop":
+            lines.append("b.drop(%d);" % i)
+            n -= i < n
+        elif op == "poke":  # now and then negative: a violation
+            lines.append("b.poke(%d, %d);" % (i, rng.randrange(-1, 400)))
+        else:
+            lines.append("print(b.count());")
+    lines.append("b.poke(%d, 5); b.at(0).next = b.at(%d); print(b.count());" % (n, max(n - 1, 0)))  # a cycle
+    body = _BODIES[seed % 2]
+    (seen, used), counts = _alike(monkeypatch, lambda: _bag("driver { %s }" % " ".join(lines), body), 50_000)
+    assert counts[0] - counts[1] >= 10 and used > 0
+
+
+def test_two_walks_over_the_same_nodes_are_checked_as_in_full(monkeypatch):
+    # A node holds one walk: the walk back takes the nodes from the walk forth, whose next check
+    # then runs in full, and so on.
+    unit, _ = load_dlist(fixed=True)
+    both = '{"classes": [{"name": "DLinkedList", "invariant": ["forall (n = head; n != tail; n = n.next) : n.next.prev == n",' \
+        ' "forall (p = tail; p != head; p = p.prev) : p.prev.next == p"]}]}'
+    calls = _mutations(random.Random(2900), 40, 30)
+
+    def build():
+        return merge_units([unit, weave_program(unit, load_spec(both)).declarations_unit(), parse_unit(_driver(calls))])
+
+    (seen, _), counts = _alike(monkeypatch, build)
+    assert seen[3] is None and seen[4] is None and counts[1] > 0
+
+
+def test_a_short_mutation_driver_stops_alike_at_every_budget(monkeypatch):
+    calls = [("add", ["a"]), ("addFirst", ["b"]), ("add", ["c"]), ("set", [1, "d"]), ("remove", ["a"]),
+             ("removeFirst", []), ("add", ["e"]), ("clear", []), ("add", ["f"])]
+    counts = counting_settles(monkeypatch)
+    on = _dlist(_driver(calls))
+    _, used = _observe(on)
+    assert counts[0] - counts[1] >= 7
+    with monkeypatch.context() as m:
+        m.setattr(interp_module, "_counted", lambda unit: False)
+        full = _dlist(_driver(calls))
+    for budget in range(used + 1):
+        seen = _observe(on, budget), _observe(full, budget)
+        assert seen[0] == seen[1], budget
+        assert (seen[0][0][4] is None) == (budget == used), budget
+
+
+def test_the_write_log_stays_bounded_between_two_checks(monkeypatch):
+    # 50,000 logged stores between two checks fill the log: every kept pass is dropped, and the
+    # second check runs in full.
+    loop = 'DNode<string> n = new DNode<string>("x"); int i = 0; while (i < 50000) { n.data = "y"; i = i + 1; }'
+    driver = 'driver { ExposedDLinkedList<string> ls = new ExposedDLinkedList<string>(); ls.add("a"); %s ls.add("b"); }'
+    sizes = []
+    append = interp_module.deque.append
+
+    class Spy(interp_module.deque):
+        def append(self, x):
+            append(self, x)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(interp_module, "deque", Spy)
+    interp = Interpreter(_dlist(driver % loop), trace=True)
+    result = interp.run()
+    assert max(sizes) == interp_module._LOG_SIZE < 50_000 and len(interp.log) < interp_module._LOG_SIZE
+    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    full = Interpreter(_dlist(driver % loop), trace=True)
+    assert full.run() == result and operator.length_hint(full.ticks) == operator.length_hint(interp.ticks)
+
+
+def test_a_node_another_run_made_is_walked_but_not_kept(monkeypatch):
+    # Host code links in a node of a run whose unit logs nothing, so the node has no slot for a walk.
+    def run():
+        unit, _ = load_dlist(fixed=True)
+        node = Interpreter(merge_units([unit, parse_unit("driver { }")])).construct("DNode", ["x"])
+        interp = Interpreter(_dlist("driver { }"), trace=True)
+        ls = interp.construct("ExposedDLinkedList", [])
+        head, tail = ls.f_head, ls.f_tail
+        head.f_next, node.f_prev, node.f_next, tail.f_prev = node, head, tail, node
+        return _host_run(interp, [("size", []), ("add", ["y"]), ("addFirst", ["z"]), ("size", [])], ls)
+
+    tracked, track = [], recheck_module._Plan.track
+    monkeypatch.setattr(recheck_module._Plan, "track", lambda *args: tracked.append(track(*args)) or tracked[-1])
+    on = run()
+    assert len(tracked) > 3 and tracked[1:] == [None] * (len(tracked) - 1)  # the first pass came before the node
+    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    assert run() == on and on[0] == [0, None, None, 2] and on[2] is None

@@ -1,6 +1,6 @@
 """Replayed checks: in a unit the weaver built in process, a woven check that
-passed is not run again while nothing it could read has been written since;
-the run draws the steps it took instead (see `interp`)."""
+passed is not run again while nothing has been logged as written since; the
+run draws the steps it took instead (see `interp`)."""
 
 import json
 import operator
@@ -31,9 +31,14 @@ def test_the_weaver_marks_its_classes_and_text_parsed_back_has_no_marks():
     unit, spec = load_dlist(fixed=True)
     art = weave_program(unit, spec)
     abstract, linked = art.exposed_classes
-    assert GENERATED.get(abstract) == (None, ("_depth",))
-    assert GENERATED.get(linked) == (next(m for m in linked.methods if m.name == "inv"), ("_depth",))
-    assert GENERATED.get(art.visitor) == (None, ("_ok", "_fail_class", "_fail_index"))
+    assert GENERATED.get(abstract) == (None, ("_depth",), ())
+    check, own, (visitor, chain) = GENERATED.get(linked)
+    assert check is next(m for m in linked.methods if m.name == "inv") and own == ("_depth",)
+    # the chain's own predicates, root first, each free variable with the type its visit method binds
+    assert visitor is art.visitor and [preds for preds, _ in chain] == [spec.predicates(c) for c in spec.classes()]
+    assert all(a is b for (a, _), b in zip(chain, map(spec.predicates, spec.classes())))
+    assert [[(v, str(t)) for v, t in free] for _, free in chain] == [[("size", "int")], [("head", "DNode<T>"), ("tail", "DNode<T>")]]
+    assert GENERATED.get(art.visitor) == (None, ("_ok", "_fail_class", "_fail_index"), ())
     assert all(GENERATED.get(c) is None for c in unit.classes)
     merged = merge_units([unit, art.declarations_unit()])
     reparsed = parse_unit(render_source(merged))
@@ -56,7 +61,7 @@ def _spy_on_build(monkeypatch) -> list:
 @pytest.mark.parametrize("order", [("checked", "plain", "checked"), ("plain", "checked", "plain")])
 def test_plain_and_checked_runs_over_shared_declarations_keep_their_own_bodies(monkeypatch, order):
     # Both units hold the faulty list's own classes.  Were a plain body, which does not
-    # count its writes, run in the checked unit, `remove`'s exit check would replay the
+    # log its writes, run in the checked unit, `remove`'s exit check would replay the
     # pass of its entry check and miss the violation.
     unit, spec = load_dlist(fixed=False)
     decls = weave_program(unit, spec).declarations_unit()
@@ -70,12 +75,15 @@ def test_plain_and_checked_runs_over_shared_declarations_keep_their_own_bodies(m
         result = run_program(units[kind], check_trace=True)
         if kind == "plain":
             assert result.violation is None and result.output == ["testRemove complete"]
-            assert not any("rt.writes" in source for _, source in built)
+            assert not any("rt.log" in source for _, source in built)
         else:
             assert str(result.violation) == "VIOLATION DLinkedList 0 exit remove"
         first.setdefault(kind, dict(built))
-    assert "rt.writes += 1" in first["checked"]["DLinkedList.remove"]
-    assert "rt.writes" not in first["plain"]["DLinkedList.remove"]
+    # the faulty `remove` stores into `prev` and `this`, and logs each object it wrote
+    stores = [line.strip() for line in first["checked"]["DLinkedList.remove"].splitlines() if " = " in line]
+    assert "prev_2.f_next = cur_1; rt.log.append(prev_2)" in stores
+    assert "this.f_size = this.f_size - 1; rt.log.append(this)" in stores
+    assert "rt.log" not in first["plain"]["DLinkedList.remove"]
 
 
 def test_a_host_write_between_calls_is_seen_by_the_next_check():
@@ -84,8 +92,8 @@ def test_a_host_write_between_calls_is_seen_by_the_next_check():
     ls = interp.construct("ExposedDLinkedList", [])
     interp.dispatch_call(ls, "add", ["a"])
     interp.dispatch_call(ls, "add", ["b"])
-    # the exit check of the second `add` passed, and the run has written nothing since
-    assert [last[1] for last in interp.passed.values()] == [interp.writes]
+    # the exit check of the second `add` passed, and the run has logged nothing since
+    assert [last[1] for last in interp.passed.values()] == [len(interp.log)]
     second = ls.f_head.f_next.f_next
     second.f_prev = ls.f_head
     with pytest.raises(_Violation) as violation:
