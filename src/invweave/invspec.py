@@ -43,7 +43,7 @@ from .syntax import (
     VarRead,
     walk,
 )
-from .typecheck import ClassTable, NULL_TYPE, _Checker
+from .typecheck import ClassTable, NULL_TYPE, _Checker, class_table
 
 
 class Forall(Record):
@@ -250,7 +250,7 @@ class _PredicateChecker(_Checker):
     getters read private state reflectively."""
 
     def __init__(self, table: ClassTable, cls: ClassDecl):
-        super().__init__(table.unit, table, set())
+        super().__init__(SourceUnit(), table, set())  # it checks no unit
         self.current_class = cls
         self.self_t = cls.self_type()
 
@@ -321,9 +321,9 @@ def validate_spec(
     """Empty iff every spec class resolves, every free variable resolves to a
     declared or inherited field, and every predicate types as boolean by
     MiniOO's rules.
-    `table`, if given, must be the unit's."""
+    `table`, if given, must be the unit's; by default it is `class_table(unit)`."""
     if table is None:
-        table = ClassTable(unit)
+        table = class_table(unit)
     diags: list[Diagnostic] = []
     for name, preds in spec.entries.items():
         cls = table.get_class(name)

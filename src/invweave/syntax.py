@@ -13,7 +13,10 @@ compare structurally.
 A declaration is not changed once it has been checked or run: code that
 needs a variant builds a new node (`rebuild`, `replace`).  The checker and
 the interpreter rely on this to remember, per declaration object
-(`DeclMemo`), what they have already worked out about it.
+(`DeclMemo`), what they have already worked out about it.  The one field
+written later is a class or interface's `_verdict`, the checker's own
+(see `typecheck`); it is no field of the record, so `==`, `repr` and copies
+leave it out.
 """
 
 from __future__ import annotations
@@ -468,7 +471,7 @@ class ConstructorDecl(Positioned):
 class ClassDecl(Positioned):
     __slots__ = (
         "name", "type_params", "super_class", "interfaces", "is_abstract", "fields", "constructor", "methods",
-        "__weakref__",
+        "_verdict", "__weakref__",
     )
     def __init__(
         self, name: str, type_params: Optional[list[str]] = None, super_class: Optional[NamedType] = None,
@@ -482,6 +485,7 @@ class ClassDecl(Positioned):
         self.interfaces = [] if interfaces is None else interfaces
         self.fields = [] if fields is None else fields
         self.methods = [] if methods is None else methods
+        self._verdict = None
 
     def self_type(self) -> NamedType:
         return NamedType(self.name, tuple(TypeVar(p) for p in self.type_params))
@@ -490,7 +494,7 @@ class ClassDecl(Positioned):
 class InterfaceDecl(Positioned):
     """`methods` have no bodies."""
 
-    __slots__ = ("name", "type_params", "extends", "methods", "__weakref__")
+    __slots__ = ("name", "type_params", "extends", "methods", "_verdict", "__weakref__")
     def __init__(
         self, name: str, type_params: Optional[list[str]] = None, extends: Optional[list[NamedType]] = None,
         methods: Optional[list[MethodDecl]] = None, line: int = 0, col: int = 0,
@@ -499,6 +503,7 @@ class InterfaceDecl(Positioned):
         self.type_params = [] if type_params is None else type_params
         self.extends = [] if extends is None else extends
         self.methods = [] if methods is None else methods
+        self._verdict = None
 
     def self_type(self) -> NamedType:
         return NamedType(self.name, tuple(TypeVar(p) for p in self.type_params))

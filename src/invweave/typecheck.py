@@ -14,23 +14,31 @@ substitution) from its superclass type's map plus its own members.  Class
 chains, member maps and supertype closures are each made from their parent's
 (the superclass, or a type's sole supertype) by one loop, `_walk_up`, which
 walks up to the first memoised ancestor and fills the memo back down, so a
-deep hierarchy costs no Python stack.  A table lives for one check or one
-weave of an unchanging unit.  Expression rules are chosen by node type, and
-each is given the type of its node's first operand: the left operand, the
-operand of a unary operator, the object of a field read or of `@field`, or
-a call's receiver.  Only these nest without bound, so `type_of` types a chain of
-them bottom-up in one loop, and `a.n.n...n`, `!!...!b` and
+deep hierarchy costs no Python stack.  A table is built for one unit, and
+kept with the unit's clean verdict (below) for every later unit of the
+same declarations in the same order.  Expression rules are chosen by node
+type, and each is given the type of its node's first operand: the left
+operand, the operand of a unary operator, the object of a field read or of
+`@field`, or a call's receiver.  Only these nest without bound, so `type_of`
+types a chain of them bottom-up in one loop, and `a.n.n...n`, `!!...!b` and
 `1 + 1 + ... + 1` cost no Python stack.
 
 Each class or interface is checked once for all the units it goes into.  A
-unit that checks with no diagnostic leaves a clean verdict on each of its
-declarations, recording (weakly) the declarations of that unit.  MiniOO
-resolves names nominally, with no overloading, no field shadowing and no
-open classes, so the verdict holds in any later unit that contains all of
-those declaration objects and declares no name twice: such a unit re-checks
-only its other declarations, its driver and its inheritance cycles, and
-reports the same diagnostics in the same order as a full check.
-Declarations are never changed once checked (see `syntax`).
+unit that checks with no diagnostic and declares no name twice leaves a
+clean verdict on each declaration it checked: the unit's table, whose index
+names every declaration of that unit.  MiniOO resolves names nominally, with
+no overloading, no field shadowing and no open classes, so the verdict holds
+in any later unit that contains all of those declaration objects and
+declares no name twice: such a unit re-checks only its other declarations,
+its driver and its inheritance cycles, and reports the same diagnostics in
+the same order as a full check.  A unit of one verdict's declarations, in
+the same order, such as a driver merged onto a checked hierarchy, checks
+only its driver, with the verdict's table and the lookups already in it.
+Declarations are never changed once checked (see `syntax`).  A verdict is
+kept in the `_verdict` slot of each declaration it was left on.  Its table
+holds no class or interface (see `ClassTable`), so nothing refers back to
+the declarations: the table goes with the last of them, with no cycle for
+the collector to find.
 
 A check runs in phases: inheritance cycles, the headers of every
 declaration, then per class its structure (field shadowing, overrides,
@@ -55,7 +63,6 @@ from .syntax import (
     BOOL,
     ClassDecl,
     ConstructorDecl,
-    DeclMemo,
     Expr,
     ExprStmt,
     FieldAccess,
@@ -107,7 +114,7 @@ class FieldHit(Record):
 
 class _Members(Record):
     """One class type's resolved members, most-derived first: name ->
-    (declaring class, member, the substitution viewing it from that type).
+    (declaring class's name, member, the substitution viewing it from that type).
     `impls` holds the methods with a body."""
 
     __slots__ = ("methods", "fields", "impls")
@@ -133,12 +140,13 @@ def _extend(inherited: _Members, decl: ClassDecl, sub: dict[str, TypeExpr]) -> _
     """`inherited` with `decl`'s own members in front; they hide inherited
     ones, and the first of a name wins."""
     out = _Members(dict(inherited.methods), dict(inherited.fields), dict(inherited.impls))
+    name = decl.name
     for m in reversed(decl.methods):
-        out.methods[m.name] = (decl, m, sub)
+        out.methods[m.name] = (name, m, sub)
         if m.body is not None:
-            out.impls[m.name] = (decl, m, sub)
+            out.impls[m.name] = (name, m, sub)
     for f in reversed(decl.fields):
-        out.fields[f.name] = (decl, f, sub)
+        out.fields[f.name] = (name, f, sub)
     return out
 
 
@@ -154,32 +162,47 @@ class MethodHit(Record):
 class ClassTable:
     """Declaration index plus the subtyping and member-lookup machinery.
 
-    Each lookup is resolved once per type and memoised, so a table
-    must not outlive a change to its unit.  The unit's inheritance should be
-    acyclic (`typecheck_program` checks that first); a walk up the class chain
-    that meets a cycle raises the parser's ParseError for it."""
+    Each lookup is resolved once per type and memoised, so a table must
+    not outlive a change to its unit's declarations.  It holds them weakly,
+    by name, and its memos hold names, types and members but no class or
+    interface, so a table kept with a clean verdict (see `typecheck_program`)
+    keeps no declaration alive; whoever uses it holds a unit of them.  The
+    unit's inheritance should be acyclic (`typecheck_program` checks that
+    first); a walk up the class chain that meets a cycle raises the parser's
+    ParseError for it."""
 
     def __init__(self, unit: SourceUnit):
-        self.unit = unit
-        self.decls: dict[str, Union[ClassDecl, InterfaceDecl]] = {}
+        self.refs: dict[str, weakref.ref] = {}  # name -> declaration
         for c in unit.classes:
-            self.decls[c.name] = c
+            self.refs[c.name] = weakref.ref(c)
         for i in unit.interfaces:
-            self.decls[i.name] = i
-        self._chains: dict[str, list[ClassDecl]] = {}
+            self.refs[i.name] = weakref.ref(i)
+        self._chains: dict[str, list[str]] = {}
         self._closures: dict[NamedType, list[NamedType]] = {}
         self._members: dict[NamedType, _Members] = {}
         self._supers: dict[NamedType, list[NamedType]] = {}
 
+    def of_declarations(self, key: Union[str, NamedType]) -> bool:
+        """Whether a memo key names a declared class, or a declared type whose
+        type arguments are declared types or primitives that take none.  A
+        unit's declarations have boundedly many such keys."""
+        if key.__class__ is str:
+            return key in self.refs
+        return key.name in self.refs and all(  # type: ignore
+            a.__class__ is NamedType and not a.args and (a.name in self.refs or a.name in PRIMITIVES)
+            for a in key.args  # type: ignore
+        )
+
     def get(self, name: str) -> Optional[Union[ClassDecl, InterfaceDecl]]:
-        return self.decls.get(name)
+        ref = self.refs.get(name)
+        return None if ref is None else ref()
 
     def get_class(self, name: str) -> Optional[ClassDecl]:
-        d = self.decls.get(name)
+        d = self.get(name)
         return d if isinstance(d, ClassDecl) else None
 
     def get_interface(self, name: str) -> Optional[InterfaceDecl]:
-        d = self.decls.get(name)
+        d = self.get(name)
         return d if isinstance(d, InterfaceDecl) else None
 
     def _walk_up(self, memo: dict, key, up, root):
@@ -190,8 +213,10 @@ class ClassTable:
         out = None
         pending = []
         while out is None:
-            if len(pending) > len(self.decls):
-                check_cycles(self.unit)  # raises: the walk is going round a cycle
+            if len(pending) > len(self.refs):  # the walk is going round a cycle: raise for it
+                decls = [ref() for ref in self.refs.values()]
+                classes = [d for d in decls if isinstance(d, ClassDecl)]
+                check_cycles(SourceUnit(classes, [d for d in decls if isinstance(d, InterfaceDecl)]))
             parent, make = up(key)
             pending.append((key, make))
             if parent is None:
@@ -203,8 +228,8 @@ class ClassTable:
             out = memo[key] = make(out)
         return out
 
-    def class_chain(self, name: str) -> list[ClassDecl]:
-        """The class and its ancestors, most-derived first."""
+    def chain_names(self, name: str) -> list[str]:
+        """The names of the class and its ancestors, most-derived first."""
         chain = self._chains.get(name)
         if chain is not None:
             return chain
@@ -214,9 +239,13 @@ class ClassTable:
             if cur is None:
                 return None, lambda chain: chain
             parent = None if cur.super_class is None else cur.super_class.name
-            return parent, lambda chain: [cur] + chain
+            return parent, lambda chain: [name] + chain
 
         return self._walk_up(self._chains, name, up, [])
+
+    def class_chain(self, name: str) -> list[ClassDecl]:
+        """The class and its ancestors, most-derived first."""
+        return [self.get(n) for n in self.chain_names(name)]
 
     def view_subst(self, decl: Union[ClassDecl, InterfaceDecl], t: NamedType) -> dict[str, TypeExpr]:
         if not decl.type_params or not t.args:
@@ -226,7 +255,7 @@ class ClassTable:
     def super_instances(self, t: NamedType) -> list[NamedType]:
         out = self._supers.get(t)
         if out is None:
-            decl = self.decls.get(t.name)
+            decl = self.get(t.name)
             if isinstance(decl, ClassDecl):
                 supers = [decl.super_class] if decl.super_class is not None else []
                 supers += decl.interfaces
@@ -274,11 +303,11 @@ class ClassTable:
                 isinstance(t, NamedType)
                 and t.name not in PRIMITIVES
                 and t != VOID_TYPE
-                and t.name in self.decls
+                and t.name in self.refs
             )
         if isinstance(s, TypeVar) or isinstance(t, TypeVar):
             return False
-        if s.name not in self.decls:
+        if s.name not in self.refs:
             return False
         return t in self.closure(s)
 
@@ -306,8 +335,8 @@ class ClassTable:
         hit = self.members(t).fields.get(name)
         if hit is None:
             return None
-        decl, f, sub = hit
-        return FieldHit(decl.name, f, substitute(sub, f.declared_type))
+        declaring, f, sub = hit
+        return FieldHit(declaring, f, substitute(sub, f.declared_type))
 
     def find_method(self, t: TypeExpr, name: str) -> Optional[MethodHit]:
         """Most-derived declaration of `name` visible on `t`: the class chain
@@ -324,13 +353,13 @@ class ClassTable:
                 continue
             for m in idecl.methods:
                 if m.name == name:
-                    return self._hit(idecl, m, self.view_subst(idecl, inst))
+                    return self._hit(idecl.name, m, self.view_subst(idecl, inst))
         return None
 
     @staticmethod
-    def _hit(decl: Union[ClassDecl, InterfaceDecl], m: MethodDecl, sub: dict[str, TypeExpr]) -> MethodHit:
+    def _hit(declaring: str, m: MethodDecl, sub: dict[str, TypeExpr]) -> MethodHit:
         return MethodHit(
-            declaring=decl.name,
+            declaring=declaring,
             method=m,
             param_types=[substitute(sub, p.type) for p in m.params],
             return_type=None if m.return_type is None else substitute(sub, m.return_type),
@@ -809,8 +838,7 @@ class _Checker:
                 )
             return
         # protected
-        chain = [c.name for c in self.table.class_chain(self.current_class.name)]
-        if declaring not in chain:
+        if declaring not in self.table.chain_names(self.current_class.name):
             self.error(
                 "visibility",
                 "protected member of %s is not accessible from %s"
@@ -1102,54 +1130,96 @@ class _Checker:
     other_rule = (type_of_other, None)  # for a node that is no expression
 
 
-# declaration -> weak references to the declarations of a unit it checked clean in
-_CLEAN = DeclMemo()
-
-
 def _reusable(decls: list) -> set[int]:
     """The ids of those of `decls` whose clean verdict holds in a unit of `decls`."""
     if len({d.name for d in decls}) < len(decls):
         return set()
     ids = {id(d) for d in decls}
-    fits: dict[int, bool] = {}  # id of a verdict's record -> whether `decls` has all of it
+    fits: dict[int, bool] = {}  # id of a verdict's table -> whether `decls` has all its declarations
     out = set()
     for d in decls:
-        record = _CLEAN.get(d)
-        if record is not None:
-            fit = fits.get(id(record))
+        table = d._verdict
+        if table is not None:
+            fit = fits.get(id(table))
             if fit is None:
-                fit = fits[id(record)] = all(id(ref()) in ids for ref in record)
+                fit = fits[id(table)] = all(id(ref()) in ids for ref in table.refs.values())
             if fit:
                 out.add(id(d))
     return out
 
 
-def _checker(unit: SourceUnit, table: Optional[ClassTable]) -> _Checker:
-    """A checker of `unit` that skips the declarations whose clean verdict
-    holds there; raises the parser's ParseError for an inheritance cycle."""
+def _kept(decls: list) -> Optional[ClassTable]:
+    """The table of the clean verdict whose declarations are `decls`, in the
+    same order, if the first of `decls` with a verdict of that many
+    declarations has it.  A verdict's declarations are distinct objects with
+    distinct names, so then `decls` declares no name twice."""
+    for d in decls:
+        table = d._verdict
+        if table is not None and len(table.refs) == len(decls):
+            return table if all(ref() is x for ref, x in zip(table.refs.values(), decls)) else None
+    return None
+
+
+def class_table(unit: SourceUnit) -> ClassTable:
+    """The table kept with the clean verdict whose declarations are those of
+    `unit`, in the same order, if there is one; else a new table of `unit`."""
+    return _kept([*unit.classes, *unit.interfaces]) or ClassTable(unit)
+
+
+def _checker(unit: SourceUnit, decls: list) -> _Checker:
+    """A checker of `unit`, whose declarations are `decls`, that skips those
+    whose clean verdict holds there; raises the parser's ParseError for an
+    inheritance cycle.  When `decls` are those of one clean verdict, in the
+    same order, it skips them all and has that verdict's table, and neither
+    the cycle check nor the search for reusable verdicts runs (see
+    `typecheck_program`)."""
+    table = _kept(decls)
+    if table is not None:
+        return _Checker(unit, table, {id(d) for d in decls})
     check_cycles(unit)
-    reused = _reusable([*unit.classes, *unit.interfaces])
-    return _Checker(unit, table if table is not None else ClassTable(unit), reused)
+    return _Checker(unit, ClassTable(unit), _reusable(decls))
 
 
-def typecheck_program(unit: SourceUnit, table: Optional[ClassTable] = None) -> list[Diagnostic]:
+def typecheck_program(unit: SourceUnit) -> list[Diagnostic]:
     """Type-check a unit; empty result means well-typed.  A unit that did not
     pass `validate_structure`, such as one built by `merge_units`, may have
     an inheritance cycle: it gets the parser's diagnostic for it instead.
-    `table`, if given, must be the unit's; the check fills its lookups.
     Declarations with a clean verdict that holds in `unit` are not checked
-    again (see the module docstring)."""
+    again (see the module docstring).
+
+    When the declarations of `unit` are those of one clean verdict, in the
+    same order, only its driver is checked, with that verdict's table, and
+    neither the cycle check nor the search for reusable verdicts runs.  No
+    cycle can have been missed: the verdict's unit declared no name twice
+    and checked with no unknown superclass or interface, so each
+    extends/implements edge of `unit` resolves by name to the same
+    declaration as there, and that unit checked acyclic.  Of the lookups the
+    driver adds, the table keeps those of the declarations' own types (see
+    `ClassTable.of_declarations`), of which there are boundedly many, and
+    drops the others, so drivers naming ever new types do not grow it."""
+    decls = [*unit.classes, *unit.interfaces]
     try:
-        checker = _checker(unit, table)
+        checker = _checker(unit, decls)
     except ParseError as exc:
         return [exc.diagnostic]
+    table = checker.table
+    memos = (table._chains, table._closures, table._members, table._supers)
+    sizes = [len(memo) for memo in memos]
     diags = checker.check_unit()
-    decls = [*unit.classes, *unit.interfaces]
-    fresh = [d for d in decls if id(d) not in checker.reused]
-    if fresh and not diags:
-        record = tuple(weakref.ref(d) for d in decls)
-        for d in fresh:
-            _CLEAN.put(d, record)
+    if len(checker.reused) < len(decls):
+        if not diags and len(table.refs) == len(decls):  # no name declared twice
+            for d in decls:
+                if id(d) not in checker.reused:
+                    d._verdict = table
+    else:
+        # Every declaration kept its verdict, so the table is a kept one or is
+        # dropped.  It keeps what the driver added of the declarations' own types
+        # only (dicts keep insertion order, so that is what follows the old size).
+        for memo, n in zip(memos, sizes):
+            if len(memo) > n:
+                for key in list(memo)[n:]:
+                    if not table.of_declarations(key):
+                        del memo[key]
     return diags
 
 
@@ -1159,7 +1229,7 @@ def check_structure(unit: SourceUnit) -> list[Diagnostic]:
     bodiless methods of concrete classes.  It keeps no verdict, so a later
     `typecheck_program` of `unit` still types every body."""
     try:
-        checker = _checker(unit, None)
+        checker = _checker(unit, [*unit.classes, *unit.interfaces])
     except ParseError as exc:
         return [exc.diagnostic]
     for cdecl in checker.check_headers():

@@ -102,7 +102,7 @@ from .syntax import (
     rebuild,
     replace,
 )
-from .typecheck import ClassTable, MethodHit, check_structure, typecheck_program
+from .typecheck import ClassTable, MethodHit, check_structure, class_table, typecheck_program
 
 PHASE_ENTRY = "entry"
 PHASE_EXIT = "exit"
@@ -182,10 +182,11 @@ class WovenArtifacts(Record):
 # ---------------------------------------------------------------------------
 
 
-def choose_names(table: ClassTable, specified: list[ClassDecl], plan: ExposurePlan) -> WeaveNaming:
+def choose_names(
+    unit: SourceUnit, table: ClassTable, specified: list[ClassDecl], plan: ExposurePlan
+) -> WeaveNaming:
     """Names for the declarations and getters woven for `specified`, the
-    specified classes in unit order."""
-    unit = table.unit
+    specified classes of `unit` in unit order."""
     naming = WeaveNaming()
     top_level = {c.name for c in unit.classes} | {i.name for i in unit.interfaces}
     supply = NameSupply(set(top_level))
@@ -198,7 +199,7 @@ def choose_names(table: ClassTable, specified: list[ClassDecl], plan: ExposurePl
     all_method_names |= {m.name for i in unit.interfaces for m in i.methods}
     getter_supply = NameSupply(set(all_method_names))
     # Parents first so chain-uniqueness can consult ancestors' getter names.
-    ordered = sorted(specified, key=lambda c: len(table.class_chain(c.name)))
+    ordered = sorted(specified, key=lambda c: len(table.chain_names(c.name)))
     for c in ordered:
         entry = plan.per_class[c.name]
         chain_taken = {
@@ -609,12 +610,14 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
     module docstring), and no typecheck verdict is kept for them.
 
     One ClassTable of `unit` serves every stage on it: the typecheck, spec
-    validation, the exposure plan and its verification, and generation.  The
-    structural check builds one of the merged unit."""
-    table = ClassTable(unit)
-    diags = errors_only(typecheck_program(unit, table))
+    validation, the exposure plan and its verification, and generation.  It
+    is the table kept with the unit's own clean verdict (see
+    `typecheck.class_table`), so weaving a unit already checked builds no
+    table of it.  The structural check builds one of the merged unit."""
+    diags = errors_only(typecheck_program(unit))
     if diags:
         raise WeaveError(diags)
+    table = class_table(unit)
     sdiags = errors_only(validate_spec(spec, unit, table))
     if sdiags:
         raise WeaveError(sdiags)
@@ -624,7 +627,7 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
         raise WeaveError(vdiags)
 
     specified = [c for c in unit.classes if spec.specifies(c.name)]
-    naming = choose_names(table, specified, plan)
+    naming = choose_names(unit, table, specified, plan)
     interfaces: list[InterfaceDecl] = []
     exposed: list[ClassDecl] = []
     wraps = {c.name: _public_methods_to_wrap(table, c, c.self_type()) for c in specified}

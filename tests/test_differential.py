@@ -27,6 +27,7 @@ from invweave.interp import MAX_STEPS, Interpreter, MiniOORuntimeError, _Emitter
 from invweave.parser import parse_unit
 from invweave.printer import render_source
 from invweave.syntax import merge_units
+from invweave.typecheck import class_table, typecheck_program
 from invweave.weave import swap_driver_constructors, weave_program
 
 from helpers import (
@@ -206,19 +207,58 @@ def _observe(unit, max_steps: int = MAX_STEPS) -> tuple:
     return (r.output, r.trace, r.combined, r.violation, fault), max_steps - operator.length_hint(interp.ticks)
 
 
+# Driver lines that do not typecheck, one of each kind: an unknown method, a wrong
+# arity, a wrong argument type, an unknown class, a private member read and a local
+# declared twice.  `{v}` is the script's first local, of class `{c}`, `{m}` one of
+# that class's methods, and `{visitor}` the woven visitor, with private field `{field}`.
+ILL_TYPED_LINES = (
+    "{v}.nope();",
+    "{v}.{m}(1, 2);",
+    "@singleton({visitor}).visit_{c}(true);",
+    "Nope n = new Nope();",
+    "print(@singleton({visitor}).{field});",
+    "int {v} = 0;",
+)
+
+
+def _with_ill_typed_lines(rng: random.Random, text: str, steps: list, profile: list, visitor) -> str:
+    """`text` with none, one or two seeded ill-typed lines after its first statement."""
+    lines = text.split("\n")
+    first = next(g for g in profile if g.name == steps[0].class_name)
+    field = next(f.name for f in visitor.fields if f.visibility == "private")
+    for _ in range(rng.randint(0, 2)):
+        line = rng.choice(ILL_TYPED_LINES).format(
+            v=steps[0].var, c=first.name, m=rng.choice(sorted(first.methods)), visitor=visitor.name, field=field
+        )
+        lines.insert(rng.randint(2, len(lines) - 1), "    " + line)
+    return "\n".join(lines)
+
+
 def test_gating_scripts_run_alike_on_cold_and_warm_memos():
-    # A hierarchy parsed afresh has no class tables or compiled bodies yet; the
-    # shared one keeps those of every script before.
+    # A hierarchy parsed afresh has no class table, verdicts or compiled bodies yet;
+    # the shared one keeps those of every script before.  Both run each script alike,
+    # and report the same diagnostics, in the same order, for the script with none,
+    # one or two ill-typed lines added.
     for gname, profile in sorted(GATING_PROFILES.items()):
         unit, spec = load_program(CORPUS / "gating" / (gname + ".moo"))
-        warm = merge_units([unit, weave_program(unit, spec).declarations_unit()])
+        artifacts = weave_program(unit, spec)
+        warm = merge_units([unit, artifacts.declarations_unit()])
         source = render_source(warm)
         rng = random.Random("gating-" + gname)
+        ill_rng = random.Random("ill-typed-" + gname)
+        ill_typed = 0
         for k in range(SCRIPTS_PER_HIERARCHY):
-            text, _ = make_script(rng, profile, rng.randint(1, 20))
+            text, steps = make_script(rng, profile, rng.randint(1, 20))
             cold = parse_unit(source)
             seen = [_observe(merge_units([base, parse_unit(text)])) for base in (cold, warm)]
             assert seen[0] == seen[1] and seen[0][1] > 0, (gname, k)
+            ill = _with_ill_typed_lines(ill_rng, text, steps, profile, artifacts.visitor)
+            diags = [[str(d) for d in typecheck_program(merge_units([base, parse_unit(ill)]))] for base in (cold, warm)]
+            assert diags[0] == diags[1], (gname, k)
+            ill_typed += bool(diags[0])
+        assert 20 < ill_typed < SCRIPTS_PER_HIERARCHY - 20, gname
+        # The warm scripts were checked with the kept table.
+        assert class_table(warm) is class_table(merge_units([warm, parse_unit(text)]))
 
 
 def test_every_case_runs_alike_with_identity_comparisons_switched_off(monkeypatch):

@@ -1,13 +1,18 @@
 import copy
+import gc
+import random
+import weakref
 
 import pytest
 
+from invweave import typecheck
 from invweave.diagnostics import ParseError
-from invweave.parser import parse_unit, validate_structure
+from invweave.parser import check_cycles, parse_unit, validate_structure
 from invweave.syntax import Binary, DriverBlock, ExprStmt, IntLit, NamedType, Param, PrintStmt, SourceUnit, merge_units, replace
-from invweave.typecheck import ClassTable, _reusable, typecheck_program
+from invweave.typecheck import ClassTable, _reusable, class_table, typecheck_program
+from invweave.weave import weave_program
 
-from helpers import dlist_driver, load_dlist
+from helpers import CORPUS, GATING_PROFILES, dlist_driver, load_dlist, load_program, make_chain_program, make_script
 
 
 def check(source: str):
@@ -458,6 +463,7 @@ def test_memo_refuses_a_unit_that_redeclares_a_base_name():
     assert typecheck_program(base) == []
     merged = merge_units([base, parse_unit("class A { public string y; }")])
     assert reused(merged) == set()
+    assert class_table(merged) is not class_table(base)
     # The later A hides the first, so B's body no longer finds `x`.
     assert codes(check_as_full(merged)) == ["unknown-name"]
 
@@ -520,3 +526,129 @@ def test_memo_reports_in_full_check_order_between_reused_declarations(new):
     unit = SourceUnit(classes=[a, x, b, y, c, *z], interfaces=[*part.interfaces, i])
     assert reused(unit) == {"A", "B", "C", "I"}
     assert len(check_as_full(unit)) >= 3
+
+
+def woven_gating_base(gname: str):
+    """The gating hierarchy `gname` merged with what the weaver generates for it."""
+    unit, spec = load_program(CORPUS / "gating" / (gname + ".moo"))
+    return merge_units([unit, weave_program(unit, spec).declarations_unit()])
+
+
+def counting_builds(monkeypatch) -> tuple[list, list]:
+    """From now on, the units of each ClassTable built and of each cycle check the checker runs."""
+    built, cycles = [], []
+    init = ClassTable.__init__
+    monkeypatch.setattr(ClassTable, "__init__", lambda table, unit: built.append(unit) or init(table, unit))
+    monkeypatch.setattr(typecheck, "check_cycles", lambda unit: cycles.append(unit) or check_cycles(unit))
+    return built, cycles
+
+
+def test_scripts_merged_onto_a_hierarchy_share_one_table(monkeypatch):
+    base = woven_gating_base("g2")
+    built, cycles = counting_builds(monkeypatch)
+    rng = random.Random("one-table")
+    for _ in range(100):
+        text, _ = make_script(rng, GATING_PROFILES["g2"], rng.randint(1, 12))
+        assert typecheck_program(merge_units([base, parse_unit(text)])) == []
+    # The first script's unit checks the generated declarations; the others only their drivers.
+    assert len(built) == 1 and len(cycles) == 1
+    assert class_table(base) is class_table(merge_units([base, parse_unit("driver { }")]))
+    assert len(built) == 1
+
+
+def test_drivers_keep_the_hierarchys_lookups_in_the_table_and_drop_the_rest():
+    base = woven_gating_base("g2")
+    assert typecheck_program(merge_units([base, parse_unit("driver { }")])) == []
+    table = class_table(base)
+    memos = (table._chains, table._closures, table._members, table._supers)
+    before = [dict(memo) for memo in memos]
+
+    def drivers():
+        for n in range(1, 40):
+            t = "Base<" * n + "int" + ">" * n
+            text = "driver { %s b = new ExposedBase%s(); b.mark(); Base<int> c = b; }" % (t, t[4:])
+            diags = typecheck_program(merge_units([base, parse_unit(text)]))
+            assert codes(diags) == ([] if n == 1 else ["type-mismatch"])
+
+    drivers()
+    after = [dict(memo) for memo in memos]
+    added = [k for memo, old in zip(after, before) for k in memo if k not in old]
+    # The first driver's lookups of `ExposedBase<int>` and its supertypes stay;
+    # those of the deeper types, one more per driver, go again.
+    assert NamedType("ExposedBase", (NamedType("int"),)) in table._closures
+    assert added and all(not a.args for k in added for a in k.args)
+    assert all(memo[k] is v for memo, old in zip(after, before) for k, v in old.items())
+    drivers()
+    assert [dict(memo) for memo in memos] == after
+
+
+def test_a_cycle_of_fresh_classes_on_a_kept_hierarchy_is_reported(monkeypatch):
+    base = woven_gating_base("g1")
+    assert typecheck_program(base) == []
+    kept = class_table(base)
+    merged = merge_units([base, parse_unit("class P extends Q { }"), parse_unit("class Q extends P { }")])
+    with pytest.raises(ParseError) as structural:
+        validate_structure(merged)
+    built, cycles = counting_builds(monkeypatch)
+    assert typecheck_program(merged) == [structural.value.diagnostic]
+    assert cycles == [merged] and built == []
+    assert class_table(base) is kept
+
+
+def test_a_unit_of_two_checked_units_is_checked_with_a_table_of_its_own(monkeypatch):
+    first = parse_unit("class A { public int f() { return 1; } }")
+    second = parse_unit("interface I { int g(); }\nclass C implements I { public int g() { return 2; } }")
+    assert typecheck_program(first) == [] and typecheck_program(second) == []
+    merged = merge_units([first, second, parse_unit("driver { A a = new A(); I i = new C(); print(a.f() + i.g()); }")])
+    assert reused(merged) == {"A", "C", "I"}
+    built, cycles = counting_builds(monkeypatch)
+    for n in (1, 2):  # it leaves no verdict, so the second check is a full one too
+        assert typecheck_program(merged) == []
+        assert cycles == [merged] * n and built == [merged] * n
+    assert class_table(merged) not in (class_table(first), class_table(second))
+    assert check_as_full(merged) == []
+
+
+def test_memo_keeps_the_table_only_for_the_same_declarations_in_order():
+    base = parse_unit("class A { public C c; }\nclass B { }\nclass C { }")
+    assert typecheck_program(base) == []
+    a, b, c = base.classes
+    kept = class_table(base)
+    assert class_table(SourceUnit([a, b, c])) is kept
+    # The same object twice, a reordering and a part are each checked in full.
+    for classes, codes_ in (([a, a, b], ["unknown-name"] * 2), ([c, b, a], []), ([a, b], ["unknown-name"])):
+        unit = SourceUnit(classes)
+        assert class_table(unit) is not kept
+        assert codes(check_as_full(unit)) == codes_
+
+
+def test_a_dropped_hierarchy_frees_its_declarations_and_kept_tables():
+    base = woven_gating_base("g2")
+    rng = random.Random("dropped")
+    scripts = [merge_units([base, parse_unit(make_script(rng, GATING_PROFILES["g2"], 6)[0])]) for _ in range(5)]
+    assert all(typecheck_program(unit) == [] for unit in scripts)
+    decls = [*base.classes, *base.interfaces]
+    refs = [weakref.ref(d) for d in decls] + [weakref.ref(d._verdict) for d in decls]
+    assert class_table(base) is decls[-1]._verdict
+    del base, scripts, decls
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
+def test_checking_fresh_chains_leaves_no_tables_behind():
+    # With the cycle collector off: a kept table and its declarations form no
+    # cycle, so each chain's go as soon as the next replaces it.
+    rng = random.Random("fresh-chains")
+    tables = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(300):
+            unit, _ = make_chain_program(rng, depth=rng.randint(0, 8))
+            assert typecheck_program(unit) == []
+            tables.append(weakref.ref(class_table(unit)))
+        alive = sum(t() is not None for t in tables)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(tables) == 300 and alive <= 3

@@ -23,7 +23,7 @@ from invweave.syntax import (
     replace,
     walk,
 )
-from invweave.typecheck import _CLEAN, ClassTable, typecheck_program
+from invweave.typecheck import ClassTable, typecheck_program
 from invweave.weave import (
     render_artifacts,
     swap_driver_constructors,
@@ -573,9 +573,9 @@ def test_weave_leaves_no_verdict_on_generated_declarations(dlist_artifacts):
     unit, spec, _ = dlist_artifacts
     art = weave_program(unit, spec)
     generated = [*art.interfaces, *art.exposed_classes, art.visitor]
-    assert all(_CLEAN.get(d) is None for d in generated)
+    assert all(d._verdict is None for d in generated)
     assert typecheck_program(art.merged_unit()) == []
-    assert all(_CLEAN.get(d) is not None for d in generated)
+    assert all(d._verdict is not None for d in generated)
 
 
 def test_generated_header_fault_is_weave_internal(monkeypatch):
