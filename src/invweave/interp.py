@@ -2,14 +2,15 @@
 
 Each class gets runtime tables: its objects' layout and Python class, its
 vtable and its constructor.  They are built the first time a run needs them
-and kept with the class declaration (declarations are never changed once
-run, see `syntax`), one set for each set of its superclass's tables, so a
-run over a hierarchy an earlier run used builds none.  Each class layout has
-its own Python class: its `__slots__` are the layout's fields, each under
-the prefix `f_`, and its `__init__` sets their zero values.  An object holds
-its class's vtable, which maps each method name, and the name with the arity
-of its most-derived implementation (`size/0`), to that implementation, so
-`this`-calls in original bodies land on woven wrappers.
+and kept in the class declaration's `_code` slot (declarations are never
+changed once run, see `syntax`), one set for each set of its superclass's
+tables, so a run over a hierarchy an earlier run used builds none.  Each
+class layout has its own Python class: its `__slots__` are the layout's
+fields, each under the prefix `f_`, and its `__init__` sets their zero
+values.  An object holds its class's vtable, which maps each method name,
+and the name with the arity of its most-derived implementation (`size/0`),
+to that implementation, so `this`-calls in original bodies land on woven
+wrappers.
 
 Each method and constructor body becomes the source of one Python function
 `(rt, depth, this, *params)`, compiled the first time any run reaches it and
@@ -47,18 +48,19 @@ A run produces printed output lines, an optional check-event trace
 per check point), and an optional violation record when a woven check
 fails, at which point execution stops.
 
-A unit that holds a check body the weaver marked (`syntax.GENERATED`) logs
-its field writes: each store its bodies and driver make appends the object
-it wrote to `rt.log`, except a generated class's stores of its own
-bookkeeping fields in `this`, and each `dispatch_call`, `construct` and host
-call of `singleton` appends None, as host code may have set any slot.  The
-log holds at most `_LOG_SIZE` entries.  Its bodies and driver are compiled
-apart from those of other units.  A check body that passed, having
-constructed, written and printed nothing, is kept with the log's length.
-The next check of its object, at no greater depth, is replayed if nothing
-has been logged since (`_replaying`): the run draws the steps the pass took
-and goes on, as predicates only read fields.  After writes, a check whose
-quantified predicates all walk a chain of nodes by one field (the
+A unit that holds a check body the weaver marked (in a class's `_mark`, see
+`weave`) logs its field writes: each store its bodies and driver make
+appends the object it wrote to `rt.log`, except a generated class's stores
+of its own bookkeeping fields in `this`, and each `dispatch_call`,
+`construct` and host call of `singleton` appends None, as host code may have
+set any slot.  The log holds at most `_LOG_SIZE` entries.  Its bodies and
+driver are compiled apart from those of other units.  Each marked check body
+is compiled into one closure with its re-check plan (`_replaying`).  A pass
+of the body that constructed, wrote and printed nothing is kept with the
+log's length.  The body's next check of that object, at no greater depth, is
+replayed if nothing has been logged since: the run draws the steps the pass
+took and goes on, as predicates only read fields.  After writes, a check
+whose quantified predicates all walk a chain of nodes by one field (the
 `forall (n = head; n != tail; n = n.next)` shape) is re-checked from the
 nodes its pass walked and the objects written since (`recheck`).  Any other
 check runs in full.
@@ -73,9 +75,9 @@ from collections import deque, namedtuple
 from typing import Callable, Optional, Union
 
 from .syntax import (
-    GENERATED, Binary, BoolLit, ClassDecl, ConstructorDecl, DeclMemo, DriverBlock, FieldAccess, IfStmt, LocalDecl,
-    MethodCall, MethodDecl, NamedType, NewObject, Record, ReflectGet, SourceUnit, SuperCall, SuperExpr, ThisExpr,
-    TypeExpr, Unary, VarRead, WhileStmt,
+    Binary, BoolLit, ClassDecl, ConstructorDecl, DriverBlock, FieldAccess, IfStmt, LocalDecl, MethodCall, MethodDecl,
+    NamedType, NewObject, Record, ReflectGet, SourceUnit, SuperCall, SuperExpr, ThisExpr, TypeExpr, Unary, VarRead,
+    WhileStmt,
 )
 
 # Calls and constructions nested deeper are a runtime fault, well before Python's frame limit.
@@ -115,7 +117,6 @@ class ObjectInstance:  # not a Record: `==` on objects is identity, as in MiniOO
     whose slots hold the fields, each under the prefix `f_`."""
 
     __slots__ = ("class_name", "obj_id", "vt")  # `vt` is its class's vtable
-    _recheck = None  # of the objects of an exposed class whose check `recheck` can settle, its plan
     def __init__(self, class_name: str, obj_id: int, vt: dict):
         self.class_name, self.obj_id, self.vt = class_name, obj_id, vt
 
@@ -602,18 +603,13 @@ class _Emitter:
         return self.done(pre, text, p, max(ah, bh) + 2)  # comparisons above must not chain
 
 
-# declaration -> its code: for a class, {Python class of its superclass's objects,
-# or None: its runtime tables}; for a driver block, its chunks' functions
-_COMPILED = DeclMemo()
-
-
 def _compile_body(
     owner: ClassDecl, decl: Union[MethodDecl, ConstructorDecl], layout: dict, name: str, counted: bool
 ) -> Callable:
     """A method's function starts by checking its depth and drawing a step, as `Interpreter.init`
-    does for each construction.  In a unit that logs writes, a check body replays its passes and,
-    when its check walks, re-checks them after writes (`recheck`)."""
-    check, own, walks = GENERATED.get(owner) or (None, (), ())
+    does for each construction.  In a unit that logs writes, a marked check body replays its
+    passes and, when its check walks, re-checks them after writes (`recheck`)."""
+    check, own, walks = owner._mark or (None, (), ())
     em = _Emitter(owner, layout, own if counted else None)
     params = [em.declare(p.name, p.type) for p in decl.params]
     for s in decl.body:
@@ -623,19 +619,16 @@ def _compile_body(
     prologue = ["if d > MAX_CALL_DEPTH: raise _err(_TOO_DEEP)", "if next(rt.ticks, 1): raise rt.spent()"]
     em.finish("def _f(%s):" % ", ".join(["rt", "d", "this"] + params), prologue * isinstance(decl, MethodDecl))
     fn = em.build(name)
-    if not (counted and decl is check):
-        return fn
-    from .recheck import rechecking
-
-    return _replaying(rechecking(fn, owner, walks))
+    return _replaying(fn, owner.name, walks) if counted and decl is check else fn
 
 
-def _replaying(check: Callable) -> Callable:
-    """`check`, a check body, replayed while nothing is logged since its last pass (`recheck`,
-    which units that log nothing do not import)."""
+def _replaying(check: Callable, name: str, walks: tuple) -> Callable:
+    """`check`, the marked check body of class `name` whose mark holds `walks`, replayed while
+    nothing is logged since its last pass and re-checked after writes (`recheck`, which units
+    that log nothing do not import)."""
     from .recheck import replaying
 
-    return replaying(check)
+    return replaying(check, name, walks)
 
 
 # The kinds of op of a driver's simple statement (see `_op` and `Interpreter.run`): a call with no
@@ -693,8 +686,8 @@ def _driver_code(driver: DriverBlock, counted: bool = False) -> tuple:
     function `(rt, d, L)`, which reads the driver's locals from the list `L` and, when
     anything follows, writes them back (CPython compiles short functions in less memory).
     Built once for a unit that logs writes and once for others."""
-    if (made := _COMPILED.get(driver)) is None:
-        _COMPILED.put(driver, made := {})
+    if (made := driver._code) is None:
+        made = driver._code = {}
     if (table := made.get(counted)) is not None:
         return table
     em = _Emitter(None, (), () if counted else None)
@@ -729,8 +722,8 @@ def _driver_code(driver: DriverBlock, counted: bool = False) -> tuple:
 class _Body:
     """A method or constructor of a class's runtime tables, named `Class.method` or
     `Class.<init>`; `fn(rt, depth, this, *args)` runs it.  `fn` is `load` until the
-    first call of any run compiles it.  It holds its declarations weakly: its tables
-    are kept with one."""
+    first call of any run compiles it.  It holds its declarations weakly, as its tables
+    are kept in one's `_code`: a declaration goes with no cycle to collect."""
 
     __slots__ = ("name", "arity", "chains", "fn", "source")
 
@@ -753,11 +746,11 @@ _Class = namedtuple("_Class", "parent layout vt ctor new")
 
 def _class_tables(decl: ClassDecl, parent: Optional[_Class], counted: bool) -> _Class:
     """`decl`'s runtime tables below `parent`, its superclass's, in a unit that logs writes
-    or not, built once and kept with `decl`.  Its objects' Python class has a slot for each
+    or not, built once and kept in `decl._code`.  Its objects' Python class has a slot for each
     field of the layout, named with the prefix `f_`, which its `__init__` sets to the zero
     value; that of the superclass's objects, which is made with `parent`, stands for `parent`."""
-    if (made := _COMPILED.get(decl)) is None:
-        _COMPILED.put(decl, made := {})
+    if (made := decl._code) is None:
+        made = decl._code = {}
     if (c := made.get(key := (getattr(parent, "new", None), counted))) is not None:
         return c
     layout = dict(inherited := getattr(parent, "layout", {}))
@@ -778,20 +771,14 @@ def _class_tables(decl: ClassDecl, parent: Optional[_Class], counted: bool) -> _
     exec("\n".join(init), ns := {})
     # in a unit that logs writes, an object also holds the walk it is on, if any, and its place there (`recheck`)
     members = {"__slots__": ["f_" + name for name in layout] + ["_walk", "_at"] * counted, "__init__": ns["__init__"]}
-    if counted and (mark := GENERATED.get(decl)) and mark[2]:  # its check walks: see `recheck`
-        from .recheck import plan_of
-
-        members["_recheck"] = plan_of(decl, mark[2])
     new = type(decl.name, (ObjectInstance,), members)
     made[key] = c = _Class(parent or getattr(decl.super_class, "name", None), layout, vt, ctor, new)
     return c
 
 
 def _counted(unit: SourceUnit) -> bool:
-    """Whether a run of `unit` logs its field writes: whether it holds a marked check body.  Its
-    classes are looked up by id, in C; a declaration found alive is the class with its id."""
-    marks = GENERATED._entries  # id -> (weak reference to the declaration, mark)
-    return any(mark[0] is not None and ref() is not None for ref, mark in map(marks.get, marks.keys() & map(id, unit.classes)))
+    """Whether a run of `unit` logs its field writes: whether it holds a marked check body."""
+    return any(c._mark is not None and c._mark[0] is not None for c in unit.classes)
 
 
 class Interpreter:

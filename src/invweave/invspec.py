@@ -315,15 +315,12 @@ def type_predicate(
     return _PredicateChecker(table, cls).check(pred, where)
 
 
-def validate_spec(
-    spec: InvariantSpec, unit: SourceUnit, table: Optional[ClassTable] = None
-) -> list[Diagnostic]:
+def validate_spec(spec: InvariantSpec, unit: SourceUnit) -> list[Diagnostic]:
     """Empty iff every spec class resolves, every free variable resolves to a
     declared or inherited field, and every predicate types as boolean by
-    MiniOO's rules.
-    `table`, if given, must be the unit's; by default it is `class_table(unit)`."""
-    if table is None:
-        table = class_table(unit)
+    MiniOO's rules.  Types are looked up in `class_table(unit)`: the table
+    kept with the unit's clean verdict, if it has one."""
+    table = class_table(unit)
     diags: list[Diagnostic] = []
     for name, preds in spec.entries.items():
         cls = table.get_class(name)

@@ -1,9 +1,13 @@
 """Replayed and incremental re-checks of woven checks (see `interp`).
 
-A check body that passed, having constructed, written and printed nothing,
-is kept with the length of the run's write log, and the next check of its
-object at no greater depth is replayed if nothing has been logged since
-(`replaying`): the run draws the steps the pass took.
+Each marked check body runs in one closure (`replaying`) with its plan.  A
+pass of the body that constructed, wrote and printed nothing is kept with
+the length of the run's write log, and the body's next check of that object
+at no greater depth is replayed if nothing has been logged since: the run
+draws the steps the pass took.  A pass is replayed or settled only by the
+body that made it, and it keeps walks only on an object of the body's own
+class: the objects of a class woven twice run two check bodies, and each
+draws the steps of its own check.
 
 An exposed class's check evaluates the predicates of its specified chain.
 When each quantified one walks a chain of nodes by one field,
@@ -34,13 +38,12 @@ whichever are fewer.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import islice
 from typing import Callable, Optional
 
 from .interp import _LOG_SIZE, _NS, _Emitter, _is_bool
 from .invspec import Forall
-from .syntax import Binary, DeclMemo, FieldAccess, NullLit, VarRead, walk
+from .syntax import Binary, FieldAccess, NullLit, VarRead, walk
 
 _BODY_NODES = ("IntLit", "BoolLit", "StringLit", "NullLit", "Binary", "Unary")  # besides the variable and its paths
 
@@ -75,11 +78,10 @@ def _shape(p: Forall, free: dict) -> Optional[tuple]:
 def plan(visitor, chain: tuple) -> Optional["_Plan"]:
     """How a check that evaluates `chain` (the mark's `(predicates, free variables)` per class of
     the specified chain) with `visitor` is re-checked, or None if a quantifier does not walk.
-    `settle(check, rt, d, this)` settles the check body `check` on `this` at depth `d` from its last
-    pass and the writes logged since, bringing the pass's walks up to date, or else runs it."""
+    `settle(rt, d, this, last)` settles the check on `this` at depth `d` from `last`, its pass with
+    walks at no smaller depth, and the writes logged since: it brings the pass's walks up to date,
+    draws the steps and returns True, or else returns None and the check runs in full."""
     em, shapes = _Emitter(None), []
-    em.line("last = rt.passed.get(this)", "if last is not None and last[4] and d <= last[3]:")
-    em.nest += 1  # the pass has walks: `this` is not of a subclass, whose getters could be others
     em.line("try:")  # below, a host call, a fault, a value no pass got, or a failing iteration
     em.nest += 1
     em.line("logged, steps, walks, log = last[1], last[2], last[4], rt.log")
@@ -133,33 +135,20 @@ def plan(visitor, chain: tuple) -> Optional["_Plan"]:
         em.line("   w%d.base += end%d - m" % (k, k), "   w%d.number(nodes, 0, m)" % k)
     em.line(" rt.passed[this] = last[0], len(log), steps, last[3], walks", " next(_islice(rt.ticks, steps - 1, None))")
     em.line(" return True")
-    em.nest -= 2
-    em.line("return check(rt, d, this)")
-    em.finish("def _f(check, rt, d, this):", [])
+    em.nest -= 1
+    em.finish("def _f(rt, d, this, last):", [])
     return _Plan(visitor, em.build("<settle>"), shapes)
 
 
-_PLANS = DeclMemo()  # an exposed class -> (its plan,)
-
-
-def plan_of(decl, walks: tuple) -> Optional["_Plan"]:
-    """The plan of exposed class `decl`, whose mark holds `walks`: made once and kept with it."""
-    if (made := _PLANS.get(decl)) is None:
-        _PLANS.put(decl, made := (plan(*walks),))
-    return made[0]
-
-
-def rechecking(check: Callable, decl, walks: tuple) -> Callable:
-    """`check`, the check body of exposed class `decl` whose mark holds `walks`, run only when the
-    plan of its object's class does not settle it from the last pass (see `plan`)."""
-    return check if not walks or (p := plan_of(decl, walks)) is None else partial(p.settle, check)
-
-
-def replaying(check: Callable) -> Callable:
-    """`check`, a check body, run only when its last pass on `this` cannot be replayed: a pass
-    that constructed, wrote and printed nothing, at a depth no less than `d`, with nothing logged
-    since.  A replay draws that pass's steps from the budget and returns True.  A pass is kept
-    with the walks its object's plan tracks, unless `check` settled it from them."""
+def replaying(check: Callable, name: str, walks: tuple) -> Callable:
+    """`check`, the marked check body of class `name` whose mark holds `walks`, run only when its
+    own last pass on `this` can be neither replayed nor settled.  That pass constructed, wrote and
+    printed nothing, at a depth no less than `d`.  With nothing logged since, a replay draws its
+    steps from the budget and returns True; after writes, the body's plan, made here once, settles
+    it if it kept walks (`plan`).  A pass keeps the walks of the plan only on an object of class
+    `name`: of a subclass, the getters the check calls could be others."""
+    planned = walks and plan(*walks)
+    settle, track = (planned.settle, planned.track) if planned else (None, None)
 
     def replay(rt, d: int, this):
         log, passed = rt.log, rt.passed
@@ -167,16 +156,19 @@ def replaying(check: Callable) -> Callable:
             log.clear()
             passed.clear()
         last = passed.get(this)
-        if last is not None and last[0] is check and last[1] == len(log) and d <= last[3]:
-            if next(islice(rt.ticks, last[2] - 1, None), 1):  # too few steps left: all are drawn
-                raise rt.spent()
-            return True
+        if last is not None and last[0] is check and d <= last[3]:
+            if last[1] == len(log):
+                if next(islice(rt.ticks, last[2] - 1, None), 1):  # too few steps left: all are drawn
+                    raise rt.spent()
+                return True
+            if last[4] and settle(rt, d, this, last):
+                return True
         made, logged, lines, left = rt._next_id, len(log), len(rt.combined), rt.ticks.__length_hint__()
         verdict = check(rt, d, this)
         if verdict is True and made == rt._next_id and logged == len(log) and lines == len(rt.combined):
             if passed.get(this) is last:
-                walks = (plan := type(this)._recheck) and plan.track(rt, this)
-                passed[this] = check, logged, left - rt.ticks.__length_hint__(), d, walks
+                kept = track is not None and this.class_name == name and track(rt, this)
+                passed[this] = check, logged, left - rt.ticks.__length_hint__(), d, kept
         return verdict
 
     return replay

@@ -11,17 +11,23 @@ diagnostics but excluded from equality so that parse/print round-trips
 compare structurally.
 
 A declaration is not changed once it has been checked or run: code that
-needs a variant builds a new node (`rebuild`, `replace`).  The checker and
-the interpreter rely on this to remember, per declaration object
-(`DeclMemo`), what they have already worked out about it.  The one field
-written later is a class or interface's `_verdict`, the checker's own
-(see `typecheck`); it is no field of the record, so `==`, `repr` and copies
-leave it out.
+needs a variant builds a new node (`rebuild`, `replace`).  Each stage keeps
+what it has worked out about a declaration object in a slot of it, which
+`__init__` sets to None:
+
+  - `_verdict`, of a class or interface: the checker's clean verdict (see
+    `typecheck`);
+  - `_mark`, of a class: the weaver's mark of a class it generated (see
+    `weave`);
+  - `_code`, of a class or a driver block: the interpreter's runtime tables
+    and compiled functions (see `interp`).
+
+No slot is a field of the record, so `==`, `repr`, `replace`, `copy` and
+the printer leave them out, and a copy or a re-parse starts with none.
 """
 
 from __future__ import annotations
 
-import weakref
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Optional, Union
 
@@ -471,7 +477,7 @@ class ConstructorDecl(Positioned):
 class ClassDecl(Positioned):
     __slots__ = (
         "name", "type_params", "super_class", "interfaces", "is_abstract", "fields", "constructor", "methods",
-        "_verdict", "__weakref__",
+        "_verdict", "_mark", "_code", "__weakref__",
     )
     def __init__(
         self, name: str, type_params: Optional[list[str]] = None, super_class: Optional[NamedType] = None,
@@ -485,7 +491,7 @@ class ClassDecl(Positioned):
         self.interfaces = [] if interfaces is None else interfaces
         self.fields = [] if fields is None else fields
         self.methods = [] if methods is None else methods
-        self._verdict = None
+        self._verdict = self._mark = self._code = None
 
     def self_type(self) -> NamedType:
         return NamedType(self.name, tuple(TypeVar(p) for p in self.type_params))
@@ -510,9 +516,9 @@ class InterfaceDecl(Positioned):
 
 
 class DriverBlock(Positioned):
-    __slots__ = ("body", "__weakref__")
+    __slots__ = ("body", "_code")
     def __init__(self, body: Optional[list[Stmt]] = None, line: int = 0, col: int = 0):
-        self.body, self.line, self.col = [] if body is None else body, line, col
+        self.body, self.line, self.col, self._code = [] if body is None else body, line, col, None
 
 
 class SourceUnit(Record):
@@ -546,34 +552,3 @@ def merge_units(units: list[SourceUnit], driver_from: Optional[int] = None) -> S
     elif len(drivers) > 1:
         raise ValueError("multiple driver blocks; select one explicitly")
     return merged
-
-
-class DeclMemo:
-    """A map from declaration objects, by identity, to what has been worked
-    out about them.  It holds each declaration weakly: an entry goes when
-    its declaration is freed, so a value must not refer to its declaration."""
-
-    def __init__(self) -> None:
-        self._entries: dict[int, tuple[weakref.ref, Any]] = {}
-
-    def get(self, decl: object) -> Any:
-        entry = self._entries.get(id(decl))
-        return None if entry is None or entry[0]() is not decl else entry[1]
-
-    def put(self, decl: object, value: Any) -> None:
-        key, entries = id(decl), self._entries
-
-        def drop(ref: weakref.ref) -> None:
-            if entries.get(key, (None,))[0] is ref:  # not a later object with the same id
-                del entries[key]
-
-        entries[key] = (weakref.ref(decl, drop), value)
-
-
-# The declarations the weaver generated, each mapped to (its check body: an exposed class's
-# `inv` method whose check walks a quantifier's loop, else None; the names of its bookkeeping
-# fields; with a check body, (the visitor, per class of the specified chain, root first, its
-# predicates and its free variables, each with its type), else ()).  The interpreter re-checks
-# a check after writes from these (`recheck`).  Nothing prints or compares this mark, so a unit
-# parsed from woven text has none.
-GENERATED = DeclMemo()

@@ -27,17 +27,19 @@ report is counted from them alone, not from the generated declarations.
 Checks fire only when the depth counter is zero, which makes them coincide
 with publicly-visible calls; nested self-calls are suppressed.  Invariant
 failures abort the run with a violation record (class, predicate index,
-phase, method).  Each generated class is marked in `syntax.GENERATED` with
-its bookkeeping fields (the depth counter, the visitor's verdict) and, when
-a predicate on its specified chain is quantified, its check body (`inv`),
-the visitor, and what the check evaluates: per class of the chain, root
-first, the specification's own predicates and each free variable with the
-type its visit method binds it with.  Nothing is compiled here.  The
-interpreter replays such a check while nothing has been written since it
-passed, and re-checks one whose quantifiers walk nodes by one field from
-the nodes written (see `interp` and `recheck`).  A check without a
-quantifier takes a few steps, about what replaying it costs, so it is not
-marked.
+phase, method).  Each generated class holds a mark in its `_mark` slot:
+(its check body `inv` when a predicate on its specified chain is
+quantified, else None; the names of its bookkeeping fields, the depth
+counter or the visitor's verdict; with a check body, (the visitor, per
+class of the chain, root first, the specification's own predicates and
+each free variable with the type its visit method binds it with), else
+()).  Nothing prints or compares the mark, so a copy of the class or a
+unit parsed from woven text has none.  Nothing is compiled here.  The
+interpreter replays a marked check body while nothing has been written
+since it passed, and re-checks one whose quantifiers walk nodes by one
+field from the nodes written (see `interp` and `recheck`).  A check
+without a quantifier takes a few steps, about what replaying it costs, so
+its body is not marked.
 
 Every type in the generated declarations is copied from the original
 hierarchy or from the typings `validate_spec` accepted, so their bodies are
@@ -63,7 +65,6 @@ from .invspec import Forall, InvariantSpec, Predicate, type_predicate, validate_
 from .printer import render_source
 from .subst import NameSupply
 from .syntax import (
-    GENERATED,
     Assign,
     Binary,
     BoolLit,
@@ -444,7 +445,7 @@ def gen_exposed_class(
         constructor,
         [check_entry, check_exit, inv] + wrappers + getters,
     )
-    GENERATED.put(exposed, (inv if walks else None, (hooks.depth,), walks))
+    exposed._mark = (inv if walks else None, (hooks.depth,), walks)
     return exposed
 
 
@@ -588,7 +589,7 @@ def gen_visitor(
     methods.extend(visit_methods)
     constructor = ConstructorDecl("public", [], [ExprStmt(_this_call("reset", []))])
     visitor = ClassDecl(naming.visitor_name, [], None, [], False, fields, constructor, methods)
-    GENERATED.put(visitor, (None, tuple(f.name for f in fields), ()))
+    visitor._mark = (None, tuple(f.name for f in fields), ())
     return visitor
 
 
@@ -617,10 +618,10 @@ def weave_program(unit: SourceUnit, spec: InvariantSpec) -> WovenArtifacts:
     diags = errors_only(typecheck_program(unit))
     if diags:
         raise WeaveError(diags)
-    table = class_table(unit)
-    sdiags = errors_only(validate_spec(spec, unit, table))
+    sdiags = errors_only(validate_spec(spec, unit))
     if sdiags:
         raise WeaveError(sdiags)
+    table = class_table(unit)
     plan = compute_plan(table, spec)
     vdiags = errors_only(verify_exposure(plan, table, spec))
     if vdiags:

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from invweave import recheck
+from invweave import interp, recheck
 from invweave.interp import ExecutionResult, run_program
 from invweave.invspec import InvariantSpec, load_spec
 from invweave.parser import parse_unit
@@ -250,22 +250,40 @@ def expected_trace(steps: list[ScriptStep], trace: list[str]) -> str | None:
 
 
 def counting_settles(monkeypatch) -> list:
-    """Counts, from now on, of calls of each check body that re-checks after writes and of its
-    runs in full: [calls, runs].  The calls it settles (`recheck`) are the difference."""
-    rechecking, counts = recheck.rechecking, [0, 0]
+    """Counts, from now on, of the calls of check bodies with a re-check plan that are not
+    replayed, and of those run in full: [calls, runs].  The calls settled from a pass
+    (`recheck`) are the difference."""
+    replaying, counts = interp._replaying, [0, 0]
 
-    def counted(check, *marked):
+    def counted(check, name, walks):
         def run(*args):
+            counts[0] += 1
             counts[1] += 1
             return check(*args)
 
-        settled = rechecking(run, *marked)
+        return replaying(run if walks and recheck.plan(*walks) else check, name, walks)
 
-        def call(*args):
-            counts[0] += 1
-            return settled(*args)
+    def settled(done) -> None:
+        counts[0] += bool(done)
 
-        return call
-
-    monkeypatch.setattr(recheck, "rechecking", counted)
+    monkeypatch.setattr(interp, "_replaying", counted)
+    watching_settles(monkeypatch, settled)
     return counts
+
+
+def watching_settles(monkeypatch, count) -> None:
+    """From now on, `count(settled)` is called after each re-check that a plan's `settle` makes,
+    with what it returned: True when it settled the check."""
+    plan = recheck.plan
+
+    def watched(*args):
+        if (made := plan(*args)) is None:
+            return None
+
+        def settle(*args):
+            count(settled := made.settle(*args))
+            return settled
+
+        return recheck._Plan(made.visitor, settle, made.shapes)
+
+    monkeypatch.setattr(recheck, "plan", watched)

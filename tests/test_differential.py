@@ -39,6 +39,7 @@ from helpers import (
     load_dlist,
     load_program,
     make_script,
+    watching_settles,
 )
 
 GOLDENS = Path(__file__).resolve().parent / "interp_goldens.json"
@@ -307,15 +308,16 @@ def test_the_checked_dlist_driver_stops_alike_at_every_budget(monkeypatch, fixed
 
 
 def _counting_replays(monkeypatch) -> list:
-    """Counts, from now on, of calls of each check body that replays and of its runs: [calls, runs]."""
+    """Counts, from now on, of calls of each check body that replays and of those it does not
+    replay, as it runs them in full or settles them (`recheck`): [calls, runs]."""
     replaying, counts = interp_module._replaying, [0, 0]
 
-    def counted(check):
+    def counted(check, *marked):
         def run(*args):
             counts[1] += 1
             return check(*args)
 
-        replay = replaying(run)
+        replay = replaying(run, *marked)
 
         def call(*args):
             counts[0] += 1
@@ -323,7 +325,11 @@ def _counting_replays(monkeypatch) -> list:
 
         return call
 
+    def settled(done) -> None:
+        counts[1] += bool(done)
+
     monkeypatch.setattr(interp_module, "_replaying", counted)
+    watching_settles(monkeypatch, settled)
     return counts
 
 
@@ -359,12 +365,13 @@ def test_the_checked_dlist_driver_stops_alike_at_every_budget_with_check_replay_
     on = next(unit for case_id, unit in cases() if case_id == name)
     _, used = _observe(on)
     assert counts[0] - counts[1] >= 8
-    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
     off = next(unit for case_id, unit in cases() if case_id == name)
     for budget in range(used + 1):
-        seen = _observe(on, budget), _observe(off, budget)
-        assert seen[0] == seen[1], budget
-        assert (seen[0][0][4] is None) == (budget == used), budget
+        seen = _observe(on, budget)
+        with monkeypatch.context() as m:  # `_counted` is read as each interpreter is made
+            m.setattr(interp_module, "_counted", lambda unit: False)
+            assert _observe(off, budget) == seen, budget
+        assert (seen[0][4] is None) == (budget == used), budget
 
 
 @pytest.mark.parametrize("kind", ["violation", "error"])

@@ -13,7 +13,6 @@ from invweave import interp as interp_module
 from invweave.interp import (
     _CHUNK,
     _CODE_OP,
-    _COMPILED,
     _MAX_LOOPS,
     _MAX_NEST,
     MAX_CALL_DEPTH,
@@ -729,13 +728,14 @@ def _checked_dlist_base():
 def test_memo_entries_die_with_their_declarations():
     merged = merge_units([_checked_dlist_base(), dlist_driver(checked=True)])
     run_program(merged, check_trace=True)
-    kept = [d for d in [*merged.classes, merged.driver] if _COMPILED.get(d) is not None]
-    assert merged.driver in kept and len(kept) >= 4  # the driver and each class a run built tables for
-    ids, refs = {id(d) for d in kept}, [weakref.ref(d) for d in kept]
-    del merged, kept
+    kept = [d for d in merged.classes if d._code is not None]  # each class a run built tables for
+    assert merged.driver._code is not None and len(kept) >= 3
+    made = [c.new for d in kept for c in d._code.values()]  # the Python classes of their objects
+    refs, driver = [weakref.ref(x) for x in kept + made], id(merged.driver)
+    del merged, kept, made
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
-    assert not ids & set(_COMPILED._entries)
+    assert driver not in map(id, gc.get_objects())
 
 
 def test_a_second_run_over_a_hierarchy_builds_no_class_table(monkeypatch):

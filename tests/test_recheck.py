@@ -22,11 +22,12 @@ from helpers import counting_settles, load_dlist
 _OPS = ["add", "addFirst", "remove", "removeFirst", "set", "clear"]
 
 
-def _mutations(rng: random.Random, size: int, calls: int) -> list:
-    """(method, args) calls that build a list of `size` elements, then change it at random places."""
+def _mutations(rng: random.Random, size: int, calls: int, ops: list = _OPS) -> list:
+    """(method, args) calls that build a list of `size` elements, then change it at random places
+    with `ops`."""
     model, made = [], []
     for k in range(size + calls):
-        op = rng.choice(["add", "addFirst"] if k < size else _OPS if model else ["add", "addFirst", "clear"])
+        op = rng.choice(["add", "addFirst"] if k < size else ops if model else ["add", "addFirst", "clear"])
         v = "v%d" % rng.randrange(size + 5)
         if op in ("add", "addFirst"):
             model.insert(len(model) if op == "add" else 0, v)
@@ -49,8 +50,8 @@ def _literal(v) -> str:
     return '"%s"' % v if isinstance(v, str) else str(v)
 
 
-def _driver(calls: list, tail: str = "") -> str:
-    lines = ["ExposedDLinkedList<string> ls = new ExposedDLinkedList<string>();"]
+def _driver(calls: list, tail: str = "", cls: str = "ExposedDLinkedList") -> str:
+    lines = ["%s<string> ls = new %s<string>();" % (cls, cls)]
     lines += ["print(ls.%s(%s));" % (m, ", ".join(map(_literal, a))) if m in ("remove", "removeFirst")
               else "ls.%s(%s);" % (m, ", ".join(map(_literal, a))) for m, a in calls]
     return "driver { %s %s print(ls.size()); }" % (" ".join(lines), tail)
@@ -231,20 +232,42 @@ def test_two_walks_over_the_same_nodes_are_checked_as_in_full(monkeypatch):
     assert seen[3] is None and seen[4] is None and counts[1] > 0
 
 
+def _stop_alike_at_every_budget(monkeypatch, build) -> int:
+    """Run `build()`'s unit with each budget up to the steps it uses, as it is and with every
+    check run in full: both stop at the same step, alike.  The settles of the first are returned."""
+    counts = counting_settles(monkeypatch)
+    on, full = build(), build()
+    _, used = _observe(on)
+    settled = counts[0] - counts[1]
+    for budget in range(used + 1):
+        seen = _observe(on, budget)
+        with monkeypatch.context() as m:  # `_counted` is read as each interpreter is made
+            m.setattr(interp_module, "_counted", lambda unit: False)
+            assert _observe(full, budget) == seen, budget
+        assert (seen[0][4] is None) == (budget == used), budget
+    return settled
+
+
+def test_a_subclass_with_its_own_getter_is_checked_as_in_full(monkeypatch):
+    # `Skip` overrides the getter its check binds `head` with, so its walk starts a node on: a
+    # pass on a `Skip` keeps no walks, as `settle` would read the field itself.
+    skip = "class Skip<T> extends ExposedDLinkedList<T> { public Skip() { super(); }" \
+        " public DNode<T> _get_head() { return this.head.next; } }"
+    calls = _mutations(random.Random(3100), 20, 30)
+
+    def build():
+        unit, spec = load_dlist(fixed=True)
+        woven = weave_program(unit, spec).declarations_unit()
+        return merge_units([unit, woven, parse_unit(skip + _driver(calls, cls="Skip"))])
+
+    (seen, _), counts = _alike(monkeypatch, build)
+    assert seen[3] is None and seen[4] is None and counts[0] == counts[1] > 0
+
+
 def test_a_short_mutation_driver_stops_alike_at_every_budget(monkeypatch):
     calls = [("add", ["a"]), ("addFirst", ["b"]), ("add", ["c"]), ("set", [1, "d"]), ("remove", ["a"]),
              ("removeFirst", []), ("add", ["e"]), ("clear", []), ("add", ["f"])]
-    counts = counting_settles(monkeypatch)
-    on = _dlist(_driver(calls))
-    _, used = _observe(on)
-    assert counts[0] - counts[1] >= 7
-    with monkeypatch.context() as m:
-        m.setattr(interp_module, "_counted", lambda unit: False)
-        full = _dlist(_driver(calls))
-    for budget in range(used + 1):
-        seen = _observe(on, budget), _observe(full, budget)
-        assert seen[0] == seen[1], budget
-        assert (seen[0][0][4] is None) == (budget == used), budget
+    assert _stop_alike_at_every_budget(monkeypatch, lambda: _dlist(_driver(calls))) >= 7
 
 
 def test_the_write_log_stays_bounded_between_two_checks(monkeypatch):
@@ -286,3 +309,31 @@ def test_a_node_another_run_made_is_walked_but_not_kept(monkeypatch):
     assert len(tracked) > 3 and tracked[1:] == [None] * (len(tracked) - 1)  # the first pass came before the node
     monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
     assert run() == on and on[0] == [0, None, None, 2] and on[2] is None
+
+
+# `G` subclasses the woven list's exposed class and is woven in turn, so an `ExposedG` runs the
+# check bodies of both exposed classes.  Each replays and settles only its own passes, and only
+# `ExposedG`'s keeps walks on it.
+_G = "class G<T> extends ExposedDLinkedList<T> { public G() { super(); } }"
+_G_SPEC = '{"classes": [{"name": "G", "invariant": ["forall (p = tail; p != head; p = p.prev) : p.prev.next == p"]}]}'
+_REWOVEN_OPS = ["add", "addFirst", "remove", "removeFirst", "clear"]
+
+
+def _rewoven(driver: str):
+    unit, spec = load_dlist(fixed=True)
+    base = merge_units([unit, weave_program(unit, spec).declarations_unit(), parse_unit(_G)])
+    return merge_units([base, weave_program(base, load_spec(_G_SPEC)).declarations_unit(), parse_unit(driver)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_seeded_mutations_of_a_class_woven_twice_are_checked_as_in_full(monkeypatch, seed):
+    rng = random.Random(3000 + seed)
+    calls = _mutations(rng, rng.choice([0, 1, rng.randrange(60)]), rng.randrange(5, 40), _REWOVEN_OPS)
+    (seen, _), _ = _alike(monkeypatch, lambda: _rewoven(_driver(calls, cls="ExposedG")))
+    assert seen[3] is None and seen[4] is None
+
+
+def test_a_short_driver_on_a_class_woven_twice_stops_alike_at_every_budget(monkeypatch):
+    calls = [("add", ["a"]), ("addFirst", ["b"]), ("add", ["c"]), ("remove", ["a"]), ("removeFirst", []),
+             ("add", ["e"]), ("clear", []), ("add", ["f"])]
+    _stop_alike_at_every_budget(monkeypatch, lambda: _rewoven(_driver(calls, cls="ExposedG")))

@@ -22,7 +22,6 @@ from invweave.syntax import (
     Binary,
     ClassDecl,
     ConstructorDecl,
-    DeclMemo,
     DriverBlock,
     FieldAccess,
     InterfaceDecl,
@@ -129,17 +128,16 @@ def test_objects_compare_by_identity():
 
 
 def test_every_memoised_declaration_takes_a_weak_reference():
+    # A class table holds its classes and interfaces weakly (`typecheck`), and a method or
+    # constructor of a class's runtime tables its class and declaration (`interp`).
     unit = parse_unit(
         "interface I { int f(); }\n"
         "class A implements I { public A() { } public int f() { return 1; } }\n"
         "driver { }\n"
     )
     cls = unit.classes[0]
-    memo = DeclMemo()
-    for decl in (cls, unit.interfaces[0], cls.methods[0], cls.constructor, unit.driver):
+    for decl in (cls, unit.interfaces[0], cls.methods[0], cls.constructor):
         assert weakref.ref(decl)() is decl
-        memo.put(decl, type(decl).__name__)
-        assert memo.get(decl) == type(decl).__name__
 
 
 def test_replace_copies_through_init_and_leaves_the_record_unchanged():

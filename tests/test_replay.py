@@ -2,6 +2,7 @@
 passed is not run again while nothing has been logged as written since; the
 run draws the steps it took instead (see `interp`)."""
 
+import copy
 import json
 import operator
 
@@ -13,7 +14,7 @@ from invweave.interp import Interpreter, MiniOORuntimeError, _Emitter, _Violatio
 from invweave.invspec import load_spec
 from invweave.parser import parse_unit
 from invweave.printer import render_source
-from invweave.syntax import GENERATED, merge_units
+from invweave.syntax import SourceUnit, merge_units, replace
 from invweave.typecheck import typecheck_program
 from invweave.weave import swap_driver_constructors, weave_program
 
@@ -31,19 +32,55 @@ def test_the_weaver_marks_its_classes_and_text_parsed_back_has_no_marks():
     unit, spec = load_dlist(fixed=True)
     art = weave_program(unit, spec)
     abstract, linked = art.exposed_classes
-    assert GENERATED.get(abstract) == (None, ("_depth",), ())
-    check, own, (visitor, chain) = GENERATED.get(linked)
+    assert abstract._mark == (None, ("_depth",), ())
+    check, own, (visitor, chain) = linked._mark
     assert check is next(m for m in linked.methods if m.name == "inv") and own == ("_depth",)
     # the chain's own predicates, root first, each free variable with the type its visit method binds
     assert visitor is art.visitor and [preds for preds, _ in chain] == [spec.predicates(c) for c in spec.classes()]
     assert all(a is b for (a, _), b in zip(chain, map(spec.predicates, spec.classes())))
     assert [[(v, str(t)) for v, t in free] for _, free in chain] == [[("size", "int")], [("head", "DNode<T>"), ("tail", "DNode<T>")]]
-    assert GENERATED.get(art.visitor) == (None, ("_ok", "_fail_class", "_fail_index"), ())
-    assert all(GENERATED.get(c) is None for c in unit.classes)
+    assert art.visitor._mark == (None, ("_ok", "_fail_class", "_fail_index"), ())
+    assert all(c._mark is None for c in unit.classes)
     merged = merge_units([unit, art.declarations_unit()])
     reparsed = parse_unit(render_source(merged))
-    assert reparsed == merged and all(GENERATED.get(c) is None for c in reparsed.classes)
+    assert reparsed == merged and all(c._mark is None for c in reparsed.classes)
     assert interp_module._counted(merged) and not interp_module._counted(reparsed)
+
+
+def _copied(unit, how: str) -> SourceUnit:
+    if how == "reparse":
+        return parse_unit(render_source(unit))
+    if how == "deepcopy":
+        return copy.deepcopy(unit)
+    each = copy.copy if how == "copy" else replace
+    return SourceUnit([each(c) for c in unit.classes], [each(i) for i in unit.interfaces], each(unit.driver))
+
+
+def _seen(unit) -> tuple:
+    interp = Interpreter(unit, trace=True)
+    r = interp.run()
+    return r.output, r.trace, r.combined, r.violation, interp.max_steps - operator.length_hint(interp.ticks)
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "replace", "reparse"])
+def test_copies_of_a_woven_checked_and_run_unit_carry_no_memo(monkeypatch, how):
+    unit, spec = load_dlist(fixed=True)
+    woven = merge_units([unit, weave_program(unit, spec).declarations_unit(), dlist_driver(checked=True)])
+    assert typecheck_program(woven) == []
+    on = _seen(woven)
+    assert all(d._verdict is not None for d in [*woven.classes, *woven.interfaces])
+    assert any(c._mark is not None for c in woven.classes) and any(c._code is not None for c in woven.classes)
+    assert woven.driver._code is not None
+    copied = _copied(woven, how)
+    decls = [*copied.classes, *copied.interfaces, copied.driver]
+    memos = [getattr(d, slot, None) for d in decls for slot in ("_mark", "_code", "_verdict")]
+    assert copied == woven and memos == [None] * len(memos)
+    # the copies' unit logs no writes, so each of its checks runs in full
+    monkeypatch.setattr(interp_module, "_replaying", lambda *marked: pytest.fail("a copy's check body replays"))
+    assert not interp_module._counted(copied)
+    seen = _seen(copied)
+    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    assert seen == _seen(woven) == on and on[4] > 300
 
 
 def _spy_on_build(monkeypatch) -> list:
