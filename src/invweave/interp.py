@@ -31,13 +31,15 @@ in a row to one function; ops and functions share the driver's locals.
 
 A read path (`n.next.prev`) is plain attribute loads (`n.f_next.f_prev`), and
 a field write one store; fields every `this` has are read and written with no
-check at all.  When one raises AttributeError, the function's handler finds
-the site from the position of the instruction that raised: a read's fault is
-built from the value and field the AttributeError names, so faults and
-messages are those of reading one step at a time.  A write, or a call that
-finds no method (AttributeError or KeyError), is told from the local it went
-through.  Deep expressions are spilled into temporaries in evaluation order,
-and deeply nested statements into closures.
+check at all.  Bodies and driver chunks handle no exception: each function's
+sites are kept with its code (`_SITES`), and when the instruction that raised an
+AttributeError or KeyError is a site, `Interpreter.run`, where every run is
+entered, turns it into a fault (`_read_fault`).  A read's fault is built from
+the value and field the AttributeError names, so faults and messages are
+those of reading one step at a time.  A write, or a call that finds no
+method, is told from the local it went through.  Deep expressions are
+spilled into temporaries in evaluation order, and deeply nested statements
+into closures.
 
 A run has a budget of steps, one shared iterator: each `while` loop draws a
 step per pass, as does each call and construction, and a run that needs more
@@ -51,11 +53,10 @@ fails, at which point execution stops.
 A unit that holds a check body the weaver marked (in a class's `_mark`, see
 `weave`) logs its field writes: each store its bodies and driver make
 appends the object it wrote to `rt.log`, except a generated class's stores
-of its own bookkeeping fields in `this`, and each `dispatch_call`,
-`construct` and host call of `singleton` appends None, as host code may have
-set any slot.  The log holds at most `_LOG_SIZE` entries.  Its bodies and
-driver are compiled apart from those of other units.  Each marked check body
-is compiled into one closure with its re-check plan (`_replaying`).  A pass
+of its own bookkeeping fields in `this`.  The log holds at most `_LOG_SIZE`
+entries.  Its bodies and driver are compiled apart from those of other units.
+Each marked check body is compiled into one closure with its re-check plan
+(`_replaying`).  A pass
 of the body that constructed, wrote and printed nothing is kept with the
 log's length.  The body's next check of that object, at no greater depth, is
 replayed if nothing has been logged since: the run draws the steps the pass
@@ -72,6 +73,7 @@ import itertools
 import sys
 import weakref
 from collections import deque, namedtuple
+from types import CodeType
 from typing import Callable, Optional, Union
 
 from .syntax import (
@@ -160,17 +162,23 @@ def _field_fault(obj, name: str, verb: Optional[str] = "reading") -> MiniOORunti
     return MiniOORuntimeError(message)
 
 
-def _read_fault(exc: Exception, sites: dict) -> Exception:
-    """The fault for an AttributeError or KeyError raised in emitted code: `sites` maps the position
-    of each read path to its verb, of each field write to its target local and field, of each call
-    to its receiver local, key and None (a super call: its superclass's name, key and where), and of
-    other sites to a message."""
+# id of the code of an emitted function or closure -> its function's sites (`_Emitter.build`), while the
+# code lives.  Code objects compare by value, and `p.next` and `@field(p, "next")` emit alike but mark apart.
+_SITES: dict = {}
+
+
+def _read_fault(exc: Exception) -> Exception:
+    """The fault of an AttributeError or KeyError that an instruction of emitted code at a site raised,
+    or else `exc`.  A site maps the position of each read path to its verb, of each field write to its
+    target local and field, of each call to its receiver local, key and None (a super call: its
+    superclass's name, key and where), and of other sites to a message."""
     tb = exc.__traceback__
-    while tb.tb_next is not None:  # into the closures that hold deeply nested statements
-        if tb.tb_next.tb_frame.f_code not in tb.tb_frame.f_code.co_consts:
-            return exc  # raised below the emitted code
+    while tb.tb_next is not None:  # the innermost frame
         tb = tb.tb_next
-    pos = next(itertools.islice(tb.tb_frame.f_code.co_positions(), tb.tb_lasti // 2, None), None)
+    code = tb.tb_frame.f_code
+    if (sites := _SITES.get(id(code))) is None:
+        return exc  # raised below the emitted code
+    pos = next(itertools.islice(code.co_positions(), tb.tb_lasti // 2, None), None)
     site = sites.get(pos and (pos[0], pos[2]), exc)
     if not isinstance(site, tuple):
         return site if site is exc else MiniOORuntimeError(site)
@@ -215,7 +223,7 @@ def _no_method(key: str, o, where: Optional[str] = None) -> MiniOORuntimeError:
 
 _NS: dict = {  # the globals of emitted code
     "_err": MiniOORuntimeError, "_Obj": ObjectInstance, "_Violation": _Violation, "_VR": ViolationRecord,
-    "_div": _divide, "_fail": _fail, "_print": _print, "_read_fault": _read_fault, "_no_method": _no_method,
+    "_div": _divide, "_fail": _fail, "_print": _print,
     "_TOO_DEEP": _TOO_DEEP, "MAX_CALL_DEPTH": MAX_CALL_DEPTH,
 }
 
@@ -250,6 +258,7 @@ class _Emitter:
         self.locals: dict[str, tuple] = {}  # MiniOO name -> (Python text, declared type), for the names in scope
         self.ntemps = self.nest = self.loops = 0
         self.sites: list = []  # what `\x01<k>\x02` in a line marks: a read path, a write, a call or a fault message
+        self.marked: dict = {}  # the site at each (line, column) of the functions emitted
         self.out, self.lines = [], []  # the lines of the finished functions, of the one being emitted
         self.defs, self.boxed = [], owner is None  # its closures; whether it returns `(value,)`
 
@@ -279,26 +288,27 @@ class _Emitter:
         self.lines += [" " * (self.nest + 2) + text for text in texts]
 
     def finish(self, head: str, prologue: list) -> None:
-        """Close the function; its handler learns the position of each marked site."""
-        marks, lines = [], []
-        for text in ["  " + p for p in prologue] + self.defs + (self.lines or ["  pass"]):
+        """Close the function, noting the position of each marked site."""
+        for text in [head] + ["  " + p for p in prologue] + self.defs + (self.lines or ["  pass"]):
             text, *parts = text.split("\x01")
             for part in parts:
                 k, rest = part.split("\x02", 1)
-                marks.append((len(lines), len(text), self.sites[int(k)]))
+                self.marked[len(self.out) + 1, len(text)] = self.sites[int(k)]
                 text += rest
-            lines.append(text)
-        if marks:  # lines[0] comes after the head and `try:`
-            sites = {(len(self.out) + 3 + i, col): site for i, col, site in marks}
-            lines = [" try:", *lines, " except (AttributeError, KeyError) as e:"]
-            lines.append("  raise _read_fault(e, %r) from None" % sites)
-        self.out += [head] + lines
+            self.out.append(text)
         self.lines, self.defs = [], []
 
-    def build(self, name: str) -> Callable:  # the one function emitted, named `name`; its globals `_NS`
+    def build(self, name: str) -> Callable:
+        """The one function emitted, named `name`, its globals `_NS`; its sites go to `_SITES`."""
         exec(compile("\n".join(self.out), "<minioo>", "exec"), _NS)
         self.out, fn = [], _NS.pop("_f")
         fn.__code__ = fn.__code__.replace(co_name=name, co_qualname=name)
+        codes = [fn.__code__] if self.marked else []
+        for code in codes:  # the function's, then its closures'
+            _SITES[id(code)] = self.marked
+            weakref.finalize(code, _SITES.pop, id(code))
+            codes += [c for c in code.co_consts if isinstance(c, CodeType)]
+        self.marked = {}
         return fn
 
     def block(self, body: list, loop: int = 0) -> None:
@@ -475,7 +485,7 @@ class _Emitter:
         if kind == "ThisExpr" and self.owner is not None:
             return [], "this", _ATOM, 1, True
         if kind == "SingletonRef":
-            return [], "rt.singleton(%s, d)" % ascii(e.class_name), _ATOM, 1, False
+            return [], "_singleton(rt, %s, d)" % ascii(e.class_name), _ATOM, 1, False
         messages = {"ThisExpr": "this outside a method", "SuperExpr": "super outside a call"}
         return self.fail(messages.get(kind, "unknown expression %r" % kind), [])
 
@@ -794,7 +804,7 @@ class Interpreter:
         self.output, self.trace, self.combined = [], [], []  # output and trace lines, and both interleaved
         self.singletons, self._classes = {}, {}  # class name -> its one instance, its runtime tables
         self._next_id = 0
-        self.counted, self.log = _counted(unit), deque(maxlen=_LOG_SIZE)  # the objects written, None for host calls
+        self.counted, self.log = _counted(unit), deque(maxlen=_LOG_SIZE)  # the objects written
         # object -> (check body, log length, steps, depth, its walks or None) of a pass that may settle its next check
         self.passed: dict = {}
 
@@ -812,11 +822,6 @@ class Interpreter:
             parent = self._classes.get(getattr(decl.super_class, "name", None))  # type: ignore[arg-type]
             self._classes[decl.name] = _class_tables(decl, parent, self.counted)
         return self._classes.get(name)
-
-    def construct(self, class_name: str, args=(), d: int = 0) -> ObjectInstance:
-        """A new object, for host code: like `dispatch_call`, it is logged as a write of any slot."""
-        self.log.append(None)
-        return self._new(class_name, args, d)
 
     def _new(self, class_name: str, args=(), d: int = 0) -> ObjectInstance:  # `new` in the driver and in bodies
         self._next_id += 1
@@ -851,25 +856,10 @@ class Interpreter:
     def spent(self) -> MiniOORuntimeError:
         return MiniOORuntimeError("run used up its budget of %d steps" % self.max_steps)
 
-    def singleton(self, class_name: str, d: Optional[int] = None) -> ObjectInstance:
-        """The one object of a class, made on first use.  Emitted code passes its depth; a call
-        from host code passes none and, like `dispatch_call`, is logged as a write of any slot."""
-        if d is None:
-            self.log.append(None)
-            d = 0
+    def singleton(self, class_name: str, d: int) -> ObjectInstance:
+        """The one object of a class, made on first use, at depth `d`."""
         one = self.singletons
         return one.get(class_name) or one.setdefault(class_name, self._new(class_name, [], d))
-
-    def dispatch_call(self, receiver: ObjectInstance, name: str, args: list):
-        """Execute the most-derived override of `name` on the receiver, at depth 0; like
-        any call, it draws one step.  It is logged as a write of any slot: host code may have set slots."""
-        self.log.append(None)
-        key = "%s/%d" % (name, len(args))
-        try:
-            m = receiver.vt[key]
-        except (AttributeError, KeyError):
-            raise _no_method(key, receiver) from None
-        return m.fn(self, 0, receiver, *args)
 
     def run(self) -> ExecutionResult:
         if self.unit.driver is None:
@@ -901,14 +891,16 @@ class Interpreter:
                     L[dest:dest + 1] = (value,)
         except _Violation as v:
             violation = v.record
-        except (MiniOORuntimeError, RecursionError) as exc:
-            fault = exc if isinstance(exc, MiniOORuntimeError) else MiniOORuntimeError(_TOO_DEEP)
+        except (MiniOORuntimeError, RecursionError, AttributeError, KeyError) as exc:
+            fault = MiniOORuntimeError(_TOO_DEEP) if isinstance(exc, RecursionError) else exc
+            if not isinstance(fault, MiniOORuntimeError) and (fault := _read_fault(exc)) is exc:
+                raise  # not raised at a site of emitted code: not a MiniOO fault
             fault.result = ExecutionResult(self.output, self.trace, None, self.combined)
-            raise fault
+            raise fault.with_traceback(exc.__traceback__)
         return ExecutionResult(self.output, self.trace, violation, self.combined)
 
 
-_NS["_new"] = Interpreter._new
+_NS.update(_new=Interpreter._new, _singleton=Interpreter.singleton)
 
 
 def run_program(unit: SourceUnit, check_trace: bool = False, max_steps: int = MAX_STEPS) -> ExecutionResult:

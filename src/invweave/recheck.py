@@ -82,7 +82,7 @@ def plan(visitor, chain: tuple) -> Optional["_Plan"]:
     walks at no smaller depth, and the writes logged since: it brings the pass's walks up to date,
     draws the steps and returns True, or else returns None and the check runs in full."""
     em, shapes = _Emitter(None), []
-    em.line("try:")  # below, a host call, a fault, a value no pass got, or a failing iteration
+    em.line("try:")  # below, a fault, a value no pass got, or a failing iteration
     em.nest += 1
     em.line("logged, steps, walks, log = last[1], last[2], last[4], rt.log")
     for preds, free in chain:  # each class's free variables, as its visit method's getters read them
@@ -100,7 +100,6 @@ def plan(visitor, chain: tuple) -> Optional["_Plan"]:
             em.line("w%d = walks[%d]" % (k, k), "stop, base, nodes = w%d.stop, w%d.base, w%d.nodes" % (k, k, k))
             em.line("if %s is not w%d.first or %s is not stop:" % (em.local(init), k, em.local(stop) or "None"))
             em.line(" raise _Full", "n = len(nodes)", "lo, hi, fresh%d = n + base + 1, base - 1, None" % k)
-            # each object written since; None, a host call, has no `_walk`
             em.line("for %s in _islice(reversed(log), len(log) - logged):" % x)
             em.line(" if %s._walk is w%d and nodes[%s._at - base] is %s:" % (x, k, x, x), "  i = %s._at" % x)
             if ahead and stop:  # an iteration reads `stop` as the next node: as if at index n
@@ -181,14 +180,10 @@ class _Plan:
         self.visitor, self.settle, self.shapes = visitor, settle, shapes
 
     def track(self, rt, this) -> Optional[list]:
-        """The walks of the check that just passed on `this`, or None if the run's visitor is another
-        or a node has no slot for its walk (an object another run made)."""
+        """The walks of the check that just passed on `this`, or None if the run's visitor is another."""
         if rt.decls.get(self.visitor.name) is not self.visitor:
             return None
-        try:
-            return [_Walk(shape, this) for shape in self.shapes]
-        except AttributeError:
-            return None
+        return [_Walk(shape, this) for shape in self.shapes]
 
 
 class _Walk:

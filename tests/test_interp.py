@@ -296,25 +296,32 @@ def test_field_write_faults(write, message):
     assert run_fault(source % write) == (message, ["before"])
 
 
+def _singletons(unit) -> dict:
+    """The singletons of a run of `unit`: where a test keeps the objects it looks at after the run."""
+    interp = Interpreter(unit)
+    interp.run()
+    return interp.singletons
+
+
 def test_a_second_run_over_a_hierarchy_builds_no_object_class():
     # A class's objects get one Python class per layout, kept with the declaration.
     b = parse_unit("class B extends A { public int y; }")
     with_int, with_bool = (
-        merge_units([parse_unit("class A { public %s x; }" % t), b, parse_unit("driver { }")]) for t in ("int", "bool")
+        merge_units([parse_unit("class A { public %s x; }" % t), b, parse_unit("driver { @singleton(B); }")])
+        for t in ("int", "bool")
     )
-    first, again = (Interpreter(with_int).construct("B", []) for _ in range(2))
-    assert type(first) is type(again)
+    first, again = (_singletons(with_int)["B"] for _ in range(2))
+    assert first is not again and type(first) is type(again)
     assert type(first).__slots__ == ["f_x", "f_y"]
-    other = Interpreter(with_bool).construct("B", [])
+    other = _singletons(with_bool)["B"]
     assert type(other) is not type(first)  # the same names, but other zero values
     assert (first.f_x, first.f_y, other.f_x) == (0, 0, False)
 
 
 def test_woven_objects_have_no_instance_dict():
     unit, spec = load_dlist(fixed=True)
-    interp = Interpreter(merge_units([unit, weave_program(unit, spec).declarations_unit()]))
-    ls = interp.construct("ExposedDLinkedList", [])
-    interp.dispatch_call(ls, "add", ["a"])
+    driver = parse_unit('driver { @singleton(ExposedDLinkedList).add("a"); }')
+    ls = _singletons(merge_units([unit, weave_program(unit, spec).declarations_unit(), driver]))["ExposedDLinkedList"]
     for obj in (ls, ls.f_head, ls.f_head.f_next):
         assert not hasattr(obj, "__dict__")
         with pytest.raises(AttributeError):
@@ -506,21 +513,23 @@ def test_reflect_get_unknown_field_aborts():
         run_src('class A { public A() { } }\ndriver { A a = new A(); print(@field(a, "nope")); }')
 
 
-def test_dispatch_call_exposed_wrapper_from_python():
+def test_exposed_wrappers_and_getters_run_from_a_driver():
     unit, spec = load_dlist(fixed=True)
     art = weave_program(unit, spec)
-    merged = merge_units([unit, art.declarations_unit()])
-    interp = Interpreter(merged)
-    obj = interp.construct("ExposedDLinkedList", [])
-    interp.dispatch_call(obj, "add", ["a"])
-    interp.dispatch_call(obj, "add", ["b"])
-    assert interp.dispatch_call(obj, "size", []) == 2
-    assert interp.dispatch_call(obj, "remove", ["a"]) is True
-    assert interp.dispatch_call(obj, "size", []) == 1
-    # Exposure faithfulness: getters agree with the direct field store.
-    assert interp.dispatch_call(obj, "_get_size", []) == obj.f_size
-    assert interp.dispatch_call(obj, "_get_head", []) is obj.f_head
-    assert interp.dispatch_call(obj, "_get_tail", []) is obj.f_tail
+    driver = """
+        driver {
+            ExposedDLinkedList<string> obj = @singleton(ExposedDLinkedList);
+            obj.add("a"); obj.add("b");
+            print(obj.size()); print(obj.remove("a")); print(obj.size());
+            print(obj._get_size()); print(obj._get_head()); print(obj._get_tail());
+        }
+    """
+    interp = Interpreter(merge_units([unit, art.declarations_unit(), parse_unit(driver)]))
+    output = interp.run().output
+    obj = interp.singletons["ExposedDLinkedList"]
+    assert output[:3] == ["2", "true", "1"]
+    # Exposure faithfulness: getters agree with the direct field store (an object prints as `Class@id`).
+    assert output[3:] == [str(obj.f_size), repr(obj.f_head), repr(obj.f_tail)] and obj.f_head is not obj.f_tail
 
 
 # -- the flagship woven/unwoven runs --------------------------------------------
@@ -618,15 +627,24 @@ def test_parent_first_composition_on_double_fault():
 
 
 def test_quantifier_loop_against_hand_checker():
-    # Corrupt one back-link directly in the heap; the generated sweep and a
-    # hand-written walk over interpreter objects must agree.
+    # The driver corrupts one back-link; the generated sweep and a hand-written
+    # walk over the interpreter's objects after the run must agree.
     unit, spec = load_dlist(fixed=True)
     art = weave_program(unit, spec)
-    merged = merge_units([unit, art.declarations_unit()])
-    interp = Interpreter(merged)
-    ls = interp.construct("ExposedDLinkedList", [])
-    for v in ("a", "b", "c"):
-        interp.dispatch_call(ls, "add", [v])
+    driver = """
+        driver {
+            ExposedDLinkedList<string> ls = @singleton(ExposedDLinkedList);
+            ls.add("a"); ls.add("b"); ls.add("c");
+            print(ls.inv());
+            %s
+        }
+    """
+    # corrupt: second node's prev pointer dangles to the head
+    corrupt = "ls.head.next.next.prev = ls.head; print(ls.inv());"
+
+    def run(edit: str) -> tuple:
+        interp = Interpreter(merge_units([unit, art.declarations_unit(), parse_unit(driver % edit)]))
+        return interp.run().output, interp.singletons["ExposedDLinkedList"]
 
     def hand_checker(obj) -> bool:
         head = obj.f_head
@@ -639,15 +657,13 @@ def test_quantifier_loop_against_hand_checker():
             n = nxt
         return True
 
+    output, ls = run("")
     assert hand_checker(ls) is True
-    assert interp.dispatch_call(ls, "inv", []) is True
-    # corrupt: second node's prev pointer dangles to the head
-    head = ls.f_head
-    first = head.f_next
-    second = first.f_next
-    second.f_prev = head
+    assert output == ["true"]
+    output, ls = run(corrupt)
+    assert ls.f_head.f_next.f_next.f_prev is ls.f_head
     assert hand_checker(ls) is False
-    assert interp.dispatch_call(ls, "inv", []) is False
+    assert output == ["true", "false"]
 
 
 def test_violation_output_preserved_up_to_failure():
@@ -954,12 +970,79 @@ def test_bodies_and_the_drivers_compiled_chunks_call_through_the_vtable(monkeypa
     assert "o_0.vt['down/1'].fn(rt, d + 1, o_0, 1)" in ctor
     # a method starts by checking its depth and drawing a step; `Interpreter.init` does both for a constructor
     prologue = ["if d > MAX_CALL_DEPTH: raise _err(_TOO_DEEP)", "if next(rt.ticks, 1): raise rt.spent()"]
-    assert [line.strip() for line in method.splitlines()[2:4]] == prologue
+    assert [line.strip() for line in method.splitlines()[1:3]] == prologue
     assert not any(line in ctor for line in prologue) and "rt.ticks" not in ctor
     # the driver's chunks run at depth 0 and emit calls and `new` as bodies do; it has no call helpers
     assert "c_1.vt['down/1'].fn(rt, d + 1, c_1, 1) + 1" in driver and "_new(rt, 'C', [c_1], d)" in driver
     assert "d_0, c_1, = L" in driver and "d_0.vt[" not in driver  # the op table runs the simple statements
     assert "_call" not in driver and not hasattr(interp_module, "_CALL") and "_call1" not in interp_module._NS
+
+
+def test_no_emitted_function_handles_an_exception(monkeypatch):
+    # `Interpreter.run` turns an error raised at a site into a fault; the functions hold no handler.
+    # A re-check plan's `settle` is the one with a `try`: anything raised in it runs the check in full.
+    built, build = [], _Emitter.build
+    monkeypatch.setattr(_Emitter, "build", lambda em, name: built.append((name, "\n".join(em.out))) or build(em, name))
+    unit, spec = load_dlist(fixed=True)
+    run_program(merge_units([unit, weave_program(unit, spec).declarations_unit(), dlist_driver(checked=True)]))
+    rng = random.Random(31)
+    for name, profile in sorted(GATING_PROFILES.items()):
+        unit, spec = load_program(CORPUS / "gating" / (name + ".moo"))
+        script = parse_unit(make_script(rng, profile, 12)[0])
+        run_program(merge_units([unit, weave_program(unit, spec).declarations_unit(), script]))
+    emitted = [(name, text) for name, text in built if name != "<settle>"]
+    assert len(emitted) > 30 and "<driver>" in dict(emitted) and len(built) > len(emitted)
+    for name, text in emitted:
+        assert "try:" not in text and "except" not in text and "_read_fault" not in text, name
+    assert not any("_read_fault" in text for _, text in built) and "_read_fault" not in interp_module._NS
+
+
+@pytest.mark.parametrize("error", [AttributeError, KeyError])
+def test_an_error_raised_below_emitted_code_leaves_the_run_as_it_is(monkeypatch, error):
+    # `p`'s print raises below it, while `q` waits at a call site: only the innermost frame tells.
+    raised = []
+
+    def broken(rt, value):
+        raised.append(error("broken"))
+        raise raised[-1]
+
+    monkeypatch.setitem(interp_module._NS, "_print", broken)
+    source = "class A { public void p() { print(1); } public void q() { this.p(); } }\ndriver { A a = new A(); a.q(); }"
+    with pytest.raises(error) as exc:
+        run_src(source)
+    assert exc.value is raised[0]
+    names, tb = [], exc.value.__traceback__
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert names.index("run") < names.index("A.q") and names[-2:] == ["A.p", "broken"]
+
+
+def test_functions_emitted_alike_keep_their_own_sites():
+    # `p.next` and `@field(p, "next")` emit the same Python, so their code objects compare equal,
+    # but a fault at the site names the read it came from.
+    source = "class N { public N next; public void probe(N p) { print(%s); } }\ndriver { N n = new N(); n.probe(null); }"
+    units = [parse_unit(source % path) for path in ("p.next", '@field(p, "next")')]
+    messages = ["null dereference reading 'next'", "null dereference in reflective read of 'next'"]
+    for _ in range(2):  # the second round runs the bodies each unit's declarations keep
+        for unit, message in zip(units, messages):
+            with pytest.raises(MiniOORuntimeError, match="^%s$" % re.escape(message)):
+                run_program(unit)
+    code, other = (next(iter(u.classes[0]._code.values())).vt["probe/1"].fn.__code__ for u in units)
+    assert code == other and code is not other
+
+
+def test_the_sites_of_a_unit_go_with_it():
+    def run() -> int:
+        unit, spec = load_dlist(fixed=True)
+        run_program(merge_units([unit, weave_program(unit, spec).declarations_unit(), dlist_driver(checked=True)]))
+        return len(interp_module._SITES)
+
+    gc.collect()
+    before = len(interp_module._SITES)
+    assert run() > before
+    gc.collect()
+    assert len(interp_module._SITES) == before
 
 
 @pytest.mark.parametrize("call", ["this.down(n - 1)", "down(n - 1)", "this.me().down(n - 1)"])
@@ -972,23 +1055,6 @@ def test_call_depth_limit_is_the_same_for_every_form_of_call(call):
         "MiniOO calls nested too deeply",
         ["b"],
     )
-
-
-def test_dispatch_call_runs_at_depth_zero_and_draws_a_step_like_any_call():
-    interp = Interpreter(parse_unit(_DOWN + "driver { }"), max_steps=7)
-    d = interp.construct("D")  # one step
-    assert interp.dispatch_call(d, "down", [3]) == 3  # four calls, four steps
-    assert operator.length_hint(interp.ticks) == 2
-    assert interp.dispatch_call(d, "down", [0]) == 0
-    assert interp.dispatch_call(d, "down", [0]) == 0
-    with pytest.raises(MiniOORuntimeError, match="^run used up its budget of 7 steps$"):
-        interp.dispatch_call(d, "down", [0])
-    # Depth 0 is below the driver's calls: down(n) from here nests n calls on top.
-    interp = Interpreter(parse_unit(_DOWN + "driver { }"))
-    d = interp.construct("D")
-    assert interp.dispatch_call(d, "down", [MAX_CALL_DEPTH]) == MAX_CALL_DEPTH
-    with pytest.raises(MiniOORuntimeError, match="^MiniOO calls nested too deeply$"):
-        interp.dispatch_call(d, "down", [MAX_CALL_DEPTH + 1])
 
 
 _STEPS = """
@@ -1152,14 +1218,6 @@ def test_a_body_nested_as_deep_as_the_parser_allows_runs_when_first_called_deepe
         driver { D d = new D(); print(d.down(%d, %d)); }
     """ % (body, MAX_CALL_DEPTH - 3, levels - 1)
     assert run_src(source).output == [str(levels - 1)]
-
-
-@pytest.mark.parametrize("receiver, message", [(None, "null dereference calling 'get'"), (7, "7 has no methods")])
-def test_a_host_call_on_a_non_object_is_a_one_line_fault(receiver, message):
-    interp = Interpreter(parse_unit("class Box { public int get() { return 0; } }"))
-    with pytest.raises(MiniOORuntimeError) as fault:
-        interp.dispatch_call(receiver, "get", [])
-    assert str(fault.value) == message
 
 
 def test_a_body_nested_199_deep_compiles_from_a_caller_150_python_frames_deep():

@@ -5,7 +5,7 @@ somewhere under `src/` or `bench/` outside the definition itself, or when it
 is listed in `invweave.__all__`.  A module's `__getattr__` counts as used too:
 the import system calls it by that name (PEP 562) when an attribute is missing.
 A method counts as used on the same terms, where a name in `tests/` counts too
-(host code such as `Interpreter.dispatch_call` calls its entry points by name),
+(tests call a class's entry points by name, as host code would),
 and so do a dunder, which Python calls, and a method whose name starts with
 the prefix of a call by a name built at run time (`getattr(self, "s_" + ...)`).
 A name in a table, such as the typing rules of `typecheck._Checker`, is a

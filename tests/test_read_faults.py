@@ -55,18 +55,21 @@ def _text(root: str, steps: list) -> str:
 
 
 def _run(root: str, steps: list, length: int) -> tuple:
-    """The fault of the path run from a chain of `length` objects, and the reference's verdict."""
-    interp = Interpreter(parse_unit(_CLASSES % _text(root, steps)))
-    chain = [interp.construct("N", []) for _ in range(length)]
-    for i, o in enumerate(chain):
-        o.f_next, o.f_k, o.f_s = (chain[i + 1] if i + 1 < length else None), i, "s%d" % i
-    start = interp.construct("N", []) if root == "new" else chain[0]
-    expected = _walk(_LITERALS[root] if root in _LITERALS else start, steps)
+    """The fault of the path run from a chain of `length` objects, and the reference's verdict.  The
+    driver builds the chain and keeps its first node and a new one in a holder, for the reference."""
+    links = ["N n%d = new N(); n%d.k = %d; n%d.s = \"s%d\";" % (i, i, i, i, i) for i in range(length)]
+    links += ["n%d.next = n%d;" % (i, i + 1) for i in range(length - 1)]
+    holder = "class Keep { public N first; public N fresh; }"
+    driver = "driver { %s Keep keep = @singleton(Keep); keep.first = n0; keep.fresh = new N(); n0.probe(n0); }"
+    interp = Interpreter(parse_unit(_CLASSES % _text(root, steps) + holder + driver % " ".join(links)))
     try:
-        interp.dispatch_call(chain[0], "probe", [chain[0]])
-        return None, expected
+        interp.run()
+        got = None
     except MiniOORuntimeError as exc:
-        return str(exc), expected
+        got = str(exc)
+    keep = interp.singletons["Keep"]
+    start = keep.f_fresh if root == "new" else keep.f_first
+    return got, _walk(_LITERALS[root] if root in _LITERALS else start, steps)
 
 
 def test_each_read_path_faults_as_its_step_by_step_walk():

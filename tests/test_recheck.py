@@ -11,7 +11,7 @@ import pytest
 
 from invweave import interp as interp_module
 from invweave import recheck as recheck_module
-from invweave.interp import Interpreter, MiniOORuntimeError, _Violation
+from invweave.interp import Interpreter, MiniOORuntimeError
 from invweave.invspec import load_spec
 from invweave.parser import parse_unit
 from invweave.syntax import merge_units
@@ -93,32 +93,6 @@ def test_seeded_mutations_from_the_driver_are_settled_as_a_full_walk_checks_them
     calls = _mutations(rng, rng.choice([0, 1, 2, rng.randrange(300)]), rng.randrange(5, 40))
     (seen, _), counts = _alike(monkeypatch, lambda: _dlist(_driver(calls)))
     assert seen[3] is None and seen[4] is None and counts[0] - counts[1] >= min(len(calls), 5) - 1
-
-
-def _host_run(interp: Interpreter, calls: list, ls=None) -> tuple:
-    """`calls` made on `ls`, or on a new list, through `dispatch_call`, as host code makes them."""
-    out = []
-    try:
-        ls = ls or interp.construct("ExposedDLinkedList", [])
-        for m, args in calls:
-            out.append(interp.dispatch_call(ls, m, args))
-        fault = None
-    except (MiniOORuntimeError, _Violation) as exc:
-        fault = str(exc)
-    return out, interp.trace, fault, interp.max_steps - operator.length_hint(interp.ticks)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_seeded_mutations_through_dispatch_call_are_checked_as_in_full(monkeypatch, seed):
-    rng = random.Random(2700 + seed)
-    calls = _mutations(rng, rng.randrange(300), 30)
-
-    def run():
-        return _host_run(Interpreter(_dlist("driver { }"), trace=True), calls)
-
-    on = run()
-    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
-    assert run() == on and on[2] is None
 
 
 # Writes a driver makes into the list's nodes, a few calls after it is built: each breaks the
@@ -290,25 +264,6 @@ def test_the_write_log_stays_bounded_between_two_checks(monkeypatch):
     monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
     full = Interpreter(_dlist(driver % loop), trace=True)
     assert full.run() == result and operator.length_hint(full.ticks) == operator.length_hint(interp.ticks)
-
-
-def test_a_node_another_run_made_is_walked_but_not_kept(monkeypatch):
-    # Host code links in a node of a run whose unit logs nothing, so the node has no slot for a walk.
-    def run():
-        unit, _ = load_dlist(fixed=True)
-        node = Interpreter(merge_units([unit, parse_unit("driver { }")])).construct("DNode", ["x"])
-        interp = Interpreter(_dlist("driver { }"), trace=True)
-        ls = interp.construct("ExposedDLinkedList", [])
-        head, tail = ls.f_head, ls.f_tail
-        head.f_next, node.f_prev, node.f_next, tail.f_prev = node, head, tail, node
-        return _host_run(interp, [("size", []), ("add", ["y"]), ("addFirst", ["z"]), ("size", [])], ls)
-
-    tracked, track = [], recheck_module._Plan.track
-    monkeypatch.setattr(recheck_module._Plan, "track", lambda *args: tracked.append(track(*args)) or tracked[-1])
-    on = run()
-    assert len(tracked) > 3 and tracked[1:] == [None] * (len(tracked) - 1)  # the first pass came before the node
-    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
-    assert run() == on and on[0] == [0, None, None, 2] and on[2] is None
 
 
 # `G` subclasses the woven list's exposed class and is woven in turn, so an `ExposedG` runs the

@@ -10,7 +10,7 @@ import pytest
 
 from invweave import interp as interp_module
 from invweave.diagnostics import errors_only
-from invweave.interp import Interpreter, MiniOORuntimeError, _Emitter, _Violation, run_program
+from invweave.interp import Interpreter, MiniOORuntimeError, _Emitter, run_program
 from invweave.invspec import load_spec
 from invweave.parser import parse_unit
 from invweave.printer import render_source
@@ -123,21 +123,6 @@ def test_plain_and_checked_runs_over_shared_declarations_keep_their_own_bodies(m
     assert "rt.log" not in first["plain"]["DLinkedList.remove"]
 
 
-def test_a_host_write_between_calls_is_seen_by_the_next_check():
-    unit, spec = load_dlist(fixed=True)
-    interp = Interpreter(merge_units([unit, weave_program(unit, spec).declarations_unit()]))
-    ls = interp.construct("ExposedDLinkedList", [])
-    interp.dispatch_call(ls, "add", ["a"])
-    interp.dispatch_call(ls, "add", ["b"])
-    # the exit check of the second `add` passed, and the run has logged nothing since
-    assert [last[1] for last in interp.passed.values()] == [len(interp.log)]
-    second = ls.f_head.f_next.f_next
-    second.f_prev = ls.f_head
-    with pytest.raises(_Violation) as violation:
-        interp.dispatch_call(ls, "size", [])
-    assert str(violation.value.record) == "VIOLATION DLinkedList 0 entry size"
-
-
 _ACC = """
 class Acc {
     protected int total;
@@ -229,26 +214,6 @@ def test_a_field_the_driver_writes_is_read_again_by_the_next_check():
     assert result.output == ["0"] and str(result.violation) == "VIOLATION P 0 entry get"
 
 
-def test_a_host_write_before_a_construction_is_seen_by_its_checks():
-    # `deep` records a pass of `b`'s check deeper than the constructor's call of `get` runs.
-    source = """
-        class Box { public int v; public int get() { return this.v; } }
-        class Probe {
-            public Probe(Box b) { print(b.get()); }
-            public void deep(Box b, int n) { if (n == 0) { b.get(); } else { this.deep(b, n - 1); } }
-        }
-    """
-    unit = parse_unit(source)
-    artifacts = weave_program(unit, load_spec(_walk("Box", "v")))
-    interp = Interpreter(merge_units([unit, artifacts.declarations_unit()]))
-    b = interp.construct("ExposedBox", [])
-    interp.dispatch_call(interp.construct("Probe", [b]), "deep", [b, 5])
-    b.f_v = -1
-    with pytest.raises(_Violation) as violation:
-        interp.construct("Probe", [b])
-    assert str(violation.value.record) == "VIOLATION Box 0 entry get" and interp.output == ["0"]
-
-
 def test_a_check_that_prints_runs_every_time():
     # A subclass's getter prints, so each of its checks prints: a pass that printed is not replayed.
     unit = parse_unit("class Box { public int v; public int get() { return this.v; } }")
@@ -259,26 +224,3 @@ def test_a_check_that_prints_runs_every_time():
     artifacts = weave_program(unit, load_spec(_walk("Box", "v")))
     result = run_program(merge_units([unit, artifacts.declarations_unit(), noisy]))
     assert result.output == ["read"] * 3 + ["0"] + ["read"] * 2 + ["0"]
-
-
-@pytest.mark.parametrize("replay", [True, False])
-def test_a_host_write_before_a_host_singleton_is_seen_by_its_checks(monkeypatch, replay):
-    # `deep` records a pass of `b`'s check deeper than the Reader constructor's call of `get` runs.
-    source = """
-        class Box { public int v; public int get() { return this.v; } }
-        class Holder { public Box b; }
-        class Reader { public Reader() { print(@singleton(Holder).b.get()); } }
-        class Probe { public void deep(Box b, int n) { if (n == 0) { b.get(); } else { this.deep(b, n - 1); } } }
-    """
-    if not replay:
-        monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
-    unit = parse_unit(source)
-    artifacts = weave_program(unit, load_spec(_walk("Box", "v")))
-    interp = Interpreter(merge_units([unit, artifacts.declarations_unit()]))
-    b = interp.construct("ExposedBox", [])
-    interp.singleton("Holder").f_b = b
-    interp.dispatch_call(interp.construct("Probe", []), "deep", [b, 5])
-    b.f_v = -1
-    with pytest.raises(_Violation) as violation:
-        interp.singleton("Reader")
-    assert str(violation.value.record) == "VIOLATION Box 0 entry get" and interp.output == []
