@@ -1163,6 +1163,19 @@ def test_call_depth_limit_is_exact():
     )
 
 
+def test_a_driver_call_draws_a_step_like_any_call():
+    # `new D()` draws one step and `down(n)` one per call, n + 1 in all; the driver's own statements draw none.
+    calls = "D d = new D(); print(d.down(3)); print(d.down(0)); print(d.down(0));"
+    interp = Interpreter(parse_unit(_DOWN + "driver { %s }" % calls), max_steps=7)
+    assert interp.run().output == ["3", "0", "0"] and operator.length_hint(interp.ticks) == 0
+    interp = Interpreter(parse_unit(_DOWN + "driver { D d = new D(); print(d.down(3)); }"), max_steps=7)
+    interp.run()
+    assert operator.length_hint(interp.ticks) == 2
+    with pytest.raises(MiniOORuntimeError, match="^run used up its budget of 7 steps$") as exc:
+        run_program(parse_unit(_DOWN + "driver { %s print(d.down(0)); }" % calls), max_steps=7)
+    assert exc.value.result.output == ["3", "0", "0"]
+
+
 @pytest.mark.parametrize("terms", [400, 4000])
 def test_deep_expressions_run(terms):
     assert run_src("driver { int x = %s; print(x); }" % " + ".join(["1"] * terms)).output == [str(terms)]

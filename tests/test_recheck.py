@@ -95,6 +95,15 @@ def test_seeded_mutations_from_the_driver_are_settled_as_a_full_walk_checks_them
     assert seen[3] is None and seen[4] is None and counts[0] - counts[1] >= min(len(calls), 5) - 1
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_thirty_mutations_of_a_built_list_are_settled_as_a_full_walk_checks_them(monkeypatch, seed):
+    # A list of up to 300 elements, then 30 calls that change it: longer walks than the seeds above.
+    rng = random.Random(2700 + seed)
+    calls = _mutations(rng, rng.randrange(300), 30)
+    (seen, _), counts = _alike(monkeypatch, lambda: _dlist(_driver(calls)))
+    assert seen[3] is None and seen[4] is None and counts[0] - counts[1] >= 4
+
+
 # Writes a driver makes into the list's nodes, a few calls after it is built: each breaks the
 # invariant or the walk, or links a node from outside in.
 _ADVERSARIAL = {

@@ -123,6 +123,21 @@ def test_plain_and_checked_runs_over_shared_declarations_keep_their_own_bodies(m
     assert "rt.log" not in first["plain"]["DLinkedList.remove"]
 
 
+def test_a_driver_write_between_calls_is_seen_by_the_next_check():
+    unit, spec = load_dlist(fixed=True)
+    driver = 'driver { ExposedDLinkedList<string> ls = new ExposedDLinkedList<string>(); ls.add("a"); ls.add("b"); %s }'
+
+    def interpreter(edit: str) -> Interpreter:
+        return Interpreter(merge_units([unit, weave_program(unit, spec).declarations_unit(), parse_unit(driver % edit)]))
+
+    interp = interpreter("")
+    interp.run()
+    # the exit check of the second `add` passed, and the run has logged nothing since
+    assert [last[1] for last in interp.passed.values()] == [len(interp.log)]
+    result = interpreter("ls.head.next.next.prev = ls.head; print(ls.size());").run()
+    assert result.output == [] and str(result.violation) == "VIOLATION DLinkedList 0 entry size"
+
+
 _ACC = """
 class Acc {
     protected int total;
@@ -212,6 +227,41 @@ def test_a_field_the_driver_writes_is_read_again_by_the_next_check():
     artifacts = weave_program(unit, load_spec(_walk("P", "v")))
     result = run_program(merge_units([swap_driver_constructors(unit, artifacts), artifacts.declarations_unit()]))
     assert result.output == ["0"] and str(result.violation) == "VIOLATION P 0 entry get"
+
+
+_PROBE = """
+    class Box { public int v; public int get() { return this.v; } }
+    class Holder { public Box b; }
+    class Reader { public Reader() { print(@singleton(Holder).b.get()); } }
+    class Probe {
+        public Probe(Box b) { print(b.get()); }
+        public void deep(Box b, int n) { if (n == 0) { b.get(); } else { this.deep(b, n - 1); } }
+    }
+"""
+
+
+def _probed(driver: str):
+    """`driver` over `_PROBE`, after `b` passed a check deep in `p.deep` and was then written, with `Box` woven."""
+    unit = parse_unit(_PROBE + "driver { Box b = new Box(); Probe p = new Probe(b); p.deep(b, 5); b.v = -1; %s }" % driver)
+    artifacts = weave_program(unit, load_spec(_walk("Box", "v")))
+    return merge_units([swap_driver_constructors(unit, artifacts), artifacts.declarations_unit()])
+
+
+def test_a_driver_write_before_a_construction_is_seen_by_its_checks(monkeypatch):
+    # `deep` records a pass of `b`'s check deeper than the constructor's call of `get` runs.
+    on = run_program(_probed("Probe q = new Probe(b);"))
+    assert on.output == ["0"] and str(on.violation) == "VIOLATION Box 0 entry get"
+    monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    assert run_program(_probed("Probe q = new Probe(b);")) == on
+
+
+@pytest.mark.parametrize("replay", [True, False])
+def test_a_driver_write_before_a_singleton_is_seen_by_its_checks(monkeypatch, replay):
+    # `deep` records a pass of `b`'s check deeper than the Reader constructor's call of `get` runs.
+    if not replay:
+        monkeypatch.setattr(interp_module, "_counted", lambda unit: False)
+    result = run_program(_probed("Holder h = @singleton(Holder); h.b = b; Reader r = @singleton(Reader);"))
+    assert result.output == ["0"] and str(result.violation) == "VIOLATION Box 0 entry get"
 
 
 def test_a_check_that_prints_runs_every_time():
